@@ -16,7 +16,6 @@ from .errors import FrobranchError
 from .ffield import (
     PrimeField,
     ExtensionField,
-    FieldElement,
     UniPoly,
     field_make,
     extend_field,
@@ -47,7 +46,6 @@ __all__ = [
     "FrobranchError",
     "PrimeField",
     "ExtensionField",
-    "FieldElement",
     "UniPoly",
     "field_make",
     "extend_field",

@@ -4,7 +4,8 @@ Subcommands: branches, hypersurface, fnilpotent, fte, tight-member.
 Reports come out as readable text or canonical JSON (sorted keys, schema
 version "1"); identical requests produce byte-identical reports.  Exit
 codes: 0 success, 1 input error, 2 mathematical inconsistency (the
-closure formula disagreeing with an oracle).
+closure formula disagreeing with an oracle, or a certificate failing its
+own check).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .errors import FrobranchError
-from .ffield import PrimeField, extend_field
+from .errors import CertificateFailed, FrobranchError
+from .ffield import PrimeField, check_characteristic, extend_field
 from .graded import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_S_MAX,
@@ -152,6 +153,7 @@ def parse_request(argv: Sequence[str]) -> AnalysisRequest:
     ns = parser.parse_args(list(argv))
     if ns.mode is None:
         raise _CliInputError("a subcommand is required (branches, hypersurface, fnilpotent, fte, tight-member)")
+    check_characteristic(ns.p)
     var_names: tuple[str, ...] = ()
     if getattr(ns, "vars", None):
         var_names = tuple(v.strip() for v in ns.vars.split(","))
@@ -329,6 +331,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except CertificateFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except (FrobranchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

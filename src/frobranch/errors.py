@@ -65,7 +65,7 @@ class CapExceeded(FrobranchError):
 
 
 class FieldTooLarge(FrobranchError):
-    """The extension field is too large for the dense table-driven kernels."""
+    """The characteristic or the extension field exceeds its size cap."""
 
 
 class ParseError(FrobranchError):
@@ -75,6 +75,11 @@ class ParseError(FrobranchError):
         super().__init__(f"parse error at position {position}: expected {expected}")
         self.position = position
         self.expected = expected
+
+
+class CertificateFailed(FrobranchError):
+    """A certificate the code computed failed its own verification, such as
+    a Smith normal form whose transforms do not reproduce it."""
 
 
 class UnsupportedMode(FrobranchError):

@@ -1,10 +1,19 @@
 """Exact arithmetic in GF(p) and GF(p^s) plus univariate polynomial tools.
 
-Fields are represented as towers: a prime field GF(p), optionally extended
-by an irreducible modulus.  Internal scalar extensions build further tower
-levels on top of an existing field, which keeps the base-field embedding
-trivial (constants stay constants).  Elements carry a reference to their
-field and never coerce across fields.
+Field elements are plain integer codes.  The code of an element is the
+base-p digit expansion of its GF(p)-coefficient vector, coordinate 0 least
+significant: in GF(p) it is the representative in [0, p); in an extension
+base[u]/(modulus) the element sum c_i u^i has code sum code(c_i) * Q^i with
+Q the order of the base.  Codes count the elements in a fixed order, 0 is
+zero and 1 is one, and a base-field code is also the code of the same
+constant in any extension built on top of it, so scalar extension leaves
+coefficients unchanged.  Fields never coerce across each other; polynomial
+and ring operations check that their operands share a field.
+
+A prime field computes modulo p.  An extension field finds a primitive
+element when it is built and walks its powers once, in O(q) steps, into
+exp/log lists; its products, inverses and powers are then list lookups,
+and its sums go through Zech logarithms log(1 + a^k).
 
 The polynomial layer provides the Euclidean gcd, characteristic-p
 squarefree decomposition (with p-th root extraction when the derivative
@@ -15,7 +24,7 @@ counting, which is what the branch oracle consumes.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import (
     CompositeCharacteristic,
@@ -28,8 +37,9 @@ from .errors import (
 MAX_PRIME = 2**31
 MAX_EXTENSION_DEGREE = 8
 
-# Dense table-driven linear algebra only works for small fields; extensions
-# beyond this order are rejected (prime fields of any size are fine).
+# Extension fields keep exp/log lists and dense q x q tables for linear
+# algebra, so they are limited to this order (prime fields of any size
+# below MAX_PRIME are fine).
 MAX_TABLE_ORDER = 4096
 
 
@@ -44,50 +54,24 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class Field:
-    """Common interface of PrimeField and ExtensionField."""
+def check_characteristic(p: int) -> None:
+    """Reject a characteristic above MAX_PRIME, then one that is not prime.
 
-    p: int
-    degree: int  # degree over GF(p)
-    order: int
-
-    def zero(self) -> "FieldElement":
-        raise NotImplementedError
-
-    def one(self) -> "FieldElement":
-        raise NotImplementedError
-
-    def from_int(self, k: int) -> "FieldElement":
-        """Embed an integer as a constant (image of k mod p)."""
-        raise NotImplementedError
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """Iterate all field elements in a fixed order (small fields only)."""
-        raise NotImplementedError
-
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _inv(self, a):
-        raise NotImplementedError
+    The cap comes first so that a huge p never reaches trial division."""
+    if p > MAX_PRIME:
+        raise FieldTooLarge(f"characteristic cap exceeded: {p} > {MAX_PRIME}")
+    if not _is_prime(p):
+        raise CompositeCharacteristic(f"{p} is not prime")
 
 
-class PrimeField(Field):
-    """GF(p) with integer representatives in [0, p)."""
+class PrimeField:
+    """GF(p); the code of an element is its representative in [0, p)."""
+
+    degree = 1
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise CompositeCharacteristic(f"{p} is not prime")
-        if p > MAX_PRIME:
-            raise ValueError(f"characteristic cap exceeded: {p} > {MAX_PRIME}")
+        check_characteristic(p)
         self.p = p
-        self.degree = 1
         self.order = p
 
     def __eq__(self, other):
@@ -99,42 +83,42 @@ class PrimeField(Field):
     def __repr__(self):
         return f"GF({self.p})"
 
-    def zero(self):
-        return FieldElement(self, 0)
-
-    def one(self):
-        return FieldElement(self, 1 % self.p)
-
-    def from_int(self, k):
-        return FieldElement(self, k % self.p)
-
-    def elements(self):
-        for v in range(self.p):
-            yield FieldElement(self, v)
-
-    def _add(self, a, b):
+    def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def _neg(self, a):
-        return (-a) % self.p
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
 
-    def _mul(self, a, b):
-        return (a * b) % self.p
+    def neg(self, a: int) -> int:
+        return -a % self.p
 
-    def _inv(self, a):
-        if a == 0:
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        if not a:
             raise ZeroDivisionError("inverse of zero field element")
         return pow(a, self.p - 2, self.p)
 
+    def pow(self, a: int, n: int) -> int:
+        if n < 0:
+            return pow(self.inv(a), -n, self.p)
+        return pow(a, n, self.p)
 
-class ExtensionField(Field):
-    """Degree-d extension of an existing field by an irreducible modulus.
+    def format(self, a: int) -> str:
+        return str(a)
 
-    Elements are coefficient tuples of length d over the base field,
-    lowest degree first.
+
+class ExtensionField:
+    """Degree-s extension base[u]/(modulus) of an existing field.
+
+    `exp[k]` is the code of a^k for the primitive element a, stored twice
+    over so that a sum of two logarithms needs no reduction; `log` inverts
+    it on nonzero codes; `zech[k]` is log(1 + a^k), None where that sum is
+    zero.
     """
 
-    def __init__(self, base: Field, modulus: "UniPoly", check: bool = True):
+    def __init__(self, base: "Field", modulus: "UniPoly", check: bool = True):
         if modulus.field != base:
             raise FieldMismatch("modulus must be a polynomial over the base field")
         if modulus.degree < 2:
@@ -154,8 +138,40 @@ class ExtensionField(Field):
             raise FieldTooLarge(f"extension field of order {self.order} not supported")
         if check and not is_irreducible(modulus):
             raise ReducibleModulus(f"modulus {modulus} is reducible")
-        # -modulus coefficients below the leading term, used for reduction
-        self._red = tuple(base._neg(c.value) for c in modulus.coefficients[:-1])
+        self._build_logs()
+
+    def _build_logs(self) -> None:
+        n = self.order - 1
+        alpha = self._poly(next(c for c in range(2, self.order) if self._is_primitive(c)))
+        exp = [0] * n
+        log = [0] * self.order
+        x = UniPoly.one(self.base)
+        for k in range(n):
+            code = self._code(x)
+            exp[k] = code
+            log[code] = k
+            x = (x * alpha) % self.modulus
+        self.exp = exp + exp
+        self.log = log
+        p = self.p
+        # 1 + x only changes the lowest GF(p) digit of x
+        plus_one = [e - e % p + (e + 1) % p for e in exp]
+        self.zech = [log[c] if c else None for c in plus_one]
+        self._half = n // 2 if p != 2 else 0  # a^(n/2) = -1 in odd characteristic
+
+    def _poly(self, code: int) -> "UniPoly":
+        q = self.base.order
+        return UniPoly(self.base, [code // q**i % q for i in range(self.s)])
+
+    def _code(self, f: "UniPoly") -> int:
+        q = self.base.order
+        return sum(c * q**i for i, c in enumerate(f.coefficients))
+
+    def _is_primitive(self, code: int) -> bool:
+        n = self.order - 1
+        f = self._poly(code)
+        one = UniPoly.one(self.base)
+        return all(f.pow_mod(n // r, self.modulus) != one for r in _prime_factors(n))
 
     def __eq__(self, other):
         return (
@@ -165,161 +181,56 @@ class ExtensionField(Field):
         )
 
     def __hash__(self):
-        return hash(("ExtensionField", self.base, tuple(c.value for c in self.modulus.coefficients)))
+        return hash(("ExtensionField", self.base, self.modulus.coefficients))
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"
 
-    def zero(self):
-        return FieldElement(self, (self.base.zero().value,) * self.s)
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self.log
+        la = log[a]
+        # negative differences index zech from the end, i.e. modulo q - 1
+        z = self.zech[log[b] - la]
+        return 0 if z is None else self.exp[la + z]
 
-    def one(self):
-        return FieldElement(self, (self.base.one().value,) + (self.base.zero().value,) * (self.s - 1))
+    def neg(self, a: int) -> int:
+        return self.exp[self.log[a] + self._half] if a else 0
 
-    def from_int(self, k):
-        return FieldElement(
-            self, (self.base.from_int(k).value,) + (self.base.zero().value,) * (self.s - 1)
-        )
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
 
-    def embed(self, c: "FieldElement") -> "FieldElement":
-        """Embed a base-field element as a constant of this extension."""
-        if c.field != self.base:
-            raise FieldMismatch("embed expects an element of the base field")
-        return FieldElement(self, (c.value,) + (self.base.zero().value,) * (self.s - 1))
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
 
-    def generator(self) -> "FieldElement":
-        """The residue of t, a root of the modulus."""
-        z = self.base.zero().value
-        o = self.base.one().value
-        return FieldElement(self, (z, o) + (z,) * (self.s - 2))
-
-    def elements(self):
-        def rec(i):
-            if i == self.s:
-                yield ()
-                return
-            for rest in rec(i + 1):
-                for c in self.base.elements():
-                    yield (c.value,) + rest
-
-        for tup in rec(0):
-            yield FieldElement(self, tup)
-
-    def _add(self, a, b):
-        base = self.base
-        return tuple(base._add(x, y) for x, y in zip(a, b))
-
-    def _neg(self, a):
-        base = self.base
-        return tuple(base._neg(x) for x in a)
-
-    def _mul(self, a, b):
-        base = self.base
-        s = self.s
-        zero = base.zero().value
-        prod = [zero] * (2 * s - 1)
-        for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = base._add(prod[i + j], base._mul(x, y))
-        # reduce modulo the (monic) modulus
-        for k in range(2 * s - 2, s - 1, -1):
-            c = prod[k]
-            if c == zero:
-                continue
-            prod[k] = zero
-            for j, r in enumerate(self._red):
-                prod[k - s + j] = base._add(prod[k - s + j], base._mul(c, r))
-        return tuple(prod[:s])
-
-    def _inv(self, a):
-        # extended Euclid on coefficient tuples against the modulus
-        if all(x == self.base.zero().value for x in a):
+    def inv(self, a: int) -> int:
+        if not a:
             raise ZeroDivisionError("inverse of zero field element")
-        f = UniPoly(self.base, tuple(FieldElement(self.base, x) for x in a))
-        g = self.modulus
-        r0, r1 = g, f
-        t0, t1 = UniPoly.zero(self.base), UniPoly.one(self.base)
-        while r1.degree > 0:
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        # r1 is a nonzero constant: gcd(f, modulus) = 1 since modulus irreducible
-        c = r1.coefficients[0]
-        inv = t1.scale(FieldElement(self.base, self.base._inv(c.value)))
-        coeffs = list(x.value for x in inv.coefficients)
-        z = self.base.zero().value
-        coeffs += [z] * (self.s - len(coeffs))
-        return tuple(coeffs[: self.s])
+        return self.exp[self.order - 1 - self.log[a]]
+
+    def pow(self, a: int, n: int) -> int:
+        if not a:
+            if n < 0:
+                raise ZeroDivisionError("negative power of zero field element")
+            return 0 if n else 1
+        return self.exp[self.log[a] * n % (self.order - 1)]
+
+    def format(self, a: int) -> str:
+        """Nested coefficient tuple over the tower, lowest power first."""
+        q = self.base.order
+        return "(" + ", ".join(self.base.format(a // q**i % q) for i in range(self.s)) + ")"
 
 
-class FieldElement:
-    """An element of a Field; equality is representational."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        self.field = field
-        self.value = value
-
-    def _check(self, other: "FieldElement"):
-        if self.field != other.field:
-            raise FieldMismatch(f"elements of {self.field} and {other.field}")
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __bool__(self):
-        return self != self.field.zero()
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field._add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(
-            self.field, self.field._add(self.value, self.field._neg(other.value))
-        )
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field._mul(self.value, other.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._inv(self.value))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __repr__(self):
-        return f"{self.value}"
+Field = Union[PrimeField, ExtensionField]
 
 
 class UniPoly:
-    """Immutable univariate polynomial, coefficients lowest degree first.
+    """Immutable univariate polynomial, coefficient codes lowest degree first.
 
     The zero polynomial has an empty coefficient tuple; otherwise the
     leading coefficient is nonzero.
@@ -327,13 +238,11 @@ class UniPoly:
 
     __slots__ = ("field", "coefficients")
 
-    def __init__(self, field: Field, coefficients: Sequence[FieldElement]):
+    def __init__(self, field: Field, coefficients: Sequence[int]):
         coeffs = list(coefficients)
-        zero = field.zero()
-        for c in coeffs:
-            if c.field != field:
-                raise FieldMismatch("coefficient from a different field")
-        while coeffs and coeffs[-1] == zero:
+        if coeffs and not (0 <= min(coeffs) and max(coeffs) < field.order):
+            raise ValueError(f"coefficient codes {coeffs} are not all elements of {field}")
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.field = field
         self.coefficients = tuple(coeffs)
@@ -344,15 +253,16 @@ class UniPoly:
 
     @classmethod
     def one(cls, field: Field) -> "UniPoly":
-        return cls(field, (field.one(),))
+        return cls(field, (1,))
 
     @classmethod
     def t(cls, field: Field) -> "UniPoly":
-        return cls(field, (field.zero(), field.one()))
+        return cls(field, (0, 1))
 
     @classmethod
     def from_ints(cls, field: Field, ints: Sequence[int]) -> "UniPoly":
-        return cls(field, tuple(field.from_int(k) for k in ints))
+        """Polynomial with the integer coefficients read as constants mod p."""
+        return cls(field, [k % field.p for k in ints])
 
     @property
     def degree(self) -> int:
@@ -376,16 +286,17 @@ class UniPoly:
 
     def __add__(self, other):
         self._check(other)
+        add = self.field.add
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
+            out[i] = add(out[i], c)
         return UniPoly(self.field, out)
 
     def __neg__(self):
-        return UniPoly(self.field, tuple(-c for c in self.coefficients))
+        return UniPoly(self.field, [self.field.neg(c) for c in self.coefficients])
 
     def __sub__(self, other):
         return self + (-other)
@@ -394,32 +305,34 @@ class UniPoly:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return UniPoly.zero(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(self.coefficients) + len(other.coefficients) - 1)
+        add, mul = self.field.add, self.field.mul
+        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
-            if a == zero:
+            if not a:
                 continue
             for j, b in enumerate(other.coefficients):
-                out[i + j] = out[i + j] + a * b
+                out[i + j] = add(out[i + j], mul(a, b))
         return UniPoly(self.field, out)
 
-    def scale(self, c: FieldElement) -> "UniPoly":
-        return UniPoly(self.field, tuple(a * c for a in self.coefficients))
+    def scale(self, c: int) -> "UniPoly":
+        mul = self.field.mul
+        return UniPoly(self.field, [mul(a, c) for a in self.coefficients])
 
     def divmod(self, other: "UniPoly"):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        sub, mul = self.field.sub, self.field.mul
         rem = list(self.coefficients)
-        dlead = other.coefficients[-1].inverse()
+        dlead = self.field.inv(other.coefficients[-1])
         dn = other.degree
-        quot = [self.field.zero()] * max(0, len(rem) - dn)
+        quot = [0] * max(0, len(rem) - dn)
         for k in range(len(rem) - dn - 1, -1, -1):
-            c = rem[k + dn] * dlead
+            c = mul(rem[k + dn], dlead)
             if c:
                 quot[k] = c
                 for j, b in enumerate(other.coefficients):
-                    rem[k + j] = rem[k + j] - c * b
+                    rem[k + j] = sub(rem[k + j], mul(c, b))
         return UniPoly(self.field, quot), UniPoly(self.field, rem[:dn])
 
     def __floordiv__(self, other):
@@ -429,27 +342,22 @@ class UniPoly:
         return self.divmod(other)[1]
 
     def monic(self) -> "UniPoly":
-        if self.is_zero():
+        if self.is_zero() or self.coefficients[-1] == 1:
             return self
-        lead = self.coefficients[-1]
-        if lead == self.field.one():
-            return self
-        return self.scale(lead.inverse())
+        return self.scale(self.field.inv(self.coefficients[-1]))
 
     def derivative(self) -> "UniPoly":
+        field = self.field
         return UniPoly(
-            self.field,
-            tuple(
-                c * self.field.from_int(i)
-                for i, c in enumerate(self.coefficients)
-                if i > 0
-            ),
+            field,
+            [field.mul(c, i % field.p) for i, c in enumerate(self.coefficients) if i > 0],
         )
 
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        acc = self.field.zero()
+    def evaluate(self, x: int) -> int:
+        add, mul = self.field.add, self.field.mul
+        acc = 0
         for c in reversed(self.coefficients):
-            acc = acc * x + c
+            acc = add(mul(acc, x), c)
         return acc
 
     def pow_mod(self, n: int, mod: "UniPoly") -> "UniPoly":
@@ -469,25 +377,26 @@ class UniPoly:
         for i, c in enumerate(self.coefficients):
             if not c:
                 continue
+            text = self.field.format(c)
             if i == 0:
-                parts.append(f"{c}")
+                parts.append(text)
             elif i == 1:
-                parts.append(f"{c}*t")
+                parts.append(f"{text}*t")
             else:
-                parts.append(f"{c}*t^{i}")
+                parts.append(f"{text}*t^{i}")
         return " + ".join(parts)
 
 
-def frob_root(c: FieldElement) -> FieldElement:
+def frob_root(field: Field, c: int) -> int:
     """The unique p-th root of c (finite fields are perfect).
 
     In GF(p) every element is its own p-th root (Fermat); in GF(p^s) the
     root is c^(p^(s-1)) since c^(p^s) = c.
     """
-    s = c.field.degree
+    s = field.degree
     if s == 1:
         return c
-    return c ** (c.field.p ** (s - 1))
+    return field.pow(c, field.p ** (s - 1))
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -506,14 +415,14 @@ def _pth_root_poly(f: UniPoly) -> UniPoly:
     coeffs = []
     for i, c in enumerate(f.coefficients):
         if i % p == 0:
-            coeffs.append(frob_root(c))
+            coeffs.append(frob_root(f.field, c))
         elif c:
             raise ValueError("polynomial is not a p-th power")
     return UniPoly(f.field, coeffs)
 
 
 def _poly_sort_key(g: UniPoly):
-    return (g.degree, [repr(c) for c in g.coefficients])
+    return (g.degree, [g.field.format(c) for c in g.coefficients])
 
 
 def squarefree_decomposition(f: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -592,7 +501,7 @@ def is_irreducible(f: UniPoly) -> bool:
     field = f.field
     q = field.order
     if d <= 3 and q <= MAX_TABLE_ORDER:
-        return all(f.evaluate(x) for x in field.elements())
+        return all(f.evaluate(x) for x in range(q))
     t = UniPoly.t(field)
     h = t
     for _ in range(d):
@@ -631,22 +540,11 @@ def field_make(p: int, s: int, modulus: Optional[UniPoly] = None) -> Field:
 def find_irreducible(field: Field, degree: int) -> UniPoly:
     """First monic irreducible polynomial of the given degree over field,
     in the deterministic coefficient-enumeration order."""
-    if field.order**degree > MAX_TABLE_ORDER**2:
+    q = field.order
+    if q**degree > MAX_TABLE_ORDER**2:
         raise FieldTooLarge("field too large to search for an irreducible modulus")
-    elems = list(field.elements())
-    q = len(elems)
-
-    def candidates():
-        for code in range(q**degree):
-            coeffs = []
-            c = code
-            for _ in range(degree):
-                coeffs.append(elems[c % q])
-                c //= q
-            coeffs.append(field.one())
-            yield UniPoly(field, coeffs)
-
-    for f in candidates():
+    for code in range(q**degree):
+        f = UniPoly(field, [code // q**i % q for i in range(degree)] + [1])
         if is_irreducible(f):
             return f
     raise AssertionError("unreachable: irreducible polynomials always exist")
@@ -663,27 +561,3 @@ def extend_field(field: Field, s: int) -> ExtensionField:
     if s < 2:
         raise ValueError("extension degree must be >= 2")
     return _extension_cache(field, s)
-
-
-def flatten_to_prime(c: FieldElement) -> tuple[int, ...]:
-    """GF(p)-coefficient vector of an element of a tower, length field.degree."""
-    if isinstance(c.field, PrimeField):
-        return (c.value,)
-    field = c.field
-    out: list[int] = []
-    for part in c.value:
-        out.extend(flatten_to_prime(FieldElement(field.base, part)))
-    return tuple(out)
-
-
-def unflatten_from_prime(field: Field, digits: Sequence[int]) -> FieldElement:
-    """Inverse of flatten_to_prime."""
-    if isinstance(field, PrimeField):
-        assert len(digits) == 1
-        return FieldElement(field, digits[0] % field.p)
-    step = field.base.degree
-    parts = tuple(
-        unflatten_from_prime(field.base, digits[i * step : (i + 1) * step]).value
-        for i in range(field.s)
-    )
-    return FieldElement(field, parts)

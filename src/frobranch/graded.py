@@ -25,14 +25,7 @@ from .errors import (
     NotOneDimensional,
     PowerVanishes,
 )
-from .ffield import (
-    ExtensionField,
-    Field,
-    FieldElement,
-    UniPoly,
-    extend_field,
-    squarefree_decomposition,
-)
+from .ffield import Field, UniPoly, extend_field, squarefree_decomposition
 from .linalg import Echelon, kernel_for
 
 Monomial = tuple  # exponent vector, one entry per variable
@@ -67,7 +60,8 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class HomogPoly:
-    """Homogeneous polynomial: a degree tag plus monomial->coefficient terms.
+    """Homogeneous polynomial: a degree tag plus monomial -> coefficient-code
+    terms.
 
     The zero polynomial keeps its degree tag with an empty term map.
     """
@@ -76,13 +70,14 @@ class HomogPoly:
 
     def __init__(self, field: Field, nvars: int, degree: int, terms: dict):
         clean = {}
+        q = field.order
         for mono, coeff in terms.items():
             if len(mono) != nvars or any(e < 0 for e in mono):
                 raise ValueError(f"bad monomial {mono} for {nvars} variables")
             if sum(mono) != degree:
                 raise ValueError(f"term {mono} has degree {sum(mono)}, expected {degree}")
-            if coeff.field != field:
-                raise FieldMismatch("coefficient from a different field")
+            if not 0 <= coeff < q:
+                raise ValueError(f"coefficient code {coeff} is not an element of {field}")
             if coeff:
                 clean[tuple(mono)] = coeff
         self.field = field
@@ -97,7 +92,7 @@ class HomogPoly:
             raise ValueError("terms of mixed degree")
         return cls(
             field, nvars, degrees.pop(),
-            {tuple(m): field.from_int(c) for m, c in int_terms.items()},
+            {tuple(m): c % field.p for m, c in int_terms.items()},
         )
 
     def is_zero(self) -> bool:
@@ -124,31 +119,24 @@ class HomogPoly:
         self._check(other)
         if self.degree != other.degree and self.terms and other.terms:
             raise ValueError("sum of different degrees is not homogeneous")
+        add = self.field.add
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m)
-            terms[m] = c if s is None else s + c
+            terms[m] = add(terms.get(m, 0), c)
         return HomogPoly(self.field, self.nvars, max(self.degree, other.degree), terms)
 
     def __mul__(self, other):
         self._check(other)
+        add, mul = self.field.add, self.field.mul
         out: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = monomial_mul(ma, mb)
-                c = ca * cb
-                s = out.get(m)
-                out[m] = c if s is None else s + c
+                out[m] = add(out.get(m, 0), mul(ca, cb))
         return HomogPoly(self.field, self.nvars, self.degree + other.degree, out)
 
-    def scale(self, c: FieldElement) -> "HomogPoly":
-        return HomogPoly(
-            self.field, self.nvars, self.degree,
-            {m: a * c for m, a in self.terms.items()},
-        )
-
     def __pow__(self, n: int) -> "HomogPoly":
-        result = HomogPoly(self.field, self.nvars, 0, {(0,) * self.nvars: self.field.one()})
+        result = HomogPoly(self.field, self.nvars, 0, {(0,) * self.nvars: 1})
         for _ in range(n):
             result = result * self
         return result
@@ -158,14 +146,7 @@ class HomogPoly:
         q = self.field.p**e
         return HomogPoly(
             self.field, self.nvars, self.degree * q,
-            {tuple(x * q for x in m): c**q for m, c in self.terms.items()},
-        )
-
-    def map_to(self, field: ExtensionField) -> "HomogPoly":
-        """Image under the constant embedding into a scalar extension."""
-        return HomogPoly(
-            field, self.nvars, self.degree,
-            {m: field.embed(c) for m, c in self.terms.items()},
+            {tuple(x * q for x in m): self.field.pow(c, q) for m, c in self.terms.items()},
         )
 
     def format(self, var_names: Sequence[str]) -> str:
@@ -173,7 +154,7 @@ class HomogPoly:
             return "0"
         parts = []
         for m in sorted(self.terms, key=lambda mm: tuple(reversed(mm))):
-            c = self.terms[m]
+            c = self.field.format(self.terms[m])
             factors = []
             for name, e in zip(var_names, m):
                 if e == 1:
@@ -182,8 +163,8 @@ class HomogPoly:
                     factors.append(f"{name}^{e}")
             body = "*".join(factors)
             if not body:
-                parts.append(f"{c}")
-            elif repr(c) == "1":
+                parts.append(c)
+            elif c == "1":
                 parts.append(body)
             else:
                 parts.append(f"{c}*{body}")
@@ -286,15 +267,13 @@ class GradedQuotient:
         columns = monomials_of_degree(self.nvars, d)
         col_index = {m: i for i, m in enumerate(columns)}
         ech = Echelon(self.kernel, len(columns))
-        enc = self.kernel.encode
         for g in self.relations:
             shift = d - g.degree
             if shift < 0:
                 continue
-            codes = [(m, enc(c)) for m, c in g.terms.items()]
             for mult in monomials_of_degree(self.nvars, shift):
                 row = np.zeros(len(columns), dtype=np.int64)
-                for m, code in codes:
+                for m, code in g.terms.items():
                     row[col_index[monomial_mul(mult, m)]] = code
                 ech.add_row(row)
         pivots = set(ech.pivots)
@@ -305,9 +284,8 @@ class GradedQuotient:
         if data is None:
             data = self.slice(f.degree)
         vec = np.zeros(len(data.columns), dtype=np.int64)
-        enc = self.kernel.encode
         for m, c in f.terms.items():
-            vec[data.col_index[m]] = enc(c)
+            vec[data.col_index[m]] = c
         return vec
 
     def normal_form_vector(self, f: HomogPoly) -> np.ndarray:
@@ -374,7 +352,6 @@ def ideal_membership(R: GradedQuotient, f: HomogPoly, J: Sequence[HomogPoly]) ->
     d = f.degree
     data = R.slice(d)
     ech = data.echelon.clone()
-    enc = R.kernel.encode
     for h in J:
         if h.field != R.field or h.nvars != R.nvars:
             raise FieldMismatch("ideal generator over a different ring")
@@ -383,16 +360,15 @@ def ideal_membership(R: GradedQuotient, f: HomogPoly, J: Sequence[HomogPoly]) ->
         shift = d - h.degree
         if shift < 0:
             continue
-        codes = [(m, enc(c)) for m, c in h.terms.items()]
         for mult in monomials_of_degree(R.nvars, shift):
             row = np.zeros(len(data.columns), dtype=np.int64)
-            for m, code in codes:
+            for m, code in h.terms.items():
                 row[data.col_index[monomial_mul(mult, m)]] = code
             ech.add_row(row)
     return ech.contains(R.to_vector(f, data))
 
 
-def linear_form(R: GradedQuotient, coeffs: Sequence[FieldElement]) -> HomogPoly:
+def linear_form(R: GradedQuotient, coeffs: Sequence[int]) -> HomogPoly:
     terms = {}
     for i, c in enumerate(coeffs):
         mono = tuple(1 if j == i else 0 for j in range(R.nvars))
@@ -412,7 +388,7 @@ def is_linear_reduction(R: GradedQuotient, x: HomogPoly) -> tuple[bool, int]:
         target = R.slice(d + 1)
         image = Echelon(R.kernel, len(target.columns))
         for mono in data.std_monomials:
-            g = HomogPoly(R.field, R.nvars, d, {mono: R.field.one()})
+            g = HomogPoly(R.field, R.nvars, d, {mono: 1})
             image.add_row(R.normal_form_vector(x * g))
         if image.rank != len(target.std_monomials):
             return False, n0
@@ -426,8 +402,8 @@ def find_linear_reduction(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> Redu
     for s in range(1, s_max + 1):
         ring = R if s == 1 else base_change(R, s)
         multiplicity(ring)
-        elems = list(ring.field.elements())
-        nonzero = [c for c in elems if c]
+        elems = range(ring.field.order)
+        nonzero = range(1, ring.field.order)
 
         def candidates():
             # forms with no zero coordinate are the generic ones and come
@@ -446,10 +422,15 @@ def find_linear_reduction(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> Redu
 
 
 def base_change(R: GradedQuotient, s: int) -> GradedQuotient:
-    """R tensored up to the degree-s scalar extension of its base field."""
+    """R tensored up to the degree-s scalar extension of its base field.
+
+    A base-field code is the code of the same constant in the extension, so
+    the relations keep their coefficients."""
     ext = extend_field(R.field, s)
     return GradedQuotient(
-        ext, R.nvars, [g.map_to(ext) for g in R.relations], R.var_names
+        ext, R.nvars,
+        [HomogPoly(ext, g.nvars, g.degree, g.terms) for g in R.relations],
+        R.var_names,
     )
 
 
@@ -530,7 +511,7 @@ def dehomogenize(f: HomogPoly, at: int) -> UniPoly:
     if f.nvars != 2:
         raise ValueError("dehomogenization is defined for two variables")
     other = 1 - at
-    coeffs = [f.field.zero()] * (f.degree + 1)
+    coeffs = [0] * (f.degree + 1)
     for m, c in f.terms.items():
         coeffs[m[other]] = c
     return UniPoly(f.field, coeffs)

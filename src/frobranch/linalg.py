@@ -1,153 +1,77 @@
 """Dense exact row reduction over finite fields.
 
-Vectors live in numpy int64 arrays of element codes.  Prime fields use
-modular arithmetic directly; extension fields (order <= 4096) use
-precomputed addition/multiplication tables indexed by code, so elimination
-stays vectorized.  Codes are the base-p digit expansions of the
-GF(p)-coefficient vector of each element.
+Vectors are numpy int64 arrays of element codes (see ffield).  Prime fields
+use modular arithmetic directly; extension fields (order <= 4096) use q x q
+addition and multiplication tables indexed by code, so elimination stays
+vectorized.  The tables are derived with numpy from the codes' GF(p)
+digits and the field's exp/log lists, never by q^2 scalar products.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .errors import FieldTooLarge
-from .ffield import (
-    MAX_TABLE_ORDER,
-    Field,
-    FieldElement,
-    PrimeField,
-    flatten_to_prime,
-    unflatten_from_prime,
-)
-
-_KERNEL_CACHE: dict[Field, "FieldKernel"] = {}
+from .ffield import Field
 
 
-def kernel_for(field: Field) -> "FieldKernel":
-    k = _KERNEL_CACHE.get(field)
-    if k is None:
-        if isinstance(field, PrimeField):
-            k = PrimeKernel(field)
-        else:
-            k = TableKernel(field)
-        _KERNEL_CACHE[field] = k
-    return k
+@lru_cache(maxsize=None)
+def kernel_for(field: Field) -> "Kernel":
+    """The vectorized arithmetic of a field, built once per field."""
+    return Kernel(field)
 
 
-class FieldKernel:
-    """Vectorized field arithmetic on coded elements."""
+class Kernel:
+    """Vectorized field arithmetic on arrays of codes."""
 
-    field: Field
-
-    def encode(self, c: FieldElement) -> int:
-        raise NotImplementedError
-
-    def decode(self, code: int) -> FieldElement:
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def scalar_mul(self, c: int, v):
-        """c * v for a scalar code c and a vector of codes v."""
-        raise NotImplementedError
-
-    def inv(self, c: int) -> int:
-        raise NotImplementedError
-
-
-class PrimeKernel(FieldKernel):
-    def __init__(self, field: PrimeField):
-        self.field = field
-        self.p = field.p
-
-    def encode(self, c):
-        return c.value
-
-    def decode(self, code):
-        return FieldElement(self.field, int(code) % self.p)
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def scalar_mul(self, c, v):
-        return (int(c) * v) % self.p
-
-    def inv(self, c):
-        return pow(int(c), self.p - 2, self.p)
-
-
-class TableKernel(FieldKernel):
     def __init__(self, field: Field):
-        q = field.order
-        if q > MAX_TABLE_ORDER:
-            raise FieldTooLarge(f"field of order {q} exceeds the table cap")
         self.field = field
-        self.q = q
-        p = field.p
-        elems = [unflatten_from_prime(field, _digits(code, p, field.degree)) for code in range(q)]
-        self._elems = elems
-        add = np.empty((q, q), dtype=np.int64)
-        mul = np.empty((q, q), dtype=np.int64)
-        codes = {flatten_to_prime(e): i for i, e in enumerate(elems)}
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                add[i, j] = codes[flatten_to_prime(a + b)]
-                mul[i, j] = codes[flatten_to_prime(a * b)]
+        self.p = p = field.p
+        self.prime = field.degree == 1
+        if self.prime:
+            return
+        q = field.order
+        codes = np.arange(q, dtype=np.int64)
+        # sums and negatives act digit by digit on the GF(p)-coordinates
+        add = np.zeros((q, q), dtype=np.int64)
+        neg = np.zeros(q, dtype=np.int64)
+        for i in range(field.degree):
+            digit = codes // p**i % p
+            term = digit[:, None] + digit[None, :]
+            term %= p
+            term *= p**i
+            add += term
+            neg += -digit % p * p**i
+        del term  # one q x q temporary fewer while the product table is built
+        # products add logarithms; row and column 0 stay zero
+        log = np.asarray(field.log, dtype=np.int64)
+        mul = np.asarray(field.exp, dtype=np.int64)[log[:, None] + log[None, :]]
+        mul[0, :] = 0
+        mul[:, 0] = 0
         self._add = add
-        self._mul = mul
-        neg = np.empty(q, dtype=np.int64)
-        inv = np.zeros(q, dtype=np.int64)
-        for i, a in enumerate(elems):
-            neg[i] = codes[flatten_to_prime(-a)]
-            if i:
-                inv[i] = codes[flatten_to_prime(a.inverse())]
         self._neg = neg
-        self._inv = inv
-        self._codes = codes
-
-    def encode(self, c):
-        return self._codes[flatten_to_prime(c)]
-
-    def decode(self, code):
-        return self._elems[int(code)]
+        self._mul = mul
 
     def add(self, a, b):
-        return self._add[a, b]
+        return (a + b) % self.p if self.prime else self._add[a, b]
 
     def sub(self, a, b):
-        return self._add[a, self._neg[b]]
+        return (a - b) % self.p if self.prime else self._add[a, self._neg[b]]
 
     def scalar_mul(self, c, v):
-        return self._mul[int(c), v]
-
-    def inv(self, c):
-        return int(self._inv[int(c)])
-
-
-def _digits(code: int, p: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(code % p)
-        code //= p
-    return tuple(out)
+        """c * v for a scalar code c and a vector of codes v."""
+        return (int(c) * v) % self.p if self.prime else self._mul[int(c), v]
 
 
 class Echelon:
-    """Incremental reduced row-echelon form over a FieldKernel.
+    """Incremental reduced row-echelon form over a field's Kernel.
 
     Rows are added one at a time; the structure maintains unit pivots and
     zeros above and below each pivot, so normal forms are a single sweep.
     """
 
-    def __init__(self, kernel: FieldKernel, ncols: int):
+    def __init__(self, kernel: Kernel, ncols: int):
         self.kernel = kernel
         self.ncols = ncols
         self.pivots: list[int] = []
@@ -171,7 +95,7 @@ class Echelon:
         nz = np.nonzero(coeffs)[0]
         if nz.size == 0:
             return vec.copy()
-        if isinstance(k, PrimeKernel) and (k.p - 1) ** 2 * (nz.size + 1) < 2**62:
+        if k.prime and (k.p - 1) ** 2 * (nz.size + 1) < 2**62:
             mat = np.stack([self.rows[i] for i in nz])
             return (vec - coeffs[nz] @ mat) % k.p
         v = vec.copy()
@@ -187,7 +111,7 @@ class Echelon:
         if nz.size == 0:
             return False
         piv = int(nz[0])
-        v = k.scalar_mul(k.inv(int(v[piv])), v)
+        v = k.scalar_mul(k.field.inv(int(v[piv])), v)
         # keep RREF: clear the new pivot column in existing rows
         for i, row in enumerate(self.rows):
             c = int(row[piv])
@@ -199,10 +123,6 @@ class Echelon:
         self.pivots.insert(idx, piv)
         self.rows.insert(idx, v)
         return True
-
-    def add_rows(self, mat) -> None:
-        for row in mat:
-            self.add_row(np.asarray(row, dtype=np.int64))
 
     def contains(self, vec: np.ndarray) -> bool:
         return not np.any(self.reduce(vec))

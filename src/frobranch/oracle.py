@@ -72,7 +72,7 @@ def axes_ring(field: Field, d: int) -> GradedQuotient:
     for i in range(d):
         for j in range(i + 1, d):
             mono = tuple(1 if k in (i, j) else 0 for k in range(d))
-            rels.append(HomogPoly(field, d, 2, {mono: field.one()}))
+            rels.append(HomogPoly(field, d, 2, {mono: 1}))
     return GradedQuotient(field, d, rels)
 
 

@@ -153,7 +153,7 @@ def parse_homog(text: str, field: Field, var_names: Sequence[str]) -> HomogPoly:
                 f"a term of degree {degree}; term '{text[pos:end].strip()}' has degree {sum(m)}",
             )
         coeffs[m] = coeffs.get(m, 0) + c
-    return HomogPoly(field, len(var_names), degree, {m: field.from_int(c) for m, c in coeffs.items()})
+    return HomogPoly(field, len(var_names), degree, {m: c % field.p for m, c in coeffs.items()})
 
 
 def parse_vector_list(text: str, n: int, offset: int = 0) -> list[tuple[int, ...]]:

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from .errors import (
     BasisNotClosed,
     CapExceeded,
+    CertificateFailed,
     DimensionCapExceeded,
     NotFNilpotentRing,
 )
@@ -76,9 +77,10 @@ class IntMatrixNF:
     rank: int
 
     def __post_init__(self):
-        assert _mat_mul(_mat_mul(self.U, self.original), self.V) == self.D
-        assert abs(_det(self.U)) == 1
-        assert abs(_det(self.V)) == 1
+        if _mat_mul(_mat_mul(self.U, self.original), self.V) != self.D:
+            raise CertificateFailed("Smith normal form transforms do not give U * M * V = D")
+        if abs(_det(self.U)) != 1 or abs(_det(self.V)) != 1:
+            raise CertificateFailed("Smith normal form transforms are not unimodular")
 
     def diagonal(self) -> list[int]:
         return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
@@ -509,7 +511,7 @@ def eventual_p_membership(
         return PMembership("yes", 0)
     vanishing, face_gens = _face_lattice(A, v)
     order = _torsion_order(face_gens, v, A.n)
-    if order is None or any(_prime_not(order, p)):
+    if order is None or _has_prime_factor_besides(order, p):
         cert = {
             "vanishing_facets": [list(w) for w in vanishing],
             "face_generators": [list(g) for g in face_gens],
@@ -523,13 +525,11 @@ def eventual_p_membership(
     return PMembership("undetermined", e=e_max)
 
 
-def _prime_not(order: int, p: int):
-    # yields a truthy value when order has a prime factor other than p
-    m = order
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        yield m
+def _has_prime_factor_besides(order: int, p: int) -> bool:
+    """Does order have a prime factor other than p?"""
+    while order % p == 0:
+        order //= p
+    return order != 1
 
 
 def _torsion_order(face_gens: list[Vector], a: Vector, n: int) -> Optional[int]:
@@ -737,5 +737,6 @@ def fte_bruteforce(
         e = frobenius_closure_exponent(A, p, gens, a, e_cap)
         if e is not None:
             fte = max(fte, e)
-    assert fte <= e0, f"computed Fte {fte} exceeds the pure inseparability bound {e0}"
+    if fte > e0:
+        raise CertificateFailed(f"computed Fte {fte} exceeds the pure inseparability bound {e0}")
     return fte

@@ -181,7 +181,7 @@ def test_criterion_5_closure_equality_on_slices(announce):
                 continue
             xn = x**n
             for mono in degree_basis(ring, n)[0]:
-                f = HomogPoly(ring.field, ring.nvars, n, {mono: ring.field.one()})
+                f = HomogPoly(ring.field, ring.nvars, n, {mono: 1})
                 in_slice = ideal_membership(ring, f, [xn])
                 probe = frobenius_closure_membership(ring, f, [xn], e_probe)
                 assert probe.contained == in_slice, (R, mono)
@@ -271,7 +271,7 @@ def test_criterion_9_structural_suites(announce):
                         g = g * fac
                 assert g == f.monic()
 
-        # SNF transform identity is asserted inside the constructor
+        # SNF transform identity is checked inside the constructor
         for _ in range(50):
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)

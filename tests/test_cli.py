@@ -1,7 +1,9 @@
 import json
+import time
 
-from frobranch import cli
-from frobranch import oracle
+import pytest
+
+from frobranch import cli, oracle, semigroup
 
 PINCHED = "3: 2,0,0; 1,1,0; 1,0,1; 0,2,0; 0,0,2"
 
@@ -121,3 +123,61 @@ def test_ext_s_field(capsys):
     )
     assert code == 0
     assert json.loads(out)["results"]["branches_formula"] == 2
+
+
+# reduction forms off the prime field, recorded before codes replaced
+# FieldElement; the last one is over the tower GF(2^2) -> GF((2^2)^2)
+GOLDEN_EXTENSION_REPORTS = [
+    (
+        ["--p", "5", "--ext-s", "2", "--vars", "x,y,z", "--rel", "x*y", "--rel", "x*z", "--rel", "y*z"],
+        {"reduction_form": "(1, 0)*x + (1, 0)*y + (1, 0)*z", "reduction_scalar_extension": 1,
+         "branches_formula": 3, "n_used": 1},
+    ),
+    (
+        ["--p", "3", "--vars", "x,y", "--rel", "x^3*y+2*x*y^3"],
+        {"reduction_form": "(1, 0)*x + (0, 1)*y", "reduction_scalar_extension": 2,
+         "branches_formula": 4, "n_used": 3},
+    ),
+    (
+        ["--p", "2", "--ext-s", "2", "--vars", "x,y", "--rel", "x^4*y+x*y^4"],
+        {"reduction_form": "((1, 0), (0, 0))*x + ((0, 0), (1, 0))*y", "reduction_scalar_extension": 2,
+         "branches_formula": 5, "n_used": 4},
+    ),
+]
+
+
+@pytest.mark.parametrize("args,expected", GOLDEN_EXTENSION_REPORTS)
+def test_extension_reduction_form_golden(args, expected, capsys):
+    code, out, _ = run_cli(["branches"] + args + ["--format", "json"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert {k: results[k] for k in expected} == expected
+    assert results["consistent"] is True
+
+
+_MODE_ARGS = {
+    "branches": ["--vars", "x,y", "--rel", "x*y"],
+    "hypersurface": ["--rel", "x*y"],
+    "fnilpotent": ["--gens", "2,3"],
+    "fte": ["--gens", "2,3", "--ideal", "3"],
+    "tight-member": ["--gens", "2,3", "--ideal", "3", "--element", "4"],
+}
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3, 2**61 - 1])
+@pytest.mark.parametrize("mode", sorted(_MODE_ARGS))
+def test_invalid_characteristic_rejected_in_every_mode(mode, p, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli([mode, f"--p={p}"] + _MODE_ARGS[mode], capsys)
+    assert code == 1 and out == ""
+    assert "prime" in err or "cap" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_failed_certificate_exit_code(monkeypatch, capsys):
+    # a Smith normal form whose transforms fail the unimodularity check is
+    # an inconsistency, not an input error
+    monkeypatch.setattr(semigroup, "_det", lambda m: 2)
+    code, out, err = run_cli(["fnilpotent", "--p", "2", "--gens", PINCHED], capsys)
+    assert code == 2 and out == ""
+    assert "unimodular" in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frobranch.errors import NotOneDimensional, PowerVanishes
+from frobranch.errors import FieldMismatch, NotOneDimensional, PowerVanishes
 from frobranch.ffield import PrimeField, extend_field
 from frobranch.graded import (
     ClosureMembership,
@@ -122,17 +122,17 @@ def test_ideal_membership_circle():
 
 def test_is_linear_reduction():
     R = circle_ring(F5)
-    y = linear_form(R, [F5.zero(), F5.one()])
+    y = linear_form(R, [0, 1])
     ok, n0 = is_linear_reduction(R, y)
     assert ok and n0 == 1
 
     R2 = axes_ring(F3, 2)
-    x1 = linear_form(R2, [F3.one(), F3.zero()])
+    x1 = linear_form(R2, [1, 0])
     ok, _ = is_linear_reduction(R2, x1)
     assert not ok
 
     P = GradedQuotient(F3, 1, [])
-    x = linear_form(P, [F3.one()])
+    x = linear_form(P, [1])
     assert is_linear_reduction(P, x) == (True, 0)
 
 
@@ -190,15 +190,15 @@ def test_frobenius_closure_membership_in_ideal():
 
 def test_closure_quotient_dim():
     R = circle_ring(F3)
-    y = linear_form(R, [F3.zero(), F3.one()])
+    y = linear_form(R, [0, 1])
     assert closure_quotient_dim(R, y, 2) == 1
 
     R3 = axes_ring(F5, 3)
-    x = linear_form(R3, [F5.one()] * 3)
+    x = linear_form(R3, [1] * 3)
     assert closure_quotient_dim(R3, x, 2) == 2
 
     P = GradedQuotient(F5, 1, [])
-    t = linear_form(P, [F5.one()])
+    t = linear_form(P, [1])
     assert closure_quotient_dim(P, t, 4) == 0
 
 
@@ -206,7 +206,7 @@ def test_closure_quotient_dim_power_vanishes():
     # x is nilpotent in k[x,y]/(x^2), so its square is zero and the quotient
     # is not a meaningful branch count
     R = GradedQuotient(F3, 2, [HomogPoly.from_ints(F3, 2, {(2, 0): 1})], ("x", "y"))
-    x = linear_form(R, [F3.one(), F3.zero()])
+    x = linear_form(R, [1, 0])
     with pytest.raises(PowerVanishes):
         closure_quotient_dim(R, x, 2)
 
@@ -248,13 +248,13 @@ def test_degree_one_multiple_lands_in_higher_power():
     ring, x = red.ring, red.form
     _, n0 = is_linear_reduction(ring, x)
     mono_gens = [
-        HomogPoly(ring.field, ring.nvars, n0 + 1, {m: ring.field.one()})
+        HomogPoly(ring.field, ring.nvars, n0 + 1, {m: 1})
         for m in monomials_of_degree(ring.nvars, n0 + 1)
     ]
     for m in degree_basis(ring, n0)[0]:
-        f = HomogPoly(ring.field, ring.nvars, n0, {m: ring.field.one()})
+        f = HomogPoly(ring.field, ring.nvars, n0, {m: 1})
         for i in range(ring.nvars):
-            z = linear_form(ring, [ring.field.one() if j == i else ring.field.zero() for j in range(ring.nvars)])
+            z = linear_form(ring, [1 if j == i else 0 for j in range(ring.nvars)])
             assert ideal_membership(ring, z * f, [x**n0] + mono_gens)
 
 
@@ -271,11 +271,37 @@ def test_reducedness_status():
 def test_dehomogenize():
     f = HomogPoly.from_ints(F3, 2, {(2, 0): 1, (0, 2): 1})
     g = dehomogenize(f, at=0)  # x = 1
-    assert [c.value for c in g.coefficients] == [1, 0, 1]
+    assert list(g.coefficients) == [1, 0, 1]
 
 
 def test_base_change_keeps_presentation():
     R = circle_ring(F3)
     S = base_change(R, 2)
     assert S.field.order == 9
+    assert [g.terms for g in S.relations] == [g.terms for g in R.relations]
     assert multiplicity(S) == multiplicity(R)
+
+
+def test_ring_mismatch_rejected():
+    f = HomogPoly.from_ints(F3, 2, {(1, 0): 1})
+    g = HomogPoly.from_ints(F5, 2, {(1, 0): 1})
+    with pytest.raises(FieldMismatch):
+        f + g
+    with pytest.raises(FieldMismatch):
+        GradedQuotient(F3, 2, [g])
+    with pytest.raises(FieldMismatch):
+        ideal_membership(circle_ring(F3), g, [f])
+
+
+def test_homog_poly_rejects_codes_outside_the_field():
+    with pytest.raises(ValueError):
+        HomogPoly(F3, 2, 1, {(1, 0): 3})
+    with pytest.raises(ValueError):
+        HomogPoly(extend_field(F2, 2), 2, 1, {(1, 0): -1})
+
+
+def test_reduction_form_prints_extension_coefficients():
+    F4 = extend_field(F2, 2)
+    f = HomogPoly(extend_field(F4, 2), 2, 1, {(1, 0): 1, (0, 1): 4})
+    assert f.format(("x", "y")) == "((1, 0), (0, 0))*x + ((0, 0), (1, 0))*y"
+    assert HomogPoly(F5, 2, 1, {(1, 0): 1, (0, 1): 3}).format(("x", "y")) == "x + 3*y"

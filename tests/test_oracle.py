@@ -46,7 +46,7 @@ def test_hypersurface_symmetric_in_variables():
             f = HomogPoly.from_ints(F, 2, terms)
             if not _is_squarefree_binary(f):
                 continue
-            swapped = HomogPoly.from_ints(F, 2, {(m[1], m[0]): c.value for m, c in f.terms.items()})
+            swapped = HomogPoly.from_ints(F, 2, {(m[1], m[0]): c for m, c in f.terms.items()})
             assert hypersurface_branches(HypersurfaceCurve(F, f)) == hypersurface_branches(
                 HypersurfaceCurve(F, swapped)
             )

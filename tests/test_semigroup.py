@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from frobranch.errors import CapExceeded, DimensionCapExceeded, NotFNilpotentRing
+from frobranch.errors import CapExceeded, CertificateFailed, DimensionCapExceeded, NotFNilpotentRing
 from frobranch.semigroup import (
     AffineSemigroup,
+    IntMatrixNF,
     cone_facets,
     eventual_p_membership,
     frobenius_closure_exponent,
@@ -44,7 +46,7 @@ def test_snf_divisibility_chain():
 
 
 def test_snf_random_verified():
-    # the U*M*V = D identity and unimodularity are asserted at construction
+    # the U*M*V = D identity and unimodularity are checked at construction
     rng = random.Random(17)
     for _ in range(50):
         rows = rng.randint(1, 4)
@@ -54,6 +56,14 @@ def test_snf_random_verified():
         d = nf.diagonal()
         assert all(x >= 0 for x in d)
         assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1) if d[i])
+
+
+def test_forged_snf_rejected():
+    # explicit checks, not asserts, so they also run under python -O
+    with pytest.raises(CertificateFailed):
+        IntMatrixNF([[2]], [[1]], [[1]], [[3]], 1)
+    with pytest.raises(CertificateFailed):
+        IntMatrixNF([[1]], [[2]], [[1]], [[2]], 1)  # U*M*V = D but U is not unimodular
 
 
 def test_solve_integer():
@@ -262,6 +272,9 @@ def test_fte_cusp():
     A = AffineSemigroup([(2,), (3,)])
     rep = is_f_nilpotent(A, 2)
     assert fte_bruteforce(A, 2, [3], rep) == 1
+    # a report claiming e0 = 0 is contradicted by the computed Fte = 1
+    with pytest.raises(CertificateFailed):
+        fte_bruteforce(A, 2, [3], replace(rep, e0=0))
 
 
 def test_fte_frobenius_closed_ideal():
