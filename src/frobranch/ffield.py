@@ -43,6 +43,7 @@ MAX_EXTENSION_DEGREE = 8
 MAX_TABLE_ORDER = 4096
 
 
+@lru_cache(maxsize=64)  # semigroup code re-checks p once per element
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

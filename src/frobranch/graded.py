@@ -59,6 +59,22 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def macaulay_rows(nvars: int, gens: Sequence[HomogPoly], col_index: dict, d: int):
+    """Yield the coefficient rows of {m*g : g in gens, deg(m*g) = d}.
+
+    Rows are int64 code vectors over the degree-d columns of col_index,
+    generator by generator, multipliers m in grevlex order; zero generators
+    and those of degree above d contribute nothing."""
+    for g in gens:
+        if g.degree > d or g.is_zero():
+            continue
+        for mult in monomials_of_degree(nvars, d - g.degree):
+            row = np.zeros(len(col_index), dtype=np.int64)
+            for m, code in g.terms.items():
+                row[col_index[monomial_mul(mult, m)]] = code
+            yield row
+
+
 class HomogPoly:
     """Homogeneous polynomial: a degree tag plus monomial -> coefficient-code
     terms.
@@ -267,15 +283,8 @@ class GradedQuotient:
         columns = monomials_of_degree(self.nvars, d)
         col_index = {m: i for i, m in enumerate(columns)}
         ech = Echelon(self.kernel, len(columns))
-        for g in self.relations:
-            shift = d - g.degree
-            if shift < 0:
-                continue
-            for mult in monomials_of_degree(self.nvars, shift):
-                row = np.zeros(len(columns), dtype=np.int64)
-                for m, code in g.terms.items():
-                    row[col_index[monomial_mul(mult, m)]] = code
-                ech.add_row(row)
+        for row in macaulay_rows(self.nvars, self.relations, col_index, d):
+            ech.add_row(row)
         pivots = set(ech.pivots)
         std = tuple(m for i, m in enumerate(columns) if i not in pivots)
         return _SliceData(columns, col_index, ech, std)
@@ -349,22 +358,12 @@ def ideal_membership(R: GradedQuotient, f: HomogPoly, J: Sequence[HomogPoly]) ->
         raise FieldMismatch("element over a different ring")
     if f.is_zero():
         return True
-    d = f.degree
-    data = R.slice(d)
+    if any(h.field != R.field or h.nvars != R.nvars for h in J):
+        raise FieldMismatch("ideal generator over a different ring")
+    data = R.slice(f.degree)
     ech = data.echelon.clone()
-    for h in J:
-        if h.field != R.field or h.nvars != R.nvars:
-            raise FieldMismatch("ideal generator over a different ring")
-        if h.is_zero():
-            continue
-        shift = d - h.degree
-        if shift < 0:
-            continue
-        for mult in monomials_of_degree(R.nvars, shift):
-            row = np.zeros(len(data.columns), dtype=np.int64)
-            for m, code in h.terms.items():
-                row[data.col_index[monomial_mul(mult, m)]] = code
-            ech.add_row(row)
+    for row in macaulay_rows(R.nvars, J, data.col_index, f.degree):
+        ech.add_row(row)
     return ech.contains(R.to_vector(f, data))
 
 
@@ -376,29 +375,28 @@ def linear_form(R: GradedQuotient, coeffs: Sequence[int]) -> HomogPoly:
     return HomogPoly(R.field, R.nvars, 1, terms)
 
 
-def is_linear_reduction(R: GradedQuotient, x: HomogPoly) -> tuple[bool, int]:
-    """Does multiplication by x map [R]_d onto [R]_{d+1} for all d in the
-    stabilization window?  Returns the verdict and the stabilization index."""
+def is_linear_reduction(R: GradedQuotient, x: HomogPoly) -> bool:
+    """Does multiplication by x map [R]_d onto [R]_{d+1} for every d >= n0,
+    the stabilization index of multiplicity(R)?
+
+    One degree decides it: I_{n0+1} + x*S_{n0} must span S_{n0+1}.  In a
+    standard-graded ring x*[R]_d = [R]_{d+1} then holds for all higher d,
+    since [R]_{d+2} = [R]_1*[R]_{d+1} = [R]_1*x*[R]_d = x*[R]_{d+1}."""
     if x.degree != 1:
         raise ValueError("reduction candidate must be a linear form")
+    if x.field != R.field or x.nvars != R.nvars:
+        raise FieldMismatch("reduction candidate over a different ring")
     _, n0 = multiplicity(R)
-    window = stabilization_window(R)
-    for d in range(n0, n0 + window + 1):
-        data = R.slice(d)
-        target = R.slice(d + 1)
-        image = Echelon(R.kernel, len(target.columns))
-        for mono in data.std_monomials:
-            g = HomogPoly(R.field, R.nvars, d, {mono: 1})
-            image.add_row(R.normal_form_vector(x * g))
-        if image.rank != len(target.std_monomials):
-            return False, n0
-    return True, n0
+    target = R.slice(n0 + 1)
+    image = target.echelon.clone()
+    for row in macaulay_rows(R.nvars, [x], target.col_index, n0 + 1):
+        image.add_row(row)
+    return image.rank == len(target.columns)
 
 
 def find_linear_reduction(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> ReductionResult:
     """First linear form (in a fixed enumeration order) that reduces the
     irrelevant ideal, extending scalars to GF(q^s), s <= s_max, if needed."""
-    multiplicity(R)  # propagate NotOneDimensional early
     for s in range(1, s_max + 1):
         ring = R if s == 1 else base_change(R, s)
         multiplicity(ring)
@@ -415,8 +413,7 @@ def find_linear_reduction(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> Redu
 
         for combo in candidates():
             x = linear_form(ring, combo)
-            ok, _ = is_linear_reduction(ring, x)
-            if ok:
+            if is_linear_reduction(ring, x):
                 return ReductionResult(x, s, ring)
     raise NoReductionFound(s_max)
 
@@ -527,11 +524,7 @@ def _is_squarefree_binary(f: HomogPoly) -> bool:
     return True
 
 
-def branch_count(
-    R: GradedQuotient,
-    s_max: int = DEFAULT_S_MAX,
-    oracle_branches: Optional[int] = None,
-) -> BranchReport:
+def branch_count(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> BranchReport:
     """Branch count via the closure-quotient formula, cross-checked against
     the Hilbert-Samuel multiplicity.
 
@@ -543,7 +536,6 @@ def branch_count(
     n = n0
     dim = closure_quotient_dim(red.ring, red.form, n)
     formula = dim + 1
-    consistent = formula == e and (oracle_branches is None or oracle_branches == formula)
     return BranchReport(
         dim_quotient=dim,
         branches_formula=formula,
@@ -551,8 +543,7 @@ def branch_count(
         reduction_form=red.form.format(R.var_names),
         reduction_scalar_extension=red.scalar_extension,
         n_used=n,
-        consistent=consistent,
-        oracle_branches=oracle_branches,
+        consistent=formula == e,
     )
 
 

@@ -1,10 +1,11 @@
 """Dense exact row reduction over finite fields.
 
-Vectors are numpy int64 arrays of element codes (see ffield).  Prime fields
-use modular arithmetic directly; extension fields (order <= 4096) use q x q
-addition and multiplication tables indexed by code, so elimination stays
-vectorized.  The tables are derived with numpy from the codes' GF(p)
-digits and the field's exp/log lists, never by q^2 scalar products.
+Vectors are numpy integer arrays of element codes (see ffield).  Prime
+fields use int64 modular arithmetic directly; extension fields (order <=
+4096) use int16 q x q addition and multiplication tables indexed by code,
+so elimination stays vectorized.  The tables are derived with numpy from
+the codes' GF(p) digits and the field's exp/log lists, never by q^2
+scalar products.
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ class Kernel:
         if self.prime:
             return
         q = field.order
-        codes = np.arange(q, dtype=np.int64)
+        # int16 quarters the q x q tables: codes stay below MAX_TABLE_ORDER
+        # = 4096 < 2^15, and sums of two logarithms below 8190
+        codes = np.arange(q, dtype=np.int16)
         # sums and negatives act digit by digit on the GF(p)-coordinates
-        add = np.zeros((q, q), dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
+        add = np.zeros((q, q), dtype=np.int16)
+        neg = np.zeros(q, dtype=np.int16)
         for i in range(field.degree):
             digit = codes // p**i % p
             term = digit[:, None] + digit[None, :]
@@ -45,8 +48,8 @@ class Kernel:
             neg += -digit % p * p**i
         del term  # one q x q temporary fewer while the product table is built
         # products add logarithms; row and column 0 stay zero
-        log = np.asarray(field.log, dtype=np.int64)
-        mul = np.asarray(field.exp, dtype=np.int64)[log[:, None] + log[None, :]]
+        log = np.asarray(field.log, dtype=np.int16)
+        mul = np.asarray(field.exp, dtype=np.int16)[log[:, None] + log[None, :]]
         mul[0, :] = 0
         mul[:, 0] = 0
         self._add = add

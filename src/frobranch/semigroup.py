@@ -22,6 +22,7 @@ from .errors import (
     DimensionCapExceeded,
     NotFNilpotentRing,
 )
+from .ffield import check_characteristic
 
 Vector = tuple[int, ...]
 
@@ -506,6 +507,7 @@ def eventual_p_membership(
     p^e * a can only use generators on the minimal face containing a, so
     the order of a modulo the face lattice must be a power of p.  Phase 2
     searches exponents up to e_max."""
+    check_characteristic(p)
     v = tuple(int(x) for x in a)
     if v == (0,) * A.n:
         return PMembership("yes", 0)

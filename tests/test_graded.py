@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from frobranch.graded import (
     multiplicity,
     reducedness_status,
 )
+from frobranch.linalg import Echelon
 from frobranch.oracle import axes_ring
 
 F2 = PrimeField(2)
@@ -123,17 +126,60 @@ def test_ideal_membership_circle():
 def test_is_linear_reduction():
     R = circle_ring(F5)
     y = linear_form(R, [0, 1])
-    ok, n0 = is_linear_reduction(R, y)
-    assert ok and n0 == 1
+    assert is_linear_reduction(R, y)
+    assert multiplicity(R)[1] == 1
 
     R2 = axes_ring(F3, 2)
     x1 = linear_form(R2, [1, 0])
-    ok, _ = is_linear_reduction(R2, x1)
-    assert not ok
+    assert not is_linear_reduction(R2, x1)
 
     P = GradedQuotient(F3, 1, [])
     x = linear_form(P, [1])
-    assert is_linear_reduction(P, x) == (True, 0)
+    assert is_linear_reduction(P, x) is True
+    assert multiplicity(P)[1] == 0
+
+
+def _window_reduction_reference(R, x):
+    """x*[R]_d = [R]_{d+1} checked in every degree of the window
+    [n0, n0 + nvars + max_rel_degree], from normal forms of x times each
+    standard monomial."""
+    _, n0 = multiplicity(R)
+    for d in range(n0, n0 + R.nvars + R.max_rel_degree + 1):
+        target = R.slice(d + 1)
+        image = Echelon(R.kernel, len(target.columns))
+        for mono in R.slice(d).std_monomials:
+            image.add_row(R.normal_form_vector(x * HomogPoly(R.field, R.nvars, d, {mono: 1})))
+        if image.rank != len(target.std_monomials):
+            return False
+    return True
+
+
+def _reduction_test_rings():
+    for field in (F2, F3):
+        yield circle_ring(field)
+        for d in (2, 3):
+            yield fermat_ring(field, d)
+            yield axes_ring(field, d)
+    yield base_change(axes_ring(F2, 3), 2)
+
+
+def test_one_degree_reduction_test_matches_window_check():
+    for R in _reduction_test_rings():
+        verdicts = set()
+        for combo in itertools.product(range(R.field.order), repeat=R.nvars):
+            if any(combo):
+                x = linear_form(R, combo)
+                verdict = is_linear_reduction(R, x)
+                assert verdict == _window_reduction_reference(R, x), (R, combo)
+                verdicts.add(verdict)
+        assert True in verdicts, R
+
+
+def test_reduction_search_builds_no_slice_above_the_window():
+    R = axes_ring(F2, 4)
+    find_linear_reduction(R)
+    _, n0 = multiplicity(R)
+    assert max(R._cache) <= n0 + R.nvars + R.max_rel_degree
 
 
 def test_find_linear_reduction_base_field():
@@ -231,7 +277,7 @@ def test_containment_chain_at_slice():
     for R in (circle_ring(F3), fermat_ring(F7, 4), axes_ring(F2, 3)):
         red = find_linear_reduction(R)
         ring, x = red.ring, red.form
-        _, n0 = is_linear_reduction(ring, x)
+        n0 = multiplicity(ring)[1]
         nf = ring.normal_form_vector(x**n0)
         assert np.any(nf) or n0 == 0
         # the degree-n piece of m^(n+1) is zero, so the middle term is span(x^n);
@@ -246,7 +292,7 @@ def test_degree_one_multiple_lands_in_higher_power():
     R = circle_ring(F3)
     red = find_linear_reduction(R)
     ring, x = red.ring, red.form
-    _, n0 = is_linear_reduction(ring, x)
+    n0 = multiplicity(ring)[1]
     mono_gens = [
         HomogPoly(ring.field, ring.nvars, n0 + 1, {m: 1})
         for m in monomials_of_degree(ring.nvars, n0 + 1)
@@ -291,6 +337,8 @@ def test_ring_mismatch_rejected():
         GradedQuotient(F3, 2, [g])
     with pytest.raises(FieldMismatch):
         ideal_membership(circle_ring(F3), g, [f])
+    with pytest.raises(FieldMismatch):
+        is_linear_reduction(circle_ring(F3), g)
 
 
 def test_homog_poly_rejects_codes_outside_the_field():

@@ -31,6 +31,26 @@ def test_table_kernel_matches_field_arithmetic():
         _check_kernel(field)
 
 
+def test_extension_tables_are_int16():
+    k = kernel_for(extend_field(PrimeField(2), 8))
+    assert k._add.dtype == k._neg.dtype == k._mul.dtype == np.int16
+    assert k._add.shape == k._mul.shape == (256, 256)
+
+
+def test_int16_tables_hold_at_a_large_order():
+    # GF(5^5): the square of the element of largest logarithm indexes the
+    # exp list at 2 * 3123, and no sum or product may wrap around
+    field = extend_field(PrimeField(5), 5)
+    k = kernel_for(field)
+    top = field.exp[field.order - 2]
+    rng = random.Random(5)
+    pairs = [(top, top)] + [(rng.randrange(field.order), rng.randrange(field.order)) for _ in range(500)]
+    for a, b in pairs:
+        assert int(k._mul[a, b]) == field.mul(a, b)
+        assert int(k._add[a, b]) == field.add(a, b)
+        assert int(k._neg[b]) == field.sub(0, b)
+
+
 def test_echelon_known_rank():
     k = kernel_for(PrimeField(5))
     ech = Echelon(k, 3)

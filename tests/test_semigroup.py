@@ -1,9 +1,16 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
 
-from frobranch.errors import CapExceeded, CertificateFailed, DimensionCapExceeded, NotFNilpotentRing
+from frobranch.errors import (
+    CapExceeded,
+    CertificateFailed,
+    CompositeCharacteristic,
+    DimensionCapExceeded,
+    NotFNilpotentRing,
+)
 from frobranch.semigroup import (
     AffineSemigroup,
     IntMatrixNF,
@@ -204,8 +211,31 @@ def test_pinched_veronese_verdicts():
 
 def test_cusp_f_nilpotent():
     A = AffineSemigroup([(2,), (3,)])
-    rep = is_f_nilpotent(A, 5)
-    assert rep.verdict == "f-nilpotent" and rep.e0 == 1
+    for p in (2, 5):
+        rep = is_f_nilpotent(A, p)
+        assert rep.verdict == "f-nilpotent" and rep.e0 == 1
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_library_rejects_invalid_characteristic(p):
+    # unchecked, p = 1 divides by 1 forever in the torsion-order test and
+    # p = 4 answers f-nilpotent
+    A = AffineSemigroup([(2,), (3,)])
+    start = time.perf_counter()
+    for call in (is_f_nilpotent, pure_insep_index, weak_normalization):
+        with pytest.raises(CompositeCharacteristic):
+            call(A, p)
+    with pytest.raises(CompositeCharacteristic):
+        eventual_p_membership(A, (0,), p)
+    assert time.perf_counter() - start < 2
+
+
+def test_large_prime_is_validated_once():
+    # trial division of a prime near 2^31 takes milliseconds, too long to
+    # repeat for each of the 171 saturation points
+    start = time.perf_counter()
+    weak_normalization(PINCHED_VERONESE, 2147483629)
+    assert time.perf_counter() - start < 0.6
 
 
 def test_saturated_semigroup_index_zero():
