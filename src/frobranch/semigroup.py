@@ -6,13 +6,20 @@ Geometry is exact throughout: integer lattices are handled through Smith
 normal form with verified unimodular transforms, cone facets come from a
 rank-(r-1) subset sweep of the generators, and all arithmetic uses Python
 integers (no wraparound is possible).
+
+A numerical semigroup (n = 1) is held as its gcd times the Apery list of
+the gcd-reduced generators with respect to the least one: O(1) membership,
+an exact Frobenius number, and memory linear in the least generator, which
+is capped at APERY_CAP.  Its saturation is gcd * N, so it needs no box
+enumeration, and its pure inseparability index e0 is found exactly, with
+no exponent cap.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -29,6 +36,7 @@ Vector = tuple[int, ...]
 DIMENSION_CAP = 4
 DEFAULT_E_MAX = 12
 DEFAULT_BOX_FACTOR = 3
+APERY_CAP = 100_000  # least gcd-reduced numerical generator = Apery list length
 
 
 # -- integer matrices --------------------------------------------------------
@@ -259,37 +267,55 @@ class AffineSemigroup:
 
 @dataclass
 class _NumericalData:
-    """Gap structure of a numerical semigroup (n = 1)."""
+    """A numerical semigroup (n = 1) as step * S, with S of gcd 1 given by
+    its Apery list: apery[r] is the least element of S congruent to r
+    modulo the least generator m = len(apery) of S.  So S contains a >= 0
+    exactly when a >= apery[a mod m], and max(apery) - m is the largest
+    integer outside S."""
 
     step: int            # gcd of the generators
-    reachable: list[bool]
-    conductor: int       # of the gcd-reduced semigroup
-    frobenius: int       # -1 when the reduced semigroup is all of N
+    apery: list[int]
 
     def contains(self, a: int) -> bool:
         if a < 0 or a % self.step:
             return False
         a //= self.step
-        return a >= self.conductor or (a < len(self.reachable) and self.reachable[a])
+        return a >= self.apery[a % len(self.apery)]
+
+
+def _apery_list(gens: Sequence[int]) -> list[int]:
+    """Apery list of the semigroup generated by the ascending, gcd-1 gens
+    with respect to gens[0], by the round-robin algorithm of Boecker and
+    Liptak (Algorithmica 48, 2007): O(m * k) time and O(m) memory for
+    m = gens[0] and k generators."""
+    m = gens[0]
+    apery = [0] + [inf] * (m - 1)
+    for g in gens[1:]:
+        d = gcd(m, g)
+        for r in range(d):
+            # one round through the residue class r mod d, starting at its
+            # least known element; adding g cycles through the whole class
+            n = min(apery[r::d])
+            if n == inf:
+                continue
+            for _ in range(m // d - 1):
+                n += g
+                q = n % m
+                n = min(n, apery[q])
+                apery[q] = n
+    return apery
 
 
 def _numerical_data(A: AffineSemigroup) -> _NumericalData:
-    if A._numerical is not None:
-        return A._numerical
-    gens = [g[0] for g in A.generators]
-    step = gcd(*gens)
-    reduced = [g // step for g in gens]
-    bound = max(reduced) ** 2 + 1  # Frobenius number of <a,..> is < max^2
-    reachable = [False] * (bound + 1)
-    reachable[0] = True
-    for i in range(bound + 1):
-        if reachable[i]:
-            for g in reduced:
-                if i + g <= bound:
-                    reachable[i + g] = True
-    gaps = [i for i in range(bound + 1) if not reachable[i]]
-    frob = max(gaps) if gaps else -1
-    A._numerical = _NumericalData(step, reachable, frob + 1, frob)
+    if A._numerical is None:
+        gens = [g[0] for g in A.generators]
+        step = gcd(*gens)
+        if gens[0] // step > APERY_CAP:
+            raise CapExceeded(
+                f"least generator {gens[0] // step} (after dividing by the gcd {step}) "
+                f"exceeds the Apery-list cap {APERY_CAP}"
+            )
+        A._numerical = _NumericalData(step, _apery_list([g // step for g in gens]))
     return A._numerical
 
 
@@ -300,12 +326,12 @@ def frobenius_number(A: AffineSemigroup) -> int:
     data = _numerical_data(A)
     if data.step != 1:
         raise ValueError("generators must have gcd 1")
-    return data.frobenius
+    return max(data.apery) - len(data.apery)
 
 
 def membership(A: AffineSemigroup, a: Sequence[int]) -> bool:
     """Is a an N-combination of the generators?  Memoized descent with a
-    lattice/cone pre-filter; n = 1 goes through the gap table."""
+    lattice/cone pre-filter; n = 1 goes through the Apery list."""
     v = tuple(int(x) for x in a)
     if len(v) != A.n:
         raise ValueError("dimension mismatch")
@@ -453,8 +479,13 @@ def saturation_hilbert_basis(
 
     Enumerates lattice-and-cone points in a bounded box, extracts minimal
     elements and verifies that they generate every enumerated point; on
-    failure the box is doubled up to `retries` times."""
+    failure the box is doubled up to `retries` times.  The saturation of a
+    numerical semigroup is step * N for step the gcd of its generators, so
+    n = 1 needs no enumeration."""
     if A._hilbert_basis is not None:
+        return A._hilbert_basis
+    if A.n == 1:
+        A._hilbert_basis = ((gcd(*(g[0] for g in A.generators)),),)
         return A._hilbert_basis
     factor = box_factor
     last_error: Optional[BasisNotClosed] = None
@@ -480,7 +511,8 @@ def saturation_hilbert_basis(
 
 @dataclass(frozen=True)
 class PMembership:
-    """Yes(e_min) / No(lattice certificate) / Undetermined(e_max)."""
+    """Yes(e_min) / No(lattice certificate) / Undetermined(e_max); a
+    numerical semigroup (n = 1) is never undetermined."""
 
     status: str  # "yes" | "no" | "undetermined"
     e: Optional[int] = None
@@ -506,9 +538,14 @@ def eventual_p_membership(
     Phase 1 is a lattice obstruction: any N-combination representing
     p^e * a can only use generators on the minimal face containing a, so
     the order of a modulo the face lattice must be a power of p.  Phase 2
-    searches exponents up to e_max."""
+    searches exponents up to e_max; for n = 1 it runs until the least
+    exponent, which exists: past the p-power order of a modulo the gcd of
+    the generators, p^e * a is a multiple of it and eventually passes the
+    conductor."""
     check_characteristic(p)
     v = tuple(int(x) for x in a)
+    if len(v) != A.n or any(x < 0 for x in v):
+        raise ValueError(f"{list(v)} is not a point of N^{A.n}")
     if v == (0,) * A.n:
         return PMembership("yes", 0)
     vanishing, face_gens = _face_lattice(A, v)
@@ -520,6 +557,11 @@ def eventual_p_membership(
             "torsion_order": order,
         }
         return PMembership("no", certificate=cert)
+    if A.n == 1:
+        e = 0
+        while not membership(A, (p**e * v[0],)):
+            e += 1
+        return PMembership("yes", e)
     for e in range(e_max + 1):
         q = p**e
         if membership(A, tuple(q * x for x in v)):
@@ -646,7 +688,13 @@ class WeakNormalizationResult:
 def weak_normalization(
     A: AffineSemigroup, p: int, e_max: int = DEFAULT_E_MAX
 ) -> WeakNormalizationResult:
-    """Minimal generators of *A = {a in saturation : p^e * a in A for some e}."""
+    """Minimal generators of *A = {a in saturation : p^e * a in A for some e}.
+
+    A numerical semigroup contains every large enough multiple of its gcd,
+    so for n = 1, *A is the whole saturation."""
+    if A.n == 1:
+        check_characteristic(p)
+        return WeakNormalizationResult(saturation_hilbert_basis(A), ())
     saturation_hilbert_basis(A)
     star = set()
     undetermined = []
@@ -663,6 +711,11 @@ def weak_normalization(
 # -- tight closure and Frobenius test exponents --------------------------------
 
 
+def _check_report_p(report: FNilpotencyReport, p: int) -> None:
+    if report.p != p:
+        raise ValueError(f"the F-nilpotency report is for p = {report.p}, not p = {p}")
+
+
 def tight_closure_membership_monomial(
     A: AffineSemigroup,
     p: int,
@@ -675,6 +728,7 @@ def tight_closure_membership_monomial(
 
     In an F-nilpotent semigroup ring I* = I^F and Fte I <= e0, so one
     bracket-power test decides membership."""
+    _check_report_p(report, p)
     if report.verdict != "f-nilpotent":
         raise NotFNilpotentRing(
             f"tight-closure shortcut requires an F-nilpotent verdict, got {report.verdict}"
@@ -720,6 +774,7 @@ def fte_bruteforce(
     ideal outright, so the finite window determines I^F."""
     if A.n != 1:
         raise ValueError("brute-force Fte is implemented for numerical semigroups only")
+    _check_report_p(report, p)
     if report.verdict != "f-nilpotent":
         raise NotFNilpotentRing("Fte bound requires an F-nilpotent verdict")
     gens = sorted(int(v[0] if isinstance(v, (tuple, list)) else v) for v in ideal)

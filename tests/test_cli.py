@@ -72,6 +72,26 @@ def test_tight_member_command(capsys):
     assert code == 0 and json.loads(out)["results"]["member"] is False
 
 
+def test_large_numerical_semigroup_is_exact(capsys):
+    # e0 = 30 lies far past the default --e-max of 12; a gap table of
+    # max(gens)^2 entries would not fit in memory
+    start = time.perf_counter()
+    code, out, _ = run_cli(["fnilpotent", "--p", "2", "--gens", "30000,30001", "--format", "json"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["verdict"] == "f-nilpotent" and results["e0"] == 30
+    assert time.perf_counter() - start < 2
+
+
+def test_oversized_numerical_semigroup_is_refused(capsys):
+    least = semigroup.APERY_CAP + 1
+    start = time.perf_counter()
+    code, out, err = run_cli(["fnilpotent", "--p", "2", "--gens", f"{least},{least + 1}"], capsys)
+    assert code == 1 and out == ""
+    assert str(semigroup.APERY_CAP) in err
+    assert time.perf_counter() - start < 2
+
+
 def test_composite_characteristic_is_input_error(capsys):
     code, _, err = run_cli(["branches", "--p", "4", "--vars", "x,y", "--rel", "x^2+y^2"], capsys)
     assert code == 1

@@ -1,6 +1,7 @@
 import random
 import time
 from dataclasses import replace
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from frobranch.errors import (
     NotFNilpotentRing,
 )
 from frobranch.semigroup import (
+    DEFAULT_E_MAX,
     AffineSemigroup,
     IntMatrixNF,
     cone_facets,
@@ -65,6 +67,22 @@ def test_snf_random_verified():
         assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1) if d[i])
 
 
+def test_snf_matches_sympy():
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(29)
+    for _ in range(200):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        M = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            M[-1] = [2 * x for x in M[0]]  # rank deficient
+        ours = smith_normal_form(M).diagonal()
+        D = sympy_snf(Matrix(M), domain=ZZ)
+        assert ours == [abs(D[i, i]) for i in range(min(rows, cols))], M
+
+
 def test_forged_snf_rejected():
     # explicit checks, not asserts, so they also run under python -O
     with pytest.raises(CertificateFailed):
@@ -112,6 +130,68 @@ def test_frobenius_number():
     assert frobenius_number(AffineSemigroup([(2,), (3,)])) == 1
     assert frobenius_number(AffineSemigroup([(1,)])) == -1
     assert frobenius_number(AffineSemigroup([(3,), (5,)])) == 7
+
+
+def _reachable(gens, bound):
+    table = [False] * (bound + 1)
+    table[0] = True
+    for i in range(bound + 1):
+        if table[i]:
+            for g in gens:
+                if i + g <= bound:
+                    table[i + g] = True
+    return table
+
+
+def test_apery_list_matches_reachability_table():
+    rng = random.Random(59)
+    for _ in range(200):
+        c = rng.choice((1, 1, 1, 2, 3))  # some sets with gcd > 1
+        gens = sorted({c * rng.randint(1, 60 // c) for _ in range(rng.randint(2, 5))})
+        A = AffineSemigroup([(g,) for g in gens])
+        top = max(gens)
+        table = _reachable(gens, top * top + 3 * top)
+        window = range(-5, 3 * top + 1)
+        assert [membership(A, (a,)) for a in window] == [a >= 0 and table[a] for a in window], gens
+        step = gcd(*gens)
+        reduced = AffineSemigroup([(g // step,) for g in gens])
+        frob = max((i for i, hit in enumerate(table[::step]) if not hit), default=-1)
+        assert frobenius_number(reduced) == frob, gens
+        conductor = frob + 1
+        assert conductor == 0 or not membership(reduced, (conductor - 1,))
+        assert all(membership(reduced, (a,)) for a in range(conductor, conductor + top))
+        if step > 1:
+            with pytest.raises(ValueError):
+                frobenius_number(A)
+
+
+def _two_generator_member(a, b, n):
+    return any((n - y * b) % a == 0 for y in range(n // b + 1))
+
+
+@pytest.mark.parametrize(
+    "gens, p, e0", [((2971, 3000), 2, 15), ((2381, 2400), 3, 14), ((3000, 3001), 2, 21)]
+)
+def test_exact_e0_past_the_exponent_cap(gens, p, e0):
+    # p^e in A implies p^(e+1) in A, so e0 is pinned by its two neighbours
+    assert _two_generator_member(*gens, p**e0)
+    assert not _two_generator_member(*gens, p ** (e0 - 1))
+    rep = is_f_nilpotent(AffineSemigroup([(g,) for g in gens]), p)
+    assert rep.verdict == "f-nilpotent" and rep.e0 == e0 > DEFAULT_E_MAX
+
+
+def test_numerical_saturation_needs_no_generator_sized_table():
+    start = time.perf_counter()
+    A = AffineSemigroup([(6 * 10**12,), (10 * 10**12,), (15 * 10**12,)])
+    assert saturation_hilbert_basis(A) == ((10**12,),)
+    assert weak_normalization(A, 2).generators == ((10**12,),)
+    B = AffineSemigroup([(10**12,), (10**12 + 1,)])
+    assert saturation_hilbert_basis(B) == ((1,),)
+    assert weak_normalization(B, 3) == weak_normalization(AffineSemigroup([(1,)]), 3)
+    # only membership needs the Apery list, which is refused before allocation
+    with pytest.raises(CapExceeded):
+        membership(B, (5,))
+    assert time.perf_counter() - start < 2
 
 
 # -- cone geometry ------------------------------------------------------------
@@ -183,6 +263,15 @@ def test_eventual_p_membership_no_certificate():
     assert cert["torsion_order"] == 2
     assert [1, 0, 0] in cert["vanishing_facets"]
     assert verify_no_certificate(PINCHED_VERONESE, (0, 1, 1), 3, cert)
+
+
+def test_eventual_p_membership_outside_n_terminates():
+    A = AffineSemigroup([(2,), (3,)])
+    start = time.perf_counter()
+    for bad in ((-1,), (-6,), (1, 1)):
+        with pytest.raises(ValueError):
+            eventual_p_membership(A, bad, 2)
+    assert time.perf_counter() - start < 2
 
 
 def test_eventual_p_membership_monotone():
@@ -290,6 +379,16 @@ def test_tight_closure_cusp():
     assert tight_closure_membership_monomial(A, 2, [(3,)], (4,), rep)
     assert not tight_closure_membership_monomial(A, 2, [(3,)], (2,), rep)
     assert tight_closure_membership_monomial(A, 2, [(3,)], (3,), rep)
+
+
+def test_report_for_another_p_is_rejected():
+    # the p = 2 report says F-nilpotent, which is false at p = 3
+    rep2 = is_f_nilpotent(PINCHED_VERONESE, 2)
+    with pytest.raises(ValueError):
+        tight_closure_membership_monomial(PINCHED_VERONESE, 3, [(0, 2, 0)], (0, 2, 2), rep2)
+    A = AffineSemigroup([(2,), (3,)])
+    with pytest.raises(ValueError):
+        fte_bruteforce(A, 3, [3], is_f_nilpotent(A, 2))
 
 
 def test_tight_closure_requires_f_nilpotent():
