@@ -19,20 +19,13 @@ from typing import Optional, Sequence
 
 from .errors import CertificateFailed, FrobranchError
 from .ffield import PrimeField, check_characteristic, extend_field
-from .graded import (
-    DEFAULT_DEGREE_CAP,
-    DEFAULT_S_MAX,
-    GradedQuotient,
-    reducedness_status,
-)
+from .graded import DEFAULT_S_MAX, GradedQuotient, reducedness_status
 from .oracle import HypersurfaceCurve, crosscheck, hypersurface_branches
 from .parse import parse_homog, parse_semigroup, parse_vector_list
 from .semigroup import (
-    DEFAULT_BOX_FACTOR,
     DEFAULT_E_MAX,
     fte_bruteforce,
     is_f_nilpotent,
-    saturation_hilbert_basis,
     tight_closure_membership_monomial,
 )
 
@@ -64,8 +57,6 @@ class AnalysisRequest:
     element: Optional[str] = None
     e_max: int = DEFAULT_E_MAX
     s_max: int = DEFAULT_S_MAX
-    degree_cap: int = DEFAULT_DEGREE_CAP
-    box_factor: int = DEFAULT_BOX_FACTOR
     output_format: str = "text"
     seed: Optional[int] = None
 
@@ -81,8 +72,10 @@ class AnalysisRequest:
                 out[key] = val
         out["e_max"] = self.e_max
         out["s_max"] = self.s_max
-        out["degree_cap"] = self.degree_cap
-        out["box_factor"] = self.box_factor
+        # schema-1 keys of two retired options, echoed at their old defaults
+        # so reports stay byte-identical; drop them at the next schema_version
+        out["degree_cap"] = 64
+        out["box_factor"] = 3
         return out
 
 
@@ -112,12 +105,10 @@ def _build_parser() -> _Parser:
         sp.add_argument("--ext-s", type=int, default=1, help="scalar extension degree of the base field")
         sp.add_argument("--e-max", type=int, default=DEFAULT_E_MAX)
         sp.add_argument("--s-max", type=int, default=DEFAULT_S_MAX)
-        sp.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--seed", type=int, default=None, help="echoed into the report for sampling harnesses")
         if semigroup:
             sp.add_argument("--gens", required=True, help="semigroup generators, e.g. '3: 2,0,0; 1,1,0' or '2,3'")
-            sp.add_argument("--box-factor", type=int, default=DEFAULT_BOX_FACTOR)
 
     sp = sub.add_parser("branches", help="branch count of a graded quotient ring")
     common(sp)
@@ -170,8 +161,6 @@ def parse_request(argv: Sequence[str]) -> AnalysisRequest:
         element=getattr(ns, "element", None),
         e_max=ns.e_max,
         s_max=ns.s_max,
-        degree_cap=ns.degree_cap,
-        box_factor=getattr(ns, "box_factor", DEFAULT_BOX_FACTOR),
         output_format=ns.format,
         seed=ns.seed,
     )
@@ -232,7 +221,6 @@ def _fnilpotency_results(report) -> dict:
 
 def _run_fnilpotent(req: AnalysisRequest) -> AnalysisReport:
     A = parse_semigroup(req.gens)
-    saturation_hilbert_basis(A, box_factor=req.box_factor)
     report = is_f_nilpotent(A, req.p, req.e_max)
     return AnalysisReport(req.echo(), _fnilpotency_results(report))
 
@@ -242,7 +230,6 @@ def _run_fte(req: AnalysisRequest) -> AnalysisReport:
     if A.n != 1:
         raise _CliInputError("fte requires a numerical semigroup (dimension 1)")
     ideal = [v[0] for v in parse_vector_list(req.ideal, 1)]
-    saturation_hilbert_basis(A, box_factor=req.box_factor)
     report = is_f_nilpotent(A, req.p, req.e_max)
     fte = fte_bruteforce(A, req.p, ideal, report)
     return AnalysisReport(
@@ -257,7 +244,6 @@ def _run_tight_member(req: AnalysisRequest) -> AnalysisReport:
     element = parse_vector_list(req.element, A.n)
     if len(element) != 1:
         raise _CliInputError("--element must be a single vector")
-    saturation_hilbert_basis(A, box_factor=req.box_factor)
     report = is_f_nilpotent(A, req.p, req.e_max)
     member = tight_closure_membership_monomial(A, req.p, ideal, element[0], report)
     return AnalysisReport(

@@ -50,18 +50,14 @@ class DimensionCapExceeded(FrobranchError):
     """The ambient dimension exceeds the configured cap for cone geometry."""
 
 
-class BasisNotClosed(FrobranchError):
-    """The candidate Hilbert basis does not generate every enumerated
-    saturation point; the enumeration box was too small."""
-
-
 class NotFNilpotentRing(FrobranchError):
     """A tight-closure shortcut was requested for a ring whose F-nilpotency
     report is not FNilpotent."""
 
 
 class CapExceeded(FrobranchError):
-    """An exponent search cap is too small to certify the answer."""
+    """An input exceeds a size cap, or an exponent search cap is too small
+    to certify the answer."""
 
 
 class FieldTooLarge(FrobranchError):
@@ -80,7 +76,3 @@ class ParseError(FrobranchError):
 class CertificateFailed(FrobranchError):
     """A certificate the code computed failed its own verification, such as
     a Smith normal form whose transforms do not reproduce it."""
-
-
-class UnsupportedMode(FrobranchError):
-    """The requested analysis mode does not exist."""

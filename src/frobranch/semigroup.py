@@ -13,17 +13,30 @@ an exact Frobenius number, and memory linear in the least generator, which
 is capped at APERY_CAP.  Its saturation is gcd * N, so it needs no box
 enumeration, and its pure inseparability index e0 is found exactly, with
 no exponent cap.
+
+For n >= 2 the Hilbert basis of the saturation group(A) ∩ cone(A) is the
+set of minimal saturation points in a box that provably holds it
+(Bruns-Gubeladze, Polytopes, Rings, and K-Theory, 2.C): its i-th side is
+the sum of the r largest i-th generator coordinates, r = rank group(A).
+By Caratheodory a cone point h is sum lambda_j * g_j over at most r
+linearly independent generators with lambda_j >= 0.  If h is not a
+generator and some lambda_j >= 1, then h - g_j is a nonzero saturation
+point and h splits; so a basis element is a generator or has every
+lambda_j < 1, and lies in the box.  Saturation points lie in N^n, so both
+summands of a split lie componentwise below the point: a box point splits
+in the saturation exactly when it splits in the box, and the minimal box
+points generate every box point with no further check.  A box of more
+than BOX_VOLUME_CAP points is refused before enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, prod
 from typing import Optional, Sequence
 
 from .errors import (
-    BasisNotClosed,
     CapExceeded,
     CertificateFailed,
     DimensionCapExceeded,
@@ -35,8 +48,9 @@ Vector = tuple[int, ...]
 
 DIMENSION_CAP = 4
 DEFAULT_E_MAX = 12
-DEFAULT_BOX_FACTOR = 3
 APERY_CAP = 100_000  # least gcd-reduced numerical generator = Apery list length
+BOX_VOLUME_CAP = 200_000  # saturation box points, about 9 us each
+FTE_WINDOW_CAP = 1_000_000  # integers of the Fte window, about 4 us each
 
 
 # -- integer matrices --------------------------------------------------------
@@ -441,9 +455,18 @@ def cone_facets(A: AffineSemigroup) -> list[Vector]:
     return out
 
 
-def _saturation_points(A: AffineSemigroup, box_factor: int) -> set[Vector]:
-    """Nonzero points of group(A) ∩ cone(A) within the enumeration box."""
-    bounds = [box_factor * max(g[i] for g in A.generators) for i in range(A.n)]
+def _saturation_points(A: AffineSemigroup) -> set[Vector]:
+    """Nonzero points of group(A) ∩ cone(A) in the box that provably holds
+    its Hilbert basis (module docstring); a box above BOX_VOLUME_CAP points
+    is refused before enumeration."""
+    r = A.lattice_nf().rank
+    bounds = [sum(sorted((g[i] for g in A.generators), reverse=True)[:r]) for i in range(A.n)]
+    volume = prod(b + 1 for b in bounds)
+    if volume > BOX_VOLUME_CAP:
+        raise CapExceeded(
+            f"saturation box {bounds} holds {volume} points, "
+            f"above the box-volume cap {BOX_VOLUME_CAP}"
+        )
     pts = set()
     for v in itertools.product(*(range(b + 1) for b in bounds)):
         if v == (0,) * A.n:
@@ -453,57 +476,37 @@ def _saturation_points(A: AffineSemigroup, box_factor: int) -> set[Vector]:
     return pts
 
 
-def _minimal_elements(points: set[Vector], n: int) -> list[Vector]:
-    """Points not expressible as a sum of two nonzero points of the set.
+def _minimal_elements(points: set[Vector]) -> list[Vector]:
+    """Points not expressible as a sum of two nonzero points of the set,
+    for the nonzero points of a semigroup in N^n that lie in a box.
 
-    Generators lie in the first orthant, so both summands of a point are
-    componentwise below it and the check stays inside the set."""
-    out = []
+    Such a set holds every split of its points, whose summands lie
+    componentwise below them.  Points go by increasing degree, and a point
+    splits exactly when it minus some minimal point found so far lies in
+    the set: peel minimal points off the first summand of any split."""
+    out: list[Vector] = []
     for v in sorted(points, key=lambda u: (sum(u), u)):
-        decomposable = False
-        for u in points:
-            if u == v or not all(a <= b for a, b in zip(u, v)):
-                continue
-            if tuple(b - a for a, b in zip(u, v)) in points:
-                decomposable = True
-                break
-        if not decomposable:
+        if not any(tuple(b - a for a, b in zip(h, v)) in points for h in out):
             out.append(v)
     return out
 
 
-def saturation_hilbert_basis(
-    A: AffineSemigroup, box_factor: int = DEFAULT_BOX_FACTOR, retries: int = 2
-) -> tuple[Vector, ...]:
+def saturation_hilbert_basis(A: AffineSemigroup) -> tuple[Vector, ...]:
     """Minimal generating set of the saturation group(A) ∩ cone(A).
 
-    Enumerates lattice-and-cone points in a bounded box, extracts minimal
-    elements and verifies that they generate every enumerated point; on
-    failure the box is doubled up to `retries` times.  The saturation of a
-    numerical semigroup is step * N for step the gcd of its generators, so
-    n = 1 needs no enumeration."""
+    For n >= 2 these are the minimal saturation points of the proven box
+    of the module docstring.  The saturation of a numerical semigroup is
+    step * N for step the gcd of its generators, so n = 1 needs no
+    enumeration."""
     if A._hilbert_basis is not None:
         return A._hilbert_basis
     if A.n == 1:
         A._hilbert_basis = ((gcd(*(g[0] for g in A.generators)),),)
         return A._hilbert_basis
-    factor = box_factor
-    last_error: Optional[BasisNotClosed] = None
-    for _ in range(retries + 1):
-        points = _saturation_points(A, factor)
-        basis = _minimal_elements(points, A.n)
-        closure = AffineSemigroup(basis)
-        bad = next((v for v in sorted(points) if not membership(closure, v)), None)
-        if bad is None:
-            A._hilbert_basis = tuple(sorted(basis))
-            A._sat_points = points
-            return A._hilbert_basis
-        last_error = BasisNotClosed(
-            f"saturation point {bad} is not generated by the candidate basis "
-            f"(box factor {factor})"
-        )
-        factor *= 2
-    raise last_error
+    points = _saturation_points(A)
+    A._hilbert_basis = tuple(sorted(_minimal_elements(points)))
+    A._sat_points = points
+    return A._hilbert_basis
 
 
 # -- eventual p-power membership and pure inseparability ----------------------
@@ -690,8 +693,13 @@ def weak_normalization(
 ) -> WeakNormalizationResult:
     """Minimal generators of *A = {a in saturation : p^e * a in A for some e}.
 
-    A numerical semigroup contains every large enough multiple of its gcd,
-    so for n = 1, *A is the whole saturation."""
+    They lie in the saturation box of the module docstring: write a point
+    a of *A as sum lambda_j * g_j as there; if some lambda_j > 1, then
+    a - g_j has the same minimal face as a and the same class modulo that
+    face's lattice, which is all that membership in *A depends on, so a
+    splits as g_j + (a - g_j).  The generators are exact when
+    `undetermined` is empty.  A numerical semigroup contains every large
+    enough multiple of its gcd, so for n = 1, *A is the whole saturation."""
     if A.n == 1:
         check_characteristic(p)
         return WeakNormalizationResult(saturation_hilbert_basis(A), ())
@@ -704,7 +712,7 @@ def weak_normalization(
             star.add(v)
         elif res.status == "undetermined":
             undetermined.append(v)
-    gens = _minimal_elements(star, A.n)
+    gens = _minimal_elements(star)
     return WeakNormalizationResult(tuple(sorted(gens)), tuple(undetermined))
 
 
@@ -771,7 +779,8 @@ def fte_bruteforce(
     ring, by exhaustive search below the conductor bound.
 
     Every semigroup element above max(ideal) + Frobenius number lies in the
-    ideal outright, so the finite window determines I^F."""
+    ideal outright, so the finite window determines I^F; a window of more
+    than FTE_WINDOW_CAP integers is refused before the walk."""
     if A.n != 1:
         raise ValueError("brute-force Fte is implemented for numerical semigroups only")
     _check_report_p(report, p)
@@ -787,6 +796,11 @@ def fte_bruteforce(
     if e_cap < e0:
         raise CapExceeded(f"exponent cap {e_cap} is below the certified bound e0 = {e0}")
     bound = max(gens) + frob + 1
+    if bound + 1 > FTE_WINDOW_CAP:
+        raise CapExceeded(
+            f"Fte window [0, {bound}] holds {bound + 1} integers, "
+            f"above the window cap {FTE_WINDOW_CAP}"
+        )
     fte = 0
     for a in range(bound + 1):
         if not membership(A, (a,)):

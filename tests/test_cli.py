@@ -92,6 +92,43 @@ def test_oversized_numerical_semigroup_is_refused(capsys):
     assert time.perf_counter() - start < 2
 
 
+def test_oversized_saturation_box_is_refused(capsys):
+    # box sides 101: 102^3 = 1061208 points, refused before enumeration
+    start = time.perf_counter()
+    code, out, err = run_cli(["fnilpotent", "--p", "2", "--gens", "3: 100,0,0; 0,100,0; 0,0,100; 1,1,1"], capsys)
+    assert code == 1 and out == ""
+    assert str(semigroup.BOX_VOLUME_CAP) in err
+    assert time.perf_counter() - start < 2
+
+
+def test_saturation_box_below_the_cap_is_answered(capsys):
+    # box sides 41: 42^3 = 74088 points; a box of 3 * 40 per side was not
+    # enumerated within 20 s
+    start = time.perf_counter()
+    args = ["fnilpotent", "--p", "2", "--gens", "3: 40,0,0; 0,40,0; 0,0,40; 1,1,1", "--format", "json"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["verdict"] == "f-nilpotent" and results["e0"] == 0
+    assert results["hilbert_basis"] == [[0, 0, 40], [0, 40, 0], [1, 1, 1], [40, 0, 0]]
+    assert time.perf_counter() - start < 2
+
+
+def test_oversized_fte_window_is_refused(capsys):
+    # Frobenius number 3000*3001 - 3000 - 3001: a window of 9000001 integers
+    start = time.perf_counter()
+    code, out, err = run_cli(["fte", "--p", "2", "--gens", "3000,3001", "--ideal", "3000"], capsys)
+    assert code == 1 and out == ""
+    assert str(semigroup.FTE_WINDOW_CAP) in err
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("option", ["--box-factor=3", "--degree-cap=64"])
+def test_retired_options_are_input_errors(option, capsys):
+    code, out, _ = run_cli(["fnilpotent", "--p", "2", "--gens", "2,3", option], capsys)
+    assert code == 1 and out == ""
+
+
 def test_composite_characteristic_is_input_error(capsys):
     code, _, err = run_cli(["branches", "--p", "4", "--vars", "x,y", "--rel", "x^2+y^2"], capsys)
     assert code == 1
@@ -173,6 +210,66 @@ def test_extension_reduction_form_golden(args, expected, capsys):
     results = json.loads(out)["results"]
     assert {k: results[k] for k in expected} == expected
     assert results["consistent"] is True
+
+
+# --format json reports recorded before the saturation box was derived from
+# the generators, kept as compact canonical JSON: the pinched Veronese at
+# p = 2 and p = 3, a (2,2)-vertex-pinched cubic Veronese in 3 variables at
+# p = 2 and a 2-vertex-pinched quadric Veronese in 4 variables at p = 3
+GOLDEN_SEMIGROUP_REPORTS = [
+    (
+        ["--p", "2", "--gens", PINCHED],
+        '{"diagnostics":{},"request":{"box_factor":3,"degree_cap":64,"e_max":12,"ext_s":1,'
+        '"gens":"3: 2,0,0; 1,1,0; 1,0,1; 0,2,0; 0,0,2","mode":"fnilpotent","p":2,"s_max":3},'
+        '"results":{"certificate":null,"e0":1,"hilbert_basis":[[0,0,2],[0,1,1],[0,2,0],[1,0,1],'
+        '[1,1,0],[2,0,0]],"per_element":{"0,0,2":{"e":0,"status":"yes"},"0,1,1":{"e":1,"status":"yes"},'
+        '"0,2,0":{"e":0,"status":"yes"},"1,0,1":{"e":0,"status":"yes"},"1,1,0":{"e":0,"status":"yes"},'
+        '"2,0,0":{"e":0,"status":"yes"}},"verdict":"f-nilpotent","witness":null},"schema_version":"1"}',
+    ),
+    (
+        ["--p", "3", "--gens", PINCHED],
+        '{"diagnostics":{},"request":{"box_factor":3,"degree_cap":64,"e_max":12,"ext_s":1,'
+        '"gens":"3: 2,0,0; 1,1,0; 1,0,1; 0,2,0; 0,0,2","mode":"fnilpotent","p":3,"s_max":3},'
+        '"results":{"certificate":{"face_generators":[[0,0,2],[0,2,0]],"torsion_order":2,'
+        '"vanishing_facets":[[1,0,0]]},"e0":null,"hilbert_basis":[[0,0,2],[0,1,1],[0,2,0],[1,0,1],'
+        '[1,1,0],[2,0,0]],"per_element":{"0,0,2":{"e":0,"status":"yes"},"0,1,1":{"e":null,"status":"no"},'
+        '"0,2,0":{"e":0,"status":"yes"},"1,0,1":{"e":0,"status":"yes"},"1,1,0":{"e":0,"status":"yes"},'
+        '"2,0,0":{"e":0,"status":"yes"}},"verdict":"not-f-nilpotent","witness":[0,1,1]},'
+        '"schema_version":"1"}',
+    ),
+    (
+        ["--p", "2", "--gens", "3: 1,0,2; 1,1,1; 0,0,6; 9,0,0; 6,0,0; 0,3,0; 0,2,1; 2,0,1; 0,1,2; 0,0,9; 2,1,0; 1,2,0"],
+        '{"diagnostics":{},"request":{"box_factor":3,"degree_cap":64,"e_max":12,"ext_s":1,'
+        '"gens":"3: 1,0,2; 1,1,1; 0,0,6; 9,0,0; 6,0,0; 0,3,0; 0,2,1; 2,0,1; 0,1,2; 0,0,9; 2,1,0; 1,2,0",'
+        '"mode":"fnilpotent","p":2,"s_max":3},"results":{"certificate":null,"e0":1,"hilbert_basis":'
+        '[[0,0,3],[0,1,2],[0,2,1],[0,3,0],[1,0,2],[1,1,1],[1,2,0],[2,0,1],[2,1,0],[3,0,0]],'
+        '"per_element":{"0,0,3":{"e":1,"status":"yes"},"0,1,2":{"e":0,"status":"yes"},'
+        '"0,2,1":{"e":0,"status":"yes"},"0,3,0":{"e":0,"status":"yes"},"1,0,2":{"e":0,"status":"yes"},'
+        '"1,1,1":{"e":0,"status":"yes"},"1,2,0":{"e":0,"status":"yes"},"2,0,1":{"e":0,"status":"yes"},'
+        '"2,1,0":{"e":0,"status":"yes"},"3,0,0":{"e":1,"status":"yes"}},"verdict":"f-nilpotent",'
+        '"witness":null},"schema_version":"1"}',
+    ),
+    (
+        ["--p", "3", "--gens",
+         "4: 1,0,0,1; 0,0,1,1; 1,0,1,0; 1,1,0,0; 0,4,0,0; 0,0,0,2; 0,6,0,0; 2,0,0,0; 0,1,1,0; 0,1,0,1; 0,0,2,0"],
+        '{"diagnostics":{},"request":{"box_factor":3,"degree_cap":64,"e_max":12,"ext_s":1,'
+        '"gens":"4: 1,0,0,1; 0,0,1,1; 1,0,1,0; 1,1,0,0; 0,4,0,0; 0,0,0,2; 0,6,0,0; 2,0,0,0; 0,1,1,0; '
+        '0,1,0,1; 0,0,2,0","mode":"fnilpotent","p":3,"s_max":3},"results":{"certificate":null,"e0":1,'
+        '"hilbert_basis":[[0,0,0,2],[0,0,1,1],[0,0,2,0],[0,1,0,1],[0,1,1,0],[0,2,0,0],[1,0,0,1],'
+        '[1,0,1,0],[1,1,0,0],[2,0,0,0]],"per_element":{"0,0,0,2":{"e":0,"status":"yes"},'
+        '"0,0,1,1":{"e":0,"status":"yes"},"0,0,2,0":{"e":0,"status":"yes"},"0,1,0,1":{"e":0,"status":"yes"},'
+        '"0,1,1,0":{"e":0,"status":"yes"},"0,2,0,0":{"e":1,"status":"yes"},"1,0,0,1":{"e":0,"status":"yes"},'
+        '"1,0,1,0":{"e":0,"status":"yes"},"1,1,0,0":{"e":0,"status":"yes"},"2,0,0,0":{"e":0,"status":"yes"}},'
+        '"verdict":"f-nilpotent","witness":null},"schema_version":"1"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("args,golden", GOLDEN_SEMIGROUP_REPORTS)
+def test_semigroup_report_golden(args, golden, capsys):
+    code, out, _ = run_cli(["fnilpotent"] + args + ["--format", "json"], capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(golden), sort_keys=True, indent=2) + "\n"
 
 
 _MODE_ARGS = {

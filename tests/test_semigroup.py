@@ -1,8 +1,10 @@
+import itertools
 import random
 import time
 from dataclasses import replace
 from math import gcd
 
+import numpy as np
 import pytest
 
 from frobranch.errors import (
@@ -17,6 +19,7 @@ from frobranch.semigroup import (
     AffineSemigroup,
     IntMatrixNF,
     cone_facets,
+    cone_geometry,
     eventual_p_membership,
     frobenius_closure_exponent,
     frobenius_number,
@@ -240,6 +243,98 @@ def test_saturation_already_saturated():
     assert set(saturation_hilbert_basis(V)) == set(V.generators)
 
 
+def _proven_bounds(gens):
+    r = np.linalg.matrix_rank(np.array(gens))
+    return [sum(sorted((g[i] for g in gens), reverse=True)[:r]) for i in range(len(gens[0]))]
+
+
+def _box_saturation(A, bounds):
+    """Indicator array of the nonzero points of group(A) ∩ cone(A) in the
+    box [0, bounds], the lattice test read off the Smith normal form."""
+    grid = np.indices([b + 1 for b in bounds]).reshape(A.n, -1)
+    facets, eqs = cone_geometry(A)
+    ok = np.ones(grid.shape[1], dtype=bool)
+    for w in facets:
+        ok &= np.array(w) @ grid >= 0
+    for w in eqs:
+        ok &= np.array(w) @ grid == 0
+    nf = A.lattice_nf()
+    ub = np.array(nf.U) @ grid
+    for i in range(A.n):
+        d = nf.D[i][i] if i < len(A.generators) else 0
+        ok &= ub[i] == 0 if d == 0 else ub[i] % d == 0
+    ok[0] = False
+    return ok.reshape([b + 1 for b in bounds])
+
+
+def _box_minimal(points):
+    """Points of the indicator array that are not a sum of two of its
+    points.  The smaller summand has at most half the top degree, so only
+    those points are shifted."""
+    split = np.zeros_like(points)
+    half = sum(s - 1 for s in points.shape) / 2
+    for u in np.argwhere(points):
+        if u.sum() > half:
+            continue
+        target = tuple(slice(int(a), None) for a in u)
+        source = tuple(slice(None, s - int(a)) for a, s in zip(u, points.shape))
+        split[target] |= points[source]
+    return {tuple(int(x) for x in v) for v in np.argwhere(points & ~split)}
+
+
+def _random_semigroups(seed, count, volume_cap, tops):
+    """n + 1 or n + 2 generators in N^n (n generators would span a normal
+    semigroup) with entries up to tops[n], cycling n = 2, 3, 4, kept to a
+    doubled box of at most volume_cap points."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = (2, 3, 4)[len(out) % 3]
+        top = tops[n]
+        gens = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 2))]
+        gens = [g for g in gens if any(g)]
+        if not gens:
+            continue
+        volume = 1
+        for b in _proven_bounds(gens):
+            volume *= 2 * b + 1
+        if volume <= volume_cap:
+            out.append(AffineSemigroup(gens))
+    return out
+
+
+def test_hilbert_basis_matches_a_box_twice_the_bound():
+    # minimal saturation points of a box twice the proven one, found by
+    # vectorized enumeration and shifted sums: the proven box misses nothing
+    beyond_max = 0
+    for A in _random_semigroups(5, 42, 30000, {2: 10, 3: 5, 4: 3}):
+        bounds = _proven_bounds(A.generators)
+        expected = _box_minimal(_box_saturation(A, [2 * b for b in bounds]))
+        assert set(saturation_hilbert_basis(A)) == expected, A
+        assert all(h[i] <= bounds[i] for h in expected for i in range(A.n))
+        tops = [max(g[i] for g in A.generators) for i in range(A.n)]
+        beyond_max += any(h[i] > tops[i] for h in expected for i in range(A.n))
+    # the cases exercise the bound: some basis element passes the largest
+    # generator coordinate
+    assert beyond_max >= 5
+
+
+def test_weak_normalization_matches_a_box_twice_the_bound():
+    # small entries: eventual_p_membership's descent grows with p^e * v
+    vertex_pinched = AffineSemigroup([(12, 0), (16, 0), (3, 1), (2, 2), (1, 3), (0, 4)])
+    cases = _random_semigroups(11, 12, 3000, {2: 4, 3: 2, 4: 1}) + [PINCHED_VERONESE, vertex_pinched]
+    for A in cases:
+        for p in (2, 3):
+            wn = weak_normalization(A, p)
+            if wn.undetermined:
+                continue
+            points = _box_saturation(A, [2 * b for b in _proven_bounds(A.generators)])
+            for v in np.argwhere(points):
+                if eventual_p_membership(A, tuple(int(x) for x in v), p).status != "yes":
+                    points[tuple(v)] = False
+            assert set(wn.generators) == _box_minimal(points), (A, p)
+
+
 # -- eventual p-power membership ----------------------------------------------
 
 
@@ -321,9 +416,11 @@ def test_library_rejects_invalid_characteristic(p):
 
 def test_large_prime_is_validated_once():
     # trial division of a prime near 2^31 takes milliseconds, too long to
-    # repeat for each of the 171 saturation points
+    # repeat for each of the 449 saturation points in the box of the
+    # pinched Veronese in four variables
+    gens = [m for m in itertools.product(range(3), repeat=4) if sum(m) == 2 and m != (0, 1, 1, 0)]
     start = time.perf_counter()
-    weak_normalization(PINCHED_VERONESE, 2147483629)
+    weak_normalization(AffineSemigroup(gens), 2147483629)
     assert time.perf_counter() - start < 0.6
 
 
