@@ -22,7 +22,8 @@ class ZeroPolynomial(FrobranchError):
 
 
 class NotOneDimensional(FrobranchError):
-    """The Hilbert function failed to stabilize within the degree cap."""
+    """No regularity certificate exists below the degree bound, so the
+    Hilbert function is not proven to stabilize."""
 
 
 class NoReductionFound(FrobranchError):

@@ -14,11 +14,13 @@ import itertools
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     DegreeCapExceeded,
     FieldMismatch,
     NoReductionFound,
@@ -32,7 +34,11 @@ Monomial = tuple  # exponent vector, one entry per variable
 
 DEFAULT_DEGREE_CAP = 64
 DEFAULT_S_MAX = 3
-HF_VALUE_CAP = 4096
+# A degree-d slice holds a dense echelon of up to C x C int64 codes (about
+# 8*C^2 bytes, 18 MB at the cap), and its elimination grows faster still:
+# on a 2-vCPU Xeon, the degree-6 and degree-7 slices of a monomial ideal in
+# 8 variables (1716 and 3432 columns) took about 1 s and 5 s.
+SLICE_COLUMN_CAP = 1500
 
 
 @lru_cache(maxsize=None)
@@ -227,11 +233,24 @@ class ReductionResult:
     ring: "GradedQuotient"   # base-changed when scalar_extension > 1
 
 
+@dataclass(frozen=True)
+class RegularityCertificate:
+    """HF(d) = e for every d >= n0, proven at degree m (see multiplicity):
+    by the form of reduction, x*[R]_{m-1} = [R]_m and HF(m) = HF(m+1), or,
+    when reduction is None, by Gotzmann persistence."""
+
+    m: int
+    e: int
+    n0: int
+    reduction: Optional[ReductionResult]
+
+
 class GradedQuotient:
     """Standard-graded quotient R = k[x1..xn]/I with per-degree caches.
 
-    The degree cache is the only mutable state; population is serialized by
-    an internal lock, after which reads are safe to share across threads.
+    The degree cache and the regularity certificate are the only mutable
+    state; slice population is serialized by an internal lock, after which
+    reads are safe to share across threads.
     """
 
     def __init__(
@@ -258,7 +277,7 @@ class GradedQuotient:
         self.var_names = tuple(var_names) if var_names else tuple(f"x{i+1}" for i in range(nvars))
         self.kernel = kernel_for(field)
         self.max_rel_degree = max((g.degree for g in rels), default=0)
-        self.stabilization: Optional[tuple[int, int]] = None  # (N, e)
+        self.certificate: Optional[RegularityCertificate] = None
         self._cache: dict[int, _SliceData] = {}
         self._lock = threading.Lock()
 
@@ -280,6 +299,12 @@ class GradedQuotient:
             return data
 
     def _build_slice(self, d: int) -> _SliceData:
+        ncols = comb(d + self.nvars - 1, self.nvars - 1)
+        if ncols > SLICE_COLUMN_CAP:
+            raise CapExceeded(
+                f"the degree-{d} slice has {ncols} columns, above the cap of "
+                f"{SLICE_COLUMN_CAP} columns"
+            )
         columns = monomials_of_degree(self.nvars, d)
         col_index = {m: i for i, m in enumerate(columns)}
         ech = Echelon(self.kernel, len(columns))
@@ -313,43 +338,56 @@ def degree_basis(R: GradedQuotient, d: int):
 
 
 def hilbert_function(R: GradedQuotient, d: int) -> int:
-    data = R.slice(d)
-    hf = len(data.std_monomials)
-    if hf > HF_VALUE_CAP:
-        raise NotOneDimensional(
-            f"Hilbert function value {hf} at degree {d} exceeds the cap; "
-            "the quotient is not one-dimensional at desk scale"
-        )
-    return hf
+    return len(R.slice(d).std_monomials)
 
 
-def stabilization_window(R: GradedQuotient) -> int:
-    return R.nvars + R.max_rel_degree
+def multiplicity(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> tuple[int, int]:
+    """Stable Hilbert function value e and the least N with HF(d) = e for
+    every d >= N, both proven by a regularity certificate (m, x).
 
+    m is the least degree >= max(D, 1), D the top relation degree, with
+    HF(m-1) >= HF(m) = HF(m+1) at which some linear form x, searched in
+    find_linear_reduction's order over GF(q^s) for s = 1..s_max, gives
+    x*[R]_{m-1} = [R]_m.  Surjectivity in degree m carries up one degree,
+    [R]_{m+1} = [R]_1*x*[R]_{m-1} = x*[R]_m, so x: [R]_m -> [R]_{m+1} is
+    onto, and it is injective exactly when HF(m) = HF(m+1).  With I
+    generated in degrees <= m, (I + xS)_m = S_m and (I : x)_m = I_m make I
+    m-regular (Bayer-Stillman, Invent. Math. 87, 1987, Thm 1.10,
+    (b) => (a), which needs no genericity), so HF agrees with the Hilbert
+    polynomial from degree m on.  x is onto in every degree from m-1 on,
+    so HF does not increase there, and the polynomial is the constant
+    e = HF(m).  Scalar extension changes neither the Hilbert function nor
+    regularity, so x may come from base_change.  Only slices up to m+1 are
+    built, and N is the least index with HF(N..m) = e.
 
-def multiplicity(R: GradedQuotient) -> tuple[int, int]:
-    """Stable Hilbert function value e and the smallest index N where the
-    function is constant over [N, N + window]."""
-    if R.stabilization is not None:
-        n, e = R.stabilization
-        return e, n
-    window = stabilization_window(R)
-    cap = 4 * max(R.max_rel_degree, 1) * R.nvars
-    values: list[int] = []
+    When no candidate certifies such an m but HF(m) <= m, Gotzmann's
+    persistence theorem (Bruns-Herzog, Thm 4.3.3) proves the same without a
+    form: a value a <= m is a sum of a binomials C(i, i) in its Macaulay
+    representation, so a^<m> = a, HF(m+1) = HF(m)^<m> persists, and
+    HF(d) = HF(m) for every d >= m.  This ends the sweep where no form of
+    GF(q^s), s <= s_max, is a parameter, such as x^p*y - x*y^p with s_max = 1.
 
-    def hf(d):
-        while len(values) <= d:
-            values.append(hilbert_function(R, len(values)))
-        return values[d]
-
-    for n in range(cap + 1):
-        e = hf(n)
-        if all(hf(n + i) == e for i in range(1, window + 1)):
-            R.stabilization = (n, e)
-            return e, n
-    raise NotOneDimensional(
-        f"Hilbert function did not stabilize below degree {cap}"
-    )
+    The search is a refusal past degree 4*max(D,1)*n (NotOneDimensional),
+    never an answer.  The certificate is kept in R.certificate.
+    """
+    if R.certificate is not None:
+        return R.certificate.e, R.certificate.n0
+    top = max(R.max_rel_degree, 1)
+    bound = 4 * top * R.nvars
+    hf = [hilbert_function(R, d) for d in range(top + 1)]
+    for m in range(top, bound):
+        hf.append(hilbert_function(R, m + 1))
+        if not hf[m - 1] >= hf[m] == hf[m + 1]:
+            continue
+        red = _first_reduction(R, m, s_max)
+        if red is None and hf[m] > m:
+            continue
+        n0 = m
+        while n0 > 0 and hf[n0 - 1] == hf[m]:
+            n0 -= 1
+        R.certificate = RegularityCertificate(m, hf[m], n0, red)
+        return hf[m], n0
+    raise NotOneDimensional(f"no regularity certificate below degree {bound}")
 
 
 def ideal_membership(R: GradedQuotient, f: HomogPoly, J: Sequence[HomogPoly]) -> bool:
@@ -375,47 +413,59 @@ def linear_form(R: GradedQuotient, coeffs: Sequence[int]) -> HomogPoly:
     return HomogPoly(R.field, R.nvars, 1, terms)
 
 
-def is_linear_reduction(R: GradedQuotient, x: HomogPoly) -> bool:
-    """Does multiplication by x map [R]_d onto [R]_{d+1} for every d >= n0,
-    the stabilization index of multiplicity(R)?
+def is_linear_reduction(R: GradedQuotient, x: HomogPoly, d: int) -> bool:
+    """Does multiplication by x map [R]_{d-1} onto [R]_d?
 
-    One degree decides it: I_{n0+1} + x*S_{n0} must span S_{n0+1}.  In a
-    standard-graded ring x*[R]_d = [R]_{d+1} then holds for all higher d,
-    since [R]_{d+2} = [R]_1*[R]_{d+1} = [R]_1*x*[R]_d = x*[R]_{d+1}."""
+    One degree decides it: I_d + x*S_{d-1} must span S_d.  In a
+    standard-graded ring x*[R]_n = [R]_{n+1} then holds for all higher n,
+    since [R]_{n+2} = [R]_1*[R]_{n+1} = [R]_1*x*[R]_n = x*[R]_{n+1}.  So
+    at d = n0+1, n0 the stabilization index of multiplicity(R), it says
+    whether x reduces the irrelevant ideal."""
     if x.degree != 1:
         raise ValueError("reduction candidate must be a linear form")
     if x.field != R.field or x.nvars != R.nvars:
         raise FieldMismatch("reduction candidate over a different ring")
-    _, n0 = multiplicity(R)
-    target = R.slice(n0 + 1)
+    target = R.slice(d)
     image = target.echelon.clone()
-    for row in macaulay_rows(R.nvars, [x], target.col_index, n0 + 1):
+    for row in macaulay_rows(R.nvars, [x], target.col_index, d):
         image.add_row(row)
     return image.rank == len(target.columns)
 
 
-def find_linear_reduction(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> ReductionResult:
-    """First linear form (in a fixed enumeration order) that reduces the
-    irrelevant ideal, extending scalars to GF(q^s), s <= s_max, if needed."""
+def _first_reduction(R: GradedQuotient, d: int, s_max: int) -> Optional[ReductionResult]:
+    """The first candidate x over GF(q^s), s = 1..s_max in turn, with
+    x*[R]_{d-1} = [R]_d."""
     for s in range(1, s_max + 1):
         ring = R if s == 1 else base_change(R, s)
-        multiplicity(ring)
-        elems = range(ring.field.order)
         nonzero = range(1, ring.field.order)
-
-        def candidates():
-            # forms with no zero coordinate are the generic ones and come
-            # first; the remaining nonzero forms follow in product order
-            yield from itertools.product(nonzero, repeat=ring.nvars)
-            for combo in itertools.product(elems, repeat=ring.nvars):
-                if any(combo) and not all(combo):
-                    yield combo
-
-        for combo in candidates():
+        # forms with no zero coordinate are the generic ones and come
+        # first; the remaining nonzero forms follow in product order
+        candidates = itertools.chain(
+            itertools.product(nonzero, repeat=ring.nvars),
+            (c for c in itertools.product(range(ring.field.order), repeat=ring.nvars)
+             if any(c) and not all(c)),
+        )
+        for combo in candidates:
             x = linear_form(ring, combo)
-            if is_linear_reduction(ring, x):
+            if is_linear_reduction(ring, x, d):
                 return ReductionResult(x, s, ring)
-    raise NoReductionFound(s_max)
+    return None
+
+
+def find_linear_reduction(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> ReductionResult:
+    """First linear form (in a fixed enumeration order) with
+    x*[R]_{n0} = [R]_{n0+1}, extending scalars to GF(q^s), s <= s_max, if
+    needed.  When the regularity certificate sits at m = n0+1 it ran this
+    very search, so its form is the answer; otherwise the search reruns at
+    n0+1 <= m+1, where R's slices are already built."""
+    _, n0 = multiplicity(R, s_max)
+    cert = R.certificate
+    if cert.m == n0 + 1 and cert.reduction and cert.reduction.scalar_extension <= s_max:
+        return cert.reduction
+    red = _first_reduction(R, n0 + 1, s_max)
+    if red is None:
+        raise NoReductionFound(s_max)
+    return red
 
 
 def base_change(R: GradedQuotient, s: int) -> GradedQuotient:
@@ -531,7 +581,7 @@ def branch_count(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> BranchReport:
     The caller asserts R is reduced and one-dimensional; see
     reducedness_status for the partial checks.
     """
-    e, n0 = multiplicity(R)
+    e, n0 = multiplicity(R, s_max)
     red = find_linear_reduction(R, s_max)
     n = n0
     dim = closure_quotient_dim(red.ring, red.form, n)

@@ -172,8 +172,8 @@ def test_criterion_5_closure_equality_on_slices(announce):
         for R in circle_rings() + axes_rings() + fermat_rings():
             red = find_linear_reduction(R)
             ring, x = red.ring, red.form
-            assert is_linear_reduction(ring, x)
             n = multiplicity(ring)[1]
+            assert is_linear_reduction(ring, x, n + 1)
             if n == 0:
                 continue
             p = ring.field.p
@@ -282,8 +282,8 @@ def test_criterion_9_structural_suites(announce):
         for R in circle_rings() + fermat_rings():
             red = find_linear_reduction(R)
             ring, x = red.ring, red.form
-            assert is_linear_reduction(ring, x)
             n = multiplicity(ring)[1]
+            assert is_linear_reduction(ring, x, n + 1)
             hf = len(degree_basis(ring, n)[0])
             xn = x**n
             assert ideal_membership(ring, xn, [xn])

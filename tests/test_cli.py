@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from frobranch import cli, oracle, semigroup
+from frobranch import cli, graded, oracle, semigroup
 
 PINCHED = "3: 2,0,0; 1,1,0; 1,0,1; 0,2,0; 0,0,2"
 
@@ -120,6 +120,56 @@ def test_oversized_fte_window_is_refused(capsys):
     code, out, err = run_cli(["fte", "--p", "2", "--gens", "3000,3001", "--ideal", "3000"], capsys)
     assert code == 1 and out == ""
     assert str(semigroup.FTE_WINDOW_CAP) in err
+    assert time.perf_counter() - start < 2
+
+
+def test_two_dimensional_ring_is_refused(capsys):
+    # k[x,y,z]/(xy) has HF(d) = 2d+1: no regularity certificate exists, and
+    # the degree bound 4*max(D,1)*n = 24 ends the search
+    start = time.perf_counter()
+    code, out, err = run_cli(["branches", "--p", "3", "--vars", "x,y,z", "--rel", "x*y"], capsys)
+    assert code == 1 and out == ""
+    assert "no regularity certificate below degree 24" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_oversized_slice_is_refused(capsys):
+    # a plane and six lines: x1..x8 with every xi*xj except x1*x2, so
+    # HF(d) = d + 7 grows until the degree-6 slice (1716 columns) is refused
+    names = [f"x{i}" for i in range(1, 9)]
+    args = ["branches", "--p", "2", "--vars", ",".join(names)]
+    for i in range(8):
+        for j in range(i + 1, 8):
+            if (i, j) != (0, 1):
+                args += ["--rel", f"{names[i]}*{names[j]}"]
+    start = time.perf_counter()
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert "1716 columns" in err and str(graded.SLICE_COLUMN_CAP) in err
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("p, rel", [(2, "x^2*y + x*y^2"), (7, "x^7*y - x*y^7")])
+def test_no_reduction_below_s_max_is_refused(p, rel, capsys):
+    # every GF(p)-line divides x^p*y - x*y^p, so no form over GF(p)
+    # certifies; Gotzmann persistence proves HF stable at degree p+1
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["branches", "--p", str(p), "--s-max", "1", "--vars", "x,y", "--rel", rel], capsys
+    )
+    assert code == 1 and out == ""
+    assert "no linear reduction found with scalar extension degree <= 1" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_vanishing_power_is_refused(capsys):
+    # k[x,y]/(x^2, y^2) is Artinian: e = 0, n0 = 3 and (x+y)^3 = 0
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["branches", "--p", "3", "--vars", "x,y", "--rel", "x^2", "--rel", "y^2"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err == "error: x + y^3 = 0 in R: the ring is not reduced or the form is not a parameter\n"
     assert time.perf_counter() - start < 2
 
 

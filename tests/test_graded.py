@@ -1,9 +1,11 @@
 import itertools
+import random
+import time
 
 import numpy as np
 import pytest
 
-from frobranch.errors import FieldMismatch, NotOneDimensional, PowerVanishes
+from frobranch.errors import FieldMismatch, NoReductionFound, NotOneDimensional, PowerVanishes
 from frobranch.ffield import PrimeField, extend_field
 from frobranch.graded import (
     ClosureMembership,
@@ -106,6 +108,19 @@ def test_multiplicity_values():
     assert e == 4
 
 
+def test_multiplicity_without_a_reduction_rests_on_persistence():
+    # x*y*(x+y) has every GF(2)-line as a factor: no form over GF(2) is a
+    # parameter, but HF(3) = HF(4) = 3 <= 3 proves e = 3 from degree 2 on
+    x = HomogPoly.from_ints(F2, 2, {(1, 0): 1})
+    y = HomogPoly.from_ints(F2, 2, {(0, 1): 1})
+    R = GradedQuotient(F2, 2, [x * y * (x + y)], ("x", "y"))
+    assert multiplicity(R, 1) == (3, 2)
+    assert R.certificate.m == 3 and R.certificate.reduction is None
+    with pytest.raises(NoReductionFound):
+        find_linear_reduction(R, 1)
+    assert find_linear_reduction(R, 2).scalar_extension == 2
+
+
 def test_multiplicity_rejects_two_dimensional():
     # k[x,y] with no relations: HF grows linearly, never stabilizes
     with pytest.raises(NotOneDimensional):
@@ -126,16 +141,16 @@ def test_ideal_membership_circle():
 def test_is_linear_reduction():
     R = circle_ring(F5)
     y = linear_form(R, [0, 1])
-    assert is_linear_reduction(R, y)
+    assert is_linear_reduction(R, y, 2)
     assert multiplicity(R)[1] == 1
 
     R2 = axes_ring(F3, 2)
     x1 = linear_form(R2, [1, 0])
-    assert not is_linear_reduction(R2, x1)
+    assert not is_linear_reduction(R2, x1, 2)
 
     P = GradedQuotient(F3, 1, [])
     x = linear_form(P, [1])
-    assert is_linear_reduction(P, x) is True
+    assert is_linear_reduction(P, x, 1) is True
     assert multiplicity(P)[1] == 0
 
 
@@ -169,17 +184,106 @@ def test_one_degree_reduction_test_matches_window_check():
         for combo in itertools.product(range(R.field.order), repeat=R.nvars):
             if any(combo):
                 x = linear_form(R, combo)
-                verdict = is_linear_reduction(R, x)
+                verdict = is_linear_reduction(R, x, multiplicity(R)[1] + 1)
                 assert verdict == _window_reduction_reference(R, x), (R, combo)
                 verdicts.add(verdict)
         assert True in verdicts, R
 
 
-def test_reduction_search_builds_no_slice_above_the_window():
-    R = axes_ring(F2, 4)
-    find_linear_reduction(R)
-    _, n0 = multiplicity(R)
-    assert max(R._cache) <= n0 + R.nvars + R.max_rel_degree
+def test_branch_count_builds_no_slice_above_the_certificate():
+    # the certificate sits at m = 2 (n0 = 1), so slices 0..3 suffice; the
+    # window rule built slices up to n0 + nvars + max_rel_degree + 1 = 9
+    R = axes_ring(F2, 6)
+    assert branch_count(R).branches_formula == 6
+    assert (R.certificate.m, R.certificate.n0) == (2, 1)
+    assert max(R._cache) <= 3
+
+
+def test_axes_ring_in_seven_variables_is_fast():
+    start = time.perf_counter()
+    assert branch_count(axes_ring(F2, 7)).branches_formula == 7
+    assert time.perf_counter() - start < 5
+
+
+def _window_multiplicity_reference(R):
+    """The retired stabilization rule: the least N with HF constant over
+    [N, N + nvars + max_rel_degree], searched up to 4*max(D,1)*nvars."""
+    window = R.nvars + R.max_rel_degree
+    for n in range(4 * max(R.max_rel_degree, 1) * R.nvars + 1):
+        e = hilbert_function(R, n)
+        if all(hilbert_function(R, n + i) == e for i in range(1, window + 1)):
+            return e, n
+    raise AssertionError(f"the window rule found no stable value for {R}")
+
+
+def _product_of_forms(field, forms):
+    n = len(forms[0])
+    out = HomogPoly(field, n, 0, {(0,) * n: 1})
+    for coeffs in forms:
+        out = out * HomogPoly(field, n, 1, {
+            tuple(int(i == j) for j in range(n)): c for i, c in enumerate(coeffs) if c
+        })
+    return out
+
+
+def _distinct_lines(rng, field, nvars, count):
+    """count pairwise non-proportional linear forms."""
+    seen, forms = set(), []
+    while len(forms) < count:
+        coeffs = [rng.randrange(field.p) for _ in range(nvars)]
+        if not any(coeffs):
+            continue
+        lead = next(c for c in coeffs if c)
+        inv = pow(lead, field.p - 2, field.p)
+        key = tuple(c * inv % field.p for c in coeffs)
+        if key not in seen:
+            seen.add(key)
+            forms.append(coeffs)
+    return forms
+
+
+def _oracle_rings():
+    rng = random.Random(20261018)
+    fields = (F2, F3, F5, F7)
+    for field in fields:
+        for _ in range(3):
+            # a product of distinct lines in the plane
+            r = rng.randint(2, min(field.p + 1, 5))
+            f = _product_of_forms(field, _distinct_lines(rng, field, 2, r))
+            yield GradedQuotient(field, 2, [f])
+        for _ in range(3):
+            # a star complete intersection: no line of f is one of g
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            lines = _distinct_lines(rng, field, 3, a + b)
+            yield GradedQuotient(field, 3, [
+                _product_of_forms(field, lines[:a]), _product_of_forms(field, lines[a:]),
+            ])
+        for d in (2, 3, 4 if field.p < 5 else 5):
+            yield axes_ring(field, d)
+
+
+def test_certified_hilbert_function_matches_groebner_oracle():
+    sympy = pytest.importorskip("sympy")
+    rings = list(_oracle_rings())
+    assert len(rings) >= 30
+    for R in rings:
+        e, n0 = multiplicity(R)
+        m = R.certificate.m
+        assert m in (n0, n0 + 1) and max(R._cache) <= m + 1, R
+        gens = sympy.symbols(f"x1:{R.nvars + 1}")
+        polys = [
+            sum(c * sympy.prod(v**k for v, k in zip(gens, mono)) for mono, c in g.terms.items())
+            for g in R.relations
+        ]
+        basis = sympy.groebner(polys, *gens, modulus=R.field.p, order="grevlex")
+        leads = [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in basis.exprs]
+        for d in range(m + 3):
+            outside = sum(
+                1 for mono in monomials_of_degree(R.nvars, d)
+                if not any(all(a >= b for a, b in zip(mono, lt)) for lt in leads)
+            )
+            assert hilbert_function(R, d) == outside, (R, d)
+        assert (e, n0) == _window_multiplicity_reference(R), R
 
 
 def test_find_linear_reduction_base_field():
@@ -338,7 +442,7 @@ def test_ring_mismatch_rejected():
     with pytest.raises(FieldMismatch):
         ideal_membership(circle_ring(F3), g, [f])
     with pytest.raises(FieldMismatch):
-        is_linear_reduction(circle_ring(F3), g)
+        is_linear_reduction(circle_ring(F3), g, 2)
 
 
 def test_homog_poly_rejects_codes_outside_the_field():
