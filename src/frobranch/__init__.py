@@ -17,7 +17,6 @@ from .ffield import (
     PrimeField,
     ExtensionField,
     UniPoly,
-    field_make,
     extend_field,
     squarefree_decomposition,
     distinct_root_count,
@@ -47,7 +46,6 @@ __all__ = [
     "PrimeField",
     "ExtensionField",
     "UniPoly",
-    "field_make",
     "extend_field",
     "squarefree_decomposition",
     "distinct_root_count",

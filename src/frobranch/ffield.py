@@ -24,7 +24,7 @@ counting, which is what the branch oracle consumes.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     CompositeCharacteristic,
@@ -516,26 +516,6 @@ def is_irreducible(f: UniPoly) -> bool:
         if poly_gcd(g - t, f).degree > 0:
             return False
     return True
-
-
-def field_make(p: int, s: int, modulus: Optional[UniPoly] = None) -> Field:
-    """Construct GF(p) or GF(p^s) with a verified irreducible modulus."""
-    if s < 1:
-        raise ValueError("extension degree must be >= 1")
-    if s > MAX_EXTENSION_DEGREE:
-        raise ValueError(f"extension degree cap exceeded: {s} > {MAX_EXTENSION_DEGREE}")
-    base = PrimeField(p)
-    if s == 1:
-        if modulus is not None:
-            raise ValueError("modulus must be omitted for a prime field")
-        return base
-    if modulus is None:
-        raise ValueError("modulus required for s > 1")
-    if modulus.field != base:
-        raise FieldMismatch("modulus must be a polynomial over GF(p)")
-    if modulus.degree != s:
-        raise ValueError(f"modulus degree {modulus.degree} does not match s = {s}")
-    return ExtensionField(base, modulus)
 
 
 def find_irreducible(field: Field, degree: int) -> UniPoly:

@@ -331,12 +331,6 @@ class GradedQuotient:
 # -- operations --------------------------------------------------------------
 
 
-def degree_basis(R: GradedQuotient, d: int):
-    """Standard-monomial basis of [R]_d and the rank of the degree-d slice of I."""
-    data = R.slice(d)
-    return data.std_monomials, data.echelon.rank
-
-
 def hilbert_function(R: GradedQuotient, d: int) -> int:
     return len(R.slice(d).std_monomials)
 
@@ -518,8 +512,11 @@ def closure_quotient_dim(R: GradedQuotient, x: HomogPoly, n: int) -> int:
     """
     nf = R.normal_form_vector(x**n)
     if not np.any(nf) and n > 0:
+        base = x.format(R.var_names)
+        if len(x.terms) > 1:
+            base = f"({base})"
         raise PowerVanishes(
-            f"{x.format(R.var_names)}^{n} = 0 in R: the ring is not reduced "
+            f"{base}^{n} = 0 in R: the ring is not reduced "
             "or the form is not a parameter"
         )
     return hilbert_function(R, n) - 1

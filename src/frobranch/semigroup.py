@@ -2,10 +2,12 @@
 pure-inseparability index, F-nilpotency verdicts and Frobenius-test-exponent
 bounds.
 
-Geometry is exact throughout: integer lattices are handled through Smith
-normal form with verified unimodular transforms, cone facets come from a
-rank-(r-1) subset sweep of the generators, and all arithmetic uses Python
-integers (no wraparound is possible).
+Geometry is exact throughout, and all arithmetic uses Python integers (no
+wraparound is possible).  Each integer matrix M gets one Smith normal form
+U * M * V = D with verified unimodular transforms.  Lattice membership and
+torsion orders are tested by U * v, and the rows of U past the rank are the
+equations of the span of the columns.  Cone facets come from a rank-(r-1)
+subset sweep of the generators, whose kernels are columns of V.
 
 A numerical semigroup (n = 1) is held as its gcd times the Apery list of
 the gcd-reduced generators with respect to the least one: O(1) membership,
@@ -42,7 +44,7 @@ from .errors import (
     DimensionCapExceeded,
     NotFNilpotentRing,
 )
-from .ffield import check_characteristic
+from .ffield import _prime_factors, check_characteristic
 
 Vector = tuple[int, ...]
 
@@ -189,36 +191,27 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> IntMatrixNF:
     return IntMatrixNF([list(map(int, row)) for row in M], U, V, D, rank)
 
 
+def _ub(nf: IntMatrixNF, b: Sequence[int]) -> Optional[list[int]]:
+    """U * b, or None when a coordinate past the rank is nonzero: b is then
+    outside the rational column span, since U * M * V = D is zero in those
+    rows.  Otherwise M * x = b is solvable over Z exactly when each diagonal
+    entry d_i divides (U * b)_i."""
+    ub = [sum(u * x for u, x in zip(row, b)) for row in nf.U]
+    if any(ub[nf.rank:]):
+        return None
+    return ub
+
+
 def solve_integer(nf: IntMatrixNF, b: Sequence[int]) -> Optional[list[int]]:
     """An integer solution x of (original) * x = b, or None."""
-    rows = len(nf.original)
-    cols = len(nf.original[0]) if rows else 0
-    ub = [sum(nf.U[i][k] * b[k] for k in range(rows)) for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        d = nf.D[i][i] if i < min(rows, cols) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-    return [sum(nf.V[i][k] * y[k] for k in range(cols)) for i in range(cols)]
-
-
-def integer_kernel(rows_: Sequence[Vector]) -> list[Vector]:
-    """Primitive integer basis of {x : row . x = 0 for every row}."""
-    if not rows_:
-        raise ValueError("kernel of an empty system is the whole space; handle upstream")
-    n = len(rows_[0])
-    nf = smith_normal_form([list(r) for r in rows_])
-    out = []
-    for j in range(nf.rank, n):
-        col = [nf.V[i][j] for i in range(n)]
-        g = gcd(*col) if any(col) else 1
-        out.append(tuple(c // g for c in col))
-    return out
+    ub = _ub(nf, b)
+    if ub is None:
+        return None
+    d = nf.diagonal()
+    if any(ub[i] % d[i] for i in range(nf.rank)):
+        return None
+    y = [ub[i] // d[i] for i in range(nf.rank)]
+    return [sum(row[i] * y[i] for i in range(nf.rank)) for row in nf.V]
 
 
 # -- affine semigroups -------------------------------------------------------
@@ -272,7 +265,9 @@ class AffineSemigroup:
         return self._lattice_nf
 
     def in_lattice(self, v: Vector) -> bool:
-        return solve_integer(self.lattice_nf(), list(v)) is not None
+        nf = self.lattice_nf()
+        ub = _ub(nf, v)
+        return ub is not None and not any(ub[i] % nf.D[i][i] for i in range(nf.rank))
 
     def in_cone(self, v: Vector) -> bool:
         facets, eqs = cone_geometry(self)
@@ -407,16 +402,19 @@ def cone_geometry(A: AffineSemigroup) -> tuple[list[Vector], list[Vector]]:
         raise DimensionCapExceeded(f"ambient dimension {A.n} exceeds cap {DIMENSION_CAP}")
     gens = A.generators
     n = A.n
-    r = smith_normal_form([list(g) for g in gens]).rank
-    equations = integer_kernel(gens) if r < n else []
+    lattice = A.lattice_nf()
+    r = lattice.rank
+    equations = [tuple(row) for row in lattice.U[r:]]
     facets: list[Vector] = []
     seen_patterns = set()
     for subset in itertools.combinations(range(len(gens)), r - 1):
-        sub = [gens[i] for i in subset]
-        if sub:
-            if smith_normal_form([list(g) for g in sub]).rank != r - 1:
+        if subset:
+            nf = smith_normal_form([list(gens[i]) for i in subset])
+            if nf.rank != r - 1:
                 continue
-            kernel = integer_kernel(sub)
+            # the columns of V past the rank span the kernel of the rows, and
+            # are primitive because V is unimodular
+            kernel = [tuple(row[j] for row in nf.V) for j in range(r - 1, n)]
         else:
             kernel = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
         w = None
@@ -431,28 +429,16 @@ def cone_geometry(A: AffineSemigroup) -> tuple[list[Vector], list[Vector]]:
                 dots = [-d for d in dots]
             else:
                 break
-            g0 = gcd(*[d for d in dots if d]) if any(dots) else 1
+            g0 = gcd(*dots)
             pattern = tuple(d // g0 for d in dots)
             if pattern not in seen_patterns:
                 seen_patterns.add(pattern)
-                gw = gcd(*[x for x in w if x])
-                facets.append(tuple(x // gw for x in w))
+                facets.append(w)
             break
     facets.sort()
     A._facets = facets
     A._equations = equations
     return facets, equations
-
-
-def cone_facets(A: AffineSemigroup) -> list[Vector]:
-    """Irredundant facet inequalities; span equations are folded in as
-    opposite inequality pairs when the cone is not full-dimensional."""
-    facets, eqs = cone_geometry(A)
-    out = list(facets)
-    for w in eqs:
-        out.append(w)
-        out.append(tuple(-x for x in w))
-    return out
 
 
 def _saturation_points(A: AffineSemigroup) -> set[Vector]:
@@ -523,14 +509,16 @@ class PMembership:
 
 
 def _face_lattice(A: AffineSemigroup, a: Vector):
-    """Generators on the minimal face of cone(A) containing a, given by the
-    facets vanishing at a."""
+    """Facets of cone(A) vanishing at a, the generators on the minimal face
+    containing a, and the SNF of the matrix whose columns are those
+    generators (None when there are none)."""
     facets, eqs = cone_geometry(A)
     vanishing = [w for w in facets if _dot(w, a) == 0]
     face_gens = [
         g for g in A.generators if all(_dot(w, g) == 0 for w in vanishing)
     ]
-    return vanishing, face_gens
+    nf = smith_normal_form([[g[i] for g in face_gens] for i in range(A.n)]) if face_gens else None
+    return vanishing, face_gens, nf
 
 
 def eventual_p_membership(
@@ -540,20 +528,23 @@ def eventual_p_membership(
 
     Phase 1 is a lattice obstruction: any N-combination representing
     p^e * a can only use generators on the minimal face containing a, so
-    the order of a modulo the face lattice must be a power of p.  Phase 2
-    searches exponents up to e_max; for n = 1 it runs until the least
-    exponent, which exists: past the p-power order of a modulo the gcd of
-    the generators, p^e * a is a multiple of it and eventually passes the
-    conductor."""
+    the order of a modulo the face lattice must be a power of p; a finite
+    order that is not is checked exactly before the "no" is returned.
+    Phase 2 searches exponents up to e_max; for n = 1 it runs until the
+    least exponent, which exists: past the p-power order of a modulo the
+    gcd of the generators, p^e * a is a multiple of it and eventually
+    passes the conductor."""
     check_characteristic(p)
     v = tuple(int(x) for x in a)
     if len(v) != A.n or any(x < 0 for x in v):
         raise ValueError(f"{list(v)} is not a point of N^{A.n}")
     if v == (0,) * A.n:
         return PMembership("yes", 0)
-    vanishing, face_gens = _face_lattice(A, v)
-    order = _torsion_order(face_gens, v, A.n)
+    vanishing, face_gens, nf = _face_lattice(A, v)
+    order = _torsion_order(nf, v) if nf is not None else None
     if order is None or _has_prime_factor_besides(order, p):
+        if order is not None:
+            _check_order(nf, v, order)
         cert = {
             "vanishing_facets": [list(w) for w in vanishing],
             "face_generators": [list(g) for g in face_gens],
@@ -579,24 +570,29 @@ def _has_prime_factor_besides(order: int, p: int) -> bool:
     return order != 1
 
 
-def _torsion_order(face_gens: list[Vector], a: Vector, n: int) -> Optional[int]:
-    """Order of a in (L + Za)/L for L the lattice of the face generators;
-    None when the order is infinite."""
-    if not face_gens:
+def _torsion_order(nf: IntMatrixNF, a: Vector) -> Optional[int]:
+    """Order of a in (L + Za)/L for L the column lattice of nf; None when
+    the order is infinite."""
+    ua = _ub(nf, a)
+    if ua is None:
         return None
-    mat = [[g[i] for g in face_gens] for i in range(n)]
-    nf = smith_normal_form(mat)
-    rows = n
-    ua = [sum(nf.U[i][k] * a[k] for k in range(rows)) for i in range(rows)]
-    m = 1
-    for i in range(rows):
-        d = nf.D[i][i] if i < min(rows, len(face_gens)) else 0
-        if d == 0:
-            if ua[i] != 0:
-                return None
-        else:
-            m = lcm(m, d // gcd(d, ua[i]) if ua[i] else 1)
-    return m
+    d = nf.diagonal()
+    return lcm(*(d[i] // gcd(d[i], ua[i]) for i in range(nf.rank)))
+
+
+def _check_order(nf: IntMatrixNF, a: Vector, m: int) -> None:
+    """Raise CertificateFailed unless m is the order of a modulo the column
+    lattice L of nf.
+
+    The multiples of a in L are the multiples of its order, so m * a in L
+    and (m / l) * a not in L for every prime l dividing m make m the order.
+    The solution for m * a is multiplied out against the matrix."""
+    x = solve_integer(nf, [m * c for c in a])
+    if x is None or _mat_mul(nf.original, [[c] for c in x]) != [[m * c] for c in a]:
+        raise CertificateFailed(f"{m} * {list(a)} is not in the face lattice")
+    for prime in _prime_factors(m):
+        if solve_integer(nf, [m // prime * c for c in a]) is not None:
+            raise CertificateFailed(f"{list(a)} has order below {m} modulo the face lattice")
 
 
 def verify_no_certificate(

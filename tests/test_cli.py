@@ -169,7 +169,7 @@ def test_vanishing_power_is_refused(capsys):
         ["branches", "--p", "3", "--vars", "x,y", "--rel", "x^2", "--rel", "y^2"], capsys
     )
     assert code == 1 and out == ""
-    assert err == "error: x + y^3 = 0 in R: the ring is not reduced or the form is not a parameter\n"
+    assert err == "error: (x + y)^3 = 0 in R: the ring is not reduced or the form is not a parameter\n"
     assert time.perf_counter() - start < 2
 
 
@@ -262,10 +262,16 @@ def test_extension_reduction_form_golden(args, expected, capsys):
     assert results["consistent"] is True
 
 
-# --format json reports recorded before the saturation box was derived from
-# the generators, kept as compact canonical JSON: the pinched Veronese at
-# p = 2 and p = 3, a (2,2)-vertex-pinched cubic Veronese in 3 variables at
-# p = 2 and a 2-vertex-pinched quadric Veronese in 4 variables at p = 3
+# a cone of rank 2 in three variables, whose span equation enters every
+# cone test
+RANK_TWO = "3: 3,0,3; 0,3,3; 1,2,3"
+
+# --format json reports kept as compact canonical JSON: the pinched Veronese
+# at p = 2 and p = 3, a (2,2)-vertex-pinched cubic Veronese in 3 variables
+# at p = 2 and a 2-vertex-pinched quadric Veronese in 4 variables at p = 3,
+# recorded before the saturation box was derived from the generators; and
+# RANK_TWO at p = 2 and p = 3, recorded before the span equations were read
+# off the lattice's Smith normal form
 GOLDEN_SEMIGROUP_REPORTS = [
     (
         ["--p", "2", "--gens", PINCHED],
@@ -312,6 +318,24 @@ GOLDEN_SEMIGROUP_REPORTS = [
         '"1,0,1,0":{"e":0,"status":"yes"},"1,1,0,0":{"e":0,"status":"yes"},"2,0,0,0":{"e":0,"status":"yes"}},'
         '"verdict":"f-nilpotent","witness":null},"schema_version":"1"}',
     ),
+    (
+        ["--p", "2", "--gens", RANK_TWO],
+        '{"diagnostics":{},"request":{"box_factor":3,"degree_cap":64,"e_max":12,"ext_s":1,'
+        '"gens":"3: 3,0,3; 0,3,3; 1,2,3","mode":"fnilpotent","p":2,"s_max":3},'
+        '"results":{"certificate":null,"e0":1,"hilbert_basis":[[0,3,3],[1,2,3],[2,1,3],[3,0,3]],'
+        '"per_element":{"0,3,3":{"e":0,"status":"yes"},"1,2,3":{"e":0,"status":"yes"},'
+        '"2,1,3":{"e":1,"status":"yes"},"3,0,3":{"e":0,"status":"yes"}},"verdict":"f-nilpotent",'
+        '"witness":null},"schema_version":"1"}',
+    ),
+    (
+        ["--p", "3", "--gens", RANK_TWO],
+        '{"diagnostics":{},"request":{"box_factor":3,"degree_cap":64,"e_max":12,"ext_s":1,'
+        '"gens":"3: 3,0,3; 0,3,3; 1,2,3","mode":"fnilpotent","p":3,"s_max":3},'
+        '"results":{"certificate":null,"e0":1,"hilbert_basis":[[0,3,3],[1,2,3],[2,1,3],[3,0,3]],'
+        '"per_element":{"0,3,3":{"e":0,"status":"yes"},"1,2,3":{"e":0,"status":"yes"},'
+        '"2,1,3":{"e":1,"status":"yes"},"3,0,3":{"e":0,"status":"yes"}},"verdict":"f-nilpotent",'
+        '"witness":null},"schema_version":"1"}',
+    ),
 ]
 
 
@@ -348,3 +372,14 @@ def test_failed_certificate_exit_code(monkeypatch, capsys):
     code, out, err = run_cli(["fnilpotent", "--p", "2", "--gens", PINCHED], capsys)
     assert code == 2 and out == ""
     assert "unimodular" in err
+
+
+@pytest.mark.parametrize("forged", [3, 6])
+def test_forged_torsion_order_exit_code(forged, monkeypatch, capsys):
+    # every torsion order behind a "no" is rechecked by lattice solves, so
+    # a wrong one is an inconsistency, not a verdict; 6 is a multiple of
+    # every true order here, so only the minimality check can refuse it
+    monkeypatch.setattr(semigroup, "_torsion_order", lambda *args: forged)
+    code, out, err = run_cli(["fnilpotent", "--p", "2", "--gens", PINCHED], capsys)
+    assert code == 2 and out == ""
+    assert "face lattice" in err

@@ -10,11 +10,11 @@ from frobranch.errors import (
     ZeroPolynomial,
 )
 from frobranch.ffield import (
+    ExtensionField,
     PrimeField,
     UniPoly,
     distinct_root_count,
     extend_field,
-    field_make,
     find_irreducible,
     frob_root,
     is_irreducible,
@@ -29,11 +29,11 @@ F5 = PrimeField(5)
 
 def gf9():
     # GF(9) = GF(3)[u]/(u^2+1)
-    return field_make(3, 2, UniPoly.from_ints(F3, [1, 0, 1]))
+    return ExtensionField(F3, UniPoly.from_ints(F3, [1, 0, 1]))
 
 
 def test_field_make_prime():
-    assert field_make(3, 1).order == 3
+    assert PrimeField(3).order == 3
 
 
 def generator(F):
@@ -50,13 +50,13 @@ def test_field_make_extension():
 
 def test_field_make_composite_characteristic():
     with pytest.raises(CompositeCharacteristic):
-        field_make(4, 1)
+        PrimeField(4)
 
 
 def test_field_make_reducible_modulus():
     # t^2 + 2 = t^2 - 1 = (t-1)(t+1) over GF(3)
     with pytest.raises(ReducibleModulus):
-        field_make(3, 2, UniPoly.from_ints(F3, [2, 0, 1]))
+        ExtensionField(F3, UniPoly.from_ints(F3, [2, 0, 1]))
 
 
 def test_cross_field_operations_rejected():
@@ -135,7 +135,7 @@ def test_frob_root_gf9_generator():
 
 
 def test_frob_root_cube_identity():
-    for q, make in ((9, gf9), (8, lambda: field_make(2, 3, UniPoly.from_ints(F2, [1, 1, 0, 1])))):
+    for q, make in ((9, gf9), (8, lambda: ExtensionField(F2, UniPoly.from_ints(F2, [1, 1, 0, 1])))):
         F = make()
         for c in range(F.order):
             assert F.pow(frob_root(F, c), F.p) == c

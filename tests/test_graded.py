@@ -14,7 +14,6 @@ from frobranch.graded import (
     base_change,
     branch_count,
     closure_quotient_dim,
-    degree_basis,
     dehomogenize,
     find_linear_reduction,
     frobenius_closure_membership,
@@ -56,22 +55,22 @@ def test_monomial_order_is_grevlex():
 
 def test_degree_basis_circle():
     R = circle_ring(F3)
-    basis, rank = degree_basis(R, 2)
-    assert set(basis) == {(1, 1), (0, 2)}
-    assert rank == 1
+    data = R.slice(2)
+    assert set(data.std_monomials) == {(1, 1), (0, 2)}
+    assert data.echelon.rank == 1
 
 
 def test_degree_basis_degree_zero():
     R = circle_ring(F3)
-    basis, rank = degree_basis(R, 0)
-    assert basis == ((0, 0),) and rank == 0
+    data = R.slice(0)
+    assert data.std_monomials == ((0, 0),) and data.echelon.rank == 0
 
 
 def test_degree_basis_axes():
     R = axes_ring(F2, 3)
-    basis, rank = degree_basis(R, 2)
-    assert set(basis) == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
-    assert rank == 3
+    data = R.slice(2)
+    assert set(data.std_monomials) == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
+    assert data.echelon.rank == 3
 
 
 def test_hilbert_function_sequences():
@@ -401,7 +400,7 @@ def test_degree_one_multiple_lands_in_higher_power():
         HomogPoly(ring.field, ring.nvars, n0 + 1, {m: 1})
         for m in monomials_of_degree(ring.nvars, n0 + 1)
     ]
-    for m in degree_basis(ring, n0)[0]:
+    for m in ring.slice(n0).std_monomials:
         f = HomogPoly(ring.field, ring.nvars, n0, {m: 1})
         for i in range(ring.nvars):
             z = linear_form(ring, [1 if j == i else 0 for j in range(ring.nvars)])

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 
-from frobranch.ffield import PrimeField, UniPoly, extend_field, field_make
+from frobranch.ffield import ExtensionField, PrimeField, UniPoly, extend_field
 from frobranch.linalg import Echelon, kernel_for
 
 
@@ -25,7 +25,7 @@ def test_prime_kernel_roundtrip():
 
 def test_table_kernel_matches_field_arithmetic():
     F3 = PrimeField(3)
-    F9 = field_make(3, 2, UniPoly.from_ints(F3, [1, 0, 1]))
+    F9 = ExtensionField(F3, UniPoly.from_ints(F3, [1, 0, 1]))
     F4 = extend_field(PrimeField(2), 2)
     for field in (F9, F4, extend_field(F4, 2), extend_field(PrimeField(5), 3)):
         _check_kernel(field)
@@ -77,7 +77,7 @@ def test_echelon_rref_shape():
 
 def test_echelon_random_span_membership():
     rng = random.Random(99)
-    for field in (PrimeField(2), PrimeField(13), field_make(2, 2, UniPoly.from_ints(PrimeField(2), [1, 1, 1]))):
+    for field in (PrimeField(2), PrimeField(13), ExtensionField(PrimeField(2), UniPoly.from_ints(PrimeField(2), [1, 1, 1]))):
         k = kernel_for(field)
         q = field.order
         for _ in range(10):

@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 from dataclasses import replace
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from frobranch.semigroup import (
     DEFAULT_E_MAX,
     AffineSemigroup,
     IntMatrixNF,
-    cone_facets,
     cone_geometry,
     eventual_p_membership,
     frobenius_closure_exponent,
@@ -34,6 +33,7 @@ from frobranch.semigroup import (
     verify_no_certificate,
     weak_normalization,
 )
+from frobranch import semigroup
 
 PINCHED_VERONESE = AffineSemigroup([(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2)])
 
@@ -98,6 +98,120 @@ def test_solve_integer():
     nf = smith_normal_form([[2, 0], [0, 3]])
     assert solve_integer(nf, [4, 9]) == [2, 3]
     assert solve_integer(nf, [1, 0]) is None
+
+
+# -- integer lattices ---------------------------------------------------------
+
+
+def _leibniz_det(m):
+    """Determinant by permutation expansion, independent of Smith normal form."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(len(m)))
+    return total
+
+
+def _minors(cols, r, extra=None):
+    """The r x r minors of the matrix with these columns; with extra, only
+    the minors that use the column extra."""
+    if extra is None:
+        picks = list(itertools.combinations(cols, r))
+    else:
+        picks = [c + (extra,) for c in itertools.combinations(cols, r - 1)]
+    return [
+        _leibniz_det([[c[i] for c in cs] for i in rows])
+        for rows in itertools.combinations(range(len(cols[0])), r)
+        for cs in picks
+    ]
+
+
+def _minor_rank(cols):
+    """Rank of the matrix with these columns and the gcd of its minors of
+    that size."""
+    for r in range(min(len(cols[0]), len(cols)), 0, -1):
+        minors = _minors(cols, r)
+        if any(minors):
+            return r, gcd(*minors)
+    return 0, 0
+
+
+def _lattice_oracle(cols, r, g, v):
+    """Least m >= 1 with m * v in the column lattice L of M, or None when no
+    multiple of v is in L.  v is in L exactly when M and [M | v] have equal
+    rank and equal gcd of maximal minors; the minors of [M | m*v] that use
+    the last column are m times those of [M | v]."""
+    if r < len(v) and any(_minors(cols, r + 1, v)):
+        return None
+    h = gcd(*_minors(cols, r, v))
+    return next((m for m in range(1, 1001) if m * h % g == 0), None)
+
+
+def _random_generators(rng):
+    """Generators in N^n, n <= 4, k <= 8; some span a proper subspace, some
+    a lattice that is not saturated."""
+    n = rng.randint(1, 4)
+    k = rng.randint(1, 8)
+    gens = [[rng.randint(0, 5) for _ in range(n)] for _ in range(k)]
+    shape = rng.randrange(4)
+    if shape == 1 and n > 1:
+        # rank deficient: the last coordinate repeats the sum of the others
+        gens = [g[:-1] + [sum(g[:-1])] for g in gens]
+    elif shape == 2:
+        # not saturated: every generator is a multiple of a common factor
+        c = rng.randint(2, 3)
+        gens = [[c * x for x in g] for g in gens]
+    if not any(any(g) for g in gens):
+        gens[0][0] = 1
+    return gens
+
+
+def test_lattice_questions_match_a_minor_oracle():
+    rng = random.Random(41)
+    deficient = unsaturated = 0
+    for _ in range(200):
+        A = AffineSemigroup(_random_generators(rng))
+        n, cols = A.n, A.generators
+        r, g = _minor_rank(cols)
+        nf = A.lattice_nf()
+        assert nf.rank == r
+        deficient += r < n
+        unsaturated += g > 1
+        eqs = cone_geometry(A)[1]
+        assert len(eqs) == n - r
+        assert all(sum(w[i] * c[i] for i in range(n)) == 0 for w in eqs for c in cols)
+        for _ in range(6):
+            if rng.random() < 0.5:
+                coeffs = [rng.randint(-3, 3) for _ in cols]
+                v = tuple(sum(a * c[i] for a, c in zip(coeffs, cols)) for i in range(n))
+                if rng.random() < 0.5:
+                    v = tuple(x + rng.randint(-1, 1) for x in v)
+            else:
+                v = tuple(rng.randint(-6, 6) for _ in range(n))
+            order = _lattice_oracle(cols, r, g, v)
+            assert A.in_lattice(v) == (order == 1), (cols, v)
+            x = solve_integer(nf, v)
+            assert (x is not None) == (order == 1), (cols, v)
+            if x is not None:
+                assert [sum(a * c[i] for a, c in zip(x, cols)) for i in range(n)] == list(v)
+            assert semigroup._torsion_order(nf, v) == order, (cols, v)
+    assert deficient > 20 and unsaturated > 20
+
+
+def test_lattice_membership_is_fast_on_many_generators():
+    rng = random.Random(5)
+    gens = set()
+    while len(gens) < 60:
+        g = tuple(rng.randint(0, 4) for _ in range(4))
+        if any(g):
+            gens.add(g)
+    A = AffineSemigroup(gens)
+    A.lattice_nf()
+    points = [tuple(rng.randint(0, 40) for _ in range(4)) for _ in range(20_000)]
+    start = time.perf_counter()
+    for v in points:
+        A.in_lattice(v)
+    assert time.perf_counter() - start < 1
 
 
 # -- membership ---------------------------------------------------------------
@@ -201,29 +315,30 @@ def test_numerical_saturation_needs_no_generator_sized_table():
 
 
 def test_cone_facets_ray():
-    assert cone_facets(AffineSemigroup([(2,), (3,)])) == [(1,)]
+    assert cone_geometry(AffineSemigroup([(2,), (3,)])) == ([(1,)], [])
 
 
 def test_cone_facets_pinched_veronese():
-    assert sorted(cone_facets(PINCHED_VERONESE)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert cone_geometry(PINCHED_VERONESE) == ([(0, 0, 1), (0, 1, 0), (1, 0, 0)], [])
 
 
 def test_cone_facets_two_rays():
-    facets = cone_facets(AffineSemigroup([(1, 0), (1, 2)]))
-    assert sorted(facets) == [(0, 1), (2, -1)]
+    assert cone_geometry(AffineSemigroup([(1, 0), (1, 2)])) == ([(0, 1), (2, -1)], [])
 
 
 def test_cone_facets_lower_dimensional_cone():
-    # a single ray in the plane: facets include the span equations
-    facets = cone_facets(AffineSemigroup([(1, 1)]))
+    # a single ray in the plane: one span equation cuts out its line
+    facets, eqs = cone_geometry(AffineSemigroup([(1, 1)]))
+    assert len(eqs) == 1
     for g in ((1, 1), (3, 3)):
         assert all(sum(w[i] * g[i] for i in range(2)) >= 0 for w in facets)
-    assert any(sum(w[i] * (2, 1)[i] for i in range(2)) < 0 for w in facets)
+        assert all(sum(w[i] * g[i] for i in range(2)) == 0 for w in eqs)
+    assert any(sum(w[i] * (2, 1)[i] for i in range(2)) != 0 for w in eqs)
 
 
 def test_cone_facets_dimension_cap():
     with pytest.raises(DimensionCapExceeded):
-        cone_facets(AffineSemigroup([(1, 0, 0, 0, 0)]))
+        cone_geometry(AffineSemigroup([(1, 0, 0, 0, 0)]))
 
 
 # -- saturation ---------------------------------------------------------------
@@ -358,6 +473,13 @@ def test_eventual_p_membership_no_certificate():
     assert cert["torsion_order"] == 2
     assert [1, 0, 0] in cert["vanishing_facets"]
     assert verify_no_certificate(PINCHED_VERONESE, (0, 1, 1), 3, cert)
+
+
+def test_forged_torsion_order_not_in_the_lattice(monkeypatch):
+    # (0,1,1) has order 2 modulo its face lattice, so 3 * (0,1,1) is not in it
+    monkeypatch.setattr(semigroup, "_torsion_order", lambda *args: 3)
+    with pytest.raises(CertificateFailed, match="is not in the face lattice"):
+        eventual_p_membership(PINCHED_VERONESE, (0, 1, 1), 2)
 
 
 def test_eventual_p_membership_outside_n_terminates():
@@ -521,7 +643,7 @@ def test_numerical_semigroups_always_f_nilpotent():
     rng = random.Random(41)
     for _ in range(25):
         gens = sorted({rng.randint(2, 30) for _ in range(rng.randint(2, 4))})
-        from math import gcd
+        from math import gcd, prod
         if gcd(*gens) != 1:
             gens.append(gens[-1] + 1)  # force gcd 1
         A = AffineSemigroup([(g,) for g in gens])
