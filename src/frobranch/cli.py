@@ -2,8 +2,14 @@
 
 Subcommands: branches, hypersurface, fnilpotent, fte, tight-member.
 Reports come out as readable text or canonical JSON (sorted keys, schema
-version "1"); identical requests produce byte-identical reports.  Exit
-codes: 0 success, 1 input error, 2 mathematical inconsistency (the
+version "1"); identical requests produce byte-identical reports.
+
+`--config FILE` reads the request as CLI tokens from a file; it must be
+the only argument, and the file may not name another `--config`.
+Numeric options must satisfy --ext-s >= 1, --s-max >= 1 and --e-max >= 0,
+and the --vars names must be distinct identifiers.
+
+Exit codes: 0 success, 1 input error, 2 mathematical inconsistency (the
 closure formula disagreeing with an oracle, or a certificate failing its
 own check).
 """
@@ -15,6 +21,7 @@ import json
 import shlex
 import sys
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from typing import Optional, Sequence
 
 from .errors import CertificateFailed, FrobranchError
@@ -36,7 +43,7 @@ EXIT_INPUT_ERROR = 1
 EXIT_INCONSISTENT = 2
 
 
-class _CliInputError(Exception):
+class _CliInputError(FrobranchError):
     pass
 
 
@@ -95,7 +102,9 @@ class AnalysisReport:
         }
 
 
-def _build_parser() -> _Parser:
+@cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and reused by every request."""
     parser = _Parser(prog="frobranch", description=__doc__)
     parser.add_argument("--config", help="read the request as CLI tokens from a file")
     sub = parser.add_subparsers(dest="mode")
@@ -134,22 +143,40 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_config(path: str) -> list[str]:
+    try:
+        with open(path) as fh:
+            return shlex.split(fh.read(), comments=True)
+    except (OSError, ValueError) as exc:
+        raise _CliInputError(f"cannot read --config file: {exc}") from None
+
+
+# (flag, namespace attribute, least valid value)
+_LEAST = (("--ext-s", "ext_s", 1), ("--e-max", "e_max", 0), ("--s-max", "s_max", 1))
+
+
 def parse_request(argv: Sequence[str]) -> AnalysisRequest:
-    parser = _build_parser()
-    ns, _ = parser.parse_known_args(list(argv)) if "--config" in argv else (None, None)
-    if ns is not None and ns.config:
-        with open(ns.config) as fh:
-            tokens = shlex.split(fh.read(), comments=True)
-        return parse_request(tokens)
-    ns = parser.parse_args(list(argv))
+    ns = _parser().parse_args(list(argv))
+    if ns.config is not None:
+        if ns.mode is not None:
+            raise _CliInputError("--config must be the only argument")
+        ns = _parser().parse_args(_read_config(ns.config))
+        if ns.config is not None:
+            raise _CliInputError("a --config file cannot name another --config")
     if ns.mode is None:
         raise _CliInputError("a subcommand is required (branches, hypersurface, fnilpotent, fte, tight-member)")
     check_characteristic(ns.p)
+    for flag, attr, least in _LEAST:
+        if getattr(ns, attr) < least:
+            raise _CliInputError(f"{flag} must be >= {least}, got {getattr(ns, attr)}")
     var_names: tuple[str, ...] = ()
     if getattr(ns, "vars", None):
         var_names = tuple(v.strip() for v in ns.vars.split(","))
         if any(not v.isidentifier() for v in var_names):
             raise _CliInputError(f"invalid variable list {ns.vars!r}")
+        repeated = next((v for i, v in enumerate(var_names) if v in var_names[:i]), None)
+        if repeated is not None:
+            raise _CliInputError(f"variable {repeated!r} is repeated in --vars {ns.vars!r}")
     return AnalysisRequest(
         mode=ns.mode,
         p=ns.p,
@@ -303,26 +330,12 @@ def render(report: AnalysisReport, output_format: str) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        req = parse_request(argv)
-    except _CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except FrobranchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
+        req = parse_request(sys.argv[1:] if argv is None else argv)
         report = run(req)
-    except _CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except CertificateFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
     except (FrobranchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return EXIT_INCONSISTENT if isinstance(exc, CertificateFailed) else EXIT_INPUT_ERROR
     sys.stdout.write(render(report, req.output_format))
     return report.exit_code
 

@@ -526,9 +526,9 @@ def reducedness_status(R: GradedQuotient) -> str:
     """Partial reducedness verification.
 
     Monomial ideals are checked via squarefreeness of the minimal
-    generators; a single relation in two variables via squarefree
-    decomposition of both dehomogenizations.  Everything else is reported
-    unverified.
+    generators; a single relation in two variables via one squarefree
+    decomposition (see _is_squarefree_binary).  Everything else is
+    reported unverified.
     """
     rels = R.relations
     if not rels:
@@ -562,13 +562,14 @@ def dehomogenize(f: HomogPoly, at: int) -> UniPoly:
 
 
 def _is_squarefree_binary(f: HomogPoly) -> bool:
-    if f.is_zero():
+    """Write f = x^a * h with x not dividing h.  Over the algebraic closure h
+    is a product of linear forms b*x + c*y with c != 0, and h(1, t) = f(1, t)
+    has the root -b/c for each, so f is squarefree exactly when a <= 1 and
+    f(1, t) is: one squarefree decomposition decides."""
+    if f.is_zero() or min(m[0] for m in f.terms) > 1:
         return False
-    for at in (0, 1):
-        g = dehomogenize(f, at)
-        if g.degree >= 1 and any(m > 1 for _, m in squarefree_decomposition(g)):
-            return False
-    return True
+    g = dehomogenize(f, at=0)
+    return g.degree < 1 or all(m == 1 for _, m in squarefree_decomposition(g))
 
 
 def branch_count(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> BranchReport:

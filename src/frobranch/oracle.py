@@ -42,22 +42,12 @@ class HypersurfaceCurve:
 def hypersurface_branches(curve: HypersurfaceCurve) -> int:
     """Distinct projective zeros of f over the algebraic closure.
 
-    Divide out the x-power (at most one by squarefreeness), count the
-    distinct affine roots of the dehomogenization at x=1, and add one for
-    the point at infinity when x divides f.
+    These are the distinct roots of f(1, t), plus the point at infinity
+    [0:1] when x divides f (at most once, f being squarefree).
     """
-    f = curve.f
-    x_mult = min(m[0] for m in f.terms)
-    if x_mult > 1:
-        raise NotSquarefree("x divides the form more than once")
-    if x_mult == 1:
-        f = HomogPoly(
-            f.field, 2, f.degree - 1,
-            {(m[0] - 1, m[1]): c for m, c in f.terms.items()},
-        )
-    g = dehomogenize(f, at=0)
+    g = dehomogenize(curve.f, at=0)
     count = distinct_root_count(g) if g.degree >= 1 else 0
-    return count + x_mult
+    return count + min(m[0] for m in curve.f.terms)
 
 
 def axes_branches(d: int) -> int:
@@ -110,8 +100,12 @@ def oracle_branch_count(R: GradedQuotient) -> Optional[int]:
     d = _match_axes(R)
     if d is not None:
         return axes_branches(d)
-    if R.nvars == 2 and len(R.relations) == 1 and _is_squarefree_binary(R.relations[0]):
-        return hypersurface_branches(HypersurfaceCurve(R.field, R.relations[0]))
+    if R.nvars == 2 and len(R.relations) == 1:
+        try:
+            curve = HypersurfaceCurve(R.field, R.relations[0])
+        except NotSquarefree:
+            return None
+        return hypersurface_branches(curve)
     return None
 
 

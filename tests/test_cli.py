@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from frobranch import cli, graded, oracle, semigroup
+from frobranch import cli, ffield, graded, oracle, semigroup
 
 PINCHED = "3: 2,0,0; 1,1,0; 1,0,1; 0,2,0; 0,0,2"
 
@@ -383,3 +383,91 @@ def test_forged_torsion_order_exit_code(forged, monkeypatch, capsys):
     code, out, err = run_cli(["fnilpotent", "--p", "2", "--gens", PINCHED], capsys)
     assert code == 2 and out == ""
     assert "face lattice" in err
+
+
+_BAD_CONFIGS = {
+    # case: (file text or None for no file, tokens after the file, error text)
+    "missing file": (None, [], "cannot read --config file"),
+    "unbalanced quote": ("branches --p 3 --vars x,y --rel 'x^2+y^2\n", [], "cannot read --config file"),
+    "nested --config": ("--config {cfg}\n", [], "cannot name another --config"),
+    "tokens after the file": (
+        "branches --p 3 --vars x,y --rel x^2+y^2\n",
+        ["branches", "--p", "5", "--vars", "x,y", "--rel", "x*y"],
+        "--config must be the only argument",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
+def test_bad_config_is_input_error(case, tmp_path, capsys):
+    text, after, message = _BAD_CONFIGS[case]
+    cfg = tmp_path / "request.cfg"
+    if text is not None:
+        cfg.write_text(text.format(cfg=cfg))
+    start = time.perf_counter()
+    code, out, err = run_cli(["--config", str(cfg)] + after, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert time.perf_counter() - start < 2
+
+
+def test_repeated_variable_is_input_error(capsys):
+    # every x was read as the second variable, so the non-reduced ring
+    # k[x1,x2]/(x2^2) got a confident branches_formula: 2
+    code, out, err = run_cli(["branches", "--p", "3", "--vars", "x,x", "--rel", "x^2+x*x"], capsys)
+    assert code == 1 and out == ""
+    assert "variable 'x' is repeated" in err
+
+
+@pytest.mark.parametrize(
+    "mode, flag, value, least",
+    [("fnilpotent", "--e-max", -3, 0), ("branches", "--s-max", 0, 1), ("branches", "--ext-s", 0, 1)],
+)
+def test_out_of_range_numeric_option_is_input_error(mode, flag, value, least, capsys):
+    # --e-max -3 was echoed as e: -3 for every basis element, --s-max 0 and
+    # --ext-s 0 failed later with messages about the search or the field
+    code, out, err = run_cli([mode, "--p", "2", flag, str(value)] + _MODE_ARGS[mode], capsys)
+    assert code == 1 and out == ""
+    assert f"{flag} must be >= {least}, got {value}" in err
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    # every subcommand parser is a _Parser too; only the top-level one
+    # (prog "frobranch") stands for a whole argument tree
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for _ in range(200):
+        cli.parse_request(["branches", "--p", "3", "--vars", "x,y", "--rel", "x^2+y^2"])
+    assert built.count("frobranch") <= 1
+
+
+def test_reused_parser_keeps_no_state_between_requests():
+    first = cli.parse_request(["branches", "--p", "3", "--vars", "x,y", "--rel", "x^2+y^2"])
+    second = cli.parse_request(["branches", "--p", "3", "--vars", "x,y", "--rel", "x*y"])
+    assert first.relations == ("x^2+y^2",)
+    assert second.relations == ("x*y",)
+
+
+def test_plane_curve_request_decomposes_at_most_three_times(monkeypatch, capsys):
+    # one squarefree verdict for the oracle's curve, one root count and one
+    # for the reducedness diagnostic
+    calls = []
+    original = ffield.squarefree_decomposition
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    for module in (ffield, graded):
+        monkeypatch.setattr(module, "squarefree_decomposition", counting)
+    # x*(x^2 + y^2) = x*(x + 2y)*(x - 2y) over GF(5), with the point at infinity
+    code, out, _ = run_cli(["branches", "--p", "5", "--vars", "x,y", "--rel", "x^3+x*y^2"], capsys)
+    assert code == 0
+    assert "result.oracle_branches: 3" in out and "diag.reducedness: verified-squarefree" in out
+    assert len(calls) <= 3

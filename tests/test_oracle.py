@@ -114,3 +114,29 @@ def test_random_squarefree_agreement_small_sample():
         res = crosscheck(R)
         assert res.status == "match", (p, f)
         checked += 1
+
+
+def test_squarefree_verdict_matches_both_dehomogenizations():
+    # the one-decomposition verdict against the two-sided rule, with gcd(g, g')
+    # computed by sympy over GF(p): f is squarefree exactly when f(1, t) and
+    # f(t, 1) are
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        d = rng.randint(1, 6)
+        terms = {(d - i, i): rng.randrange(p) for i in range(d + 1)}
+        terms = {m: c for m, c in terms.items() if c}
+        if not terms:
+            continue
+        f = HomogPoly.from_ints(PrimeField(p), 2, terms)
+        expected = True
+        for at in (0, 1):
+            g = sympy.Poly(sum(c * t ** m[1 - at] for m, c in terms.items()), t, modulus=p)
+            if g.degree() >= 1 and sympy.gcd(g, g.diff(t)).degree() >= 1:
+                expected = False
+        assert _is_squarefree_binary(f) == expected, (p, terms)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
