@@ -227,7 +227,7 @@ def _run_hypersurface(req: AnalysisRequest) -> AnalysisReport:
         raise _CliInputError("hypersurface needs exactly one --rel")
     field = _make_field(req)
     f = parse_homog(req.relations[0], field, req.var_names)
-    curve = HypersurfaceCurve(field, f)
+    curve = HypersurfaceCurve(field, f, req.var_names)
     return AnalysisReport(req.echo(), {"branches": hypersurface_branches(curve)})
 
 

@@ -37,9 +37,10 @@ from .errors import (
 MAX_PRIME = 2**31
 MAX_EXTENSION_DEGREE = 8
 
-# Extension fields keep exp/log lists and dense q x q tables for linear
-# algebra, so they are limited to this order (prime fields of any size
-# below MAX_PRIME are fine).
+# Extension fields walk all q powers of a primitive element into exp/log
+# lists, and linear algebra keeps a q x s x s stack of scalar matrices, so
+# they are limited to this order (prime fields of any size below MAX_PRIME
+# are fine: they need neither).
 MAX_TABLE_ORDER = 4096
 
 

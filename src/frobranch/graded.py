@@ -34,10 +34,10 @@ Monomial = tuple  # exponent vector, one entry per variable
 
 DEFAULT_DEGREE_CAP = 64
 DEFAULT_S_MAX = 3
-# A degree-d slice holds a dense echelon of up to C x C int64 codes (about
-# 8*C^2 bytes, 18 MB at the cap), and its elimination grows faster still:
-# on a 2-vCPU Xeon, the degree-6 and degree-7 slices of a monomial ideal in
-# 8 variables (1716 and 3432 columns) took about 1 s and 5 s.
+# A degree-d slice over GF(p^s) holds a dense echelon of up to C x s x C
+# int64 digits (8*s*C^2 bytes: 18 MB at the cap for s = 1, 144 MB for s = 8),
+# and its elimination grows faster still: on a 2-vCPU Xeon, the degree-6
+# slice of a monomial ideal in 8 variables (1716 columns) took about 0.5 s.
 SLICE_COLUMN_CAP = 1500
 
 
@@ -426,18 +426,28 @@ def is_linear_reduction(R: GradedQuotient, x: HomogPoly, d: int) -> bool:
     return image.rank == len(target.columns)
 
 
+def _lazy_product(values: range, n: int):
+    """itertools.product(values, repeat=n) in the same order, without
+    materialising values: a range of 2^31 codes does not fit in memory."""
+    if n == 0:
+        yield ()
+        return
+    for head in values:
+        for tail in _lazy_product(values, n - 1):
+            yield (head,) + tail
+
+
 def _first_reduction(R: GradedQuotient, d: int, s_max: int) -> Optional[ReductionResult]:
     """The first candidate x over GF(q^s), s = 1..s_max in turn, with
     x*[R]_{d-1} = [R]_d."""
     for s in range(1, s_max + 1):
         ring = R if s == 1 else base_change(R, s)
-        nonzero = range(1, ring.field.order)
+        q = ring.field.order
         # forms with no zero coordinate are the generic ones and come
         # first; the remaining nonzero forms follow in product order
         candidates = itertools.chain(
-            itertools.product(nonzero, repeat=ring.nvars),
-            (c for c in itertools.product(range(ring.field.order), repeat=ring.nvars)
-             if any(c) and not all(c)),
+            _lazy_product(range(1, q), ring.nvars),
+            (c for c in _lazy_product(range(q), ring.nvars) if any(c) and not all(c)),
         )
         for combo in candidates:
             x = linear_form(ring, combo)

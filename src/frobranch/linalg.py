@@ -1,11 +1,11 @@
-"""Dense exact row reduction over finite fields.
+"""Dense exact row reduction over finite fields, on GF(p) digit planes.
 
-Vectors are numpy integer arrays of element codes (see ffield).  Prime
-fields use int64 modular arithmetic directly; extension fields (order <=
-4096) use int16 q x q addition and multiplication tables indexed by code,
-so elimination stays vectorized.  The tables are derived with numpy from
-the codes' GF(p) digits and the field's exp/log lists, never by q^2
-scalar products.
+Vectors are numpy int64 arrays of element codes (see ffield).  A code of
+GF(p^s) is the base-p expansion of its GF(p)-coordinates, so C codes form
+an s x C digit plane over GF(p), and a scalar c acts as the s x s
+GF(p)-matrix M_c whose column j holds the digits of c * p^j (for GF(p),
+s = 1 and M_c is c itself).  Every linear combination of rows is then an
+int64 matrix product modulo p, in chunks small enough that no sum overflows.
 """
 
 from __future__ import annotations
@@ -19,52 +19,47 @@ from .ffield import Field
 
 @lru_cache(maxsize=None)
 def kernel_for(field: Field) -> "Kernel":
-    """The vectorized arithmetic of a field, built once per field."""
+    """The digit-plane arithmetic of a field, built once per field."""
     return Kernel(field)
 
 
 class Kernel:
-    """Vectorized field arithmetic on arrays of codes."""
+    """Scalar matrices and digit planes of a field's codes."""
 
     def __init__(self, field: Field):
         self.field = field
-        self.p = p = field.p
-        self.prime = field.degree == 1
-        if self.prime:
-            return
-        q = field.order
-        # int16 quarters the q x q tables: codes stay below MAX_TABLE_ORDER
-        # = 4096 < 2^15, and sums of two logarithms below 8190
-        codes = np.arange(q, dtype=np.int16)
-        # sums and negatives act digit by digit on the GF(p)-coordinates
-        add = np.zeros((q, q), dtype=np.int16)
-        neg = np.zeros(q, dtype=np.int16)
-        for i in range(field.degree):
-            digit = codes // p**i % p
-            term = digit[:, None] + digit[None, :]
-            term %= p
-            term *= p**i
-            add += term
-            neg += -digit % p * p**i
-        del term  # one q x q temporary fewer while the product table is built
-        # products add logarithms; row and column 0 stay zero
-        log = np.asarray(field.log, dtype=np.int16)
-        mul = np.asarray(field.exp, dtype=np.int16)[log[:, None] + log[None, :]]
-        mul[0, :] = 0
-        mul[:, 0] = 0
-        self._add = add
-        self._neg = neg
-        self._mul = mul
+        p = field.p
+        self.s = s = field.degree
+        # a 0-d array is numpy's cheapest right operand for % on small planes
+        self.p = np.array(p, dtype=np.int64)
+        # a sum of `step` products below (p-1)^2 stays below 2^62, exact in
+        # int64; p < 2^31 gives step >= 1, and s <= step for every field
+        self.step = 2**62 // (p - 1) ** 2
+        if s > 1:
+            self._powers = p ** np.arange(s, dtype=np.int64)
+            images = np.array([[field.mul(c, pj) for pj in self._powers.tolist()]
+                               for c in range(field.order)])
+            # M[c, i, j] = digit i of c * p^j, so column 0 holds c's digits
+            self._mats = images[:, None, :] // self._powers[:, None] % p
+            self._digits = np.ascontiguousarray(self._mats[:, :, 0].T)
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.prime else self._add[a, b]
+    def matrices(self, codes: np.ndarray) -> np.ndarray:
+        """M_c for a numpy code c, or the stacked M_c of an array of codes."""
+        if self.s == 1:
+            return codes[..., None, None]
+        return self._mats.take(codes, axis=0)
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.prime else self._add[a, self._neg[b]]
+    def digits(self, vec: np.ndarray) -> np.ndarray:
+        """The s x C digit plane of a vector of C codes."""
+        if self.s == 1:
+            return vec.reshape(1, -1)
+        return self._digits.take(vec, axis=1)
 
-    def scalar_mul(self, c, v):
-        """c * v for a scalar code c and a vector of codes v."""
-        return (int(c) * v) % self.p if self.prime else self._mul[int(c), v]
+    def codes(self, plane: np.ndarray) -> np.ndarray:
+        """The codes of an s x C digit plane (inverse of digits)."""
+        if self.s == 1:
+            return plane.reshape(-1)
+        return self._powers.dot(plane)
 
 
 class Echelon:
@@ -72,66 +67,70 @@ class Echelon:
 
     Rows are added one at a time; the structure maintains unit pivots and
     zeros above and below each pivot, so normal forms are a single sweep.
+    The rows are digit planes kept in insertion order in one
+    ncols x s x ncols array, with their pivot columns alongside.
     """
 
     def __init__(self, kernel: Kernel, ncols: int):
         self.kernel = kernel
         self.ncols = ncols
-        self.pivots: list[int] = []
-        self.rows: list[np.ndarray] = []
+        self.rank = 0
+        # room for every row the rank allows; rows beyond the rank are
+        # never read, and their pages are never written
+        self._rows = np.empty((ncols, kernel.s, ncols), dtype=np.int64)
+        self._pivots = np.empty(ncols, dtype=np.int64)
 
     @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def pivots(self) -> list[int]:
+        """Pivot columns, ascending."""
+        return sorted(self._pivots[:self.rank].tolist())
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         """Normal form of vec modulo the current row span.
 
         RREF rows vanish at each other's pivot columns, so the reduction
-        coefficients are just vec at the pivot positions and the rows can
-        be subtracted independently.
+        coefficients are just vec at the pivot positions, and the rows
+        with a nonzero one are subtracted in one matrix product.
         """
-        k = self.kernel
-        if not self.pivots:
+        coeffs = vec.take(self._pivots[:self.rank])
+        nz = coeffs.nonzero()[0]
+        if not nz.size:
             return vec.copy()
-        coeffs = vec[np.asarray(self.pivots)]
-        nz = np.nonzero(coeffs)[0]
-        if nz.size == 0:
-            return vec.copy()
-        if k.prime and (k.p - 1) ** 2 * (nz.size + 1) < 2**62:
-            mat = np.stack([self.rows[i] for i in nz])
-            return (vec - coeffs[nz] @ mat) % k.p
-        v = vec.copy()
-        for i in nz:
-            v = k.sub(v, k.scalar_mul(int(coeffs[i]), self.rows[i]))
-        return v
+        k, terms = self.kernel, nz.size * self.kernel.s
+        left = k.matrices(coeffs.take(nz)).transpose(1, 0, 2).reshape(k.s, terms)
+        right = self._rows.take(nz, axis=0).reshape(terms, -1)
+        plane = k.digits(vec)
+        for i in range(0, terms, k.step):
+            plane = (plane - left[:, i:i + k.step].dot(right[i:i + k.step])) % k.p
+        return k.codes(plane)
 
     def add_row(self, vec: np.ndarray) -> bool:
         """Insert a row; returns True if it increased the rank."""
         k = self.kernel
         v = self.reduce(vec)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
+        nz = v.nonzero()[0]
+        if not nz.size:
             return False
         piv = int(nz[0])
-        v = k.scalar_mul(k.field.inv(int(v[piv])), v)
-        # keep RREF: clear the new pivot column in existing rows
-        for i, row in enumerate(self.rows):
-            c = int(row[piv])
-            if c:
-                self.rows[i] = k.sub(row, k.scalar_mul(c, v))
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < piv:
-            idx += 1
-        self.pivots.insert(idx, piv)
-        self.rows.insert(idx, v)
+        plane = k.matrices(np.int64(k.field.inv(int(v[piv])))).dot(k.digits(v)) % k.p
+        # keep RREF: clear the new pivot column in every stored row at once
+        r = self.rank
+        col = k.codes(self._rows[:r, :, piv].T)
+        hit = col.nonzero()[0]
+        if hit.size:
+            update = k.matrices(col.take(hit)).dot(plane)
+            self._rows[hit] = (self._rows.take(hit, axis=0) - update) % k.p
+        self._rows[r] = plane
+        self._pivots[r] = piv
+        self.rank = r + 1
         return True
 
     def contains(self, vec: np.ndarray) -> bool:
-        return not np.any(self.reduce(vec))
+        return not self.reduce(vec).any()
 
     def clone(self) -> "Echelon":
         out = Echelon(self.kernel, self.ncols)
-        out.pivots = list(self.pivots)
-        out.rows = [r.copy() for r in self.rows]
+        r = out.rank = self.rank
+        out._rows[:r] = self._rows[:r]
+        out._pivots[:r] = self._pivots[:r]
         return out

@@ -10,7 +10,7 @@ oracles validating the closure-quotient formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import NotSquarefree
 from .ffield import Field, distinct_root_count
@@ -31,12 +31,13 @@ class HypersurfaceCurve:
 
     field: Field
     f: HomogPoly
+    var_names: Sequence[str] = ("x", "y")  # how messages name the variables
 
     def __post_init__(self):
         if self.f.nvars != 2 or self.f.field != self.field:
             raise ValueError("hypersurface oracle needs a form in two variables")
         if not _is_squarefree_binary(self.f):
-            raise NotSquarefree(f"{self.f} has a repeated factor")
+            raise NotSquarefree(f"{self.f.format(self.var_names)} has a repeated factor")
 
 
 def hypersurface_branches(curve: HypersurfaceCurve) -> int:

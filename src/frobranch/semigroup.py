@@ -785,6 +785,9 @@ def fte_bruteforce(
     gens = sorted(int(v[0] if isinstance(v, (tuple, list)) else v) for v in ideal)
     if not gens:
         raise ValueError("ideal must have at least one generator")
+    for v in gens:
+        if not membership(A, (v,)):
+            raise ValueError(f"ideal generator {(v,)} is not in the semigroup")
     frob = frobenius_number(A)
     e0 = report.e0
     if e_cap is None:

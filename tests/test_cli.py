@@ -471,3 +471,36 @@ def test_plane_curve_request_decomposes_at_most_three_times(monkeypatch, capsys)
     assert code == 0
     assert "result.oracle_branches: 3" in out and "diag.reducedness: verified-squarefree" in out
     assert len(calls) <= 3
+
+
+@pytest.mark.parametrize(
+    "rels, branches",
+    [(["x*y"], 2), (["x^2-5*y*z", "y^2-7*x*z"], 4)],
+)
+def test_largest_prime_is_answered(rels, branches, capsys):
+    # the reduction search materialised range(1, p) and raised MemoryError
+    names = "x,y" if len(rels) == 1 else "x,y,z"
+    args = ["branches", "--p", "2147483647", "--vars", names, "--format", "json"]
+    for rel in rels:
+        args += ["--rel", rel]
+    start = time.perf_counter()
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["branches_formula"] == branches
+    assert time.perf_counter() - start < 2
+
+
+def test_fte_refuses_ideal_outside_the_semigroup(capsys):
+    # 1 is a gap of <2,3>; fte answered "fte: 1" where tight-member refuses
+    for mode, extra in (("fte", []), ("tight-member", ["--element", "4"])):
+        code, out, err = run_cli([mode, "--p", "2", "--gens", "2,3", "--ideal", "1"] + extra, capsys)
+        assert code == 1 and out == ""
+        assert "ideal generator (1,) is not in the semigroup" in err
+
+
+def test_repeated_factor_is_named_in_the_request_variables(capsys):
+    code, out, err = run_cli(["hypersurface", "--p", "3", "--rel", "x^2*y"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: x^2*y has a repeated factor\n"
+    code, out, err = run_cli(["hypersurface", "--p", "3", "--vars", "u,v", "--rel", "u*v^2"], capsys)
+    assert code == 1 and err == "error: u*v^2 has a repeated factor\n"

@@ -6,49 +6,59 @@ from frobranch.ffield import ExtensionField, PrimeField, UniPoly, extend_field
 from frobranch.linalg import Echelon, kernel_for
 
 
-def _check_kernel(field):
-    """Vectorized arithmetic agrees with the field's scalar arithmetic on
-    every pair of codes."""
+def _check_matrices(field, scalars=None):
+    """Digit planes agree with the field's scalar arithmetic: c + b and
+    c - b are digitwise mod p, and M_c gives c * b, for every code b (and
+    every scalar c unless scalars are given)."""
     k = kernel_for(field)
     assert kernel_for(field) is k
     codes = np.arange(field.order, dtype=np.int64)
-    for a in range(field.order):
-        row = np.full(field.order, a, dtype=np.int64)
-        assert k.add(row, codes).tolist() == [field.add(a, b) for b in range(field.order)]
-        assert k.sub(row, codes).tolist() == [field.sub(a, b) for b in range(field.order)]
-        assert k.scalar_mul(a, codes).tolist() == [field.mul(a, b) for b in range(field.order)]
+    plane = k.digits(codes)
+    for c in (range(field.order) if scalars is None else scalars):
+        row = k.digits(np.full(field.order, c, dtype=np.int64))
+        assert k.codes((row + plane) % k.p).tolist() == [field.add(c, b) for b in range(field.order)]
+        assert k.codes((row - plane) % k.p).tolist() == [field.sub(c, b) for b in range(field.order)]
+        got = k.codes(k.matrices(np.int64(c)).dot(plane) % k.p)
+        assert got.tolist() == [field.mul(c, b) for b in range(field.order)]
 
 
 def test_prime_kernel_roundtrip():
-    _check_kernel(PrimeField(7))
+    field = PrimeField(7)
+    k = kernel_for(field)
+    codes = np.arange(7, dtype=np.int64)
+    # over GF(p) a vector is its own digit plane and M_c is the code c
+    assert k.digits(codes).shape == (1, 7)
+    assert k.codes(k.digits(codes)).tolist() == codes.tolist()
+    assert k.matrices(codes).reshape(-1).tolist() == codes.tolist()
+    _check_matrices(field)
 
 
-def test_table_kernel_matches_field_arithmetic():
+def test_scalar_matrices_match_field_mul():
     F3 = PrimeField(3)
     F9 = ExtensionField(F3, UniPoly.from_ints(F3, [1, 0, 1]))
     F4 = extend_field(PrimeField(2), 2)
     for field in (F9, F4, extend_field(F4, 2), extend_field(PrimeField(5), 3)):
-        _check_kernel(field)
+        k = kernel_for(field)
+        codes = np.arange(field.order, dtype=np.int64)
+        assert k.codes(k.digits(codes)).tolist() == codes.tolist()
+        _check_matrices(field)
 
 
-def test_extension_tables_are_int16():
-    k = kernel_for(extend_field(PrimeField(2), 8))
-    assert k._add.dtype == k._neg.dtype == k._mul.dtype == np.int16
-    assert k._add.shape == k._mul.shape == (256, 256)
-
-
-def test_int16_tables_hold_at_a_large_order():
-    # GF(5^5): the square of the element of largest logarithm indexes the
-    # exp list at 2 * 3123, and no sum or product may wrap around
-    field = extend_field(PrimeField(5), 5)
+def test_extension_matrices_are_q_by_s_by_s():
+    field = extend_field(PrimeField(2), 8)
     k = kernel_for(field)
+    mats = k.matrices(np.arange(field.order, dtype=np.int64))
+    assert mats.dtype == np.int64 and mats.shape == (256, 8, 8)
+    assert mats.min() == 0 and mats.max() == 1
+
+
+def test_scalar_matrices_hold_at_a_large_order():
+    # GF(5^5): the element of largest logarithm, whose square wraps around
+    # the exp list at 2 * 3123, and random scalars, against every code
+    field = extend_field(PrimeField(5), 5)
     top = field.exp[field.order - 2]
     rng = random.Random(5)
-    pairs = [(top, top)] + [(rng.randrange(field.order), rng.randrange(field.order)) for _ in range(500)]
-    for a, b in pairs:
-        assert int(k._mul[a, b]) == field.mul(a, b)
-        assert int(k._add[a, b]) == field.add(a, b)
-        assert int(k._neg[b]) == field.sub(0, b)
+    _check_matrices(field, [top] + [rng.randrange(field.order) for _ in range(20)])
 
 
 def test_echelon_known_rank():
@@ -61,18 +71,33 @@ def test_echelon_known_rank():
     assert not ech.contains(np.array([0, 0, 1], dtype=np.int64))
 
 
+def _rref_rows(ech):
+    """The stored rows, read through reduce: with unit pivots and zeros at
+    the other pivots, reduce(e_j) = e_j - (row of pivot j)."""
+    rows = []
+    for piv in ech.pivots:
+        unit = np.zeros(ech.ncols, dtype=np.int64)
+        unit[piv] = 1
+        rows.append([ech.kernel.field.sub(int(a), int(b)) for a, b in zip(unit, ech.reduce(unit))])
+    return rows
+
+
 def test_echelon_rref_shape():
-    k = kernel_for(PrimeField(3))
-    ech = Echelon(k, 4)
-    for row in ([1, 1, 0, 2], [0, 2, 1, 0], [1, 0, 1, 1]):
-        ech.add_row(np.array(row, dtype=np.int64))
-    # pivots strictly increasing, unit pivots, zeros above and below
-    assert ech.pivots == sorted(ech.pivots)
-    for i, piv in enumerate(ech.pivots):
-        assert ech.rows[i][piv] == 1
-        for j in range(len(ech.rows)):
-            if j != i:
-                assert ech.rows[j][piv] == 0
+    for field, rows in (
+        (PrimeField(3), ([1, 1, 0, 2], [0, 2, 1, 0], [1, 0, 1, 1])),
+        (extend_field(PrimeField(2), 2), ([1, 2, 0, 3], [0, 3, 1, 0], [0, 0, 2, 1])),
+    ):
+        ech = Echelon(kernel_for(field), 4)
+        for row in rows:
+            ech.add_row(np.array(row, dtype=np.int64))
+        # pivots strictly increasing, unit pivots, zeros above and below
+        assert ech.pivots == sorted(set(ech.pivots)) and ech.rank == 3
+        stored = _rref_rows(ech)
+        for i, piv in enumerate(ech.pivots):
+            assert stored[i][piv] == 1
+            for j in range(len(stored)):
+                if j != i:
+                    assert stored[j][piv] == 0
 
 
 def test_echelon_random_span_membership():
@@ -89,14 +114,81 @@ def test_echelon_random_span_membership():
                 rows.append(row)
                 ech.add_row(row.copy())
             # random linear combination of the inserted rows is in the span
-            combo = np.zeros(ncols, dtype=np.int64)
+            combo = [0] * ncols
             for row in rows:
                 c = rng.randrange(q)
-                combo = k.add(combo, k.scalar_mul(c, row))
-            assert ech.contains(combo)
+                combo = [field.add(a, field.mul(c, int(b))) for a, b in zip(combo, row)]
+            assert ech.contains(np.array(combo, dtype=np.int64))
             # reducing any inserted row gives zero
             for row in rows:
                 assert not np.any(ech.reduce(row))
+
+
+class _GaussJordan:
+    """Reference RREF on lists of Python ints with the field's scalar ops."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}  # pivot column -> row with a unit there
+
+    def reduce(self, vec):
+        f = self.field
+        v = list(vec)
+        for piv, row in self.rows.items():
+            c = v[piv]
+            if c:
+                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+        return v
+
+    def add_row(self, vec):
+        f = self.field
+        v = self.reduce(vec)
+        piv = next((i for i, a in enumerate(v) if a), None)
+        if piv is None:
+            return False
+        inv = f.inv(v[piv])
+        v = [f.mul(inv, a) for a in v]
+        for p, row in self.rows.items():
+            c = row[piv]
+            if c:
+                self.rows[p] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, v)]
+        self.rows[piv] = v
+        return True
+
+
+def test_echelon_matches_python_gauss_jordan():
+    F2, F3, F4 = PrimeField(2), PrimeField(3), extend_field(PrimeField(2), 2)
+    fields = (F2, PrimeField(101), PrimeField(2**31 - 1), F4, extend_field(F3, 3), extend_field(F4, 2))
+    rng = random.Random(2024)
+    for field in fields:
+        q = field.order
+        for ncols in (1, 4, 8, 12, 12):
+            ech, ref = Echelon(kernel_for(field), ncols), _GaussJordan(field)
+            inserted = []
+
+            def random_vec():
+                density = rng.choice((0.2, 0.5, 1.0))
+                return [rng.randrange(1, q) if rng.random() < density else 0 for _ in range(ncols)]
+
+            for _ in range(rng.randint(1, ncols + 3)):
+                if inserted and rng.random() < 0.3:
+                    # a combination of earlier rows: never a rank gain
+                    vec = [0] * ncols
+                    for row in rng.sample(inserted, rng.randint(1, len(inserted))):
+                        c = rng.randrange(q)
+                        vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, row)]
+                else:
+                    vec = random_vec()
+                inserted.append(vec)
+                assert ech.add_row(np.array(vec, dtype=np.int64)) == ref.add_row(vec)
+                assert ech.rank == len(ref.rows)
+                assert ech.pivots == sorted(ref.rows)
+                # the all-(q-1) probe has the largest coefficients at every pivot
+                for probe in [random_vec() for _ in range(3)] + [vec, [q - 1] * ncols]:
+                    want = ref.reduce(probe)
+                    got = ech.reduce(np.array(probe, dtype=np.int64))
+                    assert got.tolist() == want
+                    assert ech.contains(np.array(probe, dtype=np.int64)) == (not any(want))
 
 
 def test_echelon_clone_is_independent():
