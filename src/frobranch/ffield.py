@@ -10,10 +10,12 @@ constant in any extension built on top of it, so scalar extension leaves
 coefficients unchanged.  Fields never coerce across each other; polynomial
 and ring operations check that their operands share a field.
 
-A prime field computes modulo p.  An extension field finds a primitive
-element when it is built and walks its powers once, in O(q) steps, into
-exp/log lists; its products, inverses and powers are then list lookups,
-and its sums go through Zech logarithms log(1 + a^k).
+A prime field computes modulo p.  An extension field builds its scalar
+matrices once from the modulus (the regular representation over GF(p):
+mats[c] multiplies by c) and derives its exp/log lists from them by
+doubling the powers of a primitive element; its products, inverses and
+powers are then list lookups, and its sums go through Zech logarithms
+log(1 + a^k).
 
 The polynomial layer provides the Euclidean gcd, characteristic-p
 squarefree decomposition (with p-th root extraction when the derivative
@@ -26,6 +28,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import (
     CompositeCharacteristic,
     FieldMismatch,
@@ -37,10 +41,9 @@ from .errors import (
 MAX_PRIME = 2**31
 MAX_EXTENSION_DEGREE = 8
 
-# Extension fields walk all q powers of a primitive element into exp/log
-# lists, and linear algebra keeps a q x s x s stack of scalar matrices, so
-# they are limited to this order (prime fields of any size below MAX_PRIME
-# are fine: they need neither).
+# Extension fields build a q x s x s stack of scalar matrices from the
+# modulus once and derive O(q) exp/log lists from it, so they are limited
+# to this order (prime fields of any size below MAX_PRIME need neither).
 MAX_TABLE_ORDER = 4096
 
 
@@ -114,13 +117,14 @@ class PrimeField:
 class ExtensionField:
     """Degree-s extension base[u]/(modulus) of an existing field.
 
-    `exp[k]` is the code of a^k for the primitive element a, stored twice
-    over so that a sum of two logarithms needs no reduction; `log` inverts
-    it on nonzero codes; `zech[k]` is log(1 + a^k), None where that sum is
-    zero.
+    `mats[c]` is the D x D GF(p)-matrix of multiplication by c, D the
+    degree over GF(p): `mats[c, i, j]` is digit i of c * p^j.  `exp[k]` is
+    the code of a^k for the primitive element a, stored twice over so that
+    a sum of two logarithms needs no reduction; `log` inverts it on nonzero
+    codes; `zech[k]` is log(1 + a^k), None where that sum is zero.
     """
 
-    def __init__(self, base: "Field", modulus: "UniPoly", check: bool = True):
+    def __init__(self, base: "Field", modulus: "UniPoly"):
         if modulus.field != base:
             raise FieldMismatch("modulus must be a polynomial over the base field")
         if modulus.degree < 2:
@@ -138,42 +142,58 @@ class ExtensionField:
         self.order = self.p**self.degree
         if self.order > MAX_TABLE_ORDER:
             raise FieldTooLarge(f"extension field of order {self.order} not supported")
-        if check and not is_irreducible(modulus):
+        if not is_irreducible(modulus):
             raise ReducibleModulus(f"modulus {modulus} is reducible")
+        self._build_mats()
         self._build_logs()
 
+    def _build_mats(self) -> None:
+        """GF(p)-coordinate i*d + j (d the base degree) is the base basis
+        element p^j times u^i.  Times u, each block of d coordinates moves
+        up one and the top block feeds back through the base matrices of
+        -m_i, the lower modulus coefficients.  The order cap keeps p <= 64,
+        so no int64 sum overflows."""
+        base, p, s, D = self.base, self.p, self.s, self.degree
+        d = base.degree
+        base_mats = base.mats if d > 1 else np.arange(p).reshape(p, 1, 1)
+        shift = np.zeros((s, d, s, d), dtype=np.int64)
+        for i in range(1, s):
+            shift[i, :, i - 1] = base_mats[1]  # the identity
+        shift[:, :, -1] = base_mats[[base.neg(c) for c in self.modulus.coefficients[:-1]]]
+        shift = shift.reshape(D, D)
+        # the block-diagonal matrices of the base basis elements p^j
+        scalars = np.zeros((d, s, d, s, d), dtype=np.int64)
+        for i in range(s):
+            scalars[:, i, :, i] = base_mats[p ** np.arange(d)]
+        basis = [scalars.reshape(d, D, D)]
+        for _ in range(s - 1):
+            basis.append(basis[-1].dot(shift) % p)
+        self._powers = p ** np.arange(D, dtype=np.int64)
+        digits = np.arange(self.order)[:, None] // self._powers % p
+        self.mats = digits.dot(np.reshape(basis, (D, D * D))).reshape(-1, D, D) % p
+
     def _build_logs(self) -> None:
-        n = self.order - 1
-        alpha = self._poly(next(c for c in range(2, self.order) if self._is_primitive(c)))
-        exp = [0] * n
-        log = [0] * self.order
-        x = UniPoly.one(self.base)
-        for k in range(n):
-            code = self._code(x)
-            exp[k] = code
-            log[code] = k
-            x = (x * alpha) % self.modulus
+        """exp by doubling: the digit plane of a^0 .. a^(2^j - 1), times the
+        matrix of a^(2^j), gives the next 2^j powers.  a is the first code
+        whose powers reach 1 only at q - 1; codes below the base order are
+        base elements, of smaller order."""
+        n, p = self.order - 1, self.p
+        for alpha in range(self.base.order, self.order):
+            plane, step = self.mats[1][:, :1], self.mats[alpha]  # the digits of 1
+            while plane.shape[1] < n:
+                plane = np.hstack([plane, step.dot(plane) % p])
+                step = step.dot(step) % p
+            exp = self._powers.dot(plane[:, :n]).tolist()
+            if 1 not in exp[1:]:
+                break
+        log = np.zeros(self.order, dtype=np.int64)
+        log[exp] = np.arange(n)
         self.exp = exp + exp
-        self.log = log
-        p = self.p
+        self.log = log = log.tolist()
         # 1 + x only changes the lowest GF(p) digit of x
         plus_one = [e - e % p + (e + 1) % p for e in exp]
         self.zech = [log[c] if c else None for c in plus_one]
         self._half = n // 2 if p != 2 else 0  # a^(n/2) = -1 in odd characteristic
-
-    def _poly(self, code: int) -> "UniPoly":
-        q = self.base.order
-        return UniPoly(self.base, [code // q**i % q for i in range(self.s)])
-
-    def _code(self, f: "UniPoly") -> int:
-        q = self.base.order
-        return sum(c * q**i for i, c in enumerate(f.coefficients))
-
-    def _is_primitive(self, code: int) -> bool:
-        n = self.order - 1
-        f = self._poly(code)
-        one = UniPoly.one(self.base)
-        return all(f.pow_mod(n // r, self.modulus) != one for r in _prime_factors(n))
 
     def __eq__(self, other):
         return (
@@ -355,13 +375,6 @@ class UniPoly:
             [field.mul(c, i % field.p) for i, c in enumerate(self.coefficients) if i > 0],
         )
 
-    def evaluate(self, x: int) -> int:
-        add, mul = self.field.add, self.field.mul
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = add(mul(acc, x), c)
-        return acc
-
     def pow_mod(self, n: int, mod: "UniPoly") -> "UniPoly":
         result = UniPoly.one(self.field) % mod
         base = self % mod
@@ -489,57 +502,35 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_irreducible(f: UniPoly) -> bool:
-    """Irreducibility over the coefficient field.
-
-    Root search for degree <= 3 over small fields; otherwise the
-    distinct-degree sieve t^(Q^d) = t mod f with gcd checks at the
-    maximal proper sub-exponents.
-    """
+    """Irreducibility over the coefficient field by Rabin's sieve:
+    gcd(t^(Q^(d/r)) - t, f) = 1 for every prime r dividing d, each checked
+    as soon as that power is reached, and t^(Q^d) = t mod f."""
     d = f.degree
     if d <= 0:
         return False
-    if d == 1:
-        return True
-    field = f.field
-    q = field.order
-    if d <= 3 and q <= MAX_TABLE_ORDER:
-        return all(f.evaluate(x) for x in range(q))
-    t = UniPoly.t(field)
-    h = t
-    for _ in range(d):
-        h = h.pow_mod(q, f)
-    if h != t % f:
-        return False
-    for r in _prime_factors(d):
-        g = t
-        for _ in range(d // r):
-            g = g.pow_mod(q, f)
-        if poly_gcd(g - t, f).degree > 0:
+    q, t = f.field.order, UniPoly.t(f.field)
+    sieve = {d // r for r in _prime_factors(d)}
+    g = t % f  # t^(Q^k) mod f
+    for k in range(1, d + 1):
+        g = g.pow_mod(q, f)
+        if k in sieve and poly_gcd(g - t, f).degree > 0:
             return False
-    return True
-
-
-def find_irreducible(field: Field, degree: int) -> UniPoly:
-    """First monic irreducible polynomial of the given degree over field,
-    in the deterministic coefficient-enumeration order."""
-    q = field.order
-    if q**degree > MAX_TABLE_ORDER**2:
-        raise FieldTooLarge("field too large to search for an irreducible modulus")
-    for code in range(q**degree):
-        f = UniPoly(field, [code // q**i % q for i in range(degree)] + [1])
-        if is_irreducible(f):
-            return f
-    raise AssertionError("unreachable: irreducible polynomials always exist")
+    return g == t % f
 
 
 @lru_cache(maxsize=None)
-def _extension_cache(field: Field, s: int) -> ExtensionField:
-    return ExtensionField(field, find_irreducible(field, s), check=False)
-
-
 def extend_field(field: Field, s: int) -> ExtensionField:
     """Degree-s scalar extension of field, cached so repeated requests share
-    element tables downstream."""
+    element tables downstream.  The modulus is the first monic irreducible
+    in the coefficient-enumeration order; ExtensionField refuses an
+    oversized field before it tests any candidate."""
     if s < 2:
         raise ValueError("extension degree must be >= 2")
-    return _extension_cache(field, s)
+    q = field.order
+    for code in range(q**s):
+        lower = [code // q**i % q for i in range(s)]
+        try:
+            return ExtensionField(field, UniPoly(field, lower + [1]))
+        except ReducibleModulus:
+            pass
+    raise AssertionError("unreachable: irreducible polynomials always exist")

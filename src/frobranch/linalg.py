@@ -4,8 +4,9 @@ Vectors are numpy int64 arrays of element codes (see ffield).  A code of
 GF(p^s) is the base-p expansion of its GF(p)-coordinates, so C codes form
 an s x C digit plane over GF(p), and a scalar c acts as the s x s
 GF(p)-matrix M_c whose column j holds the digits of c * p^j (for GF(p),
-s = 1 and M_c is c itself).  Every linear combination of rows is then an
-int64 matrix product modulo p, in chunks small enough that no sum overflows.
+s = 1 and M_c is c itself; GF(p^s) builds their stack once from its
+modulus).  Every linear combination of rows is then an int64 matrix
+product modulo p, in chunks small enough that no sum overflows.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ class Kernel:
         # int64; p < 2^31 gives step >= 1, and s <= step for every field
         self.step = 2**62 // (p - 1) ** 2
         if s > 1:
+            # field.mats[c] is M_c, so column 0 holds c's digits
+            self._mats = field.mats
+            self._digits = np.ascontiguousarray(field.mats[:, :, 0].T)
             self._powers = p ** np.arange(s, dtype=np.int64)
-            images = np.array([[field.mul(c, pj) for pj in self._powers.tolist()]
-                               for c in range(field.order)])
-            # M[c, i, j] = digit i of c * p^j, so column 0 holds c's digits
-            self._mats = images[:, None, :] // self._powers[:, None] % p
-            self._digits = np.ascontiguousarray(self._mats[:, :, 0].T)
 
     def matrices(self, codes: np.ndarray) -> np.ndarray:
         """M_c for a numpy code c, or the stacked M_c of an array of codes."""

@@ -36,6 +36,10 @@ class HypersurfaceCurve:
     def __post_init__(self):
         if self.f.nvars != 2 or self.f.field != self.field:
             raise ValueError("hypersurface oracle needs a form in two variables")
+        if self.f.is_zero():
+            raise ValueError("the zero form defines no curve")
+        if self.f.degree < 1:
+            raise ValueError(f"the constant {self.f.format(self.var_names)} defines no curve")
         if not _is_squarefree_binary(self.f):
             raise NotSquarefree(f"{self.f.format(self.var_names)} has a repeated factor")
 

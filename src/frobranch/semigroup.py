@@ -517,6 +517,8 @@ def _face_lattice(A: AffineSemigroup, a: Vector):
     face_gens = [
         g for g in A.generators if all(_dot(w, g) == 0 for w in vanishing)
     ]
+    if not vanishing:  # the face is the whole cone, whose SNF A already holds
+        return vanishing, face_gens, A.lattice_nf()
     nf = smith_normal_form([[g[i] for g in face_gens] for i in range(A.n)]) if face_gens else None
     return vanishing, face_gens, nf
 

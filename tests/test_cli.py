@@ -498,6 +498,16 @@ def test_fte_refuses_ideal_outside_the_semigroup(capsys):
         assert "ideal generator (1,) is not in the semigroup" in err
 
 
+def test_hypersurface_refuses_forms_that_define_no_curve(capsys):
+    code, out, err = run_cli(["hypersurface", "--p", "3", "--rel", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: the constant 1 defines no curve\n"
+    for rel in ("0", "3*x*y"):  # 3*x*y vanishes at p = 3
+        code, out, err = run_cli(["hypersurface", "--p", "3", "--rel", rel], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: the zero form defines no curve\n"
+
+
 def test_repeated_factor_is_named_in_the_request_variables(capsys):
     code, out, err = run_cli(["hypersurface", "--p", "3", "--rel", "x^2*y"], capsys)
     assert code == 1 and out == ""

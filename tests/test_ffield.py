@@ -2,20 +2,25 @@ import itertools
 import random
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_mul, gf_pow_mod, gf_rem
 
 from frobranch.errors import (
     CompositeCharacteristic,
     FieldMismatch,
+    FieldTooLarge,
     ReducibleModulus,
     ZeroPolynomial,
 )
+from frobranch import ffield
 from frobranch.ffield import (
+    MAX_EXTENSION_DEGREE,
+    MAX_TABLE_ORDER,
     ExtensionField,
     PrimeField,
     UniPoly,
     distinct_root_count,
     extend_field,
-    find_irreducible,
     frob_root,
     is_irreducible,
     poly_gcd,
@@ -266,6 +271,8 @@ def test_distinct_root_count_additive_on_coprime():
 
 
 def test_is_irreducible_small():
+    assert is_irreducible(UniPoly.from_ints(F3, [1, 1]))             # t+1
+    assert not is_irreducible(UniPoly.one(F3))
     assert is_irreducible(UniPoly.from_ints(F2, [1, 1, 1]))          # t^2+t+1
     assert not is_irreducible(UniPoly.from_ints(F2, [1, 0, 1]))      # (t+1)^2
     assert is_irreducible(UniPoly.from_ints(F2, [1, 1, 0, 0, 1]))    # t^4+t+1
@@ -276,15 +283,32 @@ def test_is_irreducible_sieve_matches_root_search():
     # degree 2 and 3 over GF(3): factorable iff it has a root
     for coeffs in itertools.product(range(3), repeat=3):
         f = UniPoly.from_ints(F3, list(coeffs) + [1])
-        has_root = any(not f.evaluate(x) for x in range(3))
+        has_root = any((f % UniPoly.from_ints(F3, [-x, 1])).is_zero() for x in range(3))
         assert is_irreducible(f) == (not has_root)
 
 
-def test_find_irreducible_and_extend():
-    for field, s in ((F2, 2), (F2, 3), (F3, 2), (F5, 2)):
-        m = find_irreducible(field, s)
-        assert m.degree == s and is_irreducible(m)
+def _monic(field, s, code):
+    """The monic polynomial of degree s whose lower coefficients are the
+    base-q digits of code: the modulus search's enumeration order."""
+    q = field.order
+    return UniPoly(field, [code // q**i % q for i in range(s)] + [1])
+
+
+def _first_irreducible(field, s):
+    """First monic polynomial of degree s with no monic factor of degree
+    1..s//2, by trial division over every such factor."""
+    factors = [_monic(field, k, c) for k in range(1, s // 2 + 1) for c in range(field.order**k)]
+    return next(
+        f for f in (_monic(field, s, c) for c in itertools.count())
+        if all(not (f % g).is_zero() for g in factors)
+    )
+
+
+def test_extend_field_modulus_is_first_irreducible():
+    F4 = extend_field(F2, 2)
+    for field, s in ((F2, 2), (F2, 3), (F2, 4), (F3, 2), (F3, 3), (F5, 2), (F4, 2)):
         ext = extend_field(field, s)
+        assert ext.modulus == _first_irreducible(field, s), (field, s)
         assert ext.order == field.order**s
         # the generator is a root of the modulus
         g = generator(ext)
@@ -293,6 +317,84 @@ def test_find_irreducible_and_extend():
             # a base-field code is the code of the same constant in ext
             acc = ext.add(acc, ext.mul(c, ext.pow(g, i)))
         assert acc == 0
+
+
+def test_oversized_extension_refused_before_any_irreducibility_test(monkeypatch):
+    calls = []
+    sieve = ffield.is_irreducible
+    monkeypatch.setattr(ffield, "is_irreducible", lambda f: calls.append(f) or sieve(f))
+    with pytest.raises(FieldTooLarge):
+        extend_field(PrimeField(3), 8)  # 3^8 = 6561 > MAX_TABLE_ORDER
+    with pytest.raises(ValueError):
+        extend_field(F2, MAX_EXTENSION_DEGREE + 1)
+    assert calls == []
+    with pytest.raises(ReducibleModulus):
+        ExtensionField(F3, UniPoly.from_ints(F3, [2, 0, 1]))  # t^2 + 2 = (t-1)(t+1)
+    assert len(calls) == 1
+
+
+def _prime_extensions():
+    """Every GF(p^s), s >= 2, within the order and degree caps (p^2 <= the
+    order cap bounds p)."""
+    primes = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
+    return [
+        (p, s) for p in primes for s in range(2, MAX_EXTENSION_DEGREE + 1)
+        if p**s <= MAX_TABLE_ORDER
+    ]
+
+
+def _mat_product(F, a, b):
+    """a * b read off the scalar matrix of a applied to b's digits."""
+    p, D = F.p, F.degree
+    digits = [b // p**i % p for i in range(D)]
+    image = F.mats[a].dot(digits) % p
+    return sum(int(x) * p**i for i, x in enumerate(image))
+
+
+def _check_exp_distinct(F):
+    powers = F.exp[:F.order - 1]
+    assert len(set(powers)) == F.order - 1 and 0 not in powers
+
+
+def test_prime_base_extensions_match_galoistools():
+    rng = random.Random(20231)
+    specs = _prime_extensions()
+    assert len(specs) == 36
+    for p, s in specs:
+        F = extend_field(PrimeField(p), s)
+        q = F.order
+        mod = list(reversed(F.modulus.coefficients))
+        to_gf = lambda c: [c // p**i % p for i in reversed(range(s))]
+        from_gf = lambda g: sum(int(x) * p**i for i, x in enumerate(reversed(g)))
+        product = lambda a, b: from_gf(gf_rem(gf_mul(to_gf(a), to_gf(b), p, ZZ), mod, p, ZZ))
+        _check_exp_distinct(F)
+        for _ in range(60):
+            a, b, n = rng.randrange(q), rng.randrange(q), rng.randrange(2 * q)
+            expected = product(a, b)
+            assert F.mul(a, b) == expected == _mat_product(F, a, b), (p, s, a, b)
+            assert F.pow(a, n) == from_gf(gf_pow_mod(to_gf(a), n, mod, p, ZZ)), (p, s, a, n)
+            if a:
+                assert product(a, F.inv(a)) == 1, (p, s, a)
+
+
+def test_tower_extensions_match_unipoly_products():
+    rng = random.Random(20232)
+    F4, F9, F25 = extend_field(F2, 2), extend_field(F3, 2), extend_field(F5, 2)
+    F8, F27 = extend_field(F2, 3), extend_field(F3, 3)
+    for base, s in ((F4, 2), (F9, 2), (F25, 2), (F8, 2), (F4, 3), (F27, 2)):
+        F = extend_field(base, s)
+        q = F.order
+        _check_exp_distinct(F)
+        for _ in range(60):
+            a, b, n = rng.randrange(q), rng.randrange(q), rng.randrange(40)
+            expected = _schoolbook_mul(F, a, b)
+            assert F.mul(a, b) == expected == _mat_product(F, a, b), (F, a, b)
+            power = 1
+            for _ in range(n):
+                power = _schoolbook_mul(F, power, a)
+            assert F.pow(a, n) == power, (F, a, n)
+            if a:
+                assert _schoolbook_mul(F, a, F.inv(a)) == 1, (F, a)
 
 
 def test_tower_embedding_is_homomorphism():

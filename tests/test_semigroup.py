@@ -475,6 +475,22 @@ def test_eventual_p_membership_no_certificate():
     assert verify_no_certificate(PINCHED_VERONESE, (0, 1, 1), 3, cert)
 
 
+def test_interior_point_reuses_the_semigroup_snf(monkeypatch):
+    A = AffineSemigroup(PINCHED_VERONESE.generators)
+    cone_geometry(A)  # caches the facets and A.lattice_nf()
+    calls = []
+    snf = semigroup.smith_normal_form
+    monkeypatch.setattr(semigroup, "smith_normal_form", lambda M: calls.append(M) or snf(M))
+    # no facet of the positive orthant vanishes at (1, 1, 1), whose
+    # coordinate sum is odd while every generator's is even
+    assert eventual_p_membership(A, (1, 1, 1), 2).status == "yes"
+    res = eventual_p_membership(A, (1, 1, 1), 3)
+    assert res.status == "no" and res.certificate["torsion_order"] == 2
+    assert res.certificate["face_generators"] == [list(g) for g in A.generators]
+    assert calls == []
+    assert verify_no_certificate(A, (1, 1, 1), 3, res.certificate)
+
+
 def test_forged_torsion_order_not_in_the_lattice(monkeypatch):
     # (0,1,1) has order 2 modulo its face lattice, so 3 * (0,1,1) is not in it
     monkeypatch.setattr(semigroup, "_torsion_order", lambda *args: 3)
