@@ -11,7 +11,8 @@ and the --vars names must be distinct identifiers.
 
 Exit codes: 0 success, 1 input error, 2 mathematical inconsistency (the
 closure formula disagreeing with an oracle, or a certificate failing its
-own check).
+own check) or a ring proven not reduced, whose counts are multiplicities;
+a report that exits 2 names its reason on stderr.
 """
 
 from __future__ import annotations
@@ -91,7 +92,11 @@ class AnalysisReport:
     request: dict
     results: dict
     diagnostics: dict = dc_field(default_factory=dict)
-    exit_code: int = EXIT_OK
+    reason: Optional[str] = None  # why the report exits 2, printed to stderr
+
+    @property
+    def exit_code(self) -> int:
+        return EXIT_INCONSISTENT if self.reason else EXIT_OK
 
     def payload(self) -> dict:
         return {
@@ -202,8 +207,7 @@ def _run_branches(req: AnalysisRequest) -> AnalysisReport:
     field = _make_field(req)
     rels = [parse_homog(text, field, req.var_names) for text in req.relations]
     ring = GradedQuotient(field, len(req.var_names), rels, req.var_names)
-    result = crosscheck(ring, s_max=req.s_max)
-    rep = result.report
+    rep = crosscheck(ring, s_max=req.s_max)
     results = {
         "branches_formula": rep.branches_formula,
         "branches_multiplicity": rep.branches_multiplicity,
@@ -211,15 +215,17 @@ def _run_branches(req: AnalysisRequest) -> AnalysisReport:
         "n_used": rep.n_used,
         "reduction_form": rep.reduction_form,
         "reduction_scalar_extension": rep.reduction_scalar_extension,
-        "oracle_status": result.status,
-        "oracle_branches": result.oracle_branches,
+        "oracle_status": rep.oracle_status,
+        "oracle_branches": rep.oracle_branches,
         "consistent": rep.consistent,
     }
-    diagnostics = {"reducedness": reducedness_status(ring)}
-    code = EXIT_OK
-    if result.status == "mismatch" or not rep.consistent:
-        code = EXIT_INCONSISTENT
-    return AnalysisReport(req.echo(), results, diagnostics, code)
+    reducedness = reducedness_status(ring)
+    reason = None
+    if reducedness == "not-reduced":
+        reason = "the ring is not reduced, so the counts are its multiplicity, not its branches"
+    elif not rep.consistent:  # an oracle mismatch is inconsistent too
+        reason = "the branch counts disagree"
+    return AnalysisReport(req.echo(), results, {"reducedness": reducedness}, reason)
 
 
 def _run_hypersurface(req: AnalysisRequest) -> AnalysisReport:
@@ -337,6 +343,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT if isinstance(exc, CertificateFailed) else EXIT_INPUT_ERROR
     sys.stdout.write(render(report, req.output_format))
+    if report.reason:
+        print(f"error: {report.reason}", file=sys.stderr)
     return report.exit_code
 
 

@@ -10,12 +10,13 @@ constant in any extension built on top of it, so scalar extension leaves
 coefficients unchanged.  Fields never coerce across each other; polynomial
 and ring operations check that their operands share a field.
 
-A prime field computes modulo p.  An extension field builds its scalar
-matrices once from the modulus (the regular representation over GF(p):
-mats[c] multiplies by c) and derives its exp/log lists from them by
-doubling the powers of a primitive element; its products, inverses and
-powers are then list lookups, and its sums go through Zech logarithms
-log(1 + a^k).
+A prime field computes modulo p.  An extension field builds the regular
+representation of base[u]/(modulus) over GF(p) once: the matrices of its
+GF(p)-basis decide irreducibility by Berlekamp's criterion (f squarefree
+and b -> b^p fixing only GF(p)), then combine into the scalar matrices
+(mats[c] multiplies by c), from which the exp/log lists come by doubling
+the powers of a primitive element; its products, inverses and powers are
+then list lookups, and its sums go through Zech logarithms log(1 + a^k).
 
 The polynomial layer provides the Euclidean gcd, characteristic-p
 squarefree decomposition (with p-th root extraction when the derivative
@@ -37,6 +38,7 @@ from .errors import (
     ReducibleModulus,
     ZeroPolynomial,
 )
+from .linalg import Echelon, kernel_for
 
 MAX_PRIME = 2**31
 MAX_EXTENSION_DEGREE = 8
@@ -142,35 +144,15 @@ class ExtensionField:
         self.order = self.p**self.degree
         if self.order > MAX_TABLE_ORDER:
             raise FieldTooLarge(f"extension field of order {self.order} not supported")
-        if not is_irreducible(modulus):
+        basis = _regular_basis(base, modulus)
+        if not _is_field(modulus, basis):
             raise ReducibleModulus(f"modulus {modulus} is reducible")
-        self._build_mats()
-        self._build_logs()
-
-    def _build_mats(self) -> None:
-        """GF(p)-coordinate i*d + j (d the base degree) is the base basis
-        element p^j times u^i.  Times u, each block of d coordinates moves
-        up one and the top block feeds back through the base matrices of
-        -m_i, the lower modulus coefficients.  The order cap keeps p <= 64,
-        so no int64 sum overflows."""
-        base, p, s, D = self.base, self.p, self.s, self.degree
-        d = base.degree
-        base_mats = base.mats if d > 1 else np.arange(p).reshape(p, 1, 1)
-        shift = np.zeros((s, d, s, d), dtype=np.int64)
-        for i in range(1, s):
-            shift[i, :, i - 1] = base_mats[1]  # the identity
-        shift[:, :, -1] = base_mats[[base.neg(c) for c in self.modulus.coefficients[:-1]]]
-        shift = shift.reshape(D, D)
-        # the block-diagonal matrices of the base basis elements p^j
-        scalars = np.zeros((d, s, d, s, d), dtype=np.int64)
-        for i in range(s):
-            scalars[:, i, :, i] = base_mats[p ** np.arange(d)]
-        basis = [scalars.reshape(d, D, D)]
-        for _ in range(s - 1):
-            basis.append(basis[-1].dot(shift) % p)
+        # mats[c] is the combination of the basis matrices by c's digits
+        p, D = self.p, self.degree
         self._powers = p ** np.arange(D, dtype=np.int64)
         digits = np.arange(self.order)[:, None] // self._powers % p
-        self.mats = digits.dot(np.reshape(basis, (D, D * D))).reshape(-1, D, D) % p
+        self.mats = digits.dot(basis.reshape(D, D * D)).reshape(-1, D, D) % p
+        self._build_logs()
 
     def _build_logs(self) -> None:
         """exp by doubling: the digit plane of a^0 .. a^(2^j - 1), times the
@@ -306,23 +288,6 @@ class UniPoly:
         if self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
 
-    def __add__(self, other):
-        self._check(other)
-        add = self.field.add
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return UniPoly(self.field, out)
-
-    def __neg__(self):
-        return UniPoly(self.field, [self.field.neg(c) for c in self.coefficients])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         self._check(other)
         if self.is_zero() or other.is_zero():
@@ -374,16 +339,6 @@ class UniPoly:
             field,
             [field.mul(c, i % field.p) for i, c in enumerate(self.coefficients) if i > 0],
         )
-
-    def pow_mod(self, n: int, mod: "UniPoly") -> "UniPoly":
-        result = UniPoly.one(self.field) % mod
-        base = self % mod
-        while n:
-            if n & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            n >>= 1
-        return result
 
     def __repr__(self):
         if self.is_zero():
@@ -487,35 +442,68 @@ def distinct_root_count(f: UniPoly) -> int:
     return sum(g.degree for g, _ in squarefree_decomposition(f))
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _regular_basis(base: Field, modulus: UniPoly) -> np.ndarray:
+    """The D x D GF(p)-matrices of multiplication by the D = d * s basis
+    elements of B = base[u]/(modulus), monic of degree s over a base of
+    degree d.  Element i*d + j is the base basis element p^j times u^i, so
+    element 0 is 1.  Times u, each block of d coordinates moves up one and
+    the top block feeds back through the base matrices of -m_i, the lower
+    modulus coefficients.  Products here and in frobenius_matrix sum D
+    terms below (p-1)^2, which must stay inside int64."""
+    p, s, d = base.p, modulus.degree, base.degree
+    D = d * s
+    if D * (p - 1) ** 2 >= 2**63:
+        raise FieldTooLarge(f"GF({p})-matrices of size {D} overflow int64")
+    mats = kernel_for(base).matrices
+    shift = np.zeros((s, d, s, d), dtype=np.int64)
+    for i in range(1, s):
+        shift[i, :, i - 1] = mats(np.int64(1))  # the identity
+    shift[:, :, -1] = mats(np.array([base.neg(c) for c in modulus.coefficients[:-1]]))
+    shift = shift.reshape(D, D)
+    # the block-diagonal matrices of the base basis elements p^j
+    scalars = np.zeros((d, s, d, s, d), dtype=np.int64)
+    for i in range(s):
+        scalars[:, i, :, i] = mats(p ** np.arange(d, dtype=np.int64))
+    basis = [scalars.reshape(d, D, D)]
+    for _ in range(s - 1):
+        basis.append(basis[-1].dot(shift) % p)
+    return np.reshape(basis, (D, D, D))
+
+
+def frobenius_matrix(basis: np.ndarray, p: int) -> np.ndarray:
+    """The GF(p)-matrix of the linear map b -> b^p on an algebra whose
+    basis e_0 = 1, .., e_(D-1) multiplies as the matrices basis[k]: row k
+    holds the digits of e_k^p, basis[k]^(p-1) times the digits of e_k (its
+    column 0), by square-and-multiply mod p."""
+    power, square, n = basis[:, :, :1], basis, p - 1
+    while n:
+        if n & 1:
+            power = square @ power % p
+        square, n = square @ square % p, n >> 1
+    return power[:, :, 0]
+
+
+def _is_field(f: UniPoly, basis: np.ndarray) -> bool:
+    """Whether B = base[u]/(f), given by its regular basis, is a field, i.e.
+    the monic f is irreducible (Berlekamp, Bell Syst. Tech. J. 46, 1967).
+    gcd(f, f') = 1 makes B reduced, one finite field per irreducible factor
+    of f, each with GF(p) as its Frobenius-fixed part; so B is a field
+    exactly when also rank(F - I) = D - 1.  Row 0 of F - I is zero, so the
+    other D - 1 rows must each raise the rank of one GF(p) echelon."""
+    if poly_gcd(f, f.derivative()).degree > 0:
+        return False
+    p = f.field.p
+    # basis[:, :, 0] is the identity: row k holds the digits of e_k
+    rows = (frobenius_matrix(basis, p) - basis[:, :, 0]) % p
+    echelon = Echelon(kernel_for(PrimeField(p)), len(rows))
+    return all(echelon.add_row(row) for row in rows[1:])
 
 
 def is_irreducible(f: UniPoly) -> bool:
-    """Irreducibility over the coefficient field by Rabin's sieve:
-    gcd(t^(Q^(d/r)) - t, f) = 1 for every prime r dividing d, each checked
-    as soon as that power is reached, and t^(Q^d) = t mod f."""
-    d = f.degree
-    if d <= 0:
-        return False
-    q, t = f.field.order, UniPoly.t(f.field)
-    sieve = {d // r for r in _prime_factors(d)}
-    g = t % f  # t^(Q^k) mod f
-    for k in range(1, d + 1):
-        g = g.pow_mod(q, f)
-        if k in sieve and poly_gcd(g - t, f).degree > 0:
-            return False
-    return g == t % f
+    """Irreducibility over the coefficient field, by Berlekamp's criterion
+    on the regular representation of base[t]/(f) (see _is_field)."""
+    f = f.monic()
+    return f.degree > 0 and _is_field(f, _regular_basis(f.field, f))
 
 
 @lru_cache(maxsize=None)

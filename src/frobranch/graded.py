@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
@@ -216,6 +216,7 @@ class BranchReport:
     n_used: int
     consistent: bool
     oracle_branches: Optional[int] = None
+    oracle_status: str = "no-oracle"  # or "match" / "mismatch" (see crosscheck)
 
 
 @dataclass(frozen=True)
@@ -602,12 +603,4 @@ def branch_count(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> BranchReport:
         reduction_scalar_extension=red.scalar_extension,
         n_used=n,
         consistent=formula == e,
-    )
-
-
-def with_oracle(report: BranchReport, oracle_branches: int) -> BranchReport:
-    return replace(
-        report,
-        oracle_branches=oracle_branches,
-        consistent=report.consistent and oracle_branches == report.branches_formula,
     )

@@ -12,10 +12,12 @@ product modulo p, in chunks small enough that no sum overflows.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ffield import Field
+if TYPE_CHECKING:
+    from .ffield import Field
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ oracles validating the closure-quotient formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import NotSquarefree
@@ -20,7 +20,6 @@ from .graded import (
     HomogPoly,
     branch_count,
     dehomogenize,
-    with_oracle,
     _is_squarefree_binary,
 )
 
@@ -91,15 +90,6 @@ def _match_axes(R: GradedQuotient) -> Optional[int]:
     return d if seen == expected else None
 
 
-@dataclass(frozen=True)
-class CrosscheckResult:
-    """Match(b) / Mismatch(formula, oracle) / NoOracle, with the report."""
-
-    status: str  # "match" | "mismatch" | "no-oracle"
-    report: BranchReport
-    oracle_branches: Optional[int] = None
-
-
 def oracle_branch_count(R: GradedQuotient) -> Optional[int]:
     """Oracle count when the presentation fits a known family, else None."""
     d = _match_axes(R)
@@ -114,12 +104,13 @@ def oracle_branch_count(R: GradedQuotient) -> Optional[int]:
     return None
 
 
-def crosscheck(R: GradedQuotient, s_max: int = 3) -> CrosscheckResult:
-    """Run the formula and the applicable oracle side by side."""
+def crosscheck(R: GradedQuotient, s_max: int = 3) -> BranchReport:
+    """The formula's report with the applicable oracle's count and verdict."""
     report = branch_count(R, s_max=s_max)
     oracle = oracle_branch_count(R)
     if oracle is None:
-        return CrosscheckResult("no-oracle", report)
-    report = with_oracle(report, oracle)
-    status = "match" if oracle == report.branches_formula else "mismatch"
-    return CrosscheckResult(status, report, oracle)
+        return report
+    match = oracle == report.branches_formula
+    status = "match" if match else "mismatch"
+    return replace(report, oracle_branches=oracle, oracle_status=status,
+                   consistent=report.consistent and match)

@@ -44,7 +44,7 @@ from .errors import (
     DimensionCapExceeded,
     NotFNilpotentRing,
 )
-from .ffield import _prime_factors, check_characteristic
+from .ffield import check_characteristic
 
 Vector = tuple[int, ...]
 
@@ -580,6 +580,20 @@ def _torsion_order(nf: IntMatrixNF, a: Vector) -> Optional[int]:
         return None
     d = nf.diagonal()
     return lcm(*(d[i] // gcd(d[i], ua[i]) for i in range(nf.rank)))
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _check_order(nf: IntMatrixNF, a: Vector, m: int) -> None:

@@ -214,13 +214,25 @@ def test_mismatch_exit_code(monkeypatch, capsys):
     # force the oracle to disagree: the formula-vs-oracle conflict must be
     # reported with the dedicated exit code, not a crash
     monkeypatch.setattr(oracle, "oracle_branch_count", lambda R: 17)
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["branches", "--p", "3", "--vars", "x,y", "--rel", "x^2+y^2", "--format", "json"], capsys
     )
     assert code == 2
     results = json.loads(out)["results"]
     assert results["oracle_status"] == "mismatch"
     assert results["consistent"] is False
+    assert err.strip() == "error: the branch counts disagree"
+
+
+@pytest.mark.parametrize("spec", [
+    ["--vars", "x,y", "--rel", "x^2*y"],                      # 3 by multiplicity, 2 branches
+    ["--vars", "x,y,z", "--rel", "x*y", "--rel", "z^2"],      # 4 by multiplicity, 2 branches
+])
+def test_non_reduced_ring_exits_2_with_reason(spec, capsys):
+    code, out, err = run_cli(["branches", "--p", "5", *spec], capsys)
+    assert code == 2
+    assert "diag.reducedness: not-reduced" in out
+    assert err.count("\n") == 1 and "multiplicity, not its branches" in err
 
 
 def test_ext_s_field(capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_mul, gf_pow_mod, gf_rem
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem
 
 from frobranch.errors import (
     CompositeCharacteristic,
@@ -13,6 +13,7 @@ from frobranch.errors import (
     ZeroPolynomial,
 )
 from frobranch import ffield
+from frobranch.linalg import Echelon, kernel_for
 from frobranch.ffield import (
     MAX_EXTENSION_DEGREE,
     MAX_TABLE_ORDER,
@@ -22,6 +23,7 @@ from frobranch.ffield import (
     distinct_root_count,
     extend_field,
     frob_root,
+    frobenius_matrix,
     is_irreducible,
     poly_gcd,
     squarefree_decomposition,
@@ -65,8 +67,6 @@ def test_field_make_reducible_modulus():
 
 
 def test_cross_field_operations_rejected():
-    with pytest.raises(FieldMismatch):
-        UniPoly.one(F2) + UniPoly.one(F3)
     with pytest.raises(FieldMismatch):
         poly_gcd(UniPoly.t(F2), UniPoly.t(F3))
 
@@ -277,14 +277,12 @@ def test_is_irreducible_small():
     assert not is_irreducible(UniPoly.from_ints(F2, [1, 0, 1]))      # (t+1)^2
     assert is_irreducible(UniPoly.from_ints(F2, [1, 1, 0, 0, 1]))    # t^4+t+1
     assert not is_irreducible(UniPoly.from_ints(F2, [1, 0, 0, 0, 1]))  # (t+1)^4
-
-
-def test_is_irreducible_sieve_matches_root_search():
-    # degree 2 and 3 over GF(3): factorable iff it has a root
-    for coeffs in itertools.product(range(3), repeat=3):
-        f = UniPoly.from_ints(F3, list(coeffs) + [1])
-        has_root = any((f % UniPoly.from_ints(F3, [-x, 1])).is_zero() for x in range(3))
-        assert is_irreducible(f) == (not has_root)
+    # p = 3 mod 4: t^2 + 1 is irreducible, and 2 * (p-1)^2 still fits int64;
+    # a degree-3 regular representation would not, and is refused
+    big = PrimeField(2**31 - 1)
+    assert is_irreducible(UniPoly.from_ints(big, [1, 0, 1]))
+    with pytest.raises(FieldTooLarge):
+        is_irreducible(UniPoly.from_ints(big, [1, 0, 0, 1]))
 
 
 def _monic(field, s, code):
@@ -319,10 +317,56 @@ def test_extend_field_modulus_is_first_irreducible():
         assert acc == 0
 
 
+def test_is_irreducible_matches_galoistools():
+    # every monic polynomial of the given degrees, highest coefficient first
+    for p, degrees in ((2, range(1, 7)), (3, range(1, 5)), (5, range(1, 4)), (7, range(1, 4))):
+        F = PrimeField(p)
+        for d in degrees:
+            for lower in itertools.product(range(p), repeat=d):
+                f = [1, *lower]
+                assert is_irreducible(UniPoly(F, f[::-1])) == gf_irreducible_p(f, p, ZZ), (p, f)
+
+
+def test_is_irreducible_over_towers_matches_trial_division():
+    for base in (extend_field(F2, 2), extend_field(F3, 2)):
+        for s in (2, 3):
+            factors = [_monic(base, k, c) for k in range(1, s // 2 + 1) for c in range(base.order**k)]
+            for code in range(base.order**s):
+                f = _monic(base, s, code)
+                assert is_irreducible(f) == all(not (f % g).is_zero() for g in factors), (base, f)
+
+
+def _berlekamp_conditions(f):
+    """(gcd(f, f') is 1, rank of F - I over GF(p)) for a monic f over GF(p)."""
+    p = f.field.p
+    basis = ffield._regular_basis(f.field, f)
+    echelon = Echelon(kernel_for(f.field), len(basis))
+    for row in (frobenius_matrix(basis, p) - basis[:, :, 0]) % p:
+        echelon.add_row(row)
+    return poly_gcd(f, f.derivative()) == UniPoly.one(f.field), echelon.rank
+
+
+def test_each_berlekamp_condition_rejects_on_its_own():
+    # (t+1)^2: B has one Frobenius-fixed dimension, only the gcd rejects
+    square = UniPoly.from_ints(F2, [1, 0, 1])
+    assert _berlekamp_conditions(square) == (False, 1)
+    # (t^2+t+1)(t^3+t+1) is squarefree with two fixed dimensions; only the
+    # rank rejects
+    product = UniPoly.from_ints(F2, [1, 1, 1]) * UniPoly.from_ints(F2, [1, 1, 0, 1])
+    assert _berlekamp_conditions(product) == (True, 3)
+    assert not is_irreducible(square) and not is_irreducible(product)
+
+
+def test_frobenius_matrix_of_gf4():
+    # GF(4) = GF(2)[u]/(u^2+u+1): 1 -> 1 and u -> u^2 = 1 + u
+    basis = ffield._regular_basis(F2, UniPoly.from_ints(F2, [1, 1, 1]))
+    assert frobenius_matrix(basis, 2).tolist() == [[1, 0], [1, 1]]
+
+
 def test_oversized_extension_refused_before_any_irreducibility_test(monkeypatch):
     calls = []
-    sieve = ffield.is_irreducible
-    monkeypatch.setattr(ffield, "is_irreducible", lambda f: calls.append(f) or sieve(f))
+    test = ffield._is_field
+    monkeypatch.setattr(ffield, "_is_field", lambda f, basis: calls.append(f) or test(f, basis))
     with pytest.raises(FieldTooLarge):
         extend_field(PrimeField(3), 8)  # 3^8 = 6561 > MAX_TABLE_ORDER
     with pytest.raises(ValueError):

@@ -63,16 +63,16 @@ def test_axes_oracle_matches_formula():
     for p in (2, 3):
         for d in (2, 3, 4):
             res = crosscheck(axes_ring(PrimeField(p), d))
-            assert res.status == "match" and res.report.branches_formula == d
+            assert res.oracle_status == "match" and res.branches_formula == d
 
 
 def test_crosscheck_match_circle():
     F3 = PrimeField(3)
     R = GradedQuotient(F3, 2, [form(F3, {(2, 0): 1, (0, 2): 1})], ("x", "y"))
     res = crosscheck(R)
-    assert res.status == "match"
+    assert res.oracle_status == "match"
     assert res.oracle_branches == 2
-    assert res.report.consistent
+    assert res.consistent
 
 
 def test_oracle_pattern_miss():
@@ -90,9 +90,9 @@ def test_crosscheck_no_oracle():
     xy = HomogPoly.from_ints(F5, 3, {(1, 1, 0): 1})
     R = GradedQuotient(F5, 3, [z, xy], ("x", "y", "z"))
     res = crosscheck(R)
-    assert res.status == "no-oracle"
-    assert res.report.branches_formula == 2
-    assert res.report.branches_formula == res.report.branches_multiplicity
+    assert res.oracle_status == "no-oracle"
+    assert res.branches_formula == 2
+    assert res.branches_formula == res.branches_multiplicity
 
 
 def test_random_squarefree_agreement_small_sample():
@@ -112,7 +112,7 @@ def test_random_squarefree_agreement_small_sample():
             continue
         R = GradedQuotient(F, 2, [f], ("x", "y"))
         res = crosscheck(R)
-        assert res.status == "match", (p, f)
+        assert res.oracle_status == "match", (p, f)
         checked += 1
 
 
