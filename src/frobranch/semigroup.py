@@ -2,12 +2,16 @@
 pure-inseparability index, F-nilpotency verdicts and Frobenius-test-exponent
 bounds.
 
-Geometry is exact throughout, and all arithmetic uses Python integers (no
-wraparound is possible).  Each integer matrix M gets one Smith normal form
-U * M * V = D with verified unimodular transforms.  Lattice membership and
-torsion orders are tested by U * v, and the rows of U past the rank are the
-equations of the span of the columns.  Cone facets come from a rank-(r-1)
-subset sweep of the generators, whose kernels are columns of V.
+Geometry is exact throughout.  Each integer matrix M gets one Smith normal
+form U * M * V = D with verified unimodular transforms.  Lattice membership
+and torsion orders are tested by U * v, and the rows of U past the rank r
+are the equations of the span of the columns.  A facet normal is the
+primitive cofactor vector of r - 1 generators stacked with those n - r
+equations, so cone geometry needs no SNF beyond the lattice one.  For
+r = n the primitive normal of a hyperplane is unique up to sign, which
+makes these normals the ones any kernel basis gives; for r < n the normal
+is the one in the span of A.  Each face of the cone met by eventual
+p-power membership gets one SNF, kept on the semigroup.
 
 A numerical semigroup (n = 1) is held as its gcd times the Apery list of
 the gcd-reduced generators with respect to the least one: O(1) membership,
@@ -19,7 +23,7 @@ no exponent cap.
 For n >= 2 the Hilbert basis of the saturation group(A) ∩ cone(A) is the
 set of minimal saturation points in a box that provably holds it
 (Bruns-Gubeladze, Polytopes, Rings, and K-Theory, 2.C): its i-th side is
-the sum of the r largest i-th generator coordinates, r = rank group(A).
+the sum b_i of the r largest i-th generator coordinates.
 By Caratheodory a cone point h is sum lambda_j * g_j over at most r
 linearly independent generators with lambda_j >= 0.  If h is not a
 generator and some lambda_j >= 1, then h - g_j is a nonzero saturation
@@ -29,6 +33,19 @@ summands of a split lie componentwise below the point: a box point splits
 in the saturation exactly when it splits in the box, and the minimal box
 points generate every box point with no further check.  A box of more
 than BOX_VOLUME_CAP points is refused before enumeration.
+
+The box is tested as one int64 array: a product of one facet, equation or
+congruence row w with the box points, and every partial sum of it, is at
+most sum |w_i| * max(b_i, 1) in size, and that exact bound is checked
+below 2^63 before allocation.  The volume cap keeps facet and congruence
+products far below it.  For r = n every b_i >= 1 and each coordinate of a
+generator is at most b_i, so Hadamard's bound on the columns of a
+cofactor gives sum |w_i| * b_i <= n (n-1)^((n-1)/2) prod b_i, below
+21 * BOX_VOLUME_CAP for n <= 4.  A congruence row has entries below d_i,
+which is at most the gcd of the r x r minors of the generators, so at
+most r^(r/2) * BOX_VOLUME_CAP by Hadamard on the rows of a nonzero one.
+Only the equations from U, and the normals made with them when r < n,
+have no such bound.
 """
 
 from __future__ import annotations
@@ -37,6 +54,8 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd, inf, lcm, prod
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     CapExceeded,
@@ -51,7 +70,7 @@ Vector = tuple[int, ...]
 DIMENSION_CAP = 4
 DEFAULT_E_MAX = 12
 APERY_CAP = 100_000  # least gcd-reduced numerical generator = Apery list length
-BOX_VOLUME_CAP = 200_000  # saturation box points, about 9 us each
+BOX_VOLUME_CAP = 200_000  # saturation box points, at most about 1.1 us each
 FTE_WINDOW_CAP = 1_000_000  # integers of the Fte window, about 4 us each
 
 
@@ -248,9 +267,10 @@ class AffineSemigroup:
         self._lattice_nf: Optional[IntMatrixNF] = None  # columns = generators
         self._facets: Optional[list[Vector]] = None
         self._equations: Optional[list[Vector]] = None
-        self._sat_points: Optional[set[Vector]] = None
+        self._sat_points: Optional[np.ndarray] = None  # box indicator array
         self._hilbert_basis: Optional[tuple[Vector, ...]] = None
         self._member_cache: dict[Vector, bool] = {}
+        self._faces: dict[tuple[Vector, ...], tuple] = {}  # vanishing facets -> (face gens, SNF)
         self._numerical: Optional[_NumericalData] = None
 
     def __repr__(self):
@@ -389,63 +409,68 @@ def _member_dfs(A: AffineSemigroup, v: Vector) -> bool:
     return cache.get(v, False)
 
 
+def _cofactors(rows: Sequence[Vector], n: int) -> Vector:
+    """Signed maximal minors of an (n-1) x n matrix: a vector orthogonal to
+    every row, and zero exactly when the rows are dependent."""
+    return tuple(
+        (-1) ** j * (_det([list(row[:j] + row[j + 1:]) for row in rows]) if rows else 1)
+        for j in range(n)
+    )
+
+
 def cone_geometry(A: AffineSemigroup) -> tuple[list[Vector], list[Vector]]:
     """(facet inequalities, span equations) of the rational cone of A.
 
-    Facet normals come from rank-(r-1) subsets of the generators whose
-    kernel functional is single-signed on all generators; equations cut out
-    the linear span when the cone is not full-dimensional.
+    The span equations are the rows of U past the rank r of the lattice
+    SNF.  A facet normal is the primitive cofactor vector of r - 1
+    generators stacked with those n - r equations: it lies in the span of
+    A, vanishes on the r - 1 generators, and is nonzero exactly when they
+    have rank r - 1.  A subset gives a facet when the normal is
+    single-signed on the generators, and facets are told apart by their
+    primitive dot vector on the generators.  For r = n there are no
+    equations and the primitive normal is unique up to sign, so it is the
+    one a kernel basis would give.
     """
     if A._facets is not None:
         return A._facets, A._equations
     if A.n > DIMENSION_CAP:
         raise DimensionCapExceeded(f"ambient dimension {A.n} exceeds cap {DIMENSION_CAP}")
     gens = A.generators
-    n = A.n
     lattice = A.lattice_nf()
     r = lattice.rank
     equations = [tuple(row) for row in lattice.U[r:]]
     facets: list[Vector] = []
     seen_patterns = set()
-    for subset in itertools.combinations(range(len(gens)), r - 1):
-        if subset:
-            nf = smith_normal_form([list(gens[i]) for i in subset])
-            if nf.rank != r - 1:
-                continue
-            # the columns of V past the rank span the kernel of the rows, and
-            # are primitive because V is unimodular
-            kernel = [tuple(row[j] for row in nf.V) for j in range(r - 1, n)]
-        else:
-            kernel = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-        w = None
-        for b in kernel:
-            dots = [_dot(b, g) for g in gens]
-            if not any(dots):
-                continue
-            if all(d >= 0 for d in dots):
-                w = b
-            elif all(d <= 0 for d in dots):
-                w = tuple(-x for x in b)
-                dots = [-d for d in dots]
-            else:
-                break
-            g0 = gcd(*dots)
-            pattern = tuple(d // g0 for d in dots)
-            if pattern not in seen_patterns:
-                seen_patterns.add(pattern)
-                facets.append(w)
-            break
+    for subset in itertools.combinations(gens, r - 1):
+        c = _cofactors([*subset, *equations], A.n)
+        if not any(c):
+            continue
+        dots = [_dot(c, g) for g in gens]
+        if min(dots) < 0 < max(dots):
+            continue
+        sign = 1 if max(dots) > 0 else -1
+        g0 = sign * gcd(*dots)
+        pattern = tuple(d // g0 for d in dots)
+        if pattern not in seen_patterns:
+            seen_patterns.add(pattern)
+            g1 = sign * gcd(*c)
+            facets.append(tuple(x // g1 for x in c))
     facets.sort()
     A._facets = facets
     A._equations = equations
     return facets, equations
 
 
-def _saturation_points(A: AffineSemigroup) -> set[Vector]:
-    """Nonzero points of group(A) ∩ cone(A) in the box that provably holds
-    its Hilbert basis (module docstring); a box above BOX_VOLUME_CAP points
-    is refused before enumeration."""
-    r = A.lattice_nf().rank
+def _saturation_points(A: AffineSemigroup) -> np.ndarray:
+    """Indicator array, over the box that provably holds the Hilbert basis
+    (module docstring), of the nonzero points of group(A) ∩ cone(A).
+
+    A box point v is kept when every facet product is >= 0, every span
+    equation vanishes, and (U_i mod d_i) . v = 0 mod d_i for each i < r
+    with d_i != 1.  A box above BOX_VOLUME_CAP points, or one where some
+    product could pass int64, is refused before allocation."""
+    nf = A.lattice_nf()
+    r = nf.rank
     bounds = [sum(sorted((g[i] for g in A.generators), reverse=True)[:r]) for i in range(A.n)]
     volume = prod(b + 1 for b in bounds)
     if volume > BOX_VOLUME_CAP:
@@ -453,27 +478,46 @@ def _saturation_points(A: AffineSemigroup) -> set[Vector]:
             f"saturation box {bounds} holds {volume} points, "
             f"above the box-volume cap {BOX_VOLUME_CAP}"
         )
-    pts = set()
-    for v in itertools.product(*(range(b + 1) for b in bounds)):
-        if v == (0,) * A.n:
-            continue
-        if A.in_cone(v) and A.in_lattice(v):
-            pts.add(v)
-    return pts
+    facets, eqs = cone_geometry(A)
+    d = nf.diagonal()
+    congruences = [(nf.U[i], d[i]) for i in range(r) if d[i] != 1]
+    rows = [*facets, *eqs, *(tuple(u % m for u in row) for row, m in congruences)]
+    # max(b, 1) also bounds the entries themselves, which go to int64
+    top = max(sum(abs(w) * max(b, 1) for w, b in zip(row, bounds)) for row in rows)
+    if top >= 2**63:
+        raise CapExceeded(f"saturation box products reach {top}, past int64")
+    shape = [b + 1 for b in bounds]
+    dots = np.array(rows, dtype=np.int64) @ np.indices(shape).reshape(A.n, -1)
+    k, e = len(facets), len(facets) + len(eqs)
+    keep = (dots[:k] >= 0).all(axis=0) & ~dots[k:e].any(axis=0)
+    for row, (_, m) in zip(dots[e:], congruences):
+        keep &= row % m == 0
+    keep[0] = False
+    return keep.reshape(shape)
 
 
-def _minimal_elements(points: set[Vector]) -> list[Vector]:
-    """Points not expressible as a sum of two nonzero points of the set,
-    for the nonzero points of a semigroup in N^n that lie in a box.
+def _minimal_elements(points: np.ndarray) -> list[Vector]:
+    """Points not expressible as a sum of two points of the set, for the
+    indicator array over a box of the nonzero points of a semigroup in N^n.
 
     Such a set holds every split of its points, whose summands lie
-    componentwise below them.  Points go by increasing degree, and a point
-    splits exactly when it minus some minimal point found so far lies in
-    the set: peel minimal points off the first summand of any split."""
+    componentwise below them.  Points go by increasing (degree, point), and
+    a point splits exactly when it minus some minimal point found so far
+    lies in the set: peel minimal points off the smaller summand of any
+    split.  Each minimal point h ORs the set shifted by h into the mask of
+    split points, which marks every later point it peels off; h is at most
+    half the degree of those points, so half the top degree of the box."""
+    split = np.zeros_like(points)
+    top = sum(points.shape) - points.ndim
     out: list[Vector] = []
-    for v in sorted(points, key=lambda u: (sum(u), u)):
-        if not any(tuple(b - a for a, b in zip(h, v)) in points for h in out):
-            out.append(v)
+    for v in sorted(map(tuple, np.argwhere(points).tolist()), key=sum):
+        if split[v]:
+            continue
+        out.append(v)
+        if 2 * sum(v) <= top:
+            split[tuple(slice(a, None) for a in v)] |= points[
+                tuple(slice(None, s - a) for a, s in zip(v, points.shape))
+            ]
     return out
 
 
@@ -511,16 +555,21 @@ class PMembership:
 def _face_lattice(A: AffineSemigroup, a: Vector):
     """Facets of cone(A) vanishing at a, the generators on the minimal face
     containing a, and the SNF of the matrix whose columns are those
-    generators (None when there are none)."""
+    generators (None when there are none); one SNF per vanishing-facet set,
+    kept on A."""
     facets, eqs = cone_geometry(A)
-    vanishing = [w for w in facets if _dot(w, a) == 0]
-    face_gens = [
-        g for g in A.generators if all(_dot(w, g) == 0 for w in vanishing)
-    ]
-    if not vanishing:  # the face is the whole cone, whose SNF A already holds
-        return vanishing, face_gens, A.lattice_nf()
-    nf = smith_normal_form([[g[i] for g in face_gens] for i in range(A.n)]) if face_gens else None
-    return vanishing, face_gens, nf
+    vanishing = tuple(w for w in facets if _dot(w, a) == 0)
+    face = A._faces.get(vanishing)
+    if face is None:
+        face_gens = [
+            g for g in A.generators if all(_dot(w, g) == 0 for w in vanishing)
+        ]
+        if not vanishing:  # the face is the whole cone, whose SNF A already holds
+            nf = A.lattice_nf()
+        else:
+            nf = smith_normal_form([[g[i] for g in face_gens] for i in range(A.n)]) if face_gens else None
+        face = A._faces[vanishing] = (face_gens, nf)
+    return (vanishing, *face)
 
 
 def eventual_p_membership(
@@ -716,13 +765,13 @@ def weak_normalization(
         check_characteristic(p)
         return WeakNormalizationResult(saturation_hilbert_basis(A), ())
     saturation_hilbert_basis(A)
-    star = set()
+    star = A._sat_points.copy()
     undetermined = []
-    for v in sorted(A._sat_points):
-        res = eventual_p_membership(A, v, p, e_max)
-        if res.status == "yes":
-            star.add(v)
-        elif res.status == "undetermined":
+    for v in map(tuple, np.argwhere(star).tolist()):  # ascending points
+        status = eventual_p_membership(A, v, p, e_max).status
+        if status != "yes":
+            star[v] = False
+        if status == "undetermined":
             undetermined.append(v)
     gens = _minimal_elements(star)
     return WeakNormalizationResult(tuple(sorted(gens)), tuple(undetermined))

@@ -336,6 +336,64 @@ def test_cone_facets_lower_dimensional_cone():
     assert any(sum(w[i] * (2, 1)[i] for i in range(2)) != 0 for w in eqs)
 
 
+def _kernel_sweep_facets(A):
+    """Facets by the SNF-kernel subset sweep: for each (r-1)-subset of the
+    generators of rank r - 1, the first column of V past the rank whose
+    dots with the generators are not all zero gives a facet when they are
+    single-signed.  Kept as the oracle of the cofactor normals."""
+    gens, n = A.generators, A.n
+    r = A.lattice_nf().rank
+    facets, seen = [], set()
+    for subset in itertools.combinations(gens, r - 1):
+        if subset:
+            nf = smith_normal_form([list(g) for g in subset])
+            if nf.rank != r - 1:
+                continue
+            kernel = [tuple(row[j] for row in nf.V) for j in range(r - 1, n)]
+        else:
+            kernel = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        for b in kernel:
+            dots = [sum(x * y for x, y in zip(b, g)) for g in gens]
+            if not any(dots):
+                continue
+            if min(dots) >= 0 or max(dots) <= 0:
+                w = b if max(dots) > 0 else tuple(-x for x in b)
+                pattern = _pattern(w, gens)
+                if pattern not in seen:
+                    seen.add(pattern)
+                    facets.append(w)
+            break
+    return sorted(facets)
+
+
+def _pattern(w, gens):
+    """Primitive dot vector of a functional on the generators."""
+    dots = [sum(x * y for x, y in zip(w, g)) for g in gens]
+    g0 = gcd(*dots)
+    return tuple(d // g0 for d in dots)
+
+
+def test_cofactor_facets_match_the_kernel_sweep():
+    # r = n: the primitive normal is unique, so the vectors agree; r < n:
+    # the cofactor normal is the one in the span, and the facets agree as
+    # functionals on the generators
+    rng = random.Random(67)
+    full = deficient = 0
+    for _ in range(320):
+        A = AffineSemigroup(_random_generators(rng))
+        facets, eqs = cone_geometry(A)
+        expected = _kernel_sweep_facets(A)
+        if eqs:
+            deficient += 1
+            patterns = [_pattern(w, A.generators) for w in facets]
+            assert sorted(patterns) == sorted(_pattern(w, A.generators) for w in expected), A
+            assert len(set(patterns)) == len(patterns)
+        else:
+            full += 1
+            assert facets == expected, A
+    assert full >= 150 and deficient >= 50
+
+
 def test_cone_facets_dimension_cap():
     with pytest.raises(DimensionCapExceeded):
         cone_geometry(AffineSemigroup([(1, 0, 0, 0, 0)]))
@@ -434,6 +492,43 @@ def test_hilbert_basis_matches_a_box_twice_the_bound():
     assert beyond_max >= 5
 
 
+def test_box_mask_and_minimal_points_match_the_point_loop():
+    # the whole-box tests against in_cone and in_lattice point by point, and
+    # the shifted-mask minimal points against peeling by set lookups, in
+    # the same (degree, point) order
+    rng = random.Random(71)
+    cases = deficient = 0
+    while cases < 60:
+        A = AffineSemigroup(_random_generators(rng))
+        if A.n == 1 or prod(b + 1 for b in _proven_bounds(A.generators)) > 1500:
+            continue
+        cases += 1
+        deficient += bool(cone_geometry(A)[1])
+        mask = semigroup._saturation_points(A)
+        box = itertools.product(*(range(s) for s in mask.shape))
+        points = {v for v in box if any(v) and A.in_cone(v) and A.in_lattice(v)}
+        assert {tuple(v) for v in np.argwhere(mask).tolist()} == points, A
+        expected = []
+        for v in sorted(points, key=lambda u: (sum(u), u)):
+            if not any(tuple(b - a for a, b in zip(h, v)) in points for h in expected):
+                expected.append(v)
+        assert semigroup._minimal_elements(mask) == expected, A
+    assert deficient >= 10
+
+
+def test_saturation_box_refuses_products_past_int64(monkeypatch):
+    # the box of <(1,0), (1,2)> is [0,2]^2 and its lattice is y even; forged
+    # facets put the largest product at 2^63 - 2, then at 2^63
+    A = AffineSemigroup([(1, 0), (1, 2)])
+    monkeypatch.setattr(semigroup, "cone_geometry", lambda A: ([(2**62 - 2, -1)], []))
+    mask = semigroup._saturation_points(A)
+    assert {tuple(v) for v in np.argwhere(mask).tolist()} == {(1, 0), (2, 0), (1, 2), (2, 2)}
+    monkeypatch.setattr(semigroup, "cone_geometry", lambda A: ([(2**62 - 1, -1)], []))
+    monkeypatch.setattr(semigroup.np, "indices", lambda shape: pytest.fail("box allocated"))
+    with pytest.raises(CapExceeded, match="int64"):
+        semigroup._saturation_points(A)
+
+
 def test_weak_normalization_matches_a_box_twice_the_bound():
     # small entries: eventual_p_membership's descent grows with p^e * v
     vertex_pinched = AffineSemigroup([(12, 0), (16, 0), (3, 1), (2, 2), (1, 3), (0, 4)])
@@ -489,6 +584,24 @@ def test_interior_point_reuses_the_semigroup_snf(monkeypatch):
     assert res.certificate["face_generators"] == [list(g) for g in A.generators]
     assert calls == []
     assert verify_no_certificate(A, (1, 1, 1), 3, res.certificate)
+
+
+def test_one_snf_per_vanishing_facet_set(monkeypatch):
+    # the degree-2 Veronese in 3 variables with the vertex (2,0,0) replaced
+    # by (4,0,0) and (6,0,0): the lattice SNF, then one per face met by a
+    # Hilbert basis element, and none per subset of generators
+    calls = []
+    snf = semigroup.smith_normal_form
+    monkeypatch.setattr(semigroup, "smith_normal_form", lambda M: calls.append(M) or snf(M))
+    A = AffineSemigroup([(4, 0, 0), (6, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)])
+    rep = pure_insep_index(A, 2)
+    assert rep.verdict == "f-nilpotent" and rep.e0 == 1
+    facets = cone_geometry(A)[0]
+    faces = {tuple(w for w in facets if sum(x * y for x, y in zip(w, h)) == 0) for h in rep.hilbert_basis}
+    assert len(faces) == 6 and len(calls) <= 1 + len(faces)
+    calls.clear()
+    assert pure_insep_index(A, 3).verdict == "f-nilpotent"
+    assert calls == []
 
 
 def test_forged_torsion_order_not_in_the_lattice(monkeypatch):
