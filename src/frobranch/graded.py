@@ -10,7 +10,6 @@ lexicographic column order.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +26,7 @@ from .errors import (
     NotOneDimensional,
     PowerVanishes,
 )
-from .ffield import Field, UniPoly, extend_field, squarefree_decomposition
+from .ffield import Field, UniPoly, distinct_root_count, extend_field
 from .linalg import Echelon, kernel_for
 
 Monomial = tuple  # exponent vector, one entry per variable
@@ -88,7 +87,8 @@ class HomogPoly:
     The zero polynomial keeps its degree tag with an empty term map.
     """
 
-    __slots__ = ("field", "nvars", "degree", "terms")
+    # _zero_count is set by plane_zero_count
+    __slots__ = ("field", "nvars", "degree", "terms", "_zero_count")
 
     def __init__(self, field: Field, nvars: int, degree: int, terms: dict):
         clean = {}
@@ -427,30 +427,52 @@ def is_linear_reduction(R: GradedQuotient, x: HomogPoly, d: int) -> bool:
     return image.rank == len(target.columns)
 
 
-def _lazy_product(values: range, n: int):
-    """itertools.product(values, repeat=n) in the same order, without
-    materialising values: a range of 2^31 codes does not fit in memory."""
-    if n == 0:
-        yield ()
+def _codes(q: int, k: int, zeros: Optional[bool]):
+    """Tuples of codes in range(q)^k in lexicographic order, lazily (a
+    range of 2^31 codes does not fit in memory): with no zero coordinate
+    (zeros False), with at least one (True), or all of them (None)."""
+    if k == 0:
+        if zeros is not True:
+            yield ()
         return
-    for head in values:
-        for tail in _lazy_product(values, n - 1):
+    for head in range(1 if zeros is False else 0, q):
+        # once a zero is placed, the tail is free
+        rest = None if zeros and head == 0 else zeros
+        for tail in _codes(q, k - 1, rest):
             yield (head,) + tail
 
 
+def _projective_forms(q: int, n: int):
+    """One coefficient tuple per line through the origin of GF(q)^n: the
+    nonzero tuples whose first nonzero code is 1.  Those with no zero
+    coordinate (the generic forms) come first, then the rest, each part in
+    lexicographic order."""
+    for tail in _codes(q, n - 1, False):
+        yield (1,) + tail
+    # more leading zeros is lexicographically smaller
+    for lead in range(n - 1, -1, -1):
+        for tail in _codes(q, n - lead - 1, True if lead == 0 else None):
+            yield (0,) * lead + (1,) + tail
+
+
 def _first_reduction(R: GradedQuotient, d: int, s_max: int) -> Optional[ReductionResult]:
-    """The first candidate x over GF(q^s), s = 1..s_max in turn, with
-    x*[R]_{d-1} = [R]_d."""
+    """The first linear form x over GF(q^s), s = 1..s_max in turn, with
+    x*[R]_{d-1} = [R]_d, one form per projective class.
+
+    The order is that of all nonzero forms, those with no zero coordinate
+    first, each part in lexicographic order of codes, with every form that
+    is not a class representative left out.  The verdict is the same for x
+    and lambda*x, lambda != 0, since both span x*S_{d-1}.  Scaling keeps
+    the zero pattern, so a class lies in one part, and its members first
+    differ at their first nonzero coordinate, which runs over every nonzero
+    code.  Code 1 is the least of them, so the class's first member in the
+    full order is its representative with leading coefficient 1.  The first
+    success in the full order is therefore the first member of a class
+    that succeeds, and no earlier class succeeds: it is the first success
+    among representatives, which is the form returned."""
     for s in range(1, s_max + 1):
         ring = R if s == 1 else base_change(R, s)
-        q = ring.field.order
-        # forms with no zero coordinate are the generic ones and come
-        # first; the remaining nonzero forms follow in product order
-        candidates = itertools.chain(
-            _lazy_product(range(1, q), ring.nvars),
-            (c for c in _lazy_product(range(q), ring.nvars) if any(c) and not all(c)),
-        )
-        for combo in candidates:
+        for combo in _projective_forms(ring.field.order, ring.nvars):
             x = linear_form(ring, combo)
             if is_linear_reduction(ring, x, d):
                 return ReductionResult(x, s, ring)
@@ -458,11 +480,13 @@ def _first_reduction(R: GradedQuotient, d: int, s_max: int) -> Optional[Reductio
 
 
 def find_linear_reduction(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> ReductionResult:
-    """First linear form (in a fixed enumeration order) with
-    x*[R]_{n0} = [R]_{n0+1}, extending scalars to GF(q^s), s <= s_max, if
-    needed.  When the regularity certificate sits at m = n0+1 it ran this
-    very search, so its form is the answer; otherwise the search reruns at
-    n0+1 <= m+1, where R's slices are already built."""
+    """First linear form with x*[R]_{n0} = [R]_{n0+1}, one per projective
+    class in _first_reduction's order, extending scalars to GF(q^s),
+    s <= s_max, if needed.  It is also the first success among all nonzero
+    forms in that order (proof in _first_reduction), and its first nonzero
+    coefficient is 1.  When the regularity certificate sits at m = n0+1 it
+    ran this very search, so its form is the answer; otherwise the search
+    reruns at n0+1 <= m+1, where R's slices are already built."""
     _, n0 = multiplicity(R, s_max)
     cert = R.certificate
     if cert.m == n0 + 1 and cert.reduction and cert.reduction.scalar_extension <= s_max:
@@ -538,7 +562,7 @@ def reducedness_status(R: GradedQuotient) -> str:
 
     Monomial ideals are checked via squarefreeness of the minimal
     generators; a single relation in two variables via one squarefree
-    decomposition (see _is_squarefree_binary).  Everything else is
+    decomposition (see plane_zero_count).  Everything else is
     reported unverified.
     """
     rels = R.relations
@@ -554,10 +578,9 @@ def reducedness_status(R: GradedQuotient) -> str:
             return "verified-monomial"
         return "not-reduced"
     if R.nvars == 2 and len(rels) == 1:
-        f = rels[0]
-        if _is_squarefree_binary(f):
-            return "verified-squarefree"
-        return "not-reduced"
+        if plane_zero_count(rels[0]) is None:
+            return "not-reduced"
+        return "verified-squarefree"
     return "unverified"
 
 
@@ -572,15 +595,32 @@ def dehomogenize(f: HomogPoly, at: int) -> UniPoly:
     return UniPoly(f.field, coeffs)
 
 
-def _is_squarefree_binary(f: HomogPoly) -> bool:
-    """Write f = x^a * h with x not dividing h.  Over the algebraic closure h
-    is a product of linear forms b*x + c*y with c != 0, and h(1, t) = f(1, t)
-    has the root -b/c for each, so f is squarefree exactly when a <= 1 and
-    f(1, t) is: one squarefree decomposition decides."""
-    if f.is_zero() or min(m[0] for m in f.terms) > 1:
-        return False
-    g = dehomogenize(f, at=0)
-    return g.degree < 1 or all(m == 1 for _, m in squarefree_decomposition(g))
+def plane_zero_count(f: HomogPoly) -> Optional[int]:
+    """Distinct zeros in P^1 over the algebraic closure of a form f in two
+    variables, or None when f is zero or has a repeated factor.
+
+    Write f = x^a * h with x not dividing h.  Over the algebraic closure h
+    is a product of linear forms b*x + c*y with c != 0, and h(1, t) =
+    f(1, t) has the root -b/c for each, so f is squarefree exactly when
+    a <= 1 and f(1, t) has deg f(1, t) distinct roots.  Its zeros are then
+    those roots and [0:1] when a = 1: one squarefree decomposition decides
+    and counts.  The result is kept on f, so the verdict, the oracle count
+    and the reducedness diagnostic of one request share it; threads racing
+    on the same f at worst compute it twice and store the same value."""
+    try:
+        return f._zero_count
+    except AttributeError:
+        pass
+    count = None
+    if not f.is_zero():
+        a = min(m[0] for m in f.terms)
+        if a <= 1:
+            g = dehomogenize(f, at=0)
+            roots = distinct_root_count(g) if g.degree >= 1 else 0
+            if roots == g.degree:
+                count = roots + a
+    f._zero_count = count
+    return count
 
 
 def branch_count(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> BranchReport:

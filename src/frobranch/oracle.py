@@ -13,14 +13,13 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import NotSquarefree
-from .ffield import Field, distinct_root_count
+from .ffield import Field
 from .graded import (
     BranchReport,
     GradedQuotient,
     HomogPoly,
     branch_count,
-    dehomogenize,
-    _is_squarefree_binary,
+    plane_zero_count,
 )
 
 
@@ -39,7 +38,7 @@ class HypersurfaceCurve:
             raise ValueError("the zero form defines no curve")
         if self.f.degree < 1:
             raise ValueError(f"the constant {self.f.format(self.var_names)} defines no curve")
-        if not _is_squarefree_binary(self.f):
+        if plane_zero_count(self.f) is None:
             raise NotSquarefree(f"{self.f.format(self.var_names)} has a repeated factor")
 
 
@@ -47,11 +46,10 @@ def hypersurface_branches(curve: HypersurfaceCurve) -> int:
     """Distinct projective zeros of f over the algebraic closure.
 
     These are the distinct roots of f(1, t), plus the point at infinity
-    [0:1] when x divides f (at most once, f being squarefree).
+    [0:1] when x divides f (at most once, f being squarefree), counted by
+    the decomposition that made the curve.
     """
-    g = dehomogenize(curve.f, at=0)
-    count = distinct_root_count(g) if g.degree >= 1 else 0
-    return count + min(m[0] for m in curve.f.terms)
+    return plane_zero_count(curve.f)
 
 
 def axes_branches(d: int) -> int:

@@ -498,26 +498,33 @@ def _saturation_points(A: AffineSemigroup) -> np.ndarray:
 
 def _minimal_elements(points: np.ndarray) -> list[Vector]:
     """Points not expressible as a sum of two points of the set, for the
-    indicator array over a box of the nonzero points of a semigroup in N^n.
+    indicator array over a box of the nonzero points of a semigroup in N^n,
+    in (degree, point) order.
 
     Such a set holds every split of its points, whose summands lie
     componentwise below them.  Points go by increasing (degree, point), and
     a point splits exactly when it minus some minimal point found so far
     lies in the set: peel minimal points off the smaller summand of any
     split.  Each minimal point h ORs the set shifted by h into the mask of
-    split points, which marks every later point it peels off; h is at most
-    half the degree of those points, so half the top degree of the box."""
+    split points, which marks every later point it peels off.  Such an h
+    has at most half the degree of those points, so at most half the top
+    degree of the box: only points up to that degree are walked, and past
+    it the split mask is final and the minimal points are the unmarked
+    ones, one mask."""
     split = np.zeros_like(points)
     top = sum(points.shape) - points.ndim
+    idx = np.argwhere(points)  # ascending points
+    low = 2 * idx.sum(axis=1) <= top
     out: list[Vector] = []
-    for v in sorted(map(tuple, np.argwhere(points).tolist()), key=sum):
+    for v in sorted(map(tuple, idx[low].tolist()), key=sum):
         if split[v]:
             continue
         out.append(v)
-        if 2 * sum(v) <= top:
-            split[tuple(slice(a, None) for a in v)] |= points[
-                tuple(slice(None, s - a) for a, s in zip(v, points.shape))
-            ]
+        split[tuple(slice(a, None) for a in v)] |= points[
+            tuple(slice(None, s - a) for a, s in zip(v, points.shape))
+        ]
+    high = idx[~low]
+    out += sorted(map(tuple, high[~split[tuple(high.T)]].tolist()), key=sum)
     return out
 
 

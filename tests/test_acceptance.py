@@ -15,7 +15,6 @@ from frobranch.ffield import PrimeField, extend_field
 from frobranch.graded import (
     GradedQuotient,
     HomogPoly,
-    _is_squarefree_binary,
     branch_count,
     closure_quotient_dim,
     find_linear_reduction,
@@ -23,6 +22,7 @@ from frobranch.graded import (
     ideal_membership,
     is_linear_reduction,
     multiplicity,
+    plane_zero_count,
 )
 from frobranch.ffield import UniPoly, poly_gcd, squarefree_decomposition
 from frobranch.oracle import axes_ring, crosscheck
@@ -127,7 +127,7 @@ def _random_squarefree(rng, field, d):
         if not terms:
             continue
         f = HomogPoly.from_ints(field, 2, terms)
-        if _is_squarefree_binary(f):
+        if plane_zero_count(f) is not None:
             return f
 
 

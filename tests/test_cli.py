@@ -466,9 +466,15 @@ def test_reused_parser_keeps_no_state_between_requests():
     assert second.relations == ("x*y",)
 
 
-def test_plane_curve_request_decomposes_at_most_three_times(monkeypatch, capsys):
-    # one squarefree verdict for the oracle's curve, one root count and one
-    # for the reducedness diagnostic
+@pytest.mark.parametrize(
+    "command, line",
+    [("branches", "result.oracle_branches: 3"), ("hypersurface", "result.branches: 3")],
+    ids=["branches", "hypersurface"],
+)
+def test_plane_curve_request_decomposes_once(command, line, monkeypatch, capsys):
+    # the squarefree verdict, the oracle's root count and the reducedness
+    # diagnostic share one decomposition of f(1, t); every other module
+    # reaches it through ffield.distinct_root_count
     calls = []
     original = ffield.squarefree_decomposition
 
@@ -476,13 +482,13 @@ def test_plane_curve_request_decomposes_at_most_three_times(monkeypatch, capsys)
         calls.append(f)
         return original(f)
 
-    for module in (ffield, graded):
-        monkeypatch.setattr(module, "squarefree_decomposition", counting)
+    monkeypatch.setattr(ffield, "squarefree_decomposition", counting)
     # x*(x^2 + y^2) = x*(x + 2y)*(x - 2y) over GF(5), with the point at infinity
-    code, out, _ = run_cli(["branches", "--p", "5", "--vars", "x,y", "--rel", "x^3+x*y^2"], capsys)
-    assert code == 0
-    assert "result.oracle_branches: 3" in out and "diag.reducedness: verified-squarefree" in out
-    assert len(calls) <= 3
+    code, out, _ = run_cli([command, "--p", "5", "--vars", "x,y", "--rel", "x^3+x*y^2"], capsys)
+    assert code == 0 and line in out
+    if command == "branches":
+        assert "diag.reducedness: verified-squarefree" in out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

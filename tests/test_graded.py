@@ -25,7 +25,9 @@ from frobranch.graded import (
     monomials_of_degree,
     multiplicity,
     reducedness_status,
+    _first_reduction,
 )
+from frobranch import graded
 from frobranch.linalg import Echelon
 from frobranch.oracle import axes_ring
 
@@ -178,15 +180,91 @@ def _reduction_test_rings():
 
 
 def test_one_degree_reduction_test_matches_window_check():
+    # and every nonzero multiple of a form gets its verdict, which is what
+    # lets the reduction search test one form per projective class
     for R in _reduction_test_rings():
-        verdicts = set()
+        verdicts = {}
         for combo in itertools.product(range(R.field.order), repeat=R.nvars):
             if any(combo):
                 x = linear_form(R, combo)
                 verdict = is_linear_reduction(R, x, multiplicity(R)[1] + 1)
                 assert verdict == _window_reduction_reference(R, x), (R, combo)
-                verdicts.add(verdict)
-        assert True in verdicts, R
+                verdicts[combo] = verdict
+        for combo, verdict in verdicts.items():
+            for lam in range(1, R.field.order):
+                multiple = tuple(R.field.mul(lam, c) for c in combo)
+                assert verdicts[multiple] == verdict, (R, combo, lam)
+        assert True in verdicts.values(), R
+
+
+def _all_points_ring(field):
+    # x^q*y - x*y^q vanishes at every GF(q)-point of the line
+    q = field.order
+    return GradedQuotient(field, 2, [HomogPoly(field, 2, q + 1, {
+        (q, 1): 1, (1, q): field.neg(1),
+    })], ("x", "y"))
+
+
+def _full_enumeration_reduction(R, d, s_max):
+    """The first success of the search over every nonzero form: those with
+    no zero coordinate first, then the rest, each in product order."""
+    for s in range(1, s_max + 1):
+        ring = R if s == 1 else base_change(R, s)
+        q = ring.field.order
+        candidates = itertools.chain(
+            itertools.product(range(1, q), repeat=ring.nvars),
+            (c for c in itertools.product(range(q), repeat=ring.nvars) if any(c) and not all(c)),
+        )
+        for combo in candidates:
+            x = linear_form(ring, combo)
+            if is_linear_reduction(ring, x, d):
+                return x, s
+    return None
+
+
+def test_projective_search_finds_the_full_enumerations_first_form():
+    rng = random.Random(20261018)
+    fields = (F2, F3, extend_field(F2, 2), extend_field(F3, 2))
+    cases, extended, none = 0, 0, 0
+    for field in fields:
+        rings = [
+            circle_ring(field),
+            fermat_ring(field, rng.randint(2, 4)),
+            axes_ring(field, rng.randint(2, 3)),
+            _all_points_ring(field),
+        ]
+        for R, s_max in itertools.product(rings, (1, 2)):
+            _, n0 = multiplicity(R, s_max)
+            for d in sorted({n0 + 1, R.certificate.m}):
+                red = _first_reduction(R, d, s_max)
+                expected = _full_enumeration_reduction(R, d, s_max)
+                cases += 1
+                if expected is None:
+                    assert red is None, (R, d, s_max)
+                    none += 1
+                    continue
+                assert (red.form, red.scalar_extension) == expected, (R, d, s_max)
+                # the coefficient of the first variable present is 1
+                assert red.form.terms[max(red.form.terms)] == 1
+                extended += red.scalar_extension == 2
+    assert cases >= 32 and extended >= 4 and none >= 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_all_points_curve_tests_one_form_per_class(p, monkeypatch):
+    # p + 1 classes fail over GF(p), then over GF(p^2) the forms x + c*y
+    # with c = 1..p-1 fail and c = p, the first code outside GF(p), succeeds
+    calls = []
+    original = graded.is_linear_reduction
+
+    def counting(R, x, d):
+        calls.append(x)
+        return original(R, x, d)
+
+    monkeypatch.setattr(graded, "is_linear_reduction", counting)
+    report = branch_count(_all_points_ring(PrimeField(p)))
+    assert report.branches_formula == p + 1 and report.reduction_scalar_extension == 2
+    assert len(calls) == 2 * p + 1
 
 
 def test_branch_count_builds_no_slice_above_the_certificate():

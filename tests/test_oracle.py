@@ -4,7 +4,7 @@ import pytest
 
 from frobranch.errors import NotSquarefree
 from frobranch.ffield import PrimeField
-from frobranch.graded import GradedQuotient, HomogPoly, _is_squarefree_binary
+from frobranch.graded import GradedQuotient, HomogPoly, plane_zero_count
 from frobranch.oracle import (
     HypersurfaceCurve,
     axes_branches,
@@ -44,7 +44,7 @@ def test_hypersurface_symmetric_in_variables():
             if not terms:
                 continue
             f = HomogPoly.from_ints(F, 2, terms)
-            if not _is_squarefree_binary(f):
+            if plane_zero_count(f) is None:
                 continue
             swapped = HomogPoly.from_ints(F, 2, {(m[1], m[0]): c for m, c in f.terms.items()})
             assert hypersurface_branches(HypersurfaceCurve(F, f)) == hypersurface_branches(
@@ -108,7 +108,7 @@ def test_random_squarefree_agreement_small_sample():
         if not terms:
             continue
         f = HomogPoly.from_ints(F, 2, terms)
-        if not _is_squarefree_binary(f):
+        if plane_zero_count(f) is None:
             continue
         R = GradedQuotient(F, 2, [f], ("x", "y"))
         res = crosscheck(R)
@@ -119,7 +119,7 @@ def test_random_squarefree_agreement_small_sample():
 def test_squarefree_verdict_matches_both_dehomogenizations():
     # the one-decomposition verdict against the two-sided rule, with gcd(g, g')
     # computed by sympy over GF(p): f is squarefree exactly when f(1, t) and
-    # f(t, 1) are
+    # f(t, 1) are, and then its deg f linear factors are distinct zeros
     sympy = pytest.importorskip("sympy")
     t = sympy.symbols("t")
     rng = random.Random(11)
@@ -137,6 +137,6 @@ def test_squarefree_verdict_matches_both_dehomogenizations():
             g = sympy.Poly(sum(c * t ** m[1 - at] for m, c in terms.items()), t, modulus=p)
             if g.degree() >= 1 and sympy.gcd(g, g.diff(t)).degree() >= 1:
                 expected = False
-        assert _is_squarefree_binary(f) == expected, (p, terms)
+        assert plane_zero_count(f) == (f.degree if expected else None), (p, terms)
         verdicts.add(expected)
     assert verdicts == {True, False}

@@ -516,6 +516,14 @@ def test_box_mask_and_minimal_points_match_the_point_loop():
     assert deficient >= 10
 
 
+def test_long_thin_cone_hilbert_basis():
+    # a 442 x 442 box holding 194921 saturation points, of which only the
+    # 441 points (1, j) are minimal
+    A = AffineSemigroup([(440, 1), (1, 440), (1, 0)])
+    assert saturation_hilbert_basis(A) == tuple((1, j) for j in range(441))
+    assert int(A._sat_points.sum()) == 194921
+
+
 def test_saturation_box_refuses_products_past_int64(monkeypatch):
     # the box of <(1,0), (1,2)> is [0,2]^2 and its lattice is y even; forged
     # facets put the largest product at 2^63 - 2, then at 2^63
