@@ -489,14 +489,15 @@ def _is_field(f: UniPoly, basis: np.ndarray) -> bool:
     gcd(f, f') = 1 makes B reduced, one finite field per irreducible factor
     of f, each with GF(p) as its Frobenius-fixed part; so B is a field
     exactly when also rank(F - I) = D - 1.  Row 0 of F - I is zero, so the
-    other D - 1 rows must each raise the rank of one GF(p) echelon."""
+    other D - 1 rows, inserted as one block into a GF(p) echelon, must all
+    raise its rank."""
     if poly_gcd(f, f.derivative()).degree > 0:
         return False
     p = f.field.p
     # basis[:, :, 0] is the identity: row k holds the digits of e_k
     rows = (frobenius_matrix(basis, p) - basis[:, :, 0]) % p
     echelon = Echelon(kernel_for(PrimeField(p)), len(rows))
-    return all(echelon.add_row(row) for row in rows[1:])
+    return echelon.add_row(rows[1:]) == len(rows) - 1
 
 
 def is_irreducible(f: UniPoly) -> bool:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from itertools import accumulate
+from math import comb, factorial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,9 +35,12 @@ Monomial = tuple  # exponent vector, one entry per variable
 DEFAULT_DEGREE_CAP = 64
 DEFAULT_S_MAX = 3
 # A degree-d slice over GF(p^s) holds a dense echelon of up to C x s x C
-# int64 digits (8*s*C^2 bytes: 18 MB at the cap for s = 1, 144 MB for s = 8),
-# and its elimination grows faster still: on a 2-vCPU Xeon, the degree-6
-# slice of a monomial ideal in 8 variables (1716 columns) took about 0.5 s.
+# digits (8*s*C^2 bytes: 18 MB at the cap for s = 1, 144 MB for s = 8),
+# beside one block of at most C Macaulay rows.  On a 2-vCPU Xeon the
+# degree-5 slice of 8 random quadrics in 9 variables (1287 columns) takes
+# 0.4-0.6 s, and the degree-6 slice of a monomial ideal in 8 variables
+# (1716 columns, refused here) 1.7-2.2 s, its sparse rows paying for the
+# dense passes of every panel.
 SLICE_COLUMN_CAP = 1500
 
 
@@ -64,20 +68,98 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def macaulay_rows(nvars: int, gens: Sequence[HomogPoly], col_index: dict, d: int):
-    """Yield the coefficient rows of {m*g : g in gens, deg(m*g) = d}.
+@lru_cache(maxsize=None)
+def _index_table(nvars: int, d: int) -> np.ndarray:
+    """C(s + j, j + 1) at flat position (j-1)*(d+1) + s, for 1 <= j <
+    nvars - 1 and s <= d (see macaulay_matrix); every entry is below the
+    slice's width."""
+    return np.array(
+        [comb(s + j, j + 1) for j in range(1, nvars - 1) for s in range(d + 1)], dtype=np.int64,
+    )
 
-    Rows are int64 code vectors over the degree-d columns of col_index,
-    generator by generator, multipliers m in grevlex order; zero generators
-    and those of degree above d contribute nothing."""
+
+@lru_cache(maxsize=4096)
+def _prefix_sums(monos: tuple) -> np.ndarray:
+    """Exponent prefix sums S_0, .., S_(n-2) of monomials (S_0 = 0 alone
+    for one variable), kept per monomial tuple: the candidate forms of a
+    reduction search share their monomials."""
+    sums = np.array([list(accumulate(m[:-1])) or [0] for m in monos], dtype=np.int64)
+    sums.flags.writeable = False  # shared by every caller
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _multipliers(nvars: int, e: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-e multipliers of a degree-d Macaulay matrix: the flat
+    position of the last column of their rows less their S_0, and their
+    later prefix sums shifted to their rows of _index_table(nvars, d)."""
+    keys = _prefix_sums(monomials_of_degree(nvars, e))
+    ncols = comb(d + nvars - 1, nvars - 1)
+    ends = np.arange(ncols - 1, len(keys) * ncols, ncols) - keys[:, 0]
+    return ends[:, None], keys[:, 1:] + (d + 1) * np.arange(nvars - 2)
+
+
+def macaulay_matrix(nvars: int, gens: Sequence[HomogPoly], d: int):
+    """Yield the Macaulay matrix of gens in degree d: the code rows of
+    {m*g : g in gens, deg(m*g) = d} over the degree-d columns, in blocks of
+    at most as many rows as columns.
+
+    The generators come by degree, ascending, in their given order within a
+    degree; each one's rows follow its multipliers m in grevlex order.  Zero
+    generators and those of degree above d contribute nothing.
+
+    A column is found from exponent prefix sums S_j = a_0 + .. + a_j,
+    j < nvars - 1, counted from the last column: b comes after a exactly
+    when b_i > a_i at the last variable i where they differ, and for each
+    i >= 1 those b agree with a above i, so b_0 + .. + b_(i-1) < S_(i-1):
+    they are the monomials of degree below S_(i-1) in i variables,
+    C(S_(i-1) + i - 1, i) of them, which is S_0 for i = 1 and read from
+    _index_table above.  Prefix sums add under multiplication, so the
+    sums of m*g's terms are m's sums plus the terms' sums
+    (HomogPoly.term_keys), and every generator of one degree shares the
+    multipliers."""
+    ncols = comb(d + nvars - 1, nvars - 1)
+    by_degree: dict = {}
     for g in gens:
-        if g.degree > d or g.is_zero():
-            continue
-        for mult in monomials_of_degree(nvars, d - g.degree):
-            row = np.zeros(len(col_index), dtype=np.int64)
-            for m, code in g.terms.items():
-                row[col_index[monomial_mul(mult, m)]] = code
-            yield row
+        if g.terms and g.degree <= d:
+            by_degree.setdefault(g.degree, []).append(g)
+    parts, nrows = [], 0
+    for e in sorted(by_degree):
+        mults = _multipliers(nvars, d - e, d)
+        k, group = len(mults[0]), by_degree[e]
+        while group:
+            fit = (ncols - nrows) // k
+            if not fit:
+                yield _fill(parts, nrows, ncols, _index_table(nvars, d))
+                parts, nrows = [], 0
+                continue
+            parts.append((nrows, mults, group[:fit]))
+            nrows += k * len(group[:fit])
+            group = group[fit:]
+    if nrows:
+        yield _fill(parts, nrows, ncols, _index_table(nvars, d))
+
+
+def _fill(parts, nrows: int, ncols: int, table: np.ndarray) -> np.ndarray:
+    """One block of macaulay_matrix: parts are (first row, multipliers,
+    generators of one degree)."""
+    block = np.zeros(nrows * ncols, dtype=np.int64)
+    for first, (ends, keys), gens in parts:
+        if len(gens) == 1:
+            terms, codes = gens[0].term_keys()
+        else:
+            pairs = [g.term_keys() for g in gens]
+            terms = np.concatenate([t for t, _ in pairs])
+            codes = np.concatenate([c for _, c in pairs])
+            # each generator's rows follow the previous one's
+            step = len(keys) * ncols
+            ends = ends + np.repeat(np.arange(0, step * len(gens), step), [len(c) for _, c in pairs])
+        flat = ends - terms[:, 0]
+        for j in range(keys.shape[1]):
+            flat -= table.take(keys[:, j, None] + terms[:, j + 1])
+        # put repeats the codes along each row
+        block.put(flat + first * ncols if first else flat, codes)
+    return block.reshape(nrows, ncols)
 
 
 class HomogPoly:
@@ -87,8 +169,8 @@ class HomogPoly:
     The zero polynomial keeps its degree tag with an empty term map.
     """
 
-    # _zero_count is set by plane_zero_count
-    __slots__ = ("field", "nvars", "degree", "terms", "_zero_count")
+    # _zero_count is set by plane_zero_count, _keys by term_keys
+    __slots__ = ("field", "nvars", "degree", "terms", "_zero_count", "_keys")
 
     def __init__(self, field: Field, nvars: int, degree: int, terms: dict):
         clean = {}
@@ -119,6 +201,17 @@ class HomogPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def term_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exponent prefix sums of the terms (see macaulay_matrix) and
+        their codes, as arrays, kept on the polynomial."""
+        try:
+            return self._keys
+        except AttributeError:
+            pass
+        codes = np.fromiter(self.terms.values(), dtype=np.int64, count=len(self.terms))
+        self._keys = (_prefix_sums(tuple(self.terms)), codes)
+        return self._keys
 
     def __eq__(self, other):
         if not isinstance(other, HomogPoly):
@@ -199,9 +292,9 @@ class HomogPoly:
 @dataclass
 class _SliceData:
     columns: tuple[Monomial, ...]
-    col_index: dict
     echelon: Echelon          # RREF of the degree-d piece of I
     std_monomials: tuple[Monomial, ...]
+    std_index: list[int]      # their columns: those without a pivot
 
 
 @dataclass(frozen=True)
@@ -307,26 +400,24 @@ class GradedQuotient:
                 f"{SLICE_COLUMN_CAP} columns"
             )
         columns = monomials_of_degree(self.nvars, d)
-        col_index = {m: i for i, m in enumerate(columns)}
-        ech = Echelon(self.kernel, len(columns))
-        for row in macaulay_rows(self.nvars, self.relations, col_index, d):
-            ech.add_row(row)
+        ech = Echelon(self.kernel, ncols)
+        for block in macaulay_matrix(self.nvars, self.relations, d):
+            ech.add_row(block)
+            del block  # before the next block is built beside it
         pivots = set(ech.pivots)
-        std = tuple(m for i, m in enumerate(columns) if i not in pivots)
-        return _SliceData(columns, col_index, ech, std)
+        std = [i for i in range(ncols) if i not in pivots]
+        return _SliceData(columns, ech, tuple(columns[i] for i in std), std)
 
-    def to_vector(self, f: HomogPoly, data: Optional[_SliceData] = None) -> np.ndarray:
-        if data is None:
-            data = self.slice(f.degree)
-        vec = np.zeros(len(data.columns), dtype=np.int64)
-        for m, c in f.terms.items():
-            vec[data.col_index[m]] = c
-        return vec
+    def to_vector(self, f: HomogPoly) -> np.ndarray:
+        """The codes of a form on the monomials of its degree."""
+        block = next(macaulay_matrix(self.nvars, [f], f.degree), None)
+        if block is None:  # f is zero
+            return np.zeros(comb(f.degree + self.nvars - 1, self.nvars - 1), dtype=np.int64)
+        return block[0]
 
     def normal_form_vector(self, f: HomogPoly) -> np.ndarray:
         """Coordinates of f's class modulo I, in the full degree slice."""
-        data = self.slice(f.degree)
-        return data.echelon.reduce(self.to_vector(f, data))
+        return self.slice(f.degree).echelon.reduce(self.to_vector(f))
 
 
 # -- operations --------------------------------------------------------------
@@ -394,10 +485,15 @@ def ideal_membership(R: GradedQuotient, f: HomogPoly, J: Sequence[HomogPoly]) ->
     if any(h.field != R.field or h.nvars != R.nvars for h in J):
         raise FieldMismatch("ideal generator over a different ring")
     data = R.slice(f.degree)
-    ech = data.echelon.clone()
-    for row in macaulay_rows(R.nvars, J, data.col_index, f.degree):
-        ech.add_row(row)
-    return ech.contains(R.to_vector(f, data))
+    target = data.echelon.reduce(R.to_vector(f))
+    if not target.any():
+        return True
+    # rows reduced by the slice vanish at its pivots, so the span of J's
+    # rows modulo I_d lives on the standard-monomial columns
+    rest = Echelon(R.kernel, len(data.std_index))
+    for block in macaulay_matrix(R.nvars, J, f.degree):
+        rest.add_row(data.echelon.reduce(block)[:, data.std_index])
+    return rest.contains(target[data.std_index])
 
 
 def linear_form(R: GradedQuotient, coeffs: Sequence[int]) -> HomogPoly:
@@ -415,16 +511,16 @@ def is_linear_reduction(R: GradedQuotient, x: HomogPoly, d: int) -> bool:
     standard-graded ring x*[R]_n = [R]_{n+1} then holds for all higher n,
     since [R]_{n+2} = [R]_1*[R]_{n+1} = [R]_1*x*[R]_n = x*[R]_{n+1}.  So
     at d = n0+1, n0 the stabilization index of multiplicity(R), it says
-    whether x reduces the irrelevant ideal."""
+    whether x reduces the irrelevant ideal: the rows of x*S_{d-1}, reduced
+    modulo I_d, must have rank HF(d)."""
     if x.degree != 1:
         raise ValueError("reduction candidate must be a linear form")
     if x.field != R.field or x.nvars != R.nvars:
         raise FieldMismatch("reduction candidate over a different ring")
     target = R.slice(d)
-    image = target.echelon.clone()
-    for row in macaulay_rows(R.nvars, [x], target.col_index, d):
-        image.add_row(row)
-    return image.rank == len(target.columns)
+    # x*S_{d-1} has no more rows than S_d has columns: at most one block
+    image = sum(target.echelon.rank_modulo(b) for b in macaulay_matrix(R.nvars, [x], d))
+    return image == len(target.std_monomials)
 
 
 def _codes(q: int, k: int, zeros: Optional[bool]):
@@ -545,7 +641,8 @@ def closure_quotient_dim(R: GradedQuotient, x: HomogPoly, n: int) -> int:
     (x^n) + m^(n+1) is the span of x^n, so the dimension is HF(n) minus one
     provided x^n does not vanish in R.
     """
-    nf = R.normal_form_vector(x**n)
+    data = R.slice(n)
+    nf = data.echelon.reduce(linear_power_vector(x, n, data.columns))
     if not np.any(nf) and n > 0:
         base = x.format(R.var_names)
         if len(x.terms) > 1:
@@ -555,6 +652,36 @@ def closure_quotient_dim(R: GradedQuotient, x: HomogPoly, n: int) -> int:
             "or the form is not a parameter"
         )
     return hilbert_function(R, n) - 1
+
+
+def linear_power_vector(x: HomogPoly, n: int, columns: Sequence[Monomial]) -> np.ndarray:
+    """The codes of x^n on the degree-n monomials `columns`, for a linear
+    form x = sum c_i x_i, by the multinomial theorem: the coefficient of
+    x^a is n! / (a_1! .. a_k!) * prod c_i^(a_i).  The multinomial is an
+    integer, whose residue mod p is its code in every field of
+    characteristic p."""
+    field = x.field
+    c = [0] * x.nvars
+    for mono, code in x.terms.items():
+        c[mono.index(1)] = code
+    powers = []
+    for ci in c:
+        row = [1]
+        for _ in range(n):
+            row.append(field.mul(row[-1], ci))
+        powers.append(row)
+    fact = [factorial(i) for i in range(n + 1)]
+    vec = []
+    for a in columns:
+        code = fact[n]
+        for ai in a:
+            code //= fact[ai]
+        code %= field.p
+        for ai, row in zip(a, powers):
+            if ai and code:
+                code = field.mul(code, row[ai])
+        vec.append(code)
+    return np.array(vec, dtype=np.int64)
 
 
 def reducedness_status(R: GradedQuotient) -> str:

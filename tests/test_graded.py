@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,13 +23,15 @@ from frobranch.graded import (
     ideal_membership,
     is_linear_reduction,
     linear_form,
+    linear_power_vector,
+    macaulay_matrix,
     monomials_of_degree,
     multiplicity,
     reducedness_status,
     _first_reduction,
 )
 from frobranch import graded
-from frobranch.linalg import Echelon
+from frobranch.linalg import Echelon, kernel_for
 from frobranch.oracle import axes_ring
 
 F2 = PrimeField(2)
@@ -153,6 +156,100 @@ def test_is_linear_reduction():
     x = linear_form(P, [1])
     assert is_linear_reduction(P, x, 1) is True
     assert multiplicity(P)[1] == 0
+
+
+def _macaulay_rows(nvars, gens, d):
+    """The Macaulay rows of gens in degree d, one at a time in
+    macaulay_matrix's order, from a column dictionary."""
+    columns = {m: i for i, m in enumerate(monomials_of_degree(nvars, d))}
+    for g in sorted((g for g in gens if g.terms and g.degree <= d), key=lambda g: g.degree):
+        for mult in monomials_of_degree(nvars, d - g.degree):
+            row = np.zeros(len(columns), dtype=np.int64)
+            for m, c in g.terms.items():
+                row[columns[tuple(a + b for a, b in zip(mult, m))]] = c
+            yield row
+
+
+def test_macaulay_matrix_matches_rows_built_one_at_a_time():
+    rng = random.Random(11)
+    F9 = extend_field(F3, 2)
+    cases = [(1, 0, 3), (2, 1, 4), (2, 3, 5), (3, 2, 4), (4, 2, 5), (5, 3, 4), (9, 2, 3)]
+    for field in (F5, F9):
+        for nvars, top, d in cases:
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                e = rng.randint(max(top - 1, 0), top)
+                monos = monomials_of_degree(nvars, e)
+                terms = {m: rng.randrange(field.order) for m in rng.sample(monos, min(len(monos), rng.randint(1, 6)))}
+                gens.append(HomogPoly(field, nvars, e, terms))
+            gens.append(HomogPoly(field, nvars, d + 1, {}))  # zero, and too high
+            blocks = list(macaulay_matrix(nvars, gens, d))
+            ncols = len(monomials_of_degree(nvars, d))
+            assert all(0 < len(b) <= ncols and b.shape[1] == ncols for b in blocks)
+            got = np.concatenate(blocks) if blocks else np.zeros((0, ncols), dtype=np.int64)
+            want = list(_macaulay_rows(nvars, gens, d))
+            assert got.tolist() == [row.tolist() for row in want], (field, nvars, d)
+
+
+def test_macaulay_matrix_in_forty_variables():
+    # 3^40 > 2^63: a mixed-radix key of the degree-2 monomials would overflow
+    F = PrimeField(7)
+    rng = random.Random(40)
+    monos = monomials_of_degree(40, 2)
+    gens = [HomogPoly(F, 40, 2, {m: rng.randrange(1, 7) for m in rng.sample(monos, 5)}) for _ in range(3)]
+    gens.append(HomogPoly(F, 40, 1, {monomials_of_degree(40, 1)[17]: 1, monomials_of_degree(40, 1)[39]: 3}))
+    (block,) = macaulay_matrix(40, gens, 2)
+    assert block.tolist() == [row.tolist() for row in _macaulay_rows(40, gens, 2)]
+
+
+def _clone_and_insert_reduction(R, x, d):
+    """x*[R]_{d-1} = [R]_d as I_d + x*S_{d-1} spanning S_d, every row of
+    both inserted one at a time into one echelon."""
+    ncols = len(monomials_of_degree(R.nvars, d))
+    ech = Echelon(R.kernel, ncols)
+    for row in itertools.chain(_macaulay_rows(R.nvars, R.relations, d), _macaulay_rows(R.nvars, [x], d)):
+        ech.add_row(row)
+    return ech.rank == ncols
+
+
+def test_reduction_test_matches_clone_and_insert():
+    rng = random.Random(5)
+    rings = [circle_ring(F) for F in (F2, F3, F5)] + [_all_points_ring(F) for F in (F2, F3)]
+    rings += list(_oracle_rings())
+    verdicts = set()
+    for R in rings:
+        for d in range(1, R.max_rel_degree + 3):
+            for _ in range(4):
+                x = linear_form(R, [rng.randrange(R.field.order) for _ in range(R.nvars)])
+                if x.is_zero():
+                    continue
+                verdict = is_linear_reduction(R, x, d)
+                assert verdict == _clone_and_insert_reduction(R, x, d), (R, x, d)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_slice_memory_stays_near_the_echelon():
+    # the degree-4 slice of 60 random quadrics in 9 variables has 2700
+    # Macaulay rows for 495 columns, 5.45 echelon arrays at once; in blocks
+    # of at most 495 rows the peak holds the echelon, one block of codes,
+    # its digit rows and temporaries of a panel of rows, whatever the row
+    # count: 120 quadrics, 10.9 echelon arrays of rows, peak no higher
+    rng = random.Random(60)
+    echelon = 495 * 495 * np.dtype(kernel_for(F7).dtype).itemsize
+    peaks = []
+    for count in (60, 120):
+        gens = [HomogPoly(F7, 9, 2, {m: rng.randrange(7) for m in monomials_of_degree(9, 2)}) for _ in range(count)]
+        R = GradedQuotient(F7, 9, gens)
+        tracemalloc.start()
+        try:
+            data = R.slice(4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(data.columns) == 495 and data.echelon.rank == 495
+    assert max(peaks) < 4.5 * echelon, [peak / echelon for peak in peaks]
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 def _window_reduction_reference(R, x):
@@ -427,6 +524,19 @@ def test_closure_quotient_dim():
     P = GradedQuotient(F5, 1, [])
     t = linear_form(P, [1])
     assert closure_quotient_dim(P, t, 4) == 0
+
+
+def test_power_vector_matches_repeated_products():
+    rng = random.Random(3)
+    for field in (F2, F7, extend_field(F3, 2), extend_field(F2, 3)):
+        for nvars in (1, 2, 3):
+            for n in (0, 1, 2, 5, 8):
+                x = linear_form(GradedQuotient(field, nvars, []), [rng.randrange(field.order) for _ in range(nvars)])
+                if x.is_zero():
+                    continue
+                columns = monomials_of_degree(nvars, n)
+                want = [(x**n).terms.get(m, 0) for m in columns]
+                assert linear_power_vector(x, n, columns).tolist() == want, (field, x, n)
 
 
 def test_closure_quotient_dim_power_vanishes():

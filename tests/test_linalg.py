@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import numpy as np
 
+from frobranch import linalg
 from frobranch.ffield import ExtensionField, PrimeField, UniPoly, extend_field
 from frobranch.linalg import Echelon, kernel_for
 
@@ -156,45 +158,94 @@ class _GaussJordan:
         return True
 
 
-def test_echelon_matches_python_gauss_jordan():
+# (panel width, SMALL_BLOCK): as shipped; the array loop alone, with two-
+# and three-column panels so that small blocks cross panels, swap rows and
+# use the tracker; and the list loop alone over GF(p)
+ELIMINATIONS = [(linalg.PANEL, linalg.SMALL_BLOCK), (2, 0), (3, 0), (linalg.PANEL, 10**9)]
+
+
+def test_echelon_matches_python_gauss_jordan(monkeypatch):
     F2, F3, F4 = PrimeField(2), PrimeField(3), extend_field(PrimeField(2), 2)
     fields = (F2, PrimeField(101), PrimeField(2**31 - 1), F4, extend_field(F3, 3), extend_field(F4, 2))
     rng = random.Random(2024)
-    for field in fields:
+    for (panel, small), field in itertools.product(ELIMINATIONS, fields):
+        monkeypatch.setattr(linalg, "PANEL", panel)
+        monkeypatch.setattr(linalg, "SMALL_BLOCK", small)
         q = field.order
         for ncols in (1, 4, 8, 12, 12):
             ech, ref = Echelon(kernel_for(field), ncols), _GaussJordan(field)
             inserted = []
 
             def random_vec():
+                # over GF(p^s), sometimes a vector over GF(p) alone
+                top = rng.choice((q, field.p))
                 density = rng.choice((0.2, 0.5, 1.0))
-                return [rng.randrange(1, q) if rng.random() < density else 0 for _ in range(ncols)]
+                return [rng.randrange(1, top) if rng.random() < density else 0 for _ in range(ncols)]
+
+            def combination():
+                vec = [0] * ncols
+                for row in rng.sample(inserted, rng.randint(1, len(inserted))):
+                    c = rng.randrange(q)
+                    vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, row)]
+                return vec
 
             for _ in range(rng.randint(1, ncols + 3)):
-                if inserted and rng.random() < 0.3:
-                    # a combination of earlier rows: never a rank gain
-                    vec = [0] * ncols
-                    for row in rng.sample(inserted, rng.randint(1, len(inserted))):
-                        c = rng.randrange(q)
-                        vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, row)]
+                if rng.random() < 0.4:
+                    # one vector, often a combination of earlier rows
+                    block = [combination() if inserted and rng.random() < 0.5 else random_vec()]
                 else:
-                    vec = random_vec()
-                inserted.append(vec)
-                assert ech.add_row(np.array(vec, dtype=np.int64)) == ref.add_row(vec)
+                    # a block, up to twice as many rows as columns, with zero
+                    # rows, repeated rows and combinations of earlier rows
+                    block = []
+                    for _ in range(rng.randint(2, 2 * ncols + 2)):
+                        kind = rng.random()
+                        if kind < 0.15:
+                            block.append([0] * ncols)
+                        elif kind < 0.3 and block:
+                            block.append(list(rng.choice(block)))
+                        elif kind < 0.45 and inserted:
+                            block.append(combination())
+                        else:
+                            block.append(random_vec())
+                    # the 2-D normal forms, and the rank the block would add
+                    arr = np.array(block, dtype=np.int64)
+                    assert ech.reduce(arr).tolist() == [ref.reduce(row) for row in block]
+                    trial = _GaussJordan(field)
+                    trial.rows = dict(ref.rows)
+                    assert ech.rank_modulo(arr) == sum(trial.add_row(row) for row in block)
+                inserted += block
+                arr = np.array(block, dtype=np.int64)
+                assert ech.add_row(arr if len(block) > 1 else arr[0]) == sum(ref.add_row(row) for row in block)
                 assert ech.rank == len(ref.rows)
                 assert ech.pivots == sorted(ref.rows)
+                assert _rref_rows(ech) == [ref.rows[piv] for piv in sorted(ref.rows)]
                 # the all-(q-1) probe has the largest coefficients at every pivot
-                for probe in [random_vec() for _ in range(3)] + [vec, [q - 1] * ncols]:
+                for probe in [random_vec() for _ in range(3)] + [block[0], [q - 1] * ncols]:
                     want = ref.reduce(probe)
                     got = ech.reduce(np.array(probe, dtype=np.int64))
                     assert got.tolist() == want
                     assert ech.contains(np.array(probe, dtype=np.int64)) == (not any(want))
 
 
-def test_echelon_clone_is_independent():
-    k = kernel_for(PrimeField(3))
-    ech = Echelon(k, 3)
-    ech.add_row(np.array([1, 0, 0], dtype=np.int64))
-    c = ech.clone()
-    c.add_row(np.array([0, 1, 0], dtype=np.int64))
-    assert ech.rank == 1 and c.rank == 2
+def test_wide_blocks_match_python_gauss_jordan():
+    # at the shipped widths, blocks wider than a panel over GF(101) and
+    # GF(2^2), dense and of monomials, fill the echelon in a few inserts
+    rng = random.Random(7)
+    for field in (PrimeField(101), extend_field(PrimeField(2), 2)):
+        q = field.order
+        for monomials in (False, True):
+            ncols = linalg.PANEL + 14
+            ech, ref = Echelon(kernel_for(field), ncols), _GaussJordan(field)
+            for _ in range(3):
+                block = []
+                for _ in range(rng.randint(ncols // 2, ncols)):
+                    row = [0] * ncols
+                    if monomials:
+                        row[rng.randrange(ncols)] = rng.randrange(1, q)
+                    else:
+                        row = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                    block.append(row)
+                gains = sum(ref.add_row(row) for row in block)
+                assert ech.add_row(np.array(block, dtype=np.int64)) == gains
+                assert ech.pivots == sorted(ref.rows)
+                assert _rref_rows(ech) == [ref.rows[piv] for piv in sorted(ref.rows)]
