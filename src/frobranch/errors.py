@@ -23,7 +23,8 @@ class ZeroPolynomial(FrobranchError):
 
 class NotOneDimensional(FrobranchError):
     """No regularity certificate exists below the degree bound, so the
-    Hilbert function is not proven to stabilize."""
+    Hilbert function is not proven to stabilize, or it is proven to vanish
+    (a zero-dimensional ring)."""
 
 
 class NoReductionFound(FrobranchError):

@@ -36,11 +36,12 @@ DEFAULT_DEGREE_CAP = 64
 DEFAULT_S_MAX = 3
 # A degree-d slice over GF(p^s) holds a dense echelon of up to C x s x C
 # digits (8*s*C^2 bytes: 18 MB at the cap for s = 1, 144 MB for s = 8),
-# beside one block of at most C Macaulay rows.  On a 2-vCPU Xeon the
-# degree-5 slice of 8 random quadrics in 9 variables (1287 columns) takes
-# 0.4-0.6 s, and the degree-6 slice of a monomial ideal in 8 variables
-# (1716 columns, refused here) 1.7-2.2 s, its sparse rows paying for the
-# dense passes of every panel.
+# beside one block of at most C Macaulay rows.  On a 2-vCPU Xeon, with
+# every slice below built on the way up, the degree-5 slice of 8 random
+# quadrics in 9 variables (1287 columns) takes 0.35-0.4 s, and the degree-6
+# slice of a monomial ideal in 8 variables (1716 columns, refused here)
+# 1.0-1.1 s, its sparse rows still paying for the dense passes of every
+# panel.
 SLICE_COLUMN_CAP = 1500
 
 
@@ -84,25 +85,39 @@ def _prefix_sums(monos: tuple) -> np.ndarray:
     for one variable), kept per monomial tuple: the candidate forms of a
     reduction search share their monomials."""
     sums = np.array([list(accumulate(m[:-1])) or [0] for m in monos], dtype=np.int64)
+    if not monos:  # in one variable no multiplier of positive degree is free of x_n
+        sums = sums.reshape(0, 1)
     sums.flags.writeable = False  # shared by every caller
     return sums
 
 
 @lru_cache(maxsize=None)
-def _multipliers(nvars: int, e: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The degree-e multipliers of a degree-d Macaulay matrix: the flat
-    position of the last column of their rows less their S_0, and their
-    later prefix sums shifted to their rows of _index_table(nvars, d)."""
-    keys = _prefix_sums(monomials_of_degree(nvars, e))
+def _multipliers(nvars: int, e: int, d: int, last_free: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-e multipliers of a degree-d Macaulay matrix (see
+    _multiplier_rows); with last_free, only those that x_n does not divide:
+    the first C(e + n - 2, n - 2), as the x_n exponent is the most
+    significant key of the grevlex order."""
+    monos = monomials_of_degree(nvars, e)
+    if last_free:
+        monos = monos[:comb(e + nvars - 2, nvars - 2) if nvars > 1 else int(e == 0)]
+    return _multiplier_rows(monos, nvars, d)
+
+
+def _multiplier_rows(monos: tuple, nvars: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplier monomials, one row each of a degree-d Macaulay matrix:
+    the flat position of the last column of their rows less their S_0, and
+    their later prefix sums shifted to their rows of _index_table(nvars, d)."""
+    keys = _prefix_sums(monos)
     ncols = comb(d + nvars - 1, nvars - 1)
     ends = np.arange(ncols - 1, len(keys) * ncols, ncols) - keys[:, 0]
     return ends[:, None], keys[:, 1:] + (d + 1) * np.arange(nvars - 2)
 
 
-def macaulay_matrix(nvars: int, gens: Sequence[HomogPoly], d: int):
+def macaulay_matrix(nvars: int, gens: Sequence[HomogPoly], d: int, last_free: bool = False):
     """Yield the Macaulay matrix of gens in degree d: the code rows of
     {m*g : g in gens, deg(m*g) = d} over the degree-d columns, in blocks of
-    at most as many rows as columns.
+    at most as many rows as columns; with last_free, only the rows whose
+    multiplier m is free of the last variable x_n.
 
     The generators come by degree, ascending, in their given order within a
     degree; each one's rows follow its multipliers m in grevlex order.  Zero
@@ -125,9 +140,9 @@ def macaulay_matrix(nvars: int, gens: Sequence[HomogPoly], d: int):
             by_degree.setdefault(g.degree, []).append(g)
     parts, nrows = [], 0
     for e in sorted(by_degree):
-        mults = _multipliers(nvars, d - e, d)
+        mults = _multipliers(nvars, d - e, d, last_free)
         k, group = len(mults[0]), by_degree[e]
-        while group:
+        while group and k:
             fit = (ncols - nrows) // k
             if not fit:
                 yield _fill(parts, nrows, ncols, _index_table(nvars, d))
@@ -343,8 +358,11 @@ class GradedQuotient:
     """Standard-graded quotient R = k[x1..xn]/I with per-degree caches.
 
     The degree cache and the regularity certificate are the only mutable
-    state; slice population is serialized by an internal lock, after which
-    reads are safe to share across threads.
+    state.  The cache is filled bottom-up: a request for degree d builds
+    every missing degree from the first uncached one up to d, each grown
+    from the one below (see _build_slice), so the cached degrees are always
+    0..k-1.  Slice population is serialized by an internal lock, after
+    which reads are safe to share across threads.
     """
 
     def __init__(
@@ -388,24 +406,41 @@ class GradedQuotient:
             data = self._cache.get(d)
             if data is not None:
                 return data
-            data = self._build_slice(d)
-            self._cache[d] = data
+            # widths grow with d, so no degree below d is refused either
+            ncols = comb(d + self.nvars - 1, self.nvars - 1)
+            if ncols > SLICE_COLUMN_CAP:
+                raise CapExceeded(
+                    f"the degree-{d} slice has {ncols} columns, above the cap of "
+                    f"{SLICE_COLUMN_CAP} columns"
+                )
+            # slices are built bottom-up, so the cached degrees are 0..k-1
+            for e in range(len(self._cache), d + 1):
+                self._cache[e] = data = self._build_slice(e)
             return data
 
     def _build_slice(self, d: int) -> _SliceData:
-        ncols = comb(d + self.nvars - 1, self.nvars - 1)
-        if ncols > SLICE_COLUMN_CAP:
-            raise CapExceeded(
-                f"the degree-{d} slice has {ncols} columns, above the cap of "
-                f"{SLICE_COLUMN_CAP} columns"
-            )
+        """The degree-d slice, grown from the cached slice below.
+
+        Its echelon starts as x_n*RREF(I_{d-1}), with no elimination.
+        Multiplying by x_n maps the degree-(d-1) monomials, in order, onto
+        the last columns of degree d (those with a_n >= 1, whose x_n
+        exponent is the most significant grevlex key), and a row b_i of the
+        RREF becomes x_n*b_i with coefficient b_i(mu) at x_n*mu: unit at
+        x_n times its pivot, its leading column, and zero at every other
+        row's.  So the shifted rows are an RREF of x_n*I_{d-1}
+        (Echelon.shifted).  Of the Macaulay rows m*g only those with x_n
+        not dividing m go in: every other one is x_n*((m/x_n)*g), already
+        in x_n*I_{d-1}, so the rows span I_d as before.  The RREF of a
+        subspace with unit leading entries is unique, so the pivots,
+        standard monomials and normal forms are those of eliminating the
+        whole Macaulay matrix."""
         columns = monomials_of_degree(self.nvars, d)
-        ech = Echelon(self.kernel, ncols)
-        for block in macaulay_matrix(self.nvars, self.relations, d):
+        ech = self._cache[d - 1].echelon.shifted(len(columns)) if d else Echelon(self.kernel, 1)
+        for block in macaulay_matrix(self.nvars, self.relations, d, last_free=True):
             ech.add_row(block)
             del block  # before the next block is built beside it
         pivots = set(ech.pivots)
-        std = [i for i in range(ncols) if i not in pivots]
+        std = [i for i in range(len(columns)) if i not in pivots]
         return _SliceData(columns, ech, tuple(columns[i] for i in std), std)
 
     def to_vector(self, f: HomogPoly) -> np.ndarray:
@@ -454,7 +489,10 @@ def multiplicity(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> tuple[int, in
     GF(q^s), s <= s_max, is a parameter, such as x^p*y - x*y^p with s_max = 1.
 
     The search is a refusal past degree 4*max(D,1)*n (NotOneDimensional),
-    never an answer.  The certificate is kept in R.certificate.
+    never an answer.  So is e = 0, a zero-dimensional (Artinian) ring:
+    HF(m) = 0 gives [R]_d = [R]_1^(d-m)*[R]_m = 0 for every d >= m, and
+    the first such m >= D meets the condition above.  The certificate is
+    kept in R.certificate.
     """
     if R.certificate is not None:
         return R.certificate.e, R.certificate.n0
@@ -465,6 +503,8 @@ def multiplicity(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> tuple[int, in
         hf.append(hilbert_function(R, m + 1))
         if not hf[m - 1] >= hf[m] == hf[m + 1]:
             continue
+        if not hf[m]:
+            raise NotOneDimensional(f"the ring is zero-dimensional: HF(d) = 0 for d >= {hf.index(0)}")
         red = _first_reduction(R, m, s_max)
         if red is None and hf[m] > m:
             continue
@@ -512,14 +552,21 @@ def is_linear_reduction(R: GradedQuotient, x: HomogPoly, d: int) -> bool:
     since [R]_{n+2} = [R]_1*[R]_{n+1} = [R]_1*x*[R]_n = x*[R]_{n+1}.  So
     at d = n0+1, n0 the stabilization index of multiplicity(R), it says
     whether x reduces the irrelevant ideal: the rows of x*S_{d-1}, reduced
-    modulo I_d, must have rank HF(d)."""
+    modulo I_d, must have rank HF(d).
+
+    The HF(d-1) rows x*mu, mu a standard monomial of degree d-1, have that
+    rank too: S_{d-1} = span(std_{d-1}) + I_{d-1} and x*I_{d-1} lies in
+    I_d, so x*S_{d-1} + I_d = x*span(std_{d-1}) + I_d."""
     if x.degree != 1:
         raise ValueError("reduction candidate must be a linear form")
     if x.field != R.field or x.nvars != R.nvars:
         raise FieldMismatch("reduction candidate over a different ring")
-    target = R.slice(d)
-    # x*S_{d-1} has no more rows than S_d has columns: at most one block
-    image = sum(target.echelon.rank_modulo(b) for b in macaulay_matrix(R.nvars, [x], d))
+    target, std = R.slice(d), R.slice(d - 1).std_monomials
+    image = 0
+    if std:  # else [R]_{d-1} = 0
+        mults = _multiplier_rows(std, R.nvars, d)
+        rows = _fill([(0, mults, [x])], len(std), len(target.columns), _index_table(R.nvars, d))
+        image = target.echelon.rank_modulo(rows)
     return image == len(target.std_monomials)
 
 

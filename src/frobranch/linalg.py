@@ -24,7 +24,8 @@ runs Gauss-Jordan in column panels: inside a panel a per-pivot loop
 updates the panel's columns in the rows with a nonzero entry in the pivot
 column, and a tracker beside the panel records the row operations, so
 that the columns to its right follow by one product.  A block over GF(p)
-with few nonzero entries is eliminated on Python lists instead.
+with few nonzero entries is eliminated on Python lists instead, and so
+are the stored rows with the block when they hold few entries in all.
 """
 
 from __future__ import annotations
@@ -46,12 +47,17 @@ if TYPE_CHECKING:
 PANEL = 64
 
 # Nonzero entries up to which a block over GF(p) is eliminated on Python
-# lists (_rref_small).  A pivot step of the array loop makes about a dozen
-# numpy calls whatever the block, about 12 us on a 2-vCPU Xeon, while the
-# list loop pays about 0.1 us for each entry of the rows a pivot updates.
-# On that host the list loop was the faster one on dense blocks of up to
-# 60-100 entries and on blocks of monomials of up to 900 entries, so the
-# bound is the dense crossover; past it the array loop wins on dense rows.
+# lists (_rref_small); an Echelon's stored rows and a new block go there
+# together while they hold at most this many entries, zero or not.  A
+# pivot step of the array loop makes about a dozen numpy calls whatever
+# the block, about 12 us on a 2-vCPU Xeon, while the list loop pays about
+# 0.1 us for each entry of the rows a pivot updates.  On that host the list
+# loop was the faster one on dense blocks of up to 60-100 entries and on
+# blocks of monomials of up to 900 entries, so the bound is the dense
+# crossover; past it the array loop wins on dense rows.  Inserting one row
+# into 1-5 stored rows of 5-9 columns (10-54 entries) took 7-20 us on
+# lists there and 13-22 us by the reduction and clearing products; at 70
+# entries the lists took 31-37 us, the products 20-22 us.
 SMALL_BLOCK = 64
 
 
@@ -203,6 +209,26 @@ class Echelon:
             base.kernel, base.ncols, base.rank, base._base = kernel.prime, ncols, 0, None
             base._rows, base._pivots = self._rows[::s], self._pivots
 
+    def shifted(self, ncols: int) -> "Echelon":
+        """A new echelon of ncols >= self.ncols columns whose rows are this
+        one's moved to its last self.ncols columns, with no elimination:
+        zero columns in front keep every row unit at its pivot and zero at
+        the others'.  It keeps the GF(p) view exactly when this one has it."""
+        new = Echelon(self.kernel, ncols)
+        r, s = self.rank, self.kernel.s
+        if r:
+            off = ncols - self.ncols
+            new._rows[:r * s, :off] = 0
+            new._rows[:r * s, off:] = self._rows[:r * s]
+            new._pivots[:r] = self._pivots[:r] + off
+            new.rank = r
+        if new._base is not None:
+            if self._base is None:
+                new._base = None
+            else:
+                new._base.rank = r
+        return new
+
     @property
     def pivots(self) -> list[int]:
         """Pivot columns, ascending."""
@@ -263,11 +289,20 @@ class Echelon:
 
     def _insert(self, rows: np.ndarray) -> int:
         k, s = self.kernel, self.kernel.s
+        r = self.rank
+        if s == 1 and r and (r + len(rows)) * self.ncols <= SMALL_BLOCK:
+            # few entries in all: the stored rows and the block together
+            # are re-eliminated on lists, whose RREF is the same
+            stack = np.concatenate((self._rows[:r], rows))
+            t, new = _rref_small(k, stack)
+            self._rows[:t] = stack[:t]
+            self._pivots[:t] = new
+            self.rank = t
+            return t - r
         block = self._planes(rows)
         t, new = _rref(k, block)
         if not t:
             return 0
-        r = self.rank
         if r:
             # keep RREF: clear the new pivot columns in the stored rows at once
             coeffs = k.scalars(self._rows[:r * s, new].reshape(r, s, t))

@@ -8,6 +8,8 @@ errors carry the offending position.
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ParseError
@@ -42,84 +44,82 @@ class _Cursor:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():  # the digits int() reads
             self.pos += 1
         if self.pos == start:
             raise ParseError(start, "a decimal integer")
         return int(self.text[start : self.pos])
-
-    def identifier(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(start, "an identifier")
-        return self.text[start : self.pos]
 
     def done(self) -> bool:
         self.skip_ws()
         return self.pos >= len(self.text)
 
 
+_SPACE = re.compile(r"\s*")
+_STAR = re.compile(r"\s*\*")
+
+
+@lru_cache(maxsize=64)
+def _factor_pattern(var_names: tuple) -> re.Pattern:
+    """One factor of a term, after optional whitespace: a decimal integer,
+    or a declared variable (the longest name that matches) with an
+    optional '^' exponent, whose digits may be missing."""
+    # (?!) matches nothing: with no variables every name is undeclared
+    names = "|".join(re.escape(v) for v in sorted(var_names, key=len, reverse=True)) or "(?!)"
+    return re.compile(rf"\s*(?:(\d+)|({names})(?:\s*\^\s*(\d*))?)")
+
+
 def _parse_terms(text: str, var_names: Sequence[str]):
     """Sum of terms; a term is integer and variable-power factors with
     optional '*' separators.  Yields (position, sign*coeff, exponent mono)."""
-    cur = _Cursor(text)
+    factor = _factor_pattern(tuple(var_names))
     index = {v: i for i, v in enumerate(var_names)}
     out = []
-    first = True
-    while not cur.done():
-        term_pos = cur.pos
+    pos, end = _SPACE.match(text).end(), len(text)
+    while pos < end:
         sign = 1
-        if cur.take("-"):
-            sign = -1
-        elif cur.take("+"):
-            if first:
-                raise ParseError(term_pos, "a term, not a leading '+'")
-        elif not first:
-            raise ParseError(cur.pos, "'+' or '-' between terms")
-        first = False
-        cur.skip_ws()
-        term_pos = cur.pos  # point at the term body, past any sign
+        if text[pos] in "+-":
+            if text[pos] == "+" and not out:
+                raise ParseError(pos, "a term, not a leading '+'")
+            sign = -1 if text[pos] == "-" else 1
+            pos = _SPACE.match(text, pos + 1).end()
+        elif out:
+            raise ParseError(pos, "'+' or '-' between terms")
+        term_pos = pos  # point at the term body, past any sign
         coeff = None
         expo = [0] * len(var_names)
         saw_factor = False
-        by_length = sorted(var_names, key=len, reverse=True)
         while True:
-            cur.skip_ws()
-            ch = cur.peek()
-            if ch.isdigit():
-                k = cur.integer()
-                coeff = k if coeff is None else coeff * k
-                saw_factor = True
-            elif ch.isalpha() or ch == "_":
-                pos = cur.pos
-                name = next(
-                    (v for v in by_length if cur.text.startswith(v, pos)), None
-                )
-                if name is None:
+            m = factor.match(text, pos)
+            if m is None:
+                pos = _SPACE.match(text, pos).end()
+                if pos < end and (text[pos].isalpha() or text[pos] == "_"):
                     raise ParseError(pos, f"one of the declared variables {list(var_names)}")
-                cur.pos = pos + len(name)
-                k = 1
-                if cur.take("^"):
-                    k = cur.integer()
-                    if k < 1:
-                        raise ParseError(cur.pos, "an exponent >= 1")
-                expo[index[name]] += k
-                saw_factor = True
-            else:
                 break
-            if not cur.take("*"):
-                cur.skip_ws()
-                nxt = cur.peek()
-                if not (nxt.isalnum() or nxt == "_"):
-                    break
+            saw_factor = True
+            digits, name, power = m.groups()
+            if digits is not None:
+                coeff = int(digits) if coeff is None else coeff * int(digits)
+            elif power is None:
+                expo[index[name]] += 1
+            elif not power:
+                raise ParseError(m.start(3), "a decimal integer")
+            elif int(power) < 1:
+                raise ParseError(m.end(3), "an exponent >= 1")
+            else:
+                expo[index[name]] += int(power)
+            star = _STAR.match(text, m.end())
+            if star:
+                pos = star.end()
+                continue
+            # juxtaposed factors multiply
+            pos = _SPACE.match(text, m.end()).end()
+            if not (pos < end and (text[pos].isalnum() or text[pos] == "_")):
+                break
         if not saw_factor:
-            raise ParseError(cur.pos, "a coefficient or a variable")
+            raise ParseError(pos, "a coefficient or a variable")
         out.append((term_pos, sign * (1 if coeff is None else coeff), tuple(expo)))
+        pos = _SPACE.match(text, pos).end()
     if not out:
         raise ParseError(0, "a nonempty polynomial")
     return out

@@ -163,14 +163,26 @@ def test_no_reduction_below_s_max_is_refused(p, rel, capsys):
 
 
 def test_vanishing_power_is_refused(capsys):
-    # k[x,y]/(x^2, y^2) is Artinian: e = 0, n0 = 3 and (x+y)^3 = 0
+    # k[x,y]/(x^2, y^2) is Artinian: (x+y)^3 = 0 because HF(3) = 0, which
+    # is refused as zero-dimensional, not blamed on reducedness
     start = time.perf_counter()
     code, out, err = run_cli(
         ["branches", "--p", "3", "--vars", "x,y", "--rel", "x^2", "--rel", "y^2"], capsys
     )
     assert code == 1 and out == ""
-    assert err == "error: (x + y)^3 = 0 in R: the ring is not reduced or the form is not a parameter\n"
+    assert err == "error: the ring is zero-dimensional: HF(d) = 0 for d >= 3\n"
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("args, degree", [
+    (["--vars", "x,y", "--rel", "x", "--rel", "y"], 1),
+    (["--vars", "x", "--rel", "x"], 1),
+    (["--vars", "x,y", "--rel", "x^2", "--rel", "y^2"], 3),
+])
+def test_zero_dimensional_ring_is_refused(args, degree, capsys):
+    code, out, err = run_cli(["branches", "--p", "5"] + args, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: the ring is zero-dimensional: HF(d) = 0 for d >= {degree}\n"
 
 
 @pytest.mark.parametrize("option", ["--box-factor=3", "--degree-cap=64"])

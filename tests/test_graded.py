@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -451,13 +453,141 @@ def test_certified_hilbert_function_matches_groebner_oracle():
         ]
         basis = sympy.groebner(polys, *gens, modulus=R.field.p, order="grevlex")
         leads = [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in basis.exprs]
-        for d in range(m + 3):
-            outside = sum(
-                1 for mono in monomials_of_degree(R.nvars, d)
+        outside = [
+            tuple(
+                mono for mono in monomials_of_degree(R.nvars, d)
                 if not any(all(a >= b for a, b in zip(mono, lt)) for lt in leads)
             )
-            assert hilbert_function(R, d) == outside, (R, d)
+            for d in range(m + 3)
+        ]
+        for d in range(m + 3):
+            assert R.slice(d).std_monomials == outside[d], (R, d)
         assert (e, n0) == _window_multiplicity_reference(R), R
+        # a fresh copy whose first request is the top slice builds the
+        # slices below it on the way up
+        fresh = GradedQuotient(R.field, R.nvars, R.relations, R.var_names)
+        assert fresh.slice(m + 2).std_monomials == outside[m + 2], R
+        for d in range(m + 3):
+            assert fresh.slice(d).std_monomials == outside[d], (R, d)
+
+
+def _seeded_rings():
+    """Rings over GF(p) and GF(p^s), with relations inside and outside
+    GF(p) and of mixed degrees, in one variable, and monomial ideals."""
+    rng = random.Random(15)
+    F9, F8 = extend_field(F3, 2), extend_field(F2, 3)
+
+    def random_form(field, nvars, degree, codes):
+        monos = monomials_of_degree(nvars, degree)
+        return HomogPoly(field, nvars, degree, {m: rng.randrange(codes) for m in rng.sample(monos, min(len(monos), 4))})
+
+    yield circle_ring(F5)
+    yield axes_ring(F3, 4)
+    yield GradedQuotient(F7, 3, [random_form(F7, 3, 2, 7), random_form(F7, 3, 3, 7)])
+    for field in (F9, F8):
+        # relations inside GF(p); one outside it from degree 3 on; one from degree 2
+        yield GradedQuotient(field, 3, [random_form(field, 3, 2, field.p), random_form(field, 3, 2, field.p)])
+        yield GradedQuotient(field, 3, [random_form(field, 3, 2, field.p), random_form(field, 3, 3, field.order)])
+        yield GradedQuotient(field, 2, [random_form(field, 2, 2, field.order)])
+    yield GradedQuotient(F7, 1, [HomogPoly(F7, 1, 3, {(3,): 2})])
+    yield GradedQuotient(F9, 1, [HomogPoly(F9, 1, 2, {(2,): 5})])
+    yield GradedQuotient(F9, 1, [])
+    yield GradedQuotient(F2, 4, [HomogPoly(F2, 4, sum(m), {m: 1}) for m in ((1, 1, 0, 0), (0, 0, 2, 0), (0, 1, 0, 1), (1, 0, 1, 1))])
+    yield GradedQuotient(F9, 3, [HomogPoly(F9, 3, 2, {(0, 1, 1): 1}), HomogPoly(F9, 3, 3, {(0, 0, 3): 4})])
+
+
+def test_seeded_slices_match_eliminating_the_whole_macaulay_matrix():
+    rng = np.random.default_rng(15)
+    lost_base = kept_base = 0
+    for R in _seeded_rings():
+        for d in range(R.max_rel_degree + 4):
+            data = R.slice(d)
+            ncols = len(data.columns)
+            whole = Echelon(R.kernel, ncols)
+            for block in macaulay_matrix(R.nvars, R.relations, d):
+                whole.add_row(block)
+            seeded = data.echelon
+            assert seeded.pivots == whole.pivots, (R, d)
+            assert (seeded._base is None) == (whole._base is None), (R, d)
+            if R.kernel.s > 1:
+                lost_base += seeded._base is None
+                kept_base += seeded._base is not None
+            for codes in (R.field.p, R.field.order):
+                vecs = rng.integers(0, codes, size=(5, ncols))
+                assert seeded.reduce(vecs).tolist() == whole.reduce(vecs).tolist(), (R, d)
+                assert seeded.reduce(vecs[0]).tolist() == whole.reduce(vecs[0]).tolist(), (R, d)
+    assert lost_base and kept_base
+
+
+def _whole_product_reduction(R, x, d):
+    """is_linear_reduction's verdict from the rank of all of x*S_{d-1}."""
+    target = R.slice(d)
+    image = sum(target.echelon.rank_modulo(b) for b in macaulay_matrix(R.nvars, [x], d))
+    return image == len(target.std_monomials)
+
+
+def test_standard_row_reduction_test_matches_the_whole_product():
+    verdicts = set()
+    for R in _oracle_rings():
+        _, n0 = multiplicity(R)
+        for d in sorted({1, n0 + 1, R.certificate.m}):
+            for combo in graded._projective_forms(R.field.order, R.nvars):
+                x = linear_form(R, combo)
+                verdict = is_linear_reduction(R, x, d)
+                assert verdict == _whole_product_reduction(R, x, d), (R, combo, d)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_lock_serialises_concurrent_slice_population():
+    def ring():
+        lines = _distinct_lines(random.Random(9), F7, 3, 5)
+        return GradedQuotient(F7, 3, [_product_of_forms(F7, lines[:2]), _product_of_forms(F7, lines[2:])])
+
+    R = ring()
+    barrier = threading.Barrier(2, timeout=30)
+    got = {}
+
+    def request(d):
+        barrier.wait()
+        got[d] = R.slice(d)
+
+    threads = [threading.Thread(target=request, args=(d,)) for d in (9, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(R._cache) == list(range(10))
+    alone = ring()
+    vecs = np.random.default_rng(9).integers(0, 7, size=(4, 55))
+    for d in (9, 5):
+        want = alone.slice(d)
+        assert got[d] is R.slice(d)
+        assert got[d].std_monomials == want.std_monomials and got[d].echelon.pivots == want.echelon.pivots
+        assert got[d].echelon.reduce(vecs[:, :len(want.columns)]).tolist() == want.echelon.reduce(vecs[:, :len(want.columns)]).tolist()
+
+
+def test_zero_dimensional_rings_are_refused():
+    def gens(field, nvars, monos):
+        return [HomogPoly(field, nvars, sum(m), {m: 1}) for m in monos]
+
+    cases = [
+        (GradedQuotient(F5, 2, gens(F5, 2, [(1, 0), (0, 1)])), 1),
+        (GradedQuotient(F5, 1, gens(F5, 1, [(1,)])), 1),
+        (GradedQuotient(F5, 2, gens(F5, 2, [(2, 0), (0, 2)])), 3),
+    ]
+    for R, degree in cases:
+        with pytest.raises(NotOneDimensional, match=rf"zero-dimensional: HF\(d\) = 0 for d >= {degree}$"):
+            multiplicity(R)
+        with pytest.raises(NotOneDimensional):
+            branch_count(R)
+        assert R.certificate is None
 
 
 def test_find_linear_reduction_base_field():

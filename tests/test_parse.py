@@ -92,3 +92,15 @@ def test_parse_vector_list():
     assert parse_vector_list("1,2; 3,4", 2) == [(1, 2), (3, 4)]
     with pytest.raises(ParseError):
         parse_vector_list("1,2; 3", 2)
+
+
+def test_superscript_digits_are_parse_errors():
+    # str.isdigit accepts '²', which int() rejects with a bare ValueError
+    with pytest.raises(ParseError) as info:
+        parse_homog("x^²", F3, ("x", "y"))
+    assert info.value.position == 2
+    with pytest.raises(ParseError) as info:
+        parse_semigroup("²,3")
+    assert info.value.position == 0
+    with pytest.raises(ParseError):
+        parse_vector_list("1,²", 2)
