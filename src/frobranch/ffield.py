@@ -233,6 +233,14 @@ class ExtensionField:
 Field = Union[PrimeField, ExtensionField]
 
 
+def least_subfield(field: Field, top: int) -> Field:
+    """The least field of field's tower (field, field.base, .., GF(p))
+    holding every code up to top: a base holds the codes below its order."""
+    while isinstance(field, ExtensionField) and top < field.base.order:
+        field = field.base
+    return field
+
+
 class UniPoly:
     """Immutable univariate polynomial, coefficient codes lowest degree first.
 

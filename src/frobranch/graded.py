@@ -27,15 +27,16 @@ from .errors import (
     NotOneDimensional,
     PowerVanishes,
 )
-from .ffield import Field, UniPoly, distinct_root_count, extend_field
-from .linalg import Echelon, kernel_for
+from .ffield import Field, UniPoly, distinct_root_count, extend_field, least_subfield
+from .linalg import Echelon, Kernel, kernel_for
 
 Monomial = tuple  # exponent vector, one entry per variable
 
 DEFAULT_DEGREE_CAP = 64
 DEFAULT_S_MAX = 3
-# A degree-d slice over GF(p^s) holds a dense echelon of up to C x s x C
-# digits (8*s*C^2 bytes: 18 MB at the cap for s = 1, 144 MB for s = 8),
+# A degree-d slice holds a dense echelon over the relations' field
+# (GradedQuotient.kernel), of up to C x s x C digits for GF(p^s): 8*C^2
+# bytes, 18 MB at the cap, from the CLI, whose relations lie over GF(p),
 # beside one block of at most C Macaulay rows.  On a 2-vCPU Xeon, with
 # every slice below built on the way up, the degree-5 slice of 8 random
 # quadrics in 9 variables (1287 columns) takes 0.35-0.4 s, and the degree-6
@@ -358,11 +359,11 @@ class GradedQuotient:
     """Standard-graded quotient R = k[x1..xn]/I with per-degree caches.
 
     The degree cache and the regularity certificate are the only mutable
-    state.  The cache is filled bottom-up: a request for degree d builds
-    every missing degree from the first uncached one up to d, each grown
-    from the one below (see _build_slice), so the cached degrees are always
-    0..k-1.  Slice population is serialized by an internal lock, after
-    which reads are safe to share across threads.
+    state, and base_change shares the cache.  It is filled bottom-up: a
+    request for degree d builds every missing degree from the first
+    uncached one up to d, each grown from the one below (see _build_slice),
+    so the cached degrees are always 0..k-1.  Slice population is
+    serialized by an internal lock, after which reads are safe to share.
     """
 
     def __init__(
@@ -387,7 +388,9 @@ class GradedQuotient:
         self.nvars = nvars
         self.relations = tuple(rels)
         self.var_names = tuple(var_names) if var_names else tuple(f"x{i+1}" for i in range(nvars))
-        self.kernel = kernel_for(field)
+        # the slices lie over the least field holding the relations' codes
+        top = max((c for g in rels for c in g.terms.values()), default=0)
+        self.kernel = kernel_for(least_subfield(field, top))
         self.max_rel_degree = max((g.degree for g in rels), default=0)
         self.certificate: Optional[RegularityCertificate] = None
         self._cache: dict[int, _SliceData] = {}
@@ -450,9 +453,17 @@ class GradedQuotient:
             return np.zeros(comb(f.degree + self.nvars - 1, self.nvars - 1), dtype=np.int64)
         return block[0]
 
+    def kernel_holding(self, *forms: HomogPoly) -> Kernel:
+        """The kernel of the least field holding the relations and the codes
+        of forms, which must be forms over R (else FieldMismatch)."""
+        if any(f.field != self.field or f.nvars != self.nvars for f in forms):
+            raise FieldMismatch("form over a different ring")
+        top = max((c for f in forms for c in f.terms.values()), default=0)
+        return self.kernel if top < self.kernel.field.order else kernel_for(least_subfield(self.field, top))
+
     def normal_form_vector(self, f: HomogPoly) -> np.ndarray:
         """Coordinates of f's class modulo I, in the full degree slice."""
-        return self.slice(f.degree).echelon.reduce(self.to_vector(f))
+        return self.slice(f.degree).echelon.reduce(self.to_vector(f), self.kernel_holding(f))
 
 
 # -- operations --------------------------------------------------------------
@@ -478,8 +489,9 @@ def multiplicity(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> tuple[int, in
     polynomial from degree m on.  x is onto in every degree from m-1 on,
     so HF does not increase there, and the polynomial is the constant
     e = HF(m).  Scalar extension changes neither the Hilbert function nor
-    regularity, so x may come from base_change.  Only slices up to m+1 are
-    built, and N is the least index with HF(N..m) = e.
+    regularity, so x may lie over GF(q^s), in a ring from base_change that
+    shares R's slices.  Only slices up to m+1 are built, and N is the least
+    index with HF(N..m) = e.
 
     When no candidate certifies such an m but HF(m) <= m, Gotzmann's
     persistence theorem (Bruns-Herzog, Thm 4.3.3) proves the same without a
@@ -518,21 +530,18 @@ def multiplicity(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> tuple[int, in
 
 def ideal_membership(R: GradedQuotient, f: HomogPoly, J: Sequence[HomogPoly]) -> bool:
     """Is f in the ideal J*R, tested in the degree-(deg f) slice?"""
-    if f.field != R.field or f.nvars != R.nvars:
-        raise FieldMismatch("element over a different ring")
+    kernel = R.kernel_holding(f, *J)
     if f.is_zero():
         return True
-    if any(h.field != R.field or h.nvars != R.nvars for h in J):
-        raise FieldMismatch("ideal generator over a different ring")
     data = R.slice(f.degree)
-    target = data.echelon.reduce(R.to_vector(f))
+    target = data.echelon.reduce(R.to_vector(f), kernel)
     if not target.any():
         return True
     # rows reduced by the slice vanish at its pivots, so the span of J's
     # rows modulo I_d lives on the standard-monomial columns
-    rest = Echelon(R.kernel, len(data.std_index))
+    rest = Echelon(kernel, len(data.std_index))
     for block in macaulay_matrix(R.nvars, J, f.degree):
-        rest.add_row(data.echelon.reduce(block)[:, data.std_index])
+        rest.add_row(data.echelon.reduce(block, kernel)[:, data.std_index])
     return rest.contains(target[data.std_index])
 
 
@@ -559,14 +568,13 @@ def is_linear_reduction(R: GradedQuotient, x: HomogPoly, d: int) -> bool:
     I_d, so x*S_{d-1} + I_d = x*span(std_{d-1}) + I_d."""
     if x.degree != 1:
         raise ValueError("reduction candidate must be a linear form")
-    if x.field != R.field or x.nvars != R.nvars:
-        raise FieldMismatch("reduction candidate over a different ring")
+    kernel = R.kernel_holding(x)
     target, std = R.slice(d), R.slice(d - 1).std_monomials
     image = 0
     if std:  # else [R]_{d-1} = 0
         mults = _multiplier_rows(std, R.nvars, d)
         rows = _fill([(0, mults, [x])], len(std), len(target.columns), _index_table(R.nvars, d))
-        image = target.echelon.rank_modulo(rows)
+        image = target.echelon.rank_modulo(rows, kernel)
     return image == len(target.std_monomials)
 
 
@@ -644,13 +652,14 @@ def base_change(R: GradedQuotient, s: int) -> GradedQuotient:
     """R tensored up to the degree-s scalar extension of its base field.
 
     A base-field code is the code of the same constant in the extension, so
-    the relations keep their coefficients."""
+    the relations keep their coefficients, their field and so R's slices:
+    the RREF of I_d is also its RREF over every extension.  The new ring
+    shares R's slice cache and its lock."""
     ext = extend_field(R.field, s)
-    return GradedQuotient(
-        ext, R.nvars,
-        [HomogPoly(ext, g.nvars, g.degree, g.terms) for g in R.relations],
-        R.var_names,
-    )
+    rels = [HomogPoly(ext, g.nvars, g.degree, g.terms) for g in R.relations]
+    S = GradedQuotient(ext, R.nvars, rels, R.var_names)
+    S._cache, S._lock = R._cache, R._lock
+    return S
 
 
 def frobenius_power(J: Sequence[HomogPoly], e: int) -> list[HomogPoly]:
@@ -688,8 +697,9 @@ def closure_quotient_dim(R: GradedQuotient, x: HomogPoly, n: int) -> int:
     (x^n) + m^(n+1) is the span of x^n, so the dimension is HF(n) minus one
     provided x^n does not vanish in R.
     """
+    kernel = R.kernel_holding(x)
     data = R.slice(n)
-    nf = data.echelon.reduce(linear_power_vector(x, n, data.columns))
+    nf = data.echelon.reduce(linear_power_vector(x, n, data.columns), kernel)
     if not np.any(nf) and n > 0:
         base = x.format(R.var_names)
         if len(x.terms) > 1:

@@ -26,6 +26,13 @@ column, and a tracker beside the panel records the row operations, so
 that the columns to its right follow by one product.  A block over GF(p)
 with few nonzero entries is eliminated on Python lists instead, and so
 are the stored rows with the block when they hold few entries in all.
+
+An Echelon's rows lie over one field, its kernel's (a ring's slices over
+the least field holding its relations, GF(p) from integer coefficients).
+A vector over an extension of degree t of that field is reduced as the t
+vectors of its coordinates, since the RREF of a subspace is also its RREF
+over every extension: digit i*s + j of an extension code is digit j of
+coordinate i (see ffield), so their digit rows are the vector's own.
 """
 
 from __future__ import annotations
@@ -95,11 +102,6 @@ class Kernel:
             self._digits = self._mats[:, :, 0]
             self._powers = (p ** np.arange(s)).astype(self.dtype)
             self._span = np.arange(s)
-            # the GF(p) view of an Echelon (see there); ffield imports this
-            # module, so its PrimeField is looked up here
-            from .ffield import PrimeField
-
-            self.prime = kernel_for(PrimeField(p))
 
     def matrices(self, codes: np.ndarray) -> np.ndarray:
         """M_c for a numpy code c, or the stacked M_c of an array of codes."""
@@ -193,27 +195,16 @@ class Echelon:
         self.kernel = kernel
         self.ncols = ncols
         self.rank = 0
-        s = kernel.s
         # room for every row the rank allows; rows beyond the rank are
-        # never read, and their pages are never written (over GF(p^s) they
-        # start zero, for the view below)
-        self._rows = (np.zeros if s > 1 else np.empty)((ncols * s, ncols), dtype=kernel.dtype)
+        # never read, and their pages are never written
+        self._rows = np.empty((ncols * kernel.s, ncols), dtype=kernel.dtype)
         self._pivots = np.empty(ncols, dtype=np.int64)
-        # Over GF(p^s), while every stored row lies over GF(p), the digits
-        # past the first are zero and the first digit rows form an echelon
-        # over GF(p): codes over GF(p) are reduced and inserted there, by
-        # the prime field's kernel.  The first row outside GF(p) ends it.
-        self._base = None
-        if s > 1:
-            base = self._base = Echelon.__new__(Echelon)
-            base.kernel, base.ncols, base.rank, base._base = kernel.prime, ncols, 0, None
-            base._rows, base._pivots = self._rows[::s], self._pivots
 
     def shifted(self, ncols: int) -> "Echelon":
         """A new echelon of ncols >= self.ncols columns whose rows are this
         one's moved to its last self.ncols columns, with no elimination:
         zero columns in front keep every row unit at its pivot and zero at
-        the others'.  It keeps the GF(p) view exactly when this one has it."""
+        the others'."""
         new = Echelon(self.kernel, ncols)
         r, s = self.rank, self.kernel.s
         if r:
@@ -222,11 +213,6 @@ class Echelon:
             new._rows[:r * s, off:] = self._rows[:r * s]
             new._pivots[:r] = self._pivots[:r] + off
             new.rank = r
-        if new._base is not None:
-            if self._base is None:
-                new._base = None
-            else:
-                new._base.rank = r
         return new
 
     @property
@@ -234,21 +220,21 @@ class Echelon:
         """Pivot columns, ascending."""
         return sorted(self._pivots[:self.rank].tolist())
 
-    def _over(self, codes: np.ndarray) -> "Echelon":
-        """The echelon that handles these codes: the GF(p) view when it
-        holds and they lie over GF(p) too, else this one."""
-        if self._base is not None and codes.max() < self.kernel.field.p:
-            return self._base
-        return self
-
-    def _planes(self, block: np.ndarray) -> np.ndarray:
+    def _planes(self, block: np.ndarray, kernel: Kernel | None = None) -> tuple[np.ndarray, Kernel]:
         """Fresh digit rows of a B x C code block, reduced modulo the row
-        span.  RREF rows vanish at each other's pivot columns, so the
-        reduction coefficients are the block's entries at the pivots, and
-        the stored rows are subtracted in one product, PANEL vectors at a
-        time so that no temporary outgrows them: the rows with a nonzero
-        coefficient alone when there are at most PANEL of them, else all."""
+        span, and the kernel of their field: the echelon's own, or `kernel`,
+        that of an extension of it, whose block is reduced as the vectors
+        of its coordinates (module docstring).  RREF rows vanish at each
+        other's pivot columns, so the reduction coefficients are the
+        block's entries at the pivots, and the stored rows are subtracted
+        in one product, PANEL vectors at a time so that no temporary
+        outgrows them: the rows with a nonzero coefficient alone when there
+        are at most PANEL of them, else all."""
         k = self.kernel
+        kernel = kernel or k
+        if kernel is not k:
+            q = k.field.order
+            block = (block[:, None] // q ** np.arange(kernel.s // k.s)[:, None] % q).reshape(-1, self.ncols)
         planes = k.digits(block)
         r = self.rank
         if r:
@@ -260,36 +246,27 @@ class Echelon:
                     k.submul(planes[i * k.s:(i + PANEL) * k.s], coeffs, rows)
                 elif used.size:
                     k.submul(planes[i * k.s:(i + PANEL) * k.s], coeffs[:, used], self._rows[k.group(used)])
-        return planes
+        return planes, kernel
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
+    def reduce(self, vec: np.ndarray, kernel: Kernel | None = None) -> np.ndarray:
         """Normal form of a code vector modulo the row span, or of each row
-        of a k x C block of them."""
-        own = self._over(vec)
-        k = own.kernel
-        planes = own._planes(vec.reshape(-1, self.ncols))
+        of a k x C block of them; vectors over an extension of the rows'
+        field come with its kernel."""
+        planes, k = self._planes(vec.reshape(-1, self.ncols), kernel)
         return k.codes(planes.reshape(-1, k.s, self.ncols)).reshape(vec.shape)
 
-    def rank_modulo(self, rows: np.ndarray) -> int:
+    def rank_modulo(self, rows: np.ndarray, kernel: Kernel | None = None) -> int:
         """How many rows of a k x C code block would raise the rank, without
-        inserting them: the rank of the block modulo the row span."""
-        own = self._over(rows)
-        return _rref(own.kernel, own._planes(rows))[0]
+        inserting them: the rank of the block modulo the row span, taken
+        over the field of `kernel` when the rows lie over an extension."""
+        planes, k = self._planes(rows, kernel)
+        return _rref(k, planes)[0]
 
     def add_row(self, rows: np.ndarray) -> int:
-        """Insert a code vector, or every row of a k x C block of them;
-        returns how many of them raised the rank."""
+        """Insert a code vector, or every row of a k x C block of them, over
+        the rows' field; returns how many of them raised the rank."""
         rows = rows.reshape(-1, self.ncols)
-        own = self._over(rows)
-        if own is self:
-            self._base = None
-        t = own._insert(rows)
-        self.rank = own.rank
-        return t
-
-    def _insert(self, rows: np.ndarray) -> int:
-        k, s = self.kernel, self.kernel.s
-        r = self.rank
+        k, s, r = self.kernel, self.kernel.s, self.rank
         if s == 1 and r and (r + len(rows)) * self.ncols <= SMALL_BLOCK:
             # few entries in all: the stored rows and the block together
             # are re-eliminated on lists, whose RREF is the same
@@ -299,7 +276,7 @@ class Echelon:
             self._pivots[:t] = new
             self.rank = t
             return t - r
-        block = self._planes(rows)
+        block, _ = self._planes(rows)
         t, new = _rref(k, block)
         if not t:
             return 0

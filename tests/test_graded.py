@@ -208,7 +208,7 @@ def _clone_and_insert_reduction(R, x, d):
     """x*[R]_{d-1} = [R]_d as I_d + x*S_{d-1} spanning S_d, every row of
     both inserted one at a time into one echelon."""
     ncols = len(monomials_of_degree(R.nvars, d))
-    ech = Echelon(R.kernel, ncols)
+    ech = Echelon(kernel_for(R.field), ncols)
     for row in itertools.chain(_macaulay_rows(R.nvars, R.relations, d), _macaulay_rows(R.nvars, [x], d)):
         ech.add_row(row)
     return ech.rank == ncols
@@ -261,7 +261,7 @@ def _window_reduction_reference(R, x):
     _, n0 = multiplicity(R)
     for d in range(n0, n0 + R.nvars + R.max_rel_degree + 1):
         target = R.slice(d + 1)
-        image = Echelon(R.kernel, len(target.columns))
+        image = Echelon(kernel_for(R.field), len(target.columns))
         for mono in R.slice(d).std_monomials:
             image.add_row(R.normal_form_vector(x * HomogPoly(R.field, R.nvars, d, {mono: 1})))
         if image.rank != len(target.std_monomials):
@@ -473,9 +473,11 @@ def test_certified_hilbert_function_matches_groebner_oracle():
 
 def _seeded_rings():
     """Rings over GF(p) and GF(p^s), with relations inside and outside
-    GF(p) and of mixed degrees, in one variable, and monomial ideals."""
+    GF(p) and of mixed degrees, in one variable, and monomial ideals, and
+    rings over GF(16) with relations over GF(4)."""
     rng = random.Random(15)
-    F9, F8 = extend_field(F3, 2), extend_field(F2, 3)
+    F9, F8, F4 = extend_field(F3, 2), extend_field(F2, 3), extend_field(F2, 2)
+    F16 = extend_field(F4, 2)
 
     def random_form(field, nvars, degree, codes):
         monos = monomials_of_degree(nvars, degree)
@@ -494,29 +496,59 @@ def _seeded_rings():
     yield GradedQuotient(F9, 1, [])
     yield GradedQuotient(F2, 4, [HomogPoly(F2, 4, sum(m), {m: 1}) for m in ((1, 1, 0, 0), (0, 0, 2, 0), (0, 1, 0, 1), (1, 0, 1, 1))])
     yield GradedQuotient(F9, 3, [HomogPoly(F9, 3, 2, {(0, 1, 1): 1}), HomogPoly(F9, 3, 3, {(0, 0, 3): 4})])
+    # GF(4)-codes, code 2 outside GF(2) in each ring
+    yield GradedQuotient(F16, 3, [
+        HomogPoly(F16, 3, 2, {(2, 0, 0): 2, (0, 1, 1): 1, (1, 0, 1): 3}), random_form(F16, 3, 2, 4),
+    ])
+    yield GradedQuotient(F16, 2, [HomogPoly(F16, 2, 3, {(3, 0): 1, (1, 2): 2, (0, 3): 3})])
+
+
+def _tower(field):
+    """field, field.base, .., GF(p)."""
+    while True:
+        yield field
+        if not hasattr(field, "base"):
+            return
+        field = field.base
 
 
 def test_seeded_slices_match_eliminating_the_whole_macaulay_matrix():
+    # the slices lie over the least field holding the relations, and they
+    # reduce and rank vectors over R's field and over a scalar extension of
+    # it as an echelon over that field, filled with the same rows, does
     rng = np.random.default_rng(15)
-    lost_base = kept_base = 0
+    towers = 0
     for R in _seeded_rings():
+        top = max((c for g in R.relations for c in g.terms.values()), default=0)
+        assert R.kernel.field == min((F for F in _tower(R.field) if top < F.order), key=lambda F: F.order), R
+        towers += 1 < R.kernel.s < R.field.degree
         for d in range(R.max_rel_degree + 4):
             data = R.slice(d)
             ncols = len(data.columns)
+            rows = list(macaulay_matrix(R.nvars, R.relations, d))
             whole = Echelon(R.kernel, ncols)
-            for block in macaulay_matrix(R.nvars, R.relations, d):
+            for block in rows:
                 whole.add_row(block)
             seeded = data.echelon
             assert seeded.pivots == whole.pivots, (R, d)
-            assert (seeded._base is None) == (whole._base is None), (R, d)
-            if R.kernel.s > 1:
-                lost_base += seeded._base is None
-                kept_base += seeded._base is not None
-            for codes in (R.field.p, R.field.order):
-                vecs = rng.integers(0, codes, size=(5, ncols))
-                assert seeded.reduce(vecs).tolist() == whole.reduce(vecs).tolist(), (R, d)
-                assert seeded.reduce(vecs[0]).tolist() == whole.reduce(vecs[0]).tolist(), (R, d)
-    assert lost_base and kept_base
+            vecs = rng.integers(0, R.kernel.field.order, size=(5, ncols))
+            assert seeded.reduce(vecs).tolist() == whole.reduce(vecs).tolist(), (R, d)
+            for field in (R.field, extend_field(R.field, 2)):
+                kernel = kernel_for(field)
+                ref = Echelon(kernel, ncols)
+                for block in rows:
+                    ref.add_row(block)
+                vecs = rng.integers(0, field.order, size=(5, ncols))
+                # dependent over field, not over the slices' field: a multiple
+                # of a vector, and a Macaulay row
+                c = int(rng.integers(1, field.order))
+                vecs[1] = [field.mul(c, int(v)) for v in vecs[0]]
+                if rows:
+                    vecs[2] = rows[0][0]
+                assert seeded.reduce(vecs, kernel).tolist() == ref.reduce(vecs).tolist(), (R, d, field)
+                assert seeded.reduce(vecs[0], kernel).tolist() == ref.reduce(vecs[0]).tolist(), (R, d, field)
+                assert seeded.rank_modulo(vecs, kernel) == ref.rank_modulo(vecs), (R, d, field)
+    assert towers >= 2
 
 
 def _whole_product_reduction(R, x, d):
@@ -749,6 +781,24 @@ def test_base_change_keeps_presentation():
     assert multiplicity(S) == multiplicity(R)
 
 
+def test_base_change_reuses_slices():
+    R = axes_ring(F3, 3)
+    built = [R.slice(d) for d in range(4)]
+    S = base_change(R, 2)
+    assert S.kernel is R.kernel
+    for d, data in enumerate(built):
+        assert S.slice(d) is data
+    # slices S builds are R's too
+    assert R.slice(5) is S.slice(5)
+    # xy(x+y) over GF(2): its three lines are the GF(2)-points of P^1, so
+    # no GF(2)-form is a reduction and the search extends to GF(4)
+    R = GradedQuotient(F2, 2, [HomogPoly(F2, 2, 3, {(2, 1): 1, (1, 2): 1})], ("x", "y"))
+    red = find_linear_reduction(R)
+    assert red.scalar_extension == 2 and red.ring.field.order == 4
+    for d in range(multiplicity(R)[1] + 2):
+        assert red.ring.slice(d) is R.slice(d), d
+
+
 def test_ring_mismatch_rejected():
     f = HomogPoly.from_ints(F3, 2, {(1, 0): 1})
     g = HomogPoly.from_ints(F5, 2, {(1, 0): 1})
@@ -760,6 +810,14 @@ def test_ring_mismatch_rejected():
         ideal_membership(circle_ring(F3), g, [f])
     with pytest.raises(FieldMismatch):
         is_linear_reduction(circle_ring(F3), g, 2)
+    # a GF(5) form is no form of a GF(3) ring, whatever its codes
+    x2 = HomogPoly(F5, 3, 2, {(2, 0, 0): 4})
+    with pytest.raises(FieldMismatch):
+        axes_ring(F3, 3).normal_form_vector(x2)
+    with pytest.raises(FieldMismatch):
+        closure_quotient_dim(axes_ring(F3, 3), HomogPoly(F5, 3, 1, {(1, 0, 0): 1}), 2)
+    with pytest.raises(FieldMismatch):
+        closure_quotient_dim(axes_ring(F3, 3), linear_form(axes_ring(F3, 2), [1, 1]), 2)
 
 
 def test_homog_poly_rejects_codes_outside_the_field():
