@@ -462,10 +462,11 @@ def _regular_basis(base: Field, modulus: UniPoly) -> np.ndarray:
     D = d * s
     if D * (p - 1) ** 2 >= 2**63:
         raise FieldTooLarge(f"GF({p})-matrices of size {D} overflow int64")
-    mats = kernel_for(base).matrices
+    def mats(codes):  # multiplication by base codes, as d x d GF(p)-matrices
+        return base.mats[codes] if d > 1 else np.asarray(codes)[..., None, None]
     shift = np.zeros((s, d, s, d), dtype=np.int64)
     for i in range(1, s):
-        shift[i, :, i - 1] = mats(np.int64(1))  # the identity
+        shift[i, :, i - 1] = mats(1)  # the identity
     shift[:, :, -1] = mats(np.array([base.neg(c) for c in modulus.coefficients[:-1]]))
     shift = shift.reshape(D, D)
     # the block-diagonal matrices of the base basis elements p^j

@@ -34,15 +34,15 @@ Monomial = tuple  # exponent vector, one entry per variable
 
 DEFAULT_DEGREE_CAP = 64
 DEFAULT_S_MAX = 3
-# A degree-d slice holds a dense echelon over the relations' field
-# (GradedQuotient.kernel), of up to C x s x C digits for GF(p^s): 8*C^2
-# bytes, 18 MB at the cap, from the CLI, whose relations lie over GF(p),
-# beside one block of at most C Macaulay rows.  On a 2-vCPU Xeon, with
-# every slice below built on the way up, the degree-5 slice of 8 random
-# quadrics in 9 variables (1287 columns) takes 0.35-0.4 s, and the degree-6
-# slice of a monomial ideal in 8 variables (1716 columns, refused here)
-# 1.0-1.1 s, its sparse rows still paying for the dense passes of every
-# panel.
+# A degree-d slice of C columns holds a dense echelon over GF(p) on the
+# C*s digit columns of the relations' field GF(p^s) (GradedQuotient.kernel),
+# 8*(C*s)^2 bytes, so the cap bounds C*s.  From the CLI the relations lie
+# over GF(p), s = 1, and a slice holds at most 18 MB, beside one block of at
+# most C Macaulay rows.  On a 2-vCPU Xeon, with every slice below built on
+# the way up, the degree-5 slice of 8 random quadrics in 9 variables (1287
+# columns) takes 0.35-0.4 s, and the degree-6 slice of a monomial ideal in
+# 8 variables (1716 columns, refused here) 1.0-1.1 s, its sparse rows still
+# paying for the dense passes of every panel.
 SLICE_COLUMN_CAP = 1500
 
 
@@ -411,9 +411,11 @@ class GradedQuotient:
                 return data
             # widths grow with d, so no degree below d is refused either
             ncols = comb(d + self.nvars - 1, self.nvars - 1)
-            if ncols > SLICE_COLUMN_CAP:
+            s = self.kernel.s
+            if ncols * s > SLICE_COLUMN_CAP:
+                digits = f" of {s} GF({self.field.p}) digits each" if s > 1 else ""
                 raise CapExceeded(
-                    f"the degree-{d} slice has {ncols} columns, above the cap of "
+                    f"the degree-{d} slice has {ncols} columns{digits}, above the cap of "
                     f"{SLICE_COLUMN_CAP} columns"
                 )
             # slices are built bottom-up, so the cached degrees are 0..k-1

@@ -1,12 +1,31 @@
-"""Dense exact row reduction over finite fields, on GF(p) digit planes.
+"""Dense exact row reduction over finite fields, on GF(p) digit rows.
 
 Vectors are numpy int64 arrays of element codes (see ffield).  A code of
-GF(p^s) is the base-p expansion of its GF(p)-coordinates, so C codes form
-an s x C digit plane over GF(p), and a scalar c acts as the s x s
-GF(p)-matrix M_c whose column j holds the digits of c * p^j (for GF(p),
-s = 1 and M_c is c itself; GF(p^s) builds their stack once from its
-modulus).  Every linear combination of rows is then a matrix product
-modulo p.
+GF(p^s) is the base-p expansion of its GF(p)-coordinates, so a vector of
+C codes is a row of C*s GF(p) digits, code-major: column c*s + i holds
+digit i of code c.  Every elimination here runs over GF(p) on such rows;
+a field of degree s enters only where codes become digits and back.
+
+This is restriction of scalars.  A GF(p^s)-subspace W of GF(p^s)^C is
+the GF(p)-span of the digit rows of e_j*w, for w in a spanning set and
+e_j = p^j the GF(p)-basis element of code p^j (digit i of c * p^j is
+field.mats[c, i, j]), so its GF(p^s)-rank is the GF(p)-rank of those rows
+divided by s.  The GF(p) pivots of that span are P x {0..s-1}, P the
+pivots of W over GF(p^s): W_c, the vectors of W zero at every code before
+c, is again a GF(p^s)-space, and so is its image in coordinate c, which
+is therefore 0 or all of GF(p^s).  In the first case no column c*s + i is
+a pivot; in the second, the vectors of W_c whose code c has digits 0..i-1
+zero map onto the elements with those digits zero, of GF(p)-dimension
+s - i, so every column c*s + i is one.  The normal forms agree too: the
+normal form v' of v modulo W is the one vector of v + W zero at the codes
+P, so the digits of v' lie in digits(v) + span and vanish at P x {0..s-1},
+which is what makes a GF(p) normal form, and that one is unique.  So the
+RREF rows of the span are the digit rows of e_j*b, b the GF(p^s) RREF
+rows.  The same holds for a subfield GF(q) of GF(p^s): a vector over
+GF(p^s) is reduced modulo a GF(q)-space as the vectors of its
+coordinates over GF(q) (digit i*t + j of an extension code is digit j of
+coordinate i, t = [GF(q) : GF(p)]), since the RREF of a subspace is also
+its RREF over every extension.
 
 Digits are held in float64, whose products are exact while every sum
 stays below 2^53: k terms below (p-1)^2 added to an entry below p stay
@@ -23,16 +42,9 @@ one more product clears the new pivot columns in the stored rows.  _rref
 runs Gauss-Jordan in column panels: inside a panel a per-pivot loop
 updates the panel's columns in the rows with a nonzero entry in the pivot
 column, and a tracker beside the panel records the row operations, so
-that the columns to its right follow by one product.  A block over GF(p)
-with few nonzero entries is eliminated on Python lists instead, and so
-are the stored rows with the block when they hold few entries in all.
-
-An Echelon's rows lie over one field, its kernel's (a ring's slices over
-the least field holding its relations, GF(p) from integer coefficients).
-A vector over an extension of degree t of that field is reduced as the t
-vectors of its coordinates, since the RREF of a subspace is also its RREF
-over every extension: digit i*s + j of an extension code is digit j of
-coordinate i (see ffield), so their digit rows are the vector's own.
+that the columns to its right follow by one product.  A block with few
+nonzero entries is eliminated on Python lists instead, and so are the
+stored rows with the block when they hold few entries in all.
 """
 
 from __future__ import annotations
@@ -41,6 +53,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .errors import FieldMismatch
 
 if TYPE_CHECKING:
     from .ffield import Field
@@ -53,8 +67,8 @@ if TYPE_CHECKING:
 # trailing product at all.
 PANEL = 64
 
-# Nonzero entries up to which a block over GF(p) is eliminated on Python
-# lists (_rref_small); an Echelon's stored rows and a new block go there
+# Nonzero entries up to which a block is eliminated on Python lists
+# (_rref_small); an Echelon's stored rows and a new block go there
 # together while they hold at most this many entries, zero or not.  A
 # pivot step of the array loop makes about a dozen numpy calls whatever
 # the block, about 12 us on a 2-vCPU Xeon, while the list loop pays about
@@ -70,18 +84,16 @@ SMALL_BLOCK = 64
 
 @lru_cache(maxsize=None)
 def kernel_for(field: Field) -> "Kernel":
-    """The digit-plane arithmetic of a field, built once per field."""
+    """The digit arithmetic of a field, built once per field."""
     return Kernel(field)
 
 
 class Kernel:
-    """Scalar matrices, digit rows and exact products of a field's codes.
+    """Digit rows of a field's codes and exact products of GF(p) rows.
 
     Digits are held in `dtype` (float64 unless p leaves its exact range).
-    A block of B code vectors of length C is a (B*s) x C array of digit
-    rows, rows b*s .. b*s + s - 1 holding vector b's digit plane.  Over
-    GF(p) the digits are the codes, so they are also the scalars that
-    `times`, `unit` and `submul` take; over GF(p^s) those take codes."""
+    A B x C block of codes of a field of degree s is B rows of C*s digits
+    (module docstring); over GF(p) the digits are the codes."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -97,98 +109,66 @@ class Kernel:
         # a 0-d array is numpy's cheapest right operand for % on small arrays
         self.p = np.array(p, dtype=self.dtype)
         if s > 1:
-            # field.mats[c] is M_c, so column 0 holds c's digits
-            self._mats = field.mats.astype(self.dtype)
-            self._digits = self._mats[:, :, 0]
+            # _mats[c, j] holds the digits of c * p^j, so _mats[c, 0] c's own
+            self._mats = field.mats.transpose(0, 2, 1).astype(self.dtype)
             self._powers = (p ** np.arange(s)).astype(self.dtype)
-            self._span = np.arange(s)
 
-    def matrices(self, codes: np.ndarray) -> np.ndarray:
-        """M_c for a numpy code c, or the stacked M_c of an array of codes."""
-        if self.s == 1:
-            return codes[..., None, None]
-        return self.field.mats.take(codes, axis=0)
-
-    def digits(self, codes: np.ndarray) -> np.ndarray:
-        """Fresh digit rows of code vectors: a vector gives its s x C digit
-        plane, a B x C block the (B*s) x C digit rows of its vectors."""
-        if self.s == 1:
+    def digits(self, codes: np.ndarray, span: bool = False) -> np.ndarray:
+        """Fresh digit rows of an int64 code vector or of a B x C block of
+        them: B x (C*s), or with span the (B*s) x (C*s) rows of e_j*v, row
+        b*s + j for e_j = p^j and vector b.  Codes outside the field raise
+        FieldMismatch."""
+        if codes.size and np.maximum.reduce(codes.view(np.uint64), None) >= self.field.order:
+            # a negative code views as at least 2^63
+            raise FieldMismatch(f"codes outside {self.field}")
+        s = self.s
+        if s == 1:
             return np.array(codes, dtype=self.dtype, ndmin=2)
-        return self._digits.take(codes, axis=0).swapaxes(-1, -2).reshape(-1, codes.shape[-1])
+        width = codes.shape[-1] * s
+        if span:
+            return self._mats[codes].swapaxes(-2, -3).reshape(-1, width)
+        return self._mats[codes, 0].reshape(-1, width)
 
-    def codes(self, planes: np.ndarray) -> np.ndarray:
-        """The int64 codes of digit planes (inverse of digits)."""
+    def codes(self, digits: np.ndarray) -> np.ndarray:
+        """The int64 B x C codes of B rows of digits (inverse of digits)."""
         if self.s == 1:
-            return planes[..., 0, :].astype(np.int64)
-        return (self._powers @ planes).astype(np.int64)
-
-    def scalars(self, planes: np.ndarray) -> np.ndarray:
-        """The entries of digit planes as scalars: (..., s, C) gives (..., C)."""
-        if self.s == 1:
-            return planes[..., 0, :]
-        return (self._powers @ planes).astype(np.intp)
-
-    def group(self, index: np.ndarray) -> np.ndarray:
-        """The digit rows of the vectors at `index`."""
-        if self.s == 1:
-            return index
-        return (index[:, None] * self.s + self._span).ravel()
-
-    def times(self, c: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The digit rows of M_c times an s x W plane, for h scalars c:
-        (h*s) x W, unreduced, each entry a sum of s terms below (p-1)^2."""
-        if self.s == 1:
-            return c[:, None] * rows
-        return self._mats[c].reshape(-1, self.s) @ rows
-
-    def unit(self, rows: np.ndarray, c) -> np.ndarray:
-        """An s x W plane times the inverse of its nonzero scalar c."""
-        inv = self.field.inv(int(c))
-        if self.s == 1:
-            return rows * inv % self.p
-        return self._mats[inv] @ rows % self.p
+            return digits.astype(np.int64)
+        return (digits.reshape(-1, digits.shape[1] // self.s, self.s) @ self._powers).astype(np.int64)
 
     def submul(self, acc: np.ndarray, coeffs: np.ndarray, rows: np.ndarray, lazy: bool = False) -> np.ndarray:
         """acc - coeffs * rows, in place in acc and modulo p unless lazy,
-        for the digit rows acc of B vectors, B x q scalars coeffs and the
-        (q*s) x C digit rows of q reduced vectors: one exact product per
-        chunk of `step` terms (a lazy call fits in one)."""
-        left = coeffs
-        if self.s > 1:
-            B, q = coeffs.shape
-            left = self._mats[coeffs].transpose(0, 2, 1, 3).reshape(B * self.s, q * self.s)
-        # in the rows' dtype, so that matmul casts neither operand
-        left = left.astype(self.dtype, copy=False)
-        for i in range(0, left.shape[1], self.step):
-            acc -= left[:, i:i + self.step] @ rows[i:i + self.step]
+        for B rows acc, B x q coefficients and q reduced rows: one exact
+        product per chunk of `step` terms (a lazy call fits in one)."""
+        for i in range(0, coeffs.shape[1], self.step):
+            acc -= coeffs[:, i:i + self.step] @ rows[i:i + self.step]
             if not lazy:
                 acc %= self.p
         return acc
 
     def update(self, target: np.ndarray, hit: np.ndarray, coeffs: np.ndarray, rows: np.ndarray,
                lazy: bool = False) -> None:
-        """submul on the vectors of target at the ascending indices hit,
-        with their rows of coeffs, in place and PANEL vectors at a time, so
-        that no temporary outgrows PANEL vectors; rows must not share
-        memory with target."""
-        s = self.s
+        """submul on the rows of target at the ascending indices hit, with
+        their rows of coeffs, in place and PANEL rows at a time, so that no
+        temporary outgrows PANEL rows; rows must not share memory with
+        target."""
         for i in range(0, len(hit), PANEL):
             part = hit[i:i + PANEL]
             a, b = int(part[0]), int(part[-1]) + 1
             if b - a == len(part):
-                self.submul(target[a * s:b * s], coeffs[a:b], rows, lazy)
+                self.submul(target[a:b], coeffs[a:b], rows, lazy)
             else:
-                where = self.group(part)
-                target[where] = self.submul(target[where], coeffs[part], rows, lazy)
+                target[part] = self.submul(target[part], coeffs[part], rows, lazy)
 
 
 class Echelon:
     """Reduced row-echelon form over a field's Kernel, grown block by block.
 
     The structure maintains unit pivots and zeros above and below each
-    pivot, so normal forms are a single product.  The rows are digit rows
-    kept in insertion order in one (ncols*s) x ncols array, with their
-    pivot columns alongside.
+    pivot, so normal forms are a single product.  The rows are the GF(p)
+    digit rows of the field span of the inserted vectors (module
+    docstring), kept in insertion order in one (ncols*s) x (ncols*s)
+    array, with their GF(p) pivot columns alongside; rank, ncols and
+    pivots count in units of the field.
     """
 
     def __init__(self, kernel: Kernel, ncols: int):
@@ -197,8 +177,9 @@ class Echelon:
         self.rank = 0
         # room for every row the rank allows; rows beyond the rank are
         # never read, and their pages are never written
-        self._rows = np.empty((ncols * kernel.s, ncols), dtype=kernel.dtype)
-        self._pivots = np.empty(ncols, dtype=np.int64)
+        width = ncols * kernel.s
+        self._rows = np.empty((width, width), dtype=kernel.dtype)
+        self._pivots = np.empty(width, dtype=np.int64)
 
     def shifted(self, ncols: int) -> "Echelon":
         """A new echelon of ncols >= self.ncols columns whose rows are this
@@ -206,142 +187,153 @@ class Echelon:
         zero columns in front keep every row unit at its pivot and zero at
         the others'."""
         new = Echelon(self.kernel, ncols)
-        r, s = self.rank, self.kernel.s
+        s = self.kernel.s
+        r = self.rank * s
         if r:
-            off = ncols - self.ncols
-            new._rows[:r * s, :off] = 0
-            new._rows[:r * s, off:] = self._rows[:r * s]
+            off = (ncols - self.ncols) * s
+            new._rows[:r, :off] = 0
+            new._rows[:r, off:] = self._rows[:r]
             new._pivots[:r] = self._pivots[:r] + off
-            new.rank = r
+            new.rank = self.rank
         return new
 
     @property
     def pivots(self) -> list[int]:
-        """Pivot columns, ascending."""
-        return sorted(self._pivots[:self.rank].tolist())
+        """Pivot columns, ascending.  A pivot column c is the s GF(p)
+        pivots c*s .. c*s + s - 1, which _rref finds in a row."""
+        s = self.kernel.s
+        pivots = sorted(self._pivots[:self.rank * s:s].tolist())
+        return [c // s for c in pivots] if s > 1 else pivots
 
-    def _planes(self, block: np.ndarray, kernel: Kernel | None = None) -> tuple[np.ndarray, Kernel]:
-        """Fresh digit rows of a B x C code block, reduced modulo the row
-        span, and the kernel of their field: the echelon's own, or `kernel`,
-        that of an extension of it, whose block is reduced as the vectors
-        of its coordinates (module docstring).  RREF rows vanish at each
-        other's pivot columns, so the reduction coefficients are the
-        block's entries at the pivots, and the stored rows are subtracted
-        in one product, PANEL vectors at a time so that no temporary
-        outgrows them: the rows with a nonzero coefficient alone when there
-        are at most PANEL of them, else all."""
-        k = self.kernel
-        kernel = kernel or k
-        if kernel is not k:
-            q = k.field.order
-            block = (block[:, None] // q ** np.arange(kernel.s // k.s)[:, None] % q).reshape(-1, self.ncols)
-        planes = k.digits(block)
-        r = self.rank
+    def _reduced(self, digits: np.ndarray) -> np.ndarray:
+        """GF(p) digit rows reduced modulo the stored rows, in place.  RREF
+        rows vanish at each other's pivot columns, so the reduction
+        coefficients are the digits at the pivots, and the stored rows are
+        subtracted in one product, PANEL rows at a time so that no
+        temporary outgrows them: the rows with a nonzero coefficient alone
+        when there are at most PANEL of them, else all."""
+        r = self.rank * self.kernel.s
         if r:
-            pivots, rows = self._pivots[:r], self._rows[:r * k.s]
-            for i in range(0, len(block), PANEL):
-                coeffs = block[i:i + PANEL, pivots]
+            pivots, rows = self._pivots[:r], self._rows[:r]
+            for i in range(0, len(digits), PANEL):
+                part = digits[i:i + PANEL]
+                coeffs = part[:, pivots]
                 used = coeffs.any(0).nonzero()[0]
                 if used.size > PANEL:
-                    k.submul(planes[i * k.s:(i + PANEL) * k.s], coeffs, rows)
+                    self.kernel.submul(part, coeffs, rows)
                 elif used.size:
-                    k.submul(planes[i * k.s:(i + PANEL) * k.s], coeffs[:, used], self._rows[k.group(used)])
-        return planes, kernel
+                    self.kernel.submul(part, coeffs[:, used], rows[used])
+        return digits
+
+    def _coordinate_forms(self, block: np.ndarray, kernel: Kernel) -> np.ndarray:
+        """The B x C normal forms of a code block over the field of kernel,
+        which must have the rows' field in its tower (field, field.base,
+        .., GF(p)), else FieldMismatch: the block is reduced as the vectors
+        of its coordinates over the rows' field (module docstring)."""
+        k, field = self.kernel, kernel.field
+        while field != k.field:
+            field = getattr(field, "base", None)
+            if field is None:
+                raise FieldMismatch(f"vectors over {kernel.field} on an echelon over {k.field}")
+        # extension digit i*t + j of a code is digit j of its coordinate i
+        shape = (len(block), self.ncols, kernel.s // k.s, k.s)
+        digits = kernel.digits(block).reshape(shape).swapaxes(1, 2).reshape(-1, self.ncols * k.s)
+        digits = self._reduced(digits).reshape(shape[0], shape[2], self.ncols, k.s).swapaxes(1, 2)
+        return kernel.codes(digits.reshape(len(block), self.ncols * kernel.s))
 
     def reduce(self, vec: np.ndarray, kernel: Kernel | None = None) -> np.ndarray:
         """Normal form of a code vector modulo the row span, or of each row
         of a k x C block of them; vectors over an extension of the rows'
         field come with its kernel."""
-        planes, k = self._planes(vec.reshape(-1, self.ncols), kernel)
-        return k.codes(planes.reshape(-1, k.s, self.ncols)).reshape(vec.shape)
+        k = self.kernel
+        block = vec.reshape(-1, self.ncols)
+        if kernel is None or kernel is k:
+            return k.codes(self._reduced(k.digits(block))).reshape(vec.shape)
+        return self._coordinate_forms(block, kernel).reshape(vec.shape)
 
     def rank_modulo(self, rows: np.ndarray, kernel: Kernel | None = None) -> int:
         """How many rows of a k x C code block would raise the rank, without
         inserting them: the rank of the block modulo the row span, taken
         over the field of `kernel` when the rows lie over an extension."""
-        planes, k = self._planes(rows, kernel)
-        return _rref(k, planes)[0]
+        k = self.kernel
+        if kernel is None or kernel is k:
+            return _rref(k, self._reduced(k.digits(rows, span=True)))[0] // k.s
+        # the normal forms vanish at the pivots, so their span meets the
+        # row span only in zero
+        nf = self._coordinate_forms(rows.reshape(-1, self.ncols), kernel)
+        return _rref(kernel, kernel.digits(nf, span=True))[0] // kernel.s
 
     def add_row(self, rows: np.ndarray) -> int:
         """Insert a code vector, or every row of a k x C block of them, over
         the rows' field; returns how many of them raised the rank."""
-        rows = rows.reshape(-1, self.ncols)
-        k, s, r = self.kernel, self.kernel.s, self.rank
-        if s == 1 and r and (r + len(rows)) * self.ncols <= SMALL_BLOCK:
+        k, s = self.kernel, self.kernel.s
+        r = self.rank * s
+        block = k.digits(rows.reshape(-1, self.ncols), span=True)
+        if r and (r + len(block)) * block.shape[1] <= SMALL_BLOCK:
             # few entries in all: the stored rows and the block together
             # are re-eliminated on lists, whose RREF is the same
-            stack = np.concatenate((self._rows[:r], rows))
+            stack = np.concatenate((self._rows[:r], block))
             t, new = _rref_small(k, stack)
             self._rows[:t] = stack[:t]
             self._pivots[:t] = new
-            self.rank = t
-            return t - r
-        block, _ = self._planes(rows)
-        t, new = _rref(k, block)
+            self.rank = t // s
+            return (t - r) // s
+        t, new = _rref(k, self._reduced(block))
         if not t:
             return 0
         if r:
             # keep RREF: clear the new pivot columns in the stored rows at once
-            coeffs = k.scalars(self._rows[:r * s, new].reshape(r, s, t))
+            coeffs = self._rows[:r, new]
             hit = coeffs.any(1).nonzero()[0]
             if hit.size:
-                k.update(self._rows, hit, coeffs, block[:t * s])
-        self._rows[r * s:(r + t) * s] = block[:t * s]
+                k.update(self._rows, hit, coeffs, block[:t])
+        self._rows[r:r + t] = block[:t]
         self._pivots[r:r + t] = new
-        self.rank = r + t
-        return t
+        self.rank += t // s
+        return t // s
 
     def contains(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
 
 
-def _swap(rows: np.ndarray, a: int, b: int, s: int) -> None:
-    """Swap the digit rows of vectors a and b in place."""
-    keep = rows[a * s:a * s + s].copy()
-    rows[a * s:a * s + s] = rows[b * s:b * s + s]
-    rows[b * s:b * s + s] = keep
-
-
 def _rref(k: Kernel, block: np.ndarray) -> tuple[int, list]:
-    """Bring the digit rows of B reduced vectors to reduced row-echelon
-    form in place; returns the number t of nonzero vectors, which are then
-    the first t*s rows, and their pivot columns.
+    """Bring B reduced GF(p) rows to reduced row-echelon form in place;
+    returns the number t of nonzero rows, which are then the first t, and
+    their pivot columns.
 
-    Over GF(p) a block with at most SMALL_BLOCK nonzero entries goes to
-    _rref_small.  Otherwise Gauss-Jordan runs column panel by column
-    panel, and vectors found as pivots move to the top by swaps.  Within
-    a panel starting at vector t0 the loop works on the vectors from t0
-    down only: those above are cleared at the panel's pivots after it, by
-    one product with the new pivot rows.  When columns follow the panel,
-    the loop also runs on a tracker of the panel's row operations: vector
-    i of the panel is vector i of the panel's start plus
-    sum_u T[i, u] (start vector of pivot u), with the unit of pivot u
-    moved into T[u, u] when it is chosen, so the columns right of the
-    panel follow as rest - (E - T) rest[:u], E the pivots' unit columns.
+    A block with at most SMALL_BLOCK nonzero entries goes to _rref_small.
+    Otherwise Gauss-Jordan runs column panel by column panel, and rows
+    found as pivots move to the top by swaps.  Within a panel starting at
+    row t0 the loop works on the rows from t0 down only: those above are
+    cleared at the panel's pivots after it, by one product with the new
+    pivot rows.  When columns follow the panel, the loop also runs on a
+    tracker of the panel's row operations: row i of the panel is row i of
+    the panel's start plus sum_u T[i, u] (start row of pivot u), with the
+    unit of pivot u moved into T[u, u] when it is chosen, so the columns
+    right of the panel follow as rest - (E - T) rest[:u], E the pivots'
+    unit columns.
 
     Every product takes reduced factors: pivot rows and the coefficients
-    read from pivot columns are reduced when they are used.  The vectors
-    they update are reduced only at the end (lazily) when that is exact:
-    an entry takes at most one term per pivot in the panel loop, in the
+    read from pivot columns are reduced when they are used.  The rows they
+    update are reduced only at the end (lazily) when that is exact: an
+    entry takes at most one term per pivot in the panel loop, in the
     trailing products and in the clearing above, so at most 3*C terms of
-    s*(p-1)^2 each, and scaling a pivot row multiplies it by s*(p-1) once
-    more.  Otherwise each update is reduced at once."""
-    field, s = k.field, k.s
-    if s == 1 and np.count_nonzero(block) <= SMALL_BLOCK:
+    (p-1)^2 each, and scaling a pivot row multiplies it by p - 1 at most.
+    Otherwise each update is reduced at once."""
+    if np.count_nonzero(block) <= SMALL_BLOCK:
         return _rref_small(k, block)
-    nrows, ncols = block.shape[0] // s, block.shape[1]
-    # zero vectors (rows the stored ones already span) move out of the way
-    keep = block.reshape(nrows, -1).any(1).nonzero()[0]
+    # zero rows (rows the stored ones already span) move out of the way
+    keep = block.any(1).nonzero()[0]
     for i in range(0, len(keep), PANEL):
         part = keep[i:i + PANEL]
         if part[-1] != i + len(part) - 1:
             # part holds no index below i, so a chunk never overwrites one
             # it has yet to read
-            block[i * s:(i + len(part)) * s] = block[k.group(part)]
-    nrows = len(keep)
-    block = block[:nrows * s]
-    p = field.p
-    lazy = (p + 3 * ncols * s * (p - 1) ** 2) * s * p <= k.limit
+            block[i:i + len(part)] = block[part]
+    nrows, ncols = len(keep), block.shape[1]
+    block = block[:nrows]
+    p = k.field.p
+    lazy = (p + 3 * ncols * (p - 1) ** 2) * p <= k.limit
     t, pivots = 0, []
     for c0 in range(0, ncols, PANEL):
         if t == nrows:
@@ -349,83 +341,78 @@ def _rref(k: Kernel, block: np.ndarray) -> tuple[int, list]:
         c1 = min(c0 + PANEL, ncols)
         w, t0, tracked, n = c1 - c0, t, c1 < ncols, nrows - t
         if tracked:
-            panel = np.zeros((n * s, 2 * w), dtype=block.dtype)
-            panel[:, :w] = block[t0 * s:, c0:c1]
+            panel = np.zeros((n, 2 * w), dtype=block.dtype)
+            panel[:, :w] = block[t0:, c0:c1]
+            rest = block[t0:, c1:]
         else:
-            panel = block[t0 * s:, c0:]
+            panel = block[t0:, c0:]
         u, end = 0, w
-        # row operations keep every vector inside the columns where one is
+        # row operations keep every row inside the columns where one is
         # nonzero at the start, so only those can hold pivots
         for j in (panel[:, :w] % k.p).any(0).nonzero()[0].tolist():
             if u == n:
                 break
-            codes = panel[:, j] % k.p
-            if s > 1:
-                codes = k.scalars(codes.reshape(n, s).T)
-            # codes are nonnegative, so the largest free one is nonzero
-            # unless every free vector vanishes in column j
-            i = u + int(codes[u:].argmax())
-            if not codes[i]:
+            col = panel[:, j] % k.p
+            # digits are nonnegative, so the largest free one is nonzero
+            # unless every free row vanishes in column j
+            i = u + int(col[u:].argmax())
+            if not col[i]:
                 continue
             if i != u:
-                _swap(panel, u, i, s)
+                panel[u], panel[i] = panel[i], panel[u].copy()
                 if tracked:
-                    _swap(block[t0 * s:, c1:], u, i, s)
-                codes[u], codes[i] = codes[i], codes[u]
+                    rest[u], rest[i] = rest[i], rest[u].copy()
+                col[u], col[i] = col[i], col[u]
             if tracked:
-                panel[u * s, w + u] = 1
+                panel[u, w + u] = 1
                 end = w + u + 1
-            c = codes[u]
-            row = k.unit(panel[u * s:u * s + s, j:end], c)
-            hit = codes.nonzero()[0]
+            c = int(col[u])
+            row = panel[u, j:end] * pow(c, p - 2, p) % k.p
+            hit = col.nonzero()[0]
             if hit.size == 1:
-                panel[u * s:u * s + s, j:end] = row
+                panel[u, j:end] = row
             else:
-                # coefficient c - 1 turns the pivot vector into its unit row
-                codes[u] = field.sub(int(c), 1)
+                # coefficient c - 1 turns the pivot row into its unit row
+                col[u] = c - 1
                 a, b = int(hit[0]), int(hit[-1]) + 1
                 if b - a == hit.size:
-                    rows, hit = slice(a * s, b * s), slice(a, b)
-                else:
-                    rows = k.group(hit)
-                panel[rows, j:end] -= k.times(codes[hit], row)
+                    hit = slice(a, b)
+                panel[hit, j:end] -= col[hit, None] * row
                 if not lazy:
-                    panel[rows, j:end] %= k.p
+                    panel[hit, j:end] %= k.p
             pivots.append(c0 + j)
             u += 1
         t = t0 + u
         if not u:
             continue
         if tracked:
-            block[t0 * s:, c0:c1] = panel[:, :w]
-            rest = block[t0 * s:, c1:]
-            rest[:u * s] %= k.p
+            block[t0:, c0:c1] = panel[:, :w]
+            rest[:u] %= k.p
             span = np.arange(u)
             gauge = -panel[:, w:w + u]
-            gauge[span * s, span] += 1
-            gauge = k.scalars((gauge % k.p).reshape(n, s, u))
+            gauge[span, span] += 1
+            gauge %= k.p
             hit = gauge.any(1).nonzero()[0]
             if hit.size:
-                k.update(rest, hit, gauge, rest[:u * s].copy(), lazy)
+                k.update(rest, hit, gauge, rest[:u].copy(), lazy)
         if t0:
-            new = block[t0 * s:t * s, c0:]
+            new = block[t0:t, c0:]
             new %= k.p
-            above = block[:t0 * s, c0:]
-            coeffs = k.scalars((block[:t0 * s, pivots[t0:]] % k.p).reshape(t0, s, u))
+            coeffs = block[:t0, pivots[t0:]] % k.p
             hit = coeffs.any(1).nonzero()[0]
             if hit.size:
-                k.update(above, hit, coeffs, new, lazy)
-    block[:t * s] %= k.p
+                k.update(block[:t0, c0:], hit, coeffs, new, lazy)
+    block[:t] %= k.p
     return t, pivots
 
 
 def _rref_small(k: Kernel, block: np.ndarray) -> tuple[int, list]:
-    """_rref of a block over GF(p) with few nonzero entries, by
-    Gauss-Jordan on Python lists (of integers, or of floats that stay
-    below p^2 and so are exact).  Row operations keep every row inside the
-    columns where some row is nonzero, so a larger block is cut down to
-    its nonzero rows and those columns first."""
-    p, inv = k.field.p, k.field.inv
+    """_rref of a block with few nonzero entries, by Gauss-Jordan on
+    Python lists (of integers, or of floats that stay below p^2 and so are
+    exact).  Row operations keep every row inside the columns where some
+    row is nonzero, so a larger block is cut down to its nonzero rows and
+    those columns first."""
+    p = k.field.p
     cols = None
     if block.size > SMALL_BLOCK:
         cols = block.any(0).nonzero()[0]
@@ -441,7 +428,7 @@ def _rref_small(k: Kernel, block: np.ndarray) -> tuple[int, list]:
         else:
             continue
         free.remove(i)
-        c = inv(int(rows[i][j]))
+        c = pow(int(rows[i][j]), p - 2, p)
         pivot = rows[i] = [x * c % p for x in rows[i]]
         for r, row in enumerate(rows):
             c = row[j]

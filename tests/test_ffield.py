@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem
@@ -393,6 +394,38 @@ def _mat_product(F, a, b):
     digits = [b // p**i % p for i in range(D)]
     image = F.mats[a].dot(digits) % p
     return sum(int(x) * p**i for i, x in enumerate(image))
+
+
+def _check_mats(F, scalars=None):
+    """mats[c] applied to the digits of every code b gives the digits of
+    c * b, for every code c unless scalars are given."""
+    p, D = F.p, F.degree
+    powers = p ** np.arange(D, dtype=np.int64)
+    digits = np.arange(F.order)[:, None] // powers % p
+    for c in (range(F.order) if scalars is None else scalars):
+        image = digits @ F.mats[c].T % p
+        assert (image @ powers).tolist() == [F.mul(c, b) for b in range(F.order)], (F, c)
+
+
+def test_scalar_matrices_match_field_mul():
+    F4 = extend_field(F2, 2)
+    for F in (gf9(), F4, extend_field(F4, 2), extend_field(F5, 3)):
+        _check_mats(F)
+
+
+def test_extension_matrices_are_q_by_s_by_s():
+    mats = extend_field(F2, 8).mats
+    assert mats.dtype == np.int64 and mats.shape == (256, 8, 8)
+    assert mats.min() == 0 and mats.max() == 1
+
+
+def test_scalar_matrices_hold_at_a_large_order():
+    # GF(5^5): the element of largest logarithm, whose square wraps around
+    # the exp list at 2 * 3123, and random scalars, against every code
+    F = extend_field(F5, 5)
+    top = F.exp[F.order - 2]
+    rng = random.Random(5)
+    _check_mats(F, [top] + [rng.randrange(F.order) for _ in range(20)])
 
 
 def _check_exp_distinct(F):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frobranch.errors import FieldMismatch, NoReductionFound, NotOneDimensional, PowerVanishes
+from frobranch.errors import CapExceeded, FieldMismatch, NoReductionFound, NotOneDimensional, PowerVanishes
 from frobranch.ffield import PrimeField, extend_field
 from frobranch.graded import (
     ClosureMembership,
@@ -603,6 +603,18 @@ def test_lock_serialises_concurrent_slice_population():
         assert got[d] is R.slice(d)
         assert got[d].std_monomials == want.std_monomials and got[d].echelon.pivots == want.echelon.pivots
         assert got[d].echelon.reduce(vecs[:, :len(want.columns)]).tolist() == want.echelon.reduce(vecs[:, :len(want.columns)]).tolist()
+
+
+def test_slice_cap_counts_gf_p_digit_columns():
+    # the degree-38 slice in 3 variables has 780 columns: within the cap
+    # over GF(2), but a GF(4)-coded relation makes it 1560 GF(2) columns
+    F4 = extend_field(F2, 2)
+    assert 780 <= graded.SLICE_COLUMN_CAP < 2 * 780
+    R = GradedQuotient(F4, 3, [HomogPoly(F4, 3, 2, {(2, 0, 0): 1, (0, 1, 1): 2})])
+    assert R.kernel.s == 2
+    with pytest.raises(CapExceeded, match="780 columns of 2 GF.2. digits each"):
+        R.slice(38)
+    assert not R._cache
 
 
 def test_zero_dimensional_rings_are_refused():

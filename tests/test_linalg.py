@@ -2,71 +2,89 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
 from frobranch import linalg
+from frobranch.errors import FieldMismatch
 from frobranch.ffield import ExtensionField, PrimeField, UniPoly, extend_field
 from frobranch.linalg import Echelon, kernel_for
 
 
-def _check_matrices(field, scalars=None):
-    """Digit planes agree with the field's scalar arithmetic: c + b and
-    c - b are digitwise mod p, and M_c gives c * b, for every code b (and
-    every scalar c unless scalars are given)."""
-    k = kernel_for(field)
-    assert kernel_for(field) is k
-    codes = np.arange(field.order, dtype=np.int64)
-    plane = k.digits(codes)
-    for c in (range(field.order) if scalars is None else scalars):
-        row = k.digits(np.full(field.order, c, dtype=np.int64))
-        assert k.codes((row + plane) % k.p).tolist() == [field.add(c, b) for b in range(field.order)]
-        assert k.codes((row - plane) % k.p).tolist() == [field.sub(c, b) for b in range(field.order)]
-        got = k.codes(k.matrices(np.int64(c)).dot(plane) % k.p)
-        assert got.tolist() == [field.mul(c, b) for b in range(field.order)]
-
-
-def test_prime_kernel_roundtrip():
-    field = PrimeField(7)
-    k = kernel_for(field)
-    codes = np.arange(7, dtype=np.int64)
-    # over GF(p) a vector is its own digit plane and M_c is the code c
-    assert k.digits(codes).shape == (1, 7)
-    assert k.codes(k.digits(codes)).tolist() == codes.tolist()
-    assert k.matrices(codes).reshape(-1).tolist() == codes.tolist()
-    _check_matrices(field)
-
-
-def test_scalar_matrices_match_field_mul():
-    F3 = PrimeField(3)
-    F9 = ExtensionField(F3, UniPoly.from_ints(F3, [1, 0, 1]))
+def test_digit_rows_roundtrip():
+    # a vector of C codes is C*s GF(p) digits, code-major; sums and
+    # differences are digitwise, and span row j holds the digits of p^j * v
     F4 = extend_field(PrimeField(2), 2)
-    for field in (F9, F4, extend_field(F4, 2), extend_field(PrimeField(5), 3)):
+    F9 = ExtensionField(PrimeField(3), UniPoly.from_ints(PrimeField(3), [1, 0, 1]))
+    rng = np.random.default_rng(17)
+    for field in (PrimeField(7), F9, F4, extend_field(F4, 2), extend_field(PrimeField(5), 3)):
         k = kernel_for(field)
-        codes = np.arange(field.order, dtype=np.int64)
-        assert k.codes(k.digits(codes)).tolist() == codes.tolist()
-        _check_matrices(field)
+        assert kernel_for(field) is k
+        p, s, q = field.p, field.degree, field.order
+        codes = np.arange(q, dtype=np.int64)
+        digits = k.digits(codes)
+        assert digits.shape == (1, q * s)
+        assert digits.reshape(q, s).tolist() == [[c // p**i % p for i in range(s)] for c in range(q)]
+        assert k.codes(digits).tolist() == [codes.tolist()]
+        for c in rng.integers(0, q, size=6).tolist():
+            row = k.digits(np.full(q, c, dtype=np.int64))
+            assert k.codes((row + digits) % k.p)[0].tolist() == [field.add(c, b) for b in range(q)]
+            assert k.codes((row - digits) % k.p)[0].tolist() == [field.sub(c, b) for b in range(q)]
+        block = rng.integers(0, q, size=(3, 5))
+        assert k.codes(k.digits(block)).tolist() == block.tolist()
+        assert k.codes(k.digits(block[:0], span=True)).shape == (0, 5)
+        span = k.digits(block, span=True)
+        assert span.shape == (3 * s, 5 * s)
+        for b, j in itertools.product(range(3), range(s)):
+            want = [field.mul(p**j, int(c)) for c in block[b]]
+            assert k.codes(span[b * s + j:b * s + j + 1])[0].tolist() == want, (field, b, j)
 
 
-def test_extension_matrices_are_q_by_s_by_s():
-    field = extend_field(PrimeField(2), 8)
-    k = kernel_for(field)
-    mats = k.matrices(np.arange(field.order, dtype=np.int64))
-    assert mats.dtype == np.int64 and mats.shape == (256, 8, 8)
-    assert mats.min() == 0 and mats.max() == 1
+def test_codes_outside_the_field_rejected():
+    for field in (PrimeField(5), extend_field(PrimeField(2), 2)):
+        k = kernel_for(field)
+        for bad in (-1, field.order, 2**40):
+            with pytest.raises(FieldMismatch):
+                k.digits(np.array([0, bad], dtype=np.int64))
+            with pytest.raises(FieldMismatch):
+                k.digits(np.array([[bad, 1]], dtype=np.int64), span=True)
+    # the GF(9) vector (4, 5) on a GF(3) echelon needs the GF(9) kernel
+    F3 = PrimeField(3)
+    F9 = extend_field(F3, 2)
+    ech = Echelon(kernel_for(F3), 2)
+    ech.add_row(np.array([1, 0], dtype=np.int64))
+    vec = np.array([4, 5], dtype=np.int64)
+    for call in (ech.reduce, ech.rank_modulo, ech.add_row, ech.contains):
+        with pytest.raises(FieldMismatch):
+            call(vec)
+        with pytest.raises(FieldMismatch):
+            call(np.array([0, -1], dtype=np.int64))
+    assert ech.reduce(vec, kernel_for(F9)).tolist() == [0, 5]
+    assert ech.rank_modulo(vec[None], kernel_for(F9)) == 1
 
 
-def test_scalar_matrices_hold_at_a_large_order():
-    # GF(5^5): the element of largest logarithm, whose square wraps around
-    # the exp list at 2 * 3123, and random scalars, against every code
-    field = extend_field(PrimeField(5), 5)
-    top = field.exp[field.order - 2]
-    rng = random.Random(5)
-    _check_matrices(field, [top] + [rng.randrange(field.order) for _ in range(20)])
+def test_foreign_kernels_rejected():
+    # a kernel is accepted only over an extension in the echelon's tower
+    F3 = PrimeField(3)
+    ech = Echelon(kernel_for(F3), 2)
+    ech.add_row(np.array([1, 0], dtype=np.int64))
+    vec = np.array([4, 3], dtype=np.int64)
+    F4 = extend_field(PrimeField(2), 2)
+    for field in (PrimeField(5), extend_field(PrimeField(5), 2), F4):
+        with pytest.raises(FieldMismatch):
+            ech.reduce(vec, kernel_for(field))
+        with pytest.raises(FieldMismatch):
+            ech.rank_modulo(vec[None], kernel_for(field))
+    # GF(4) is not in the tower of GF(2^3), nor GF(16) in that of GF(4)
+    for small, big in ((F4, extend_field(PrimeField(2), 3)), (extend_field(F4, 2), F4)):
+        with pytest.raises(FieldMismatch):
+            Echelon(kernel_for(small), 1).reduce(np.array([1], dtype=np.int64), kernel_for(big))
+    assert ech.reduce(vec, kernel_for(extend_field(F3, 2))).tolist() == [0, 3]
 
 
 def test_echelon_known_rank():
     k = kernel_for(PrimeField(5))
     ech = Echelon(k, 3)
-    gains = [ech.add_row(np.array(row, dtype=np.int64)) for row in ([1, 2, 3], [2, 4, 6], [0, 1, 1])]
+    gains = [ech.add_row(np.array(row, dtype=np.int64)) for row in ([1, 2, 3], [2, 4, 1], [0, 1, 1])]
     assert gains == [True, False, True]
     assert ech.rank == 2
     assert ech.contains(np.array([1, 3, 4], dtype=np.int64))   # row1 + row3
