@@ -21,7 +21,7 @@ import argparse
 import json
 import shlex
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import cache
 from typing import Optional, Sequence
 
@@ -208,17 +208,7 @@ def _run_branches(req: AnalysisRequest) -> AnalysisReport:
     rels = [parse_homog(text, field, req.var_names) for text in req.relations]
     ring = GradedQuotient(field, len(req.var_names), rels, req.var_names)
     rep = crosscheck(ring, s_max=req.s_max)
-    results = {
-        "branches_formula": rep.branches_formula,
-        "branches_multiplicity": rep.branches_multiplicity,
-        "dim_quotient": rep.dim_quotient,
-        "n_used": rep.n_used,
-        "reduction_form": rep.reduction_form,
-        "reduction_scalar_extension": rep.reduction_scalar_extension,
-        "oracle_status": rep.oracle_status,
-        "oracle_branches": rep.oracle_branches,
-        "consistent": rep.consistent,
-    }
+    results = asdict(rep)
     reducedness = reducedness_status(ring)
     reason = None
     if reducedness == "not-reduced":

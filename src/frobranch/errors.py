@@ -40,16 +40,8 @@ class PowerVanishes(FrobranchError):
     """The tested power of the linear form is zero in the quotient ring."""
 
 
-class DegreeCapExceeded(FrobranchError):
-    """A Frobenius-power probe would exceed the configured total-degree cap."""
-
-
 class NotSquarefree(FrobranchError):
     """A polynomial that must be squarefree has a repeated factor."""
-
-
-class DimensionCapExceeded(FrobranchError):
-    """The ambient dimension exceeds the configured cap for cone geometry."""
 
 
 class NotFNilpotentRing(FrobranchError):
@@ -58,12 +50,9 @@ class NotFNilpotentRing(FrobranchError):
 
 
 class CapExceeded(FrobranchError):
-    """An input exceeds a size cap, or an exponent search cap is too small
-    to certify the answer."""
-
-
-class FieldTooLarge(FrobranchError):
-    """The characteristic or the extension field exceeds its size cap."""
+    """An input exceeds a size cap (a characteristic, field order, ambient
+    dimension, slice width, Frobenius-power degree, Apery list, saturation
+    box or Fte window); it is refused before the work it would cost."""
 
 
 class ParseError(FrobranchError):

@@ -32,9 +32,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     CompositeCharacteristic,
     FieldMismatch,
-    FieldTooLarge,
     ReducibleModulus,
     ZeroPolynomial,
 )
@@ -66,7 +66,7 @@ def check_characteristic(p: int) -> None:
 
     The cap comes first so that a huge p never reaches trial division."""
     if p > MAX_PRIME:
-        raise FieldTooLarge(f"characteristic cap exceeded: {p} > {MAX_PRIME}")
+        raise CapExceeded(f"characteristic cap exceeded: {p} > {MAX_PRIME}")
     if not _is_prime(p):
         raise CompositeCharacteristic(f"{p} is not prime")
 
@@ -138,12 +138,12 @@ class ExtensionField:
         self.s = modulus.degree
         self.degree = base.degree * self.s
         if self.degree > MAX_EXTENSION_DEGREE:
-            raise ValueError(
+            raise CapExceeded(
                 f"extension degree cap exceeded: {self.degree} > {MAX_EXTENSION_DEGREE}"
             )
         self.order = self.p**self.degree
         if self.order > MAX_TABLE_ORDER:
-            raise FieldTooLarge(f"extension field of order {self.order} not supported")
+            raise CapExceeded(f"extension field of order {self.order} not supported")
         basis = _regular_basis(base, modulus)
         if not _is_field(modulus, basis):
             raise ReducibleModulus(f"modulus {modulus} is reducible")
@@ -461,7 +461,7 @@ def _regular_basis(base: Field, modulus: UniPoly) -> np.ndarray:
     p, s, d = base.p, modulus.degree, base.degree
     D = d * s
     if D * (p - 1) ** 2 >= 2**63:
-        raise FieldTooLarge(f"GF({p})-matrices of size {D} overflow int64")
+        raise CapExceeded(f"GF({p})-matrices of size {D} overflow int64")
     def mats(codes):  # multiplication by base codes, as d x d GF(p)-matrices
         return base.mats[codes] if d > 1 else np.asarray(codes)[..., None, None]
     shift = np.zeros((s, d, s, d), dtype=np.int64)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     CapExceeded,
-    DegreeCapExceeded,
     FieldMismatch,
     NoReductionFound,
     NotOneDimensional,
@@ -32,7 +31,7 @@ from .linalg import Echelon, Kernel, kernel_for
 
 Monomial = tuple  # exponent vector, one entry per variable
 
-DEFAULT_DEGREE_CAP = 64
+CLOSURE_DEGREE_CAP = 64  # total degree of a Frobenius-power probe
 DEFAULT_S_MAX = 3
 # A degree-d slice of C columns holds a dense echelon over GF(p) on the
 # C*s digit columns of the relations' field GF(p^s) (GradedQuotient.kernel),
@@ -328,14 +327,6 @@ class BranchReport:
     oracle_status: str = "no-oracle"  # or "match" / "mismatch" (see crosscheck)
 
 
-@dataclass(frozen=True)
-class ClosureMembership:
-    """Outcome of a Frobenius-closure probe: In(e_min) or NotInUpTo(e_max)."""
-
-    contained: bool
-    e: int
-
-
 @dataclass
 class ReductionResult:
     form: HomogPoly
@@ -622,10 +613,19 @@ def _first_reduction(R: GradedQuotient, d: int, s_max: int) -> Optional[Reductio
     full order is its representative with leading coefficient 1.  The first
     success in the full order is therefore the first member of a class
     that succeeds, and no earlier class succeeds: it is the first success
-    among representatives, which is the form returned."""
+    among representatives, which is the form returned.
+
+    At s >= 2 a class whose codes all lie below q = R.field.order is a
+    class over GF(q), refuted at s = 1 in the same degree: a base-field
+    code is the code of the same constant over GF(q^s), and the rank of
+    x*S_{d-1} modulo I_d does not change under scalar extension.  So the
+    search skips it, and the first success is the same."""
+    q = R.field.order
     for s in range(1, s_max + 1):
         ring = R if s == 1 else base_change(R, s)
         for combo in _projective_forms(ring.field.order, ring.nvars):
+            if s > 1 and max(combo) < q:
+                continue
             x = linear_form(ring, combo)
             if is_linear_reduction(ring, x, d):
                 return ReductionResult(x, s, ring)
@@ -672,24 +672,23 @@ def frobenius_power(J: Sequence[HomogPoly], e: int) -> list[HomogPoly]:
 
 
 def frobenius_closure_membership(
-    R: GradedQuotient,
-    f: HomogPoly,
-    J: Sequence[HomogPoly],
-    e_max: int,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> ClosureMembership:
-    """Smallest e <= e_max with f^(p^e) in J^[p^e]*R, else NotInUpTo(e_max)."""
+    R: GradedQuotient, f: HomogPoly, J: Sequence[HomogPoly], e_max: int
+) -> Optional[int]:
+    """Least e <= e_max with f^(p^e) in J^[p^e]*R, or None if there is none.
+
+    A probe whose power f^(p^e) would pass total degree CLOSURE_DEGREE_CAP
+    is refused with CapExceeded before its slice is built."""
     if f.is_zero():
-        return ClosureMembership(True, 0)
+        return 0
     p = R.field.p
     for e in range(e_max + 1):
-        if f.degree * p**e > degree_cap:
-            raise DegreeCapExceeded(
-                f"degree {f.degree * p**e} at e={e} exceeds the cap {degree_cap}"
+        if f.degree * p**e > CLOSURE_DEGREE_CAP:
+            raise CapExceeded(
+                f"degree {f.degree * p**e} at e={e} exceeds the cap {CLOSURE_DEGREE_CAP}"
             )
         if ideal_membership(R, f.frobenius_power(e), frobenius_power(J, e)):
-            return ClosureMembership(True, e)
-    return ClosureMembership(False, e_max)
+            return e
+    return None
 
 
 def closure_quotient_dim(R: GradedQuotient, x: HomogPoly, n: int) -> int:

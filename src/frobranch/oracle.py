@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .errors import NotSquarefree
 from .ffield import Field
 from .graded import (
+    DEFAULT_S_MAX,
     BranchReport,
     GradedQuotient,
     HomogPoly,
@@ -52,13 +53,6 @@ def hypersurface_branches(curve: HypersurfaceCurve) -> int:
     return plane_zero_count(curve.f)
 
 
-def axes_branches(d: int) -> int:
-    """Branches of the coordinate-axes ring k[x1..xd]/(xi*xj, i<j)."""
-    if d < 1:
-        raise ValueError("need at least one axis")
-    return d
-
-
 def axes_ring(field: Field, d: int) -> GradedQuotient:
     rels = []
     for i in range(d):
@@ -91,8 +85,8 @@ def _match_axes(R: GradedQuotient) -> Optional[int]:
 def oracle_branch_count(R: GradedQuotient) -> Optional[int]:
     """Oracle count when the presentation fits a known family, else None."""
     d = _match_axes(R)
-    if d is not None:
-        return axes_branches(d)
+    if d is not None:  # the d axes of k[x1..xd]/(xi*xj, i<j)
+        return d
     if R.nvars == 2 and len(R.relations) == 1:
         try:
             curve = HypersurfaceCurve(R.field, R.relations[0])
@@ -102,7 +96,7 @@ def oracle_branch_count(R: GradedQuotient) -> Optional[int]:
     return None
 
 
-def crosscheck(R: GradedQuotient, s_max: int = 3) -> BranchReport:
+def crosscheck(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> BranchReport:
     """The formula's report with the applicable oracle's count and verdict."""
     report = branch_count(R, s_max=s_max)
     oracle = oracle_branch_count(R)

@@ -57,12 +57,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    CertificateFailed,
-    DimensionCapExceeded,
-    NotFNilpotentRing,
-)
+from .errors import CapExceeded, CertificateFailed, NotFNilpotentRing
 from .ffield import check_characteristic
 
 Vector = tuple[int, ...]
@@ -434,7 +429,7 @@ def cone_geometry(A: AffineSemigroup) -> tuple[list[Vector], list[Vector]]:
     if A._facets is not None:
         return A._facets, A._equations
     if A.n > DIMENSION_CAP:
-        raise DimensionCapExceeded(f"ambient dimension {A.n} exceeds cap {DIMENSION_CAP}")
+        raise CapExceeded(f"ambient dimension {A.n} exceeds cap {DIMENSION_CAP}")
     gens = A.generators
     lattice = A.lattice_nf()
     r = lattice.rank
@@ -610,8 +605,9 @@ def eventual_p_membership(
         }
         return PMembership("no", certificate=cert)
     if A.n == 1:
+        contains = _numerical_data(A).contains
         e = 0
-        while not membership(A, (p**e * v[0],)):
+        while not contains(p**e * v[0]):
             e += 1
         return PMembership("yes", e)
     for e in range(e_max + 1):
@@ -829,26 +825,35 @@ def frobenius_closure_exponent(
 ) -> Optional[int]:
     """Minimal e <= e_cap with p^e * a in the bracket power of the monomial
     ideal of a numerical semigroup; None if no exponent works."""
+    if A.n != 1:
+        raise ValueError("Frobenius closure exponents are implemented for numerical semigroups")
+    contains = _numerical_data(A).contains
     for e in range(e_cap + 1):
         q = p**e
-        if any(membership(A, (q * (a - v),)) for v in ideal):
+        if any(contains(q * (a - v)) for v in ideal):
             return e
     return None
 
 
 def fte_bruteforce(
-    A: AffineSemigroup,
-    p: int,
-    ideal: Sequence[int],
-    report: FNilpotencyReport,
-    e_cap: Optional[int] = None,
+    A: AffineSemigroup, p: int, ideal: Sequence[int], report: FNilpotencyReport
 ) -> int:
-    """Frobenius test exponent of a monomial ideal in a numerical semigroup
-    ring, by exhaustive search below the conductor bound.
+    """Frobenius test exponent of a monomial ideal I in a gcd-1 numerical
+    semigroup ring, by exhaustive search, checked against Fte(I) <= e0.
 
-    Every semigroup element above max(ideal) + Frobenius number lies in the
-    ideal outright, so the finite window determines I^F; a window of more
-    than FTE_WINDOW_CAP integers is refused before the walk."""
+    A semigroup element a lies in I^F when p^e * (a - v) lies in S for a
+    generator v of I and some e; its exponent is the least such e.  The
+    walk covers a in [min(I), max(I) + F + 1] for F the Frobenius number:
+    below min(I) every a - v is negative, so nothing there lies in I^F, and
+    above max(I) + F every a - max(I) lies in S, so a lies in I itself.
+    A window of more than FTE_WINDOW_CAP integers is refused before the
+    walk.
+
+    Each exponent is searched up to E, the least e with p^E > F, and the
+    search always succeeds there, so the exponents are exact and the
+    check fte > e0 covers every element of the window: for a >= v, the
+    difference d = a - v is 0, which lies in S at e = 0, or d >= 1, so
+    p^E * d >= p^E > F and p^E * d lies in S."""
     if A.n != 1:
         raise ValueError("brute-force Fte is implemented for numerical semigroups only")
     _check_report_p(report, p)
@@ -857,28 +862,26 @@ def fte_bruteforce(
     gens = sorted(int(v[0] if isinstance(v, (tuple, list)) else v) for v in ideal)
     if not gens:
         raise ValueError("ideal must have at least one generator")
+    contains = _numerical_data(A).contains
     for v in gens:
-        if not membership(A, (v,)):
+        if not contains(v):
             raise ValueError(f"ideal generator {(v,)} is not in the semigroup")
     frob = frobenius_number(A)
-    e0 = report.e0
-    if e_cap is None:
-        e_cap = e0 + 2
-    if e_cap < e0:
-        raise CapExceeded(f"exponent cap {e_cap} is below the certified bound e0 = {e0}")
-    bound = max(gens) + frob + 1
-    if bound + 1 > FTE_WINDOW_CAP:
+    top = max(gens) + frob + 1
+    if top - gens[0] + 1 > FTE_WINDOW_CAP:
         raise CapExceeded(
-            f"Fte window [0, {bound}] holds {bound + 1} integers, "
+            f"Fte window [{gens[0]}, {top}] holds {top - gens[0] + 1} integers, "
             f"above the window cap {FTE_WINDOW_CAP}"
         )
+    E = 0
+    while p**E <= frob:
+        E += 1
     fte = 0
-    for a in range(bound + 1):
-        if not membership(A, (a,)):
-            continue
-        e = frobenius_closure_exponent(A, p, gens, a, e_cap)
-        if e is not None:
-            fte = max(fte, e)
-    if fte > e0:
-        raise CertificateFailed(f"computed Fte {fte} exceeds the pure inseparability bound {e0}")
+    for a in range(gens[0], top + 1):
+        if contains(a):
+            fte = max(fte, frobenius_closure_exponent(A, p, gens, a, E))
+    if fte > report.e0:
+        raise CertificateFailed(
+            f"computed Fte {fte} exceeds the pure inseparability bound {report.e0}"
+        )
     return fte

@@ -184,9 +184,9 @@ def test_criterion_5_closure_equality_on_slices(announce):
                 f = HomogPoly(ring.field, ring.nvars, n, {mono: 1})
                 in_slice = ideal_membership(ring, f, [xn])
                 probe = frobenius_closure_membership(ring, f, [xn], e_probe)
-                assert probe.contained == in_slice, (R, mono)
-                if probe.contained:
-                    assert probe.e == 0  # already in the span at the slice level
+                assert (probe is not None) == in_slice, (R, mono)
+                if probe is not None:
+                    assert probe == 0  # already in the span at the slice level
                 checked += 1
         assert checked >= 30
 

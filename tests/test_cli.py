@@ -57,6 +57,14 @@ def test_fnilpotent_negative(capsys):
     assert results["certificate"]["torsion_order"] == 2
 
 
+def test_fnilpotent_exponent_cap_below_e0_is_undetermined(capsys):
+    # the pinched Veronese has e0 = 1 at p = 2, which --e-max 0 cannot reach
+    code, out, _ = run_cli(["fnilpotent", "--p", "2", "--e-max", "0", "--gens", PINCHED], capsys)
+    assert code == 0
+    assert "result.verdict: undetermined" in out
+    assert "result.e0: -" in out
+
+
 def test_fte_command(capsys):
     code, out, _ = run_cli(["fte", "--p", "2", "--gens", "2,3", "--ideal", "3", "--format", "json"], capsys)
     assert code == 0
@@ -239,11 +247,13 @@ def test_mismatch_exit_code(monkeypatch, capsys):
 @pytest.mark.parametrize("spec", [
     ["--vars", "x,y", "--rel", "x^2*y"],                      # 3 by multiplicity, 2 branches
     ["--vars", "x,y,z", "--rel", "x*y", "--rel", "z^2"],      # 4 by multiplicity, 2 branches
+    ["--vars", "x,y", "--rel", "x^3+x^2*y"],                  # 3 by multiplicity, 2 branches
 ])
 def test_non_reduced_ring_exits_2_with_reason(spec, capsys):
     code, out, err = run_cli(["branches", "--p", "5", *spec], capsys)
     assert code == 2
     assert "diag.reducedness: not-reduced" in out
+    assert "result.oracle_status: no-oracle" in out
     assert err.count("\n") == 1 and "multiplicity, not its branches" in err
 
 

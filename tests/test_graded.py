@@ -11,7 +11,7 @@ import pytest
 from frobranch.errors import CapExceeded, FieldMismatch, NoReductionFound, NotOneDimensional, PowerVanishes
 from frobranch.ffield import PrimeField, extend_field
 from frobranch.graded import (
-    ClosureMembership,
+    CLOSURE_DEGREE_CAP,
     GradedQuotient,
     HomogPoly,
     base_change,
@@ -351,8 +351,9 @@ def test_projective_search_finds_the_full_enumerations_first_form():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_all_points_curve_tests_one_form_per_class(p, monkeypatch):
-    # p + 1 classes fail over GF(p), then over GF(p^2) the forms x + c*y
-    # with c = 1..p-1 fail and c = p, the first code outside GF(p), succeeds
+    # p + 1 classes fail over GF(p); over GF(p^2) the forms x + c*y with
+    # c = 1..p-1 are classes over GF(p) and are skipped, and c = p, the
+    # first code outside GF(p), succeeds
     calls = []
     original = graded.is_linear_reduction
 
@@ -363,7 +364,7 @@ def test_all_points_curve_tests_one_form_per_class(p, monkeypatch):
     monkeypatch.setattr(graded, "is_linear_reduction", counting)
     report = branch_count(_all_points_ring(PrimeField(p)))
     assert report.branches_formula == p + 1 and report.reduction_scalar_extension == 2
-    assert len(calls) == 2 * p + 1
+    assert len(calls) == p + 2
 
 
 def test_branch_count_builds_no_slice_above_the_certificate():
@@ -670,20 +671,23 @@ def test_frobenius_closure_membership_axes():
     R = axes_ring(F2, 3)
     f = HomogPoly.from_ints(F2, 3, {(0, 2, 0): 1})
     J = [HomogPoly.from_ints(F2, 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})]
-    assert frobenius_closure_membership(R, f, J, 3) == ClosureMembership(True, 0)
+    assert frobenius_closure_membership(R, f, J, 3) == 0
 
 
 def test_frobenius_closure_membership_not_in():
     R = circle_ring(F3)
     xy = HomogPoly.from_ints(F3, 2, {(1, 1): 1})
     y2 = HomogPoly.from_ints(F3, 2, {(0, 2): 1})
-    assert frobenius_closure_membership(R, xy, [y2], 3) == ClosureMembership(False, 3)
+    assert frobenius_closure_membership(R, xy, [y2], 3) is None
+    # (x*y)^(3^e) has degree 54 <= 64 at e = 3 and 162 at e = 4
+    with pytest.raises(CapExceeded, match=f"degree 162 at e=4 exceeds the cap {CLOSURE_DEGREE_CAP}"):
+        frobenius_closure_membership(R, xy, [y2], 4)
 
 
 def test_frobenius_closure_membership_in_ideal():
     R = circle_ring(F3)
     y2 = HomogPoly.from_ints(F3, 2, {(0, 2): 1})
-    assert frobenius_closure_membership(R, y2, [y2], 3).e == 0
+    assert frobenius_closure_membership(R, y2, [y2], 3) == 0
 
 
 def test_closure_quotient_dim():

@@ -7,7 +7,6 @@ from frobranch.ffield import PrimeField
 from frobranch.graded import GradedQuotient, HomogPoly, plane_zero_count
 from frobranch.oracle import (
     HypersurfaceCurve,
-    axes_branches,
     axes_ring,
     crosscheck,
     hypersurface_branches,
@@ -51,12 +50,6 @@ def test_hypersurface_symmetric_in_variables():
                 HypersurfaceCurve(F, swapped)
             )
             found += 1
-
-
-def test_axes_branches():
-    assert axes_branches(1) == 1
-    assert axes_branches(3) == 3
-    assert axes_branches(7) == 7
 
 
 def test_axes_oracle_matches_formula():

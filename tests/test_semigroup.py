@@ -11,7 +11,6 @@ from frobranch.errors import (
     CapExceeded,
     CertificateFailed,
     CompositeCharacteristic,
-    DimensionCapExceeded,
     NotFNilpotentRing,
 )
 from frobranch.semigroup import (
@@ -395,7 +394,7 @@ def test_cofactor_facets_match_the_kernel_sweep():
 
 
 def test_cone_facets_dimension_cap():
-    with pytest.raises(DimensionCapExceeded):
+    with pytest.raises(CapExceeded):
         cone_geometry(AffineSemigroup([(1, 0, 0, 0, 0)]))
 
 
@@ -769,11 +768,50 @@ def test_fte_frobenius_closed_ideal():
     assert fte_bruteforce(A, 3, [2], rep) == 0
 
 
-def test_fte_cap_too_small():
-    A = AffineSemigroup([(2,), (3,)])
-    rep = is_f_nilpotent(A, 2)
-    with pytest.raises(CapExceeded):
-        fte_bruteforce(A, 2, [3], rep, e_cap=0)
+@pytest.mark.parametrize(
+    "gens, p, ideal, false_e0",
+    [((8, 13), 2, [24, 26], 0), ((17, 19), 2, [93], 4), ((12, 14, 22, 23), 2, [24, 28], 1)],
+)
+def test_fte_refutes_a_report_with_a_false_e0(gens, p, ideal, false_e0):
+    # each true Fte lies more than two exponents above the false e0
+    A = AffineSemigroup([(g,) for g in gens])
+    rep = is_f_nilpotent(A, p)
+    fte = fte_bruteforce(A, p, ideal, rep)
+    assert false_e0 + 2 < fte <= rep.e0
+    with pytest.raises(CertificateFailed, match=f"computed Fte {fte} exceeds"):
+        fte_bruteforce(A, p, ideal, replace(rep, e0=false_e0))
+
+
+def _least_exponent(A, p, d):
+    """min{e : p^e * d in A} by direct search (d >= 0, A of gcd 1)."""
+    e = 0
+    while not membership(A, (p**e * d,)):
+        e += 1
+    return e
+
+
+def test_fte_matches_an_uncapped_search():
+    # Fte(I) = max over a in I^F of min over v <= a in I of the least e
+    # with p^e * (a - v) in S, each searched with no cap; past
+    # max(I) + F every semigroup element lies in I
+    rng = random.Random(1807)
+    checked = 0
+    while checked < 200:
+        gens = sorted({rng.randint(2, 25) for _ in range(rng.randint(2, 4))})
+        if len(gens) < 2 or gcd(*gens) != 1:
+            continue
+        A = AffineSemigroup([(g,) for g in gens])
+        p = rng.choice((2, 3, 5, 7))
+        members = [a for a in range(1, 60) if membership(A, (a,))]
+        ideal = sorted(rng.sample(members, rng.randint(1, 3)))
+        top = ideal[-1] + frobenius_number(A) + 1
+        expected = max(
+            min(_least_exponent(A, p, a - v) for v in ideal if v <= a)
+            for a in range(ideal[0], top + 1)
+            if membership(A, (a,))
+        )
+        assert fte_bruteforce(A, p, ideal, is_f_nilpotent(A, p)) == expected, (gens, p, ideal)
+        checked += 1
 
 
 def test_numerical_semigroups_always_f_nilpotent():
@@ -798,3 +836,5 @@ def test_frobenius_closure_exponent_agrees_with_tight_shortcut():
         shortcut = tight_closure_membership_monomial(A, 2, [(5,)], (u,), rep)
         chased = frobenius_closure_exponent(A, 2, [5], u, rep.e0 + 2) is not None
         assert shortcut == chased, u
+    with pytest.raises(ValueError):
+        frobenius_closure_exponent(PINCHED_VERONESE, 2, [(2, 0, 0)], (2, 0, 0), 1)
