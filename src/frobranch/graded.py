@@ -6,6 +6,18 @@ Macaulay-style degree-slice matrix replaces Groebner bases entirely: the
 degree-d piece of I is the row span of {m*g : g a relation, deg(m*g) = d}
 inside the degree-d monomial space, under a fixed graded reverse
 lexicographic column order.
+
+The slices lie over GF(Q), the least field of R's tower holding the
+relations (GradedQuotient.kernel).  An echelon takes vectors over its own
+field only, so a form over a larger field GF(Q^m) of the tower
+(kernel_holding) is reduced as the m vectors of its coordinates over GF(Q)
+(_SliceData.normal_forms).  By ffield's code convention those are the
+base-Q digits code // Q^i % Q, i < m, at every level of the tower: a code
+of base[u]/(modulus) is sum c_i*B^i over base codes c_i, B the base's
+order, so the basis element w_i of coordinate i has code Q^i.  Reduction
+modulo a GF(Q)-space is GF(Q)-linear, and the RREF of I_d is also its RREF
+over every extension, so NF(sum v_i*w_i) = sum NF(v_i)*w_i, of code
+sum nf_i*Q^i.
 """
 
 from __future__ import annotations
@@ -311,6 +323,24 @@ class _SliceData:
     std_monomials: tuple[Monomial, ...]
     std_index: list[int]      # their columns: those without a pivot
 
+    def normal_forms(self, rows: np.ndarray, kernel: Kernel) -> np.ndarray:
+        """Normal forms modulo I_d of a code vector, or of each row of a
+        block, over kernel's field GF(Q^m) in the slices' tower, through
+        base-Q coordinates (module docstring); other codes raise
+        FieldMismatch."""
+        ech = self.echelon
+        m = kernel.s // ech.kernel.s
+        if m == 1:
+            return ech.reduce(rows)
+        Q = ech.kernel.field.order
+        powers = Q ** np.arange(m)
+        # row i*B + b holds digit i of row b's codes; the top digit stays
+        # unreduced, so a code outside GF(Q^m) fails the slices' field check
+        coords = rows.reshape(1, -1) // powers[:, None]
+        coords[:-1] %= Q
+        nf = ech.reduce(coords.reshape(-1, ech.ncols))
+        return (powers @ nf.reshape(m, -1)).reshape(rows.shape)
+
 
 @dataclass(frozen=True)
 class BranchReport:
@@ -456,7 +486,7 @@ class GradedQuotient:
 
     def normal_form_vector(self, f: HomogPoly) -> np.ndarray:
         """Coordinates of f's class modulo I, in the full degree slice."""
-        return self.slice(f.degree).echelon.reduce(self.to_vector(f), self.kernel_holding(f))
+        return self.slice(f.degree).normal_forms(self.to_vector(f), self.kernel_holding(f))
 
 
 # -- operations --------------------------------------------------------------
@@ -527,14 +557,14 @@ def ideal_membership(R: GradedQuotient, f: HomogPoly, J: Sequence[HomogPoly]) ->
     if f.is_zero():
         return True
     data = R.slice(f.degree)
-    target = data.echelon.reduce(R.to_vector(f), kernel)
+    target = data.normal_forms(R.to_vector(f), kernel)
     if not target.any():
         return True
     # rows reduced by the slice vanish at its pivots, so the span of J's
     # rows modulo I_d lives on the standard-monomial columns
     rest = Echelon(kernel, len(data.std_index))
     for block in macaulay_matrix(R.nvars, J, f.degree):
-        rest.add_row(data.echelon.reduce(block, kernel)[:, data.std_index])
+        rest.add_row(data.normal_forms(block, kernel)[:, data.std_index])
     return rest.contains(target[data.std_index])
 
 
@@ -558,17 +588,21 @@ def is_linear_reduction(R: GradedQuotient, x: HomogPoly, d: int) -> bool:
 
     The HF(d-1) rows x*mu, mu a standard monomial of degree d-1, have that
     rank too: S_{d-1} = span(std_{d-1}) + I_{d-1} and x*I_{d-1} lies in
-    I_d, so x*S_{d-1} + I_d = x*span(std_{d-1}) + I_d."""
+    I_d, so x*S_{d-1} + I_d = x*span(std_{d-1}) + I_d.  Reduced modulo I_d
+    they vanish at its pivots, so keeping only the HF(d) standard columns,
+    the matrix N_x, loses no rank: the verdict is rank N_x = HF(d), taken
+    in an echelon over x's field."""
     if x.degree != 1:
         raise ValueError("reduction candidate must be a linear form")
     kernel = R.kernel_holding(x)
     target, std = R.slice(d), R.slice(d - 1).std_monomials
-    image = 0
-    if std:  # else [R]_{d-1} = 0
-        mults = _multiplier_rows(std, R.nvars, d)
-        rows = _fill([(0, mults, [x])], len(std), len(target.columns), _index_table(R.nvars, d))
-        image = target.echelon.rank_modulo(rows, kernel)
-    return image == len(target.std_monomials)
+    hf = len(target.std_index)
+    if not (std and hf):  # [R]_{d-1} = 0 or [R]_d = 0
+        return not hf
+    mults = _multiplier_rows(std, R.nvars, d)
+    rows = _fill([(0, mults, [x])], len(std), len(target.columns), _index_table(R.nvars, d))
+    image = target.normal_forms(rows, kernel)[:, target.std_index]
+    return Echelon(kernel, hf).add_row(image) == hf
 
 
 def _codes(q: int, k: int, zeros: Optional[bool]):
@@ -700,7 +734,7 @@ def closure_quotient_dim(R: GradedQuotient, x: HomogPoly, n: int) -> int:
     """
     kernel = R.kernel_holding(x)
     data = R.slice(n)
-    nf = data.echelon.reduce(linear_power_vector(x, n, data.columns), kernel)
+    nf = data.normal_forms(linear_power_vector(x, n, data.columns), kernel)
     if not np.any(nf) and n > 0:
         base = x.format(R.var_names)
         if len(x.terms) > 1:

@@ -21,11 +21,7 @@ normal form v' of v modulo W is the one vector of v + W zero at the codes
 P, so the digits of v' lie in digits(v) + span and vanish at P x {0..s-1},
 which is what makes a GF(p) normal form, and that one is unique.  So the
 RREF rows of the span are the digit rows of e_j*b, b the GF(p^s) RREF
-rows.  The same holds for a subfield GF(q) of GF(p^s): a vector over
-GF(p^s) is reduced modulo a GF(q)-space as the vectors of its
-coordinates over GF(q) (digit i*t + j of an extension code is digit j of
-coordinate i, t = [GF(q) : GF(p)]), since the RREF of a subspace is also
-its RREF over every extension.
+rows.
 
 Digits are held in float64, whose products are exact while every sum
 stays below 2^53: k terms below (p-1)^2 added to an entry below p stay
@@ -168,7 +164,8 @@ class Echelon:
     digit rows of the field span of the inserted vectors (module
     docstring), kept in insertion order in one (ncols*s) x (ncols*s)
     array, with their GF(p) pivot columns alongside; rank, ncols and
-    pivots count in units of the field.
+    pivots count in units of the field.  Every vector it takes lies over
+    that field: a code outside it raises FieldMismatch (Kernel.digits).
     """
 
     def __init__(self, kernel: Kernel, ncols: int):
@@ -225,43 +222,11 @@ class Echelon:
                     self.kernel.submul(part, coeffs[:, used], rows[used])
         return digits
 
-    def _coordinate_forms(self, block: np.ndarray, kernel: Kernel) -> np.ndarray:
-        """The B x C normal forms of a code block over the field of kernel,
-        which must have the rows' field in its tower (field, field.base,
-        .., GF(p)), else FieldMismatch: the block is reduced as the vectors
-        of its coordinates over the rows' field (module docstring)."""
-        k, field = self.kernel, kernel.field
-        while field != k.field:
-            field = getattr(field, "base", None)
-            if field is None:
-                raise FieldMismatch(f"vectors over {kernel.field} on an echelon over {k.field}")
-        # extension digit i*t + j of a code is digit j of its coordinate i
-        shape = (len(block), self.ncols, kernel.s // k.s, k.s)
-        digits = kernel.digits(block).reshape(shape).swapaxes(1, 2).reshape(-1, self.ncols * k.s)
-        digits = self._reduced(digits).reshape(shape[0], shape[2], self.ncols, k.s).swapaxes(1, 2)
-        return kernel.codes(digits.reshape(len(block), self.ncols * kernel.s))
-
-    def reduce(self, vec: np.ndarray, kernel: Kernel | None = None) -> np.ndarray:
+    def reduce(self, vec: np.ndarray) -> np.ndarray:
         """Normal form of a code vector modulo the row span, or of each row
-        of a k x C block of them; vectors over an extension of the rows'
-        field come with its kernel."""
+        of a k x C block of them, over the rows' field."""
         k = self.kernel
-        block = vec.reshape(-1, self.ncols)
-        if kernel is None or kernel is k:
-            return k.codes(self._reduced(k.digits(block))).reshape(vec.shape)
-        return self._coordinate_forms(block, kernel).reshape(vec.shape)
-
-    def rank_modulo(self, rows: np.ndarray, kernel: Kernel | None = None) -> int:
-        """How many rows of a k x C code block would raise the rank, without
-        inserting them: the rank of the block modulo the row span, taken
-        over the field of `kernel` when the rows lie over an extension."""
-        k = self.kernel
-        if kernel is None or kernel is k:
-            return _rref(k, self._reduced(k.digits(rows, span=True)))[0] // k.s
-        # the normal forms vanish at the pivots, so their span meets the
-        # row span only in zero
-        nf = self._coordinate_forms(rows.reshape(-1, self.ncols), kernel)
-        return _rref(kernel, kernel.digits(nf, span=True))[0] // kernel.s
+        return k.codes(self._reduced(k.digits(vec.reshape(-1, self.ncols)))).reshape(vec.shape)
 
     def add_row(self, rows: np.ndarray) -> int:
         """Insert a code vector, or every row of a k x C block of them, over

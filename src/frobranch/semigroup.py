@@ -663,22 +663,23 @@ def _check_order(nf: IntMatrixNF, a: Vector, m: int) -> None:
             raise CertificateFailed(f"{list(a)} has order below {m} modulo the face lattice")
 
 
-def verify_no_certificate(
-    A: AffineSemigroup, a: Sequence[int], p: int, cert: dict, e_cap: int = DEFAULT_E_MAX
-) -> bool:
-    """Soundness check of a No certificate: p^e * a stays outside the face
-    lattice for every e <= e_cap (checked by direct lattice solve)."""
+def verify_no_certificate(A: AffineSemigroup, a: Sequence[int], p: int, cert: dict) -> bool:
+    """Soundness check of a No certificate: p^e * a lies outside the
+    lattice L of the face generators for every e >= 0.  One solve at q * a
+    decides it, q the largest power of p dividing a diagonal entry d_i of
+    L's Smith normal form U*M*V = D: the coordinates of U*a past the rank do
+    not depend on e, and d_i divides p^e * (U*a)_i for some e only if it
+    does for every e >= v_p(d_i).  L = 0 holds p^e * a only for a = 0."""
     face_gens = [tuple(g) for g in cert["face_generators"]]
     v = tuple(int(x) for x in a)
     if not face_gens:
-        return all(any(x for x in (p**e * y for y in v)) for e in range(e_cap + 1))
-    mat = [[g[i] for g in face_gens] for i in range(A.n)]
-    nf = smith_normal_form(mat)
-    for e in range(e_cap + 1):
-        target = [p**e * x for x in v]
-        if solve_integer(nf, target) is not None:
-            return False
-    return True
+        return any(v)
+    nf = smith_normal_form([[g[i] for g in face_gens] for i in range(A.n)])
+    q = 1
+    for d in nf.diagonal()[:nf.rank]:
+        while d % (q * p) == 0:
+            q *= p
+    return solve_integer(nf, [q * x for x in v]) is None
 
 
 @dataclass(frozen=True)
@@ -693,7 +694,6 @@ class FNilpotencyReport:
     e0: Optional[int] = None
     witness: Optional[Vector] = None
     certificate: Optional[dict] = None
-    e_max: Optional[int] = None
     hilbert_basis: tuple[Vector, ...] = ()
     per_element: dict = field(default_factory=dict)
 
@@ -734,7 +734,6 @@ def pure_insep_index(A: AffineSemigroup, p: int, e_max: int = DEFAULT_E_MAX) -> 
         e0=e0,
         witness=witness,
         certificate=certificate,
-        e_max=e_max,
         hilbert_basis=basis,
         per_element=per_element,
     )

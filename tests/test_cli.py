@@ -554,3 +554,25 @@ def test_repeated_factor_is_named_in_the_request_variables(capsys):
     assert err == "error: x^2*y has a repeated factor\n"
     code, out, err = run_cli(["hypersurface", "--p", "3", "--vars", "u,v", "--rel", "u*v^2"], capsys)
     assert code == 1 and err == "error: u*v^2 has a repeated factor\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fnilpotent", "--gens", "0"],
+     "parse error at position 0: expected valid generators (need at least one nonzero generator)"),
+    (["fnilpotent", "--gens", "2:1,0;1"], "parse error at position 7: expected a vector of 2 coordinates, got 1"),
+    (["fnilpotent", "--gens", "0:1"], "parse error at position 0: expected an ambient dimension >= 1"),
+    (["fnilpotent", "--gens", "3,4x"], "parse error at position 3: expected ',' or end of input"),
+    (["fte", "--gens", "2: 1,0; 0,1", "--ideal", "1"], "fte requires a numerical semigroup (dimension 1)"),
+    (["tight-member", "--gens", "3,5", "--ideal", "3", "--element", "3;5"], "--element must be a single vector"),
+    (["tight-member", "--gens", "3,5", "--ideal", "3", "--element", "4"], "element (4,) is not in the semigroup"),
+    (["hypersurface", "--rel", "x", "--rel", "y"], "hypersurface needs exactly one --rel"),
+    (["branches", "--vars", "x,1y", "--rel", "x"], "invalid variable list 'x,1y'"),
+    (["branches", "--vars", "x,y", "--rel", "+x"], "parse error at position 0: expected a term, not a leading '+'"),
+    (["branches", "--vars", "x,y", "--rel", "x^0*y"], "parse error at position 3: expected an exponent >= 1"),
+    (["branches", "--vars", "x,y", "--rel", "x-y+x^2"],
+     "parse error at position 4: expected a term of degree 1; term 'x^2' has degree 2"),
+])
+def test_malformed_requests_are_refused(args, message, capsys):
+    code, out, err = run_cli([args[0], "--p", "3"] + args[1:], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"

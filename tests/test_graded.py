@@ -127,6 +127,34 @@ def test_multiplicity_without_a_reduction_rests_on_persistence():
     assert find_linear_reduction(R, 2).scalar_extension == 2
 
 
+def test_multiplicity_skips_refuted_degrees_above_the_persistence_bound(monkeypatch):
+    # the all-points curve {x_i^2*x_j - x_i*x_j^2} over GF(2) has HF 1, 3,
+    # 6, 7, 7, ..: no GF(2)-form reduces in degrees 4, 5 and 6, where
+    # HF = 7 > m leaves persistence silent, so the sweep goes on to m = 7
+    def ring():
+        rels = []
+        for i, j in itertools.combinations(range(3), 2):
+            a, b = [0] * 3, [0] * 3
+            a[i], a[j], b[i], b[j] = 2, 1, 1, 2
+            rels.append(HomogPoly(F2, 3, 3, {tuple(a): 1, tuple(b): 1}))
+        return GradedQuotient(F2, 3, rels, ("x", "y", "z"))
+
+    R = ring()
+    tried = []
+    search = graded._first_reduction
+    monkeypatch.setattr(graded, "_first_reduction", lambda R, d, s_max: tried.append(d) or search(R, d, s_max))
+    assert multiplicity(R, 1) == (7, 3)
+    assert tried == [4, 5, 6, 7]
+    assert R.certificate.m == 7 and R.certificate.reduction is None
+    with pytest.raises(NoReductionFound):
+        find_linear_reduction(R, 1)
+    # over GF(8) a form reduces at once
+    R = ring()
+    assert multiplicity(R, 3) == (7, 3)
+    red = R.certificate.reduction
+    assert R.certificate.m == 4 and red.scalar_extension == 3 and red.ring.field.order == 8
+
+
 def test_multiplicity_rejects_two_dimensional():
     # k[x,y] with no relations: HF grows linearly, never stabilizes
     with pytest.raises(NotOneDimensional):
@@ -515,8 +543,9 @@ def _tower(field):
 
 def test_seeded_slices_match_eliminating_the_whole_macaulay_matrix():
     # the slices lie over the least field holding the relations, and they
-    # reduce and rank vectors over R's field and over a scalar extension of
-    # it as an echelon over that field, filled with the same rows, does
+    # reduce vectors over R's field and over a scalar extension of it as an
+    # echelon over that field, filled with the same rows, does; the normal
+    # forms on the standard columns have the rank the vectors add to it
     rng = np.random.default_rng(15)
     towers = 0
     for R in _seeded_rings():
@@ -546,17 +575,24 @@ def test_seeded_slices_match_eliminating_the_whole_macaulay_matrix():
                 vecs[1] = [field.mul(c, int(v)) for v in vecs[0]]
                 if rows:
                     vecs[2] = rows[0][0]
-                assert seeded.reduce(vecs, kernel).tolist() == ref.reduce(vecs).tolist(), (R, d, field)
-                assert seeded.reduce(vecs[0], kernel).tolist() == ref.reduce(vecs[0]).tolist(), (R, d, field)
-                assert seeded.rank_modulo(vecs, kernel) == ref.rank_modulo(vecs), (R, d, field)
+                nf = data.normal_forms(vecs, kernel)
+                assert nf.tolist() == ref.reduce(vecs).tolist(), (R, d, field)
+                assert data.normal_forms(vecs[0], kernel).tolist() == ref.reduce(vecs[0]).tolist(), (R, d, field)
+                std = data.std_index
+                gain = Echelon(kernel, len(std)).add_row(nf[:, std]) if std else 0
+                assert gain == ref.add_row(vecs), (R, d, field)
     assert towers >= 2
 
 
 def _whole_product_reduction(R, x, d):
-    """is_linear_reduction's verdict from the rank of all of x*S_{d-1}."""
-    target = R.slice(d)
-    image = sum(target.echelon.rank_modulo(b) for b in macaulay_matrix(R.nvars, [x], d))
-    return image == len(target.std_monomials)
+    """is_linear_reduction's verdict from the rank of all of x*S_{d-1}: the
+    Macaulay blocks of I_d and of x*S_{d-1} must span S_d, in an echelon
+    over x's field."""
+    ncols = len(monomials_of_degree(R.nvars, d))
+    whole = Echelon(R.kernel_holding(x), ncols)
+    for block in macaulay_matrix(R.nvars, list(R.relations) + [x], d):
+        whole.add_row(block)
+    return whole.rank == ncols
 
 
 def test_standard_row_reduction_test_matches_the_whole_product():
@@ -570,6 +606,54 @@ def test_standard_row_reduction_test_matches_the_whole_product():
                 assert verdict == _whole_product_reduction(R, x, d), (R, combo, d)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_subfield_slices_reduce_extension_forms_by_coordinates():
+    # slices over GF(Q) reduce vectors over GF(Q^m) through their base-Q
+    # digits as an echelon over GF(Q^m) holding the same rows does, and
+    # the reduction test on the standard columns gives the whole product's
+    # verdict; the last pair is the two-level tower GF(2) < GF(4) < GF(16)
+    rng = random.Random(19)
+    F4, F9 = extend_field(F2, 2), extend_field(F3, 2)
+    pairs = [
+        (F2, extend_field(F2, 3)), (F4, extend_field(F4, 2)), (F3, extend_field(F3, 3)),
+        (F9, extend_field(F9, 2)), (F5, extend_field(F5, 2)), (F2, extend_field(F4, 2)),
+    ]
+    cases, verdicts = 0, set()
+    for K, F in pairs:
+        kernel = kernel_for(F)
+        low = K.base.order if K.degree > 1 else 0
+        for _ in range(10):
+            nvars = rng.randint(2, 3)
+            rels = []
+            for _ in range(rng.randint(1, 2)):
+                e = rng.randint(2, 3)
+                monos = monomials_of_degree(nvars, e)
+                terms = {m: rng.randrange(1, K.order) for m in rng.sample(monos, min(len(monos), 3))}
+                rels.append(HomogPoly(F, nvars, e, terms))
+            # a code outside K's base keeps K the least field of the relations
+            mono = next(iter(rels[0].terms))
+            rels[0] = HomogPoly(F, nvars, rels[0].degree, {**rels[0].terms, mono: rng.randrange(low, K.order) or 1})
+            R = GradedQuotient(F, nvars, rels)
+            assert R.kernel.field == K, (R, K)
+            for d in range(1, 6):
+                data = R.slice(d)
+                ncols = len(data.columns)
+                ref = Echelon(kernel, ncols)
+                for block in macaulay_matrix(nvars, R.relations, d):
+                    ref.add_row(block)
+                vecs = np.array([[rng.randrange(F.order) for _ in range(ncols)] for _ in range(3)], dtype=np.int64)
+                assert data.normal_forms(vecs, kernel).tolist() == ref.reduce(vecs).tolist(), (R, d)
+                x = linear_form(R, [rng.randrange(F.order) for _ in range(nvars)])
+                if not x.is_zero():
+                    verdict = is_linear_reduction(R, x, d)
+                    assert verdict == _whole_product_reduction(R, x, d), (R, x, d)
+                    verdicts.add(verdict)
+                cases += 1
+            for bad in (F.order, -1):
+                with pytest.raises(FieldMismatch):
+                    data.normal_forms(np.full(ncols, bad, dtype=np.int64), kernel)
+    assert cases >= 300 and verdicts == {True, False}
 
 
 def test_lock_serialises_concurrent_slice_population():

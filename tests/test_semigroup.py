@@ -577,6 +577,16 @@ def test_eventual_p_membership_no_certificate():
     assert verify_no_certificate(PINCHED_VERONESE, (0, 1, 1), 3, cert)
 
 
+def test_no_certificate_check_has_no_exponent_cap():
+    # 2^13 * 1 lies in 8192*Z, past any small exponent cap; 2^e * 1 never
+    # lies in 6*Z, and 3^e * 1 never in 8192*Z
+    A = AffineSemigroup([(8192,), (8193,)])
+    for gens, p, sound in (([[8192]], 2, False), ([[4096]], 2, False), ([[6]], 2, True), ([[8192]], 3, True),
+                           ([], 2, True)):
+        assert verify_no_certificate(A, (1,), p, {"face_generators": gens}) is sound, (gens, p)
+    assert not verify_no_certificate(A, (0,), 2, {"face_generators": []})
+
+
 def test_interior_point_reuses_the_semigroup_snf(monkeypatch):
     A = AffineSemigroup(PINCHED_VERONESE.generators)
     cone_geometry(A)  # caches the facets and A.lattice_nf()
