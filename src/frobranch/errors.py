@@ -51,8 +51,8 @@ class NotFNilpotentRing(FrobranchError):
 
 class CapExceeded(FrobranchError):
     """An input exceeds a size cap (a characteristic, field order, ambient
-    dimension, slice width, Frobenius-power degree, Apery list, saturation
-    box or Fte window); it is refused before the work it would cost."""
+    dimension, slice or rank-test width, Frobenius-power degree, Apery list,
+    saturation box or Fte window); it is refused before the work it costs."""
 
 
 class ParseError(FrobranchError):

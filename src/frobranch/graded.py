@@ -265,7 +265,7 @@ class HomogPoly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = add(terms.get(m, 0), c)
-        return HomogPoly(self.field, self.nvars, max(self.degree, other.degree), terms)
+        return HomogPoly(self.field, self.nvars, self.degree if self.terms else other.degree, terms)
 
     def __mul__(self, other):
         self._check(other)
@@ -321,7 +321,7 @@ class _SliceData:
     columns: tuple[Monomial, ...]
     echelon: Echelon          # RREF of the degree-d piece of I
     std_monomials: tuple[Monomial, ...]
-    std_index: list[int]      # their columns: those without a pivot
+    std_index: np.ndarray     # their columns, those without a pivot, as int64
 
     def normal_forms(self, rows: np.ndarray, kernel: Kernel) -> np.ndarray:
         """Normal forms modulo I_d of a code vector, or of each row of a
@@ -467,14 +467,7 @@ class GradedQuotient:
             del block  # before the next block is built beside it
         pivots = set(ech.pivots)
         std = [i for i in range(len(columns)) if i not in pivots]
-        return _SliceData(columns, ech, tuple(columns[i] for i in std), std)
-
-    def to_vector(self, f: HomogPoly) -> np.ndarray:
-        """The codes of a form on the monomials of its degree."""
-        block = next(macaulay_matrix(self.nvars, [f], f.degree), None)
-        if block is None:  # f is zero
-            return np.zeros(comb(f.degree + self.nvars - 1, self.nvars - 1), dtype=np.int64)
-        return block[0]
+        return _SliceData(columns, ech, tuple(columns[i] for i in std), np.array(std, dtype=np.int64))
 
     def kernel_holding(self, *forms: HomogPoly) -> Kernel:
         """The kernel of the least field holding the relations and the codes
@@ -484,9 +477,24 @@ class GradedQuotient:
         top = max((c for f in forms for c in f.terms.values()), default=0)
         return self.kernel if top < self.kernel.field.order else kernel_for(least_subfield(self.field, top))
 
-    def normal_form_vector(self, f: HomogPoly) -> np.ndarray:
-        """Coordinates of f's class modulo I, in the full degree slice."""
-        return self.slice(f.degree).normal_forms(self.to_vector(f), self.kernel_holding(f))
+    def product_map(self, f: HomogPoly, d: int) -> np.ndarray:
+        """N_f, multiplication by a form f from [R]_e to [R]_d, e = d - deg f:
+        the HF(e) x HF(d) code matrix over kernel_holding(f)'s field whose
+        row i is the normal form of f*mu_i modulo I_d on the standard columns
+        of degree d, mu_i the i-th standard monomial of degree e.  A zero f,
+        or one of degree above d, gives no rows.  They span f*[R]_e:
+        S_e = span(std_e) + I_e and f*I_e lies in I_d, so f*S_e + I_d =
+        f*span(std_e) + I_d, and rows reduced modulo I_d vanish at its
+        pivots, so a vector of [R]_d lies in f*[R]_e exactly when its
+        standard columns lie in N_f's row span."""
+        kernel = self.kernel_holding(f)
+        target = self.slice(d)
+        std = self.slice(d - f.degree).std_monomials if f.terms and f.degree <= d else ()
+        if not std:
+            return np.zeros((0, len(target.std_index)), dtype=np.int64)
+        mults = _multiplier_rows(std, self.nvars, d)
+        rows = _fill([(0, mults, [f])], len(std), len(target.columns), _index_table(self.nvars, d))
+        return target.normal_forms(rows, kernel).take(target.std_index, axis=1)
 
 
 # -- operations --------------------------------------------------------------
@@ -551,21 +559,24 @@ def multiplicity(R: GradedQuotient, s_max: int = DEFAULT_S_MAX) -> tuple[int, in
     raise NotOneDimensional(f"no regularity certificate below degree {bound}")
 
 
+def _std_echelon(kernel: Kernel, hf: int) -> Echelon:
+    """An echelon over kernel's field GF(p^s), perhaps larger than the slices',
+    on hf standard columns: like a slice it is refused above SLICE_COLUMN_CAP."""
+    if hf * kernel.s > SLICE_COLUMN_CAP:
+        raise CapExceeded(f"a rank test on {hf} standard columns of {kernel.s} GF({kernel.field.p}) "
+                          f"digits each is above the cap of {SLICE_COLUMN_CAP} columns")
+    return Echelon(kernel, hf)
+
+
 def ideal_membership(R: GradedQuotient, f: HomogPoly, J: Sequence[HomogPoly]) -> bool:
-    """Is f in the ideal J*R, tested in the degree-(deg f) slice?"""
-    kernel = R.kernel_holding(f, *J)
-    if f.is_zero():
-        return True
-    data = R.slice(f.degree)
-    target = data.normal_forms(R.to_vector(f), kernel)
-    if not target.any():
-        return True
-    # rows reduced by the slice vanish at its pivots, so the span of J's
-    # rows modulo I_d lives on the standard-monomial columns
-    rest = Echelon(kernel, len(data.std_index))
-    for block in macaulay_matrix(R.nvars, J, f.degree):
-        rest.add_row(data.normal_forms(block, kernel)[:, data.std_index])
-    return rest.contains(target[data.std_index])
+    """Is f in the ideal J*R?  In degree d = deg f, (J*R)_d is the sum of
+    the images g*[R]_{d-deg g}, so f lies in it exactly when N_f, one row
+    as std_0 = {1}, lies in the row span of the N_g (GradedQuotient.product_map)."""
+    target = R.product_map(f, f.degree)
+    span = _std_echelon(R.kernel_holding(f, *J), target.shape[1])
+    for g in J:
+        span.add_row(R.product_map(g, f.degree))
+    return span.contains(target)
 
 
 def linear_form(R: GradedQuotient, coeffs: Sequence[int]) -> HomogPoly:
@@ -583,26 +594,13 @@ def is_linear_reduction(R: GradedQuotient, x: HomogPoly, d: int) -> bool:
     standard-graded ring x*[R]_n = [R]_{n+1} then holds for all higher n,
     since [R]_{n+2} = [R]_1*[R]_{n+1} = [R]_1*x*[R]_n = x*[R]_{n+1}.  So
     at d = n0+1, n0 the stabilization index of multiplicity(R), it says
-    whether x reduces the irrelevant ideal: the rows of x*S_{d-1}, reduced
-    modulo I_d, must have rank HF(d).
-
-    The HF(d-1) rows x*mu, mu a standard monomial of degree d-1, have that
-    rank too: S_{d-1} = span(std_{d-1}) + I_{d-1} and x*I_{d-1} lies in
-    I_d, so x*S_{d-1} + I_d = x*span(std_{d-1}) + I_d.  Reduced modulo I_d
-    they vanish at its pivots, so keeping only the HF(d) standard columns,
-    the matrix N_x, loses no rank: the verdict is rank N_x = HF(d), taken
-    in an echelon over x's field."""
+    whether x reduces the irrelevant ideal.  The verdict is
+    rank N_x = HF(d) (GradedQuotient.product_map), taken in an echelon
+    over x's field."""
     if x.degree != 1:
         raise ValueError("reduction candidate must be a linear form")
-    kernel = R.kernel_holding(x)
-    target, std = R.slice(d), R.slice(d - 1).std_monomials
-    hf = len(target.std_index)
-    if not (std and hf):  # [R]_{d-1} = 0 or [R]_d = 0
-        return not hf
-    mults = _multiplier_rows(std, R.nvars, d)
-    rows = _fill([(0, mults, [x])], len(std), len(target.columns), _index_table(R.nvars, d))
-    image = target.normal_forms(rows, kernel)[:, target.std_index]
-    return Echelon(kernel, hf).add_row(image) == hf
+    image = R.product_map(x, d)
+    return _std_echelon(R.kernel_holding(x), image.shape[1]).add_row(image) == image.shape[1]
 
 
 def _codes(q: int, k: int, zeros: Optional[bool]):

@@ -120,16 +120,17 @@ class Kernel:
         s = self.s
         if s == 1:
             return np.array(codes, dtype=self.dtype, ndmin=2)
-        width = codes.shape[-1] * s
+        codes = np.atleast_2d(codes)
+        b, width = len(codes), codes.shape[1] * s
         if span:
-            return self._mats[codes].swapaxes(-2, -3).reshape(-1, width)
-        return self._mats[codes, 0].reshape(-1, width)
+            return self._mats[codes].swapaxes(-2, -3).reshape(b * s, width)
+        return self._mats[codes, 0].reshape(b, width)
 
     def codes(self, digits: np.ndarray) -> np.ndarray:
         """The int64 B x C codes of B rows of digits (inverse of digits)."""
         if self.s == 1:
             return digits.astype(np.int64)
-        return (digits.reshape(-1, digits.shape[1] // self.s, self.s) @ self._powers).astype(np.int64)
+        return (digits.reshape(len(digits), digits.shape[1] // self.s, self.s) @ self._powers).astype(np.int64)
 
     def submul(self, acc: np.ndarray, coeffs: np.ndarray, rows: np.ndarray, lazy: bool = False) -> np.ndarray:
         """acc - coeffs * rows, in place in acc and modulo p unless lazy,
@@ -226,14 +227,14 @@ class Echelon:
         """Normal form of a code vector modulo the row span, or of each row
         of a k x C block of them, over the rows' field."""
         k = self.kernel
-        return k.codes(self._reduced(k.digits(vec.reshape(-1, self.ncols)))).reshape(vec.shape)
+        return k.codes(self._reduced(k.digits(vec))).reshape(vec.shape)
 
     def add_row(self, rows: np.ndarray) -> int:
         """Insert a code vector, or every row of a k x C block of them, over
         the rows' field; returns how many of them raised the rank."""
         k, s = self.kernel, self.kernel.s
         r = self.rank * s
-        block = k.digits(rows.reshape(-1, self.ncols), span=True)
+        block = k.digits(rows, span=True)
         if r and (r + len(block)) * block.shape[1] <= SMALL_BLOCK:
             # few entries in all: the stored rows and the block together
             # are re-eliminated on lists, whose RREF is the same

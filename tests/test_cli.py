@@ -157,6 +157,29 @@ def test_oversized_slice_is_refused(capsys):
     assert time.perf_counter() - start < 2
 
 
+def test_oversized_rank_test_is_refused(capsys):
+    # over GF(2^8) the search reaches x + u*y, whose rank test at degree 200
+    # has 200 standard columns of 8 GF(2) digits each, though the slices
+    # lie over GF(2); at degree 100 the 800 digit columns are answered
+    args = ["branches", "--p", "2", "--ext-s", "8", "--vars", "x,y", "--rel"]
+    start = time.perf_counter()
+    code, out, err = run_cli(args + ["x^200+y^200"], capsys)
+    assert code == 1 and out == ""
+    assert "200 standard columns of 8 GF(2) digits" in err and str(graded.SLICE_COLUMN_CAP) in err
+    assert time.perf_counter() - start < 2
+    code, out, err = run_cli(args + ["x^100+y^100"], capsys)
+    assert code == 2 and "not reduced" in err
+    assert out == (
+        "mode: branches\nrequest.box_factor: 3\nrequest.degree_cap: 64\nrequest.e_max: 12\n"
+        "request.ext_s: 8\nrequest.p: 2\nrequest.relations: [x^100+y^100]\nrequest.s_max: 3\n"
+        "request.vars: [x, y]\nresult.branches_formula: 100\nresult.branches_multiplicity: 100\n"
+        "result.consistent: true\nresult.dim_quotient: 99\nresult.n_used: 99\n"
+        "result.oracle_branches: -\nresult.oracle_status: no-oracle\n"
+        "result.reduction_form: (1, 0, 0, 0, 0, 0, 0, 0)*x + (0, 1, 0, 0, 0, 0, 0, 0)*y\n"
+        "result.reduction_scalar_extension: 1\ndiag.reducedness: not-reduced\n"
+    )
+
+
 @pytest.mark.parametrize("p, rel", [(2, "x^2*y + x*y^2"), (7, "x^7*y - x*y^7")])
 def test_no_reduction_below_s_max_is_refused(p, rel, capsys):
     # every GF(p)-line divides x^p*y - x*y^p, so no form over GF(p)

@@ -172,6 +172,61 @@ def test_ideal_membership_circle():
     assert ideal_membership(R, zero, [y2])
 
 
+def _membership_reference(R, f, J):
+    """f in J*R from the whole Macaulay matrix of the relations and J in
+    degree deg f, in an echelon over the field holding every code."""
+    ncols = len(monomials_of_degree(R.nvars, f.degree))
+    whole = Echelon(R.kernel_holding(f, *J), ncols)
+    for block in macaulay_matrix(R.nvars, list(R.relations) + list(J), f.degree):
+        whole.add_row(block)
+    return whole.contains(next(macaulay_matrix(R.nvars, [f], f.degree), np.zeros((1, ncols), dtype=np.int64))[0])
+
+
+def test_ideal_membership_matches_the_whole_macaulay_matrix():
+    rng = random.Random(20)
+
+    def random_form(R, degree, codes):
+        monos = monomials_of_degree(R.nvars, degree)
+        return HomogPoly(R.field, R.nvars, degree, {m: rng.randrange(codes) for m in rng.sample(monos, min(len(monos), 3))})
+
+    seen = {"cases": 0, True: 0, False: 0, "J empty": 0, "zero generator": 0, "generator above deg f": 0,
+            "extension form": 0}
+    for R in _seeded_rings():
+        slice_order = R.kernel.field.order
+        for _ in range(16):
+            d = rng.randint(1, 3)
+            J = []
+            for _ in range(rng.randint(0, 3)):
+                e = rng.randint(1, d + 1)
+                J.append(random_form(R, e, rng.choice((1, slice_order, R.field.order))))
+            codes = rng.choice((slice_order, R.field.order))
+            if rng.random() < 0.6:
+                # a combination of J and the relations, a member; or zero
+                f = HomogPoly(R.field, R.nvars, d, {})
+                for g in J + list(R.relations):
+                    if g.degree <= d:
+                        f = f + random_form(R, d - g.degree, codes) * g
+            else:
+                f = random_form(R, d, codes)
+            verdict = ideal_membership(R, f, J)
+            assert verdict == _membership_reference(R, f, J), (R, f, J)
+            seen["cases"] += 1
+            seen[verdict] += 1
+            seen["J empty"] += not J
+            seen["zero generator"] += any(g.is_zero() for g in J)
+            seen["generator above deg f"] += any(g.degree > d for g in J)
+            seen["extension form"] += R.kernel_holding(f, *J) is not R.kernel
+    assert seen["cases"] >= 200 and min(seen.values()) >= 10, seen
+
+
+def test_zero_of_any_degree_tag_adds_as_zero():
+    xy = HomogPoly(F3, 2, 2, {(1, 1): 1})
+    zero = HomogPoly(F3, 2, 5, {})
+    for total in (zero + xy, xy + zero):
+        assert total == xy and total.degree == 2
+    assert (zero + zero).is_zero()
+
+
 def test_is_linear_reduction():
     R = circle_ring(F5)
     y = linear_form(R, [0, 1])
@@ -291,7 +346,8 @@ def _window_reduction_reference(R, x):
         target = R.slice(d + 1)
         image = Echelon(kernel_for(R.field), len(target.columns))
         for mono in R.slice(d).std_monomials:
-            image.add_row(R.normal_form_vector(x * HomogPoly(R.field, R.nvars, d, {mono: 1})))
+            f = x * HomogPoly(R.field, R.nvars, d, {mono: 1})
+            image.add_row(target.normal_forms(next(macaulay_matrix(R.nvars, [f], d + 1))[0], R.kernel_holding(f)))
         if image.rank != len(target.std_monomials):
             return False
     return True
@@ -579,7 +635,7 @@ def test_seeded_slices_match_eliminating_the_whole_macaulay_matrix():
                 assert nf.tolist() == ref.reduce(vecs).tolist(), (R, d, field)
                 assert data.normal_forms(vecs[0], kernel).tolist() == ref.reduce(vecs[0]).tolist(), (R, d, field)
                 std = data.std_index
-                gain = Echelon(kernel, len(std)).add_row(nf[:, std]) if std else 0
+                gain = Echelon(kernel, len(std)).add_row(nf[:, std])
                 assert gain == ref.add_row(vecs), (R, d, field)
     assert towers >= 2
 
@@ -831,7 +887,8 @@ def test_containment_chain_at_slice():
         red = find_linear_reduction(R)
         ring, x = red.ring, red.form
         n0 = multiplicity(ring)[1]
-        nf = ring.normal_form_vector(x**n0)
+        vec = next(macaulay_matrix(ring.nvars, [x**n0], n0))[0]
+        nf = ring.slice(n0).normal_forms(vec, ring.kernel_holding(x))
         assert np.any(nf) or n0 == 0
         # the degree-n piece of m^(n+1) is zero, so the middle term is span(x^n);
         # its dimension is 1 and it sits inside the HF(n)-dimensional slice
@@ -910,10 +967,14 @@ def test_ring_mismatch_rejected():
         ideal_membership(circle_ring(F3), g, [f])
     with pytest.raises(FieldMismatch):
         is_linear_reduction(circle_ring(F3), g, 2)
-    # a GF(5) form is no form of a GF(3) ring, whatever its codes
+    # a GF(5) form is no form of a GF(3) ring, whatever its codes, and a
+    # code outside GF(3) fails the slices' field check
     x2 = HomogPoly(F5, 3, 2, {(2, 0, 0): 4})
+    R = axes_ring(F3, 3)
     with pytest.raises(FieldMismatch):
-        axes_ring(F3, 3).normal_form_vector(x2)
+        R.product_map(x2, 2)
+    with pytest.raises(FieldMismatch):
+        R.slice(2).normal_forms(next(macaulay_matrix(3, [x2], 2))[0], R.kernel)
     with pytest.raises(FieldMismatch):
         closure_quotient_dim(axes_ring(F3, 3), HomogPoly(F5, 3, 1, {(1, 0, 0): 1}), 2)
     with pytest.raises(FieldMismatch):

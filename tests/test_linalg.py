@@ -67,6 +67,22 @@ def test_echelon_known_rank():
     assert not ech.contains(np.array([0, 0, 1], dtype=np.int64))
 
 
+def test_empty_shapes():
+    # a slice with no standard monomial gives rank tests on 0 columns, and
+    # a product map may have no rows
+    for field in (PrimeField(5), extend_field(PrimeField(2), 2)):
+        k = kernel_for(field)
+        ech = Echelon(k, 0)
+        assert ech.add_row(np.zeros((5, 0), dtype=np.int64)) == 0 and ech.rank == 0
+        assert ech.reduce(np.zeros((3, 0), dtype=np.int64)).shape == (3, 0)
+        assert ech.contains(np.zeros(0, dtype=np.int64))
+        ech = Echelon(k, 3)
+        ech.add_row(np.array([1, 2, 0], dtype=np.int64))
+        assert ech.add_row(np.zeros((0, 3), dtype=np.int64)) == 0 and ech.rank == 1
+        assert ech.reduce(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+        assert ech.contains(np.zeros((0, 3), dtype=np.int64))
+
+
 def _rref_rows(ech):
     """The stored rows, read through reduce: with unit pivots and zeros at
     the other pivots, reduce(e_j) = e_j - (row of pivot j)."""
