@@ -92,13 +92,14 @@ def _index_table(nvars: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _prefix_sums(monos: tuple) -> np.ndarray:
-    """Exponent prefix sums S_0, .., S_(n-2) of monomials (S_0 = 0 alone
-    for one variable), kept per monomial tuple: the candidate forms of a
-    reduction search share their monomials."""
+def _prefix_sums(monos: tuple, nvars: int) -> np.ndarray:
+    """Exponent prefix sums S_0, .., S_(n-2) of monomials in nvars
+    variables (S_0 = 0 alone for one variable), one row of max(nvars - 1, 1)
+    entries per monomial, so no monomials still give that width; kept per
+    monomial tuple: the candidate forms of a reduction search share their
+    monomials."""
     sums = np.array([list(accumulate(m[:-1])) or [0] for m in monos], dtype=np.int64)
-    if not monos:  # in one variable no multiplier of positive degree is free of x_n
-        sums = sums.reshape(0, 1)
+    sums = sums.reshape(len(monos), max(nvars - 1, 1))
     sums.flags.writeable = False  # shared by every caller
     return sums
 
@@ -119,7 +120,7 @@ def _multiplier_rows(monos: tuple, nvars: int, d: int) -> tuple[np.ndarray, np.n
     """Multiplier monomials, one row each of a degree-d Macaulay matrix:
     the flat position of the last column of their rows less their S_0, and
     their later prefix sums shifted to their rows of _index_table(nvars, d)."""
-    keys = _prefix_sums(monos)
+    keys = _prefix_sums(monos, nvars)
     ncols = comb(d + nvars - 1, nvars - 1)
     ends = np.arange(ncols - 1, len(keys) * ncols, ncols) - keys[:, 0]
     return ends[:, None], keys[:, 1:] + (d + 1) * np.arange(nvars - 2)
@@ -237,7 +238,7 @@ class HomogPoly:
         except AttributeError:
             pass
         codes = np.fromiter(self.terms.values(), dtype=np.int64, count=len(self.terms))
-        self._keys = (_prefix_sums(tuple(self.terms)), codes)
+        self._keys = (_prefix_sums(tuple(self.terms), self.nvars), codes)
         return self._keys
 
     def __eq__(self, other):

@@ -6,12 +6,12 @@ Geometry is exact throughout.  Each integer matrix M gets one Smith normal
 form U * M * V = D with verified unimodular transforms.  Lattice membership
 and torsion orders are tested by U * v, and the rows of U past the rank r
 are the equations of the span of the columns.  A facet normal is the
-primitive cofactor vector of r - 1 generators stacked with those n - r
-equations, so cone geometry needs no SNF beyond the lattice one.  For
-r = n the primitive normal of a hyperplane is unique up to sign, which
-makes these normals the ones any kernel basis gives; for r < n the normal
-is the one in the span of A.  Each face of the cone met by eventual
-p-power membership gets one SNF, kept on the semigroup.
+primitive generalized cross product of r - 1 generators and those n - r
+equations, one contraction with the Levi-Civita tensor for every subset
+at once (cone_geometry), in int64 below a proven bound and on Python ints
+past it: cone geometry needs no SNF beyond the lattice one and refuses no
+size.  Each face of the cone met by eventual p-power membership gets one
+SNF, kept on the semigroup.
 
 A numerical semigroup (n = 1) is held as its gcd times the Apery list of
 the gcd-reduced generators with respect to the least one: O(1) membership,
@@ -52,7 +52,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, inf, lcm, prod
+from functools import lru_cache
+from math import factorial, gcd, inf, lcm, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -404,56 +405,69 @@ def _member_dfs(A: AffineSemigroup, v: Vector) -> bool:
     return cache.get(v, False)
 
 
-def _cofactors(rows: Sequence[Vector], n: int) -> Vector:
-    """Signed maximal minors of an (n-1) x n matrix: a vector orthogonal to
-    every row, and zero exactly when the rows are dependent."""
-    return tuple(
-        (-1) ** j * (_det([list(row[:j] + row[j + 1:]) for row in rows]) if rows else 1)
-        for j in range(n)
-    )
+@lru_cache(maxsize=DIMENSION_CAP)
+def _levi_civita(n: int) -> np.ndarray:
+    """The order-n Levi-Civita tensor: the sign of s at each permutation
+    s = (s_0, .., s_(n-1)) of range(n), zero at indices with a repeat."""
+    eps = np.zeros((n,) * n, dtype=np.int64)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+    eps.flags.writeable = False  # shared by every caller
+    return eps
 
 
 def cone_geometry(A: AffineSemigroup) -> tuple[list[Vector], list[Vector]]:
     """(facet inequalities, span equations) of the rational cone of A.
 
     The span equations are the rows of U past the rank r of the lattice
-    SNF.  A facet normal is the primitive cofactor vector of r - 1
-    generators stacked with those n - r equations: it lies in the span of
-    A, vanishes on the r - 1 generators, and is nonzero exactly when they
-    have rank r - 1.  A subset gives a facet when the normal is
-    single-signed on the generators, and facets are told apart by their
-    primitive dot vector on the generators.  For r = n there are no
-    equations and the primitive normal is unique up to sign, so it is the
-    one a kernel basis would give.
-    """
+    SNF.  A facet normal is the generalized cross product
+    C_j = eps_(j a b ..) * row_0[a] * row_1[b] * .. of r - 1 generators
+    and those n - r equations, eps the Levi-Civita tensor, made primitive:
+    it lies in the span of A, vanishes on the r - 1 generators, and is
+    nonzero exactly when they have rank r - 1.  One einsum gives it for
+    every (r - 1)-subset at once.  A subset gives a facet when its normal
+    is single-signed on the generators, signed to be >= 0 there.  The
+    primitive normal is unique up to sign for r = n, so it is the one a
+    kernel basis would give, and unique in the span of A for r < n, so a
+    set of normals tells the facets apart.
+
+    With M the largest |entry| of the generators and equations, C has
+    entries at most (n-1)! M^(n-1) and dots with the generators at most
+    n (n-1)! M^(n-1) max(g): below 2^63 the pass runs in int64, past it
+    on Python ints (dtype=object), exactly.  The cone of a numerical
+    semigroup is N, with no contraction."""
     if A._facets is not None:
         return A._facets, A._equations
-    if A.n > DIMENSION_CAP:
-        raise CapExceeded(f"ambient dimension {A.n} exceeds cap {DIMENSION_CAP}")
+    n = A.n
+    if n > DIMENSION_CAP:
+        raise CapExceeded(f"ambient dimension {n} exceeds cap {DIMENSION_CAP}")
+    if n == 1:
+        A._facets, A._equations = [(1,)], []
+        return A._facets, A._equations
     gens = A.generators
     lattice = A.lattice_nf()
     r = lattice.rank
     equations = [tuple(row) for row in lattice.U[r:]]
-    facets: list[Vector] = []
-    seen_patterns = set()
-    for subset in itertools.combinations(gens, r - 1):
-        c = _cofactors([*subset, *equations], A.n)
-        if not any(c):
-            continue
-        dots = [_dot(c, g) for g in gens]
-        if min(dots) < 0 < max(dots):
-            continue
-        sign = 1 if max(dots) > 0 else -1
-        g0 = sign * gcd(*dots)
-        pattern = tuple(d // g0 for d in dots)
-        if pattern not in seen_patterns:
-            seen_patterns.add(pattern)
-            g1 = sign * gcd(*c)
-            facets.append(tuple(x // g1 for x in c))
-    facets.sort()
-    A._facets = facets
+    top = max(abs(x) for row in (*gens, *equations) for x in row)
+    bound = n * factorial(n - 1) * top ** (n - 1) * max(map(max, gens))
+    dtype = np.int64 if bound < 2**63 else object
+    G = np.array(gens, dtype=dtype)
+    idx = np.array(list(itertools.combinations(range(len(gens)), r - 1)), dtype=np.intp)
+    axes = "abc"[: n - 1]
+    spec = ",".join(["j" + axes, *("m" + a for a in axes[: r - 1]), *axes[r - 1:]])
+    C = np.einsum(
+        f"{spec}->{'mj' if r > 1 else 'j'}", _levi_civita(n),
+        *(G[idx[:, i]] for i in range(r - 1)), *(np.array(w, dtype=dtype) for w in equations),
+    ).reshape(-1, n)
+    dots = C @ G.T
+    keep = (C != 0).any(axis=1) & ((dots >= 0).all(axis=1) | (dots <= 0).all(axis=1))
+    facets = set()
+    for c, d in zip(C[keep].tolist(), dots[keep].tolist()):
+        g = gcd(*c) if max(d) > 0 else -gcd(*c)
+        facets.add(tuple(x // g for x in c))
+    A._facets = sorted(facets)
     A._equations = equations
-    return facets, equations
+    return A._facets, equations
 
 
 def _saturation_points(A: AffineSemigroup) -> np.ndarray:

@@ -287,6 +287,13 @@ def test_macaulay_matrix_in_forty_variables():
     assert block.tolist() == [row.tolist() for row in _macaulay_rows(40, gens, 2)]
 
 
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_no_multipliers_give_empty_rows_of_the_key_width(nvars):
+    ends, keys = graded._multiplier_rows((), nvars, 3)
+    assert ends.shape == (0, 1)
+    assert keys.shape == (0, max(nvars - 2, 0))
+
+
 def _clone_and_insert_reduction(R, x, d):
     """x*[R]_{d-1} = [R]_d as I_d + x*S_{d-1} spanning S_d, every row of
     both inserted one at a time into one echelon."""

@@ -393,6 +393,50 @@ def test_cofactor_facets_match_the_kernel_sweep():
     assert full >= 150 and deficient >= 50
 
 
+def _vertex_pinched_veronese(rng):
+    """Degree-2 Veronese in 4 variables with one or two vertices 2*e_i
+    replaced by 2m*e_i and 2(m+1)*e_i: 10 to 12 generators."""
+    gens = [m for m in itertools.product(range(3), repeat=4) if sum(m) == 2]
+    for i in rng.sample(range(4), rng.randint(1, 2)):
+        m = rng.randint(2, 5)
+        gens = [g for g in gens if g[i] != 2]
+        gens += [tuple(2 * k * (j == i) for j in range(4)) for k in (m, m + 1)]
+    return gens
+
+
+def test_batched_facets_match_the_kernel_sweep_past_int64(monkeypatch):
+    # each generator scaled by 2^20..2^40 leaves the cone as it is, while
+    # the cofactor bound passes 2^63 for many of them: the contraction then
+    # runs on Python ints, and the facets must not change
+    rng = random.Random(71)
+    dtypes = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: dtypes.append(args[-1].dtype) or einsum(*args))
+    for trial in range(160):
+        if trial % 4 == 0:
+            gens = _vertex_pinched_veronese(rng) if trial % 8 else [
+                [rng.randint(0, 5) for _ in range(4)] for _ in range(rng.randint(10, 12))
+            ]
+        else:
+            n = rng.randint(2, 4)
+            gens = [[rng.randint(0, 5) for _ in range(n)] for _ in range(rng.randint(n - 1, 7))]
+            if rng.random() < 0.3:
+                gens = [g[:-1] + [sum(g[:-1])] for g in gens]
+            shifts = [rng.randint(20, 40) for _ in gens]
+            gens = [[x << s for x in g] for g, s in zip(gens, shifts)]
+        if not any(any(g) for g in gens):
+            continue
+        A = AffineSemigroup(gens)
+        facets, eqs = cone_geometry(A)
+        expected = _kernel_sweep_facets(A)
+        if eqs:
+            patterns = sorted(_pattern(w, A.generators) for w in facets)
+            assert patterns == sorted(_pattern(w, A.generators) for w in expected), A
+        else:
+            assert facets == expected, A
+    assert dtypes.count(object) >= 80 and dtypes.count(np.int64) >= 30
+
+
 def test_cone_facets_dimension_cap():
     with pytest.raises(CapExceeded):
         cone_geometry(AffineSemigroup([(1, 0, 0, 0, 0)]))
