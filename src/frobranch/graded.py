@@ -488,7 +488,10 @@ class GradedQuotient:
         f*span(std_e) + I_d, and rows reduced modulo I_d vanish at its
         pivots, so a vector of [R]_d lies in f*[R]_e exactly when its
         standard columns lie in N_f's row span."""
-        kernel = self.kernel_holding(f)
+        return self._product_map(f, d, self.kernel_holding(f))
+
+    def _product_map(self, f: HomogPoly, d: int, kernel: Kernel) -> np.ndarray:
+        """product_map over kernel, which is kernel_holding(f)."""
         target = self.slice(d)
         std = self.slice(d - f.degree).std_monomials if f.terms and f.degree <= d else ()
         if not std:
@@ -600,8 +603,9 @@ def is_linear_reduction(R: GradedQuotient, x: HomogPoly, d: int) -> bool:
     over x's field."""
     if x.degree != 1:
         raise ValueError("reduction candidate must be a linear form")
-    image = R.product_map(x, d)
-    return _std_echelon(R.kernel_holding(x), image.shape[1]).add_row(image) == image.shape[1]
+    kernel = R.kernel_holding(x)
+    image = R._product_map(x, d, kernel)
+    return _std_echelon(kernel, image.shape[1]).add_row(image) == image.shape[1]
 
 
 def _codes(q: int, k: int, zeros: Optional[bool]):

@@ -7,11 +7,11 @@ form U * M * V = D with verified unimodular transforms.  Lattice membership
 and torsion orders are tested by U * v, and the rows of U past the rank r
 are the equations of the span of the columns.  A facet normal is the
 primitive generalized cross product of r - 1 generators and those n - r
-equations, one contraction with the Levi-Civita tensor for every subset
-at once (cone_geometry), in int64 below a proven bound and on Python ints
+equations, contracted with the Levi-Civita tensor for every subset at
+once (cone_geometry), in int64 below a proven bound and on Python ints
 past it: cone geometry needs no SNF beyond the lattice one and refuses no
-size.  Each face of the cone met by eventual p-power membership gets one
-SNF, kept on the semigroup.
+size.  Each face of the cone met by eventual p-power membership at a
+point outside A gets one SNF, kept on the semigroup.
 
 A numerical semigroup (n = 1) is held as its gcd times the Apery list of
 the gcd-reduced generators with respect to the least one: O(1) membership,
@@ -23,29 +23,32 @@ no exponent cap.
 For n >= 2 the Hilbert basis of the saturation group(A) ∩ cone(A) is the
 set of minimal saturation points in a box that provably holds it
 (Bruns-Gubeladze, Polytopes, Rings, and K-Theory, 2.C): its i-th side is
-the sum b_i of the r largest i-th generator coordinates.
-By Caratheodory a cone point h is sum lambda_j * g_j over at most r
-linearly independent generators with lambda_j >= 0.  If h is not a
-generator and some lambda_j >= 1, then h - g_j is a nonzero saturation
-point and h splits; so a basis element is a generator or has every
-lambda_j < 1, and lies in the box.  Saturation points lie in N^n, so both
-summands of a split lie componentwise below the point: a box point splits
-in the saturation exactly when it splits in the box, and the minimal box
-points generate every box point with no further check.  A box of more
-than BOX_VOLUME_CAP points is refused before enumeration.
+the sum b_i of the r largest i-th coordinates over E, the least generator
+on each extremal ray of the cone.  The cone lies in N^n, so it is
+pointed and cone(A) = cone(E).  By Caratheodory a cone point h is
+sum lambda_j * e_j over at most r linearly independent e_j in E with
+lambda_j >= 0.  If some lambda_j >= 1 and h != e_j, then h - e_j is a
+nonzero saturation point and h splits; so a basis element is in E or has
+every lambda_j < 1, and lies in the box.  Saturation points lie in N^n,
+so both summands of a split lie componentwise below the point: a box
+point splits in the saturation exactly when it splits in the box, and
+the minimal box points generate every box point with no further check.
+A box of more than BOX_VOLUME_CAP points is refused before enumeration.
 
 The box is tested as one int64 array: a product of one facet, equation or
 congruence row w with the box points, and every partial sum of it, is at
 most sum |w_i| * max(b_i, 1) in size, and that exact bound is checked
 below 2^63 before allocation.  The volume cap keeps facet and congruence
-products far below it.  For r = n every b_i >= 1 and each coordinate of a
-generator is at most b_i, so Hadamard's bound on the columns of a
-cofactor gives sum |w_i| * b_i <= n (n-1)^((n-1)/2) prod b_i, below
-21 * BOX_VOLUME_CAP for n <= 4.  A congruence row has entries below d_i,
-which is at most the gcd of the r x r minors of the generators, so at
-most r^(r/2) * BOX_VOLUME_CAP by Hadamard on the rows of a nonzero one.
-Only the equations from U, and the normals made with them when r < n,
-have no such bound.
+products far below it.  For r = n, E spans R^n, so every b_i >= 1, and
+each coordinate of an element of E is at most b_i.  A primitive facet
+normal divides the cofactor of r - 1 linearly independent elements of E
+on the facet, so Hadamard's bound on the rows of that cofactor gives
+sum |w_i| * b_i <= n (n-1)^((n-1)/2) prod b_i, below 21 * BOX_VOLUME_CAP
+for n <= 4.  A congruence row has entries below d_i, which is at most the
+gcd of the r x r minors of the generators, so at most a nonzero r x r
+minor of elements of E, at most r^(r/2) * BOX_VOLUME_CAP by Hadamard on
+its rows.  Only the equations from U, and the normals made with them
+when r < n, have no such bound.
 """
 
 from __future__ import annotations
@@ -263,6 +266,7 @@ class AffineSemigroup:
         self._lattice_nf: Optional[IntMatrixNF] = None  # columns = generators
         self._facets: Optional[list[Vector]] = None
         self._equations: Optional[list[Vector]] = None
+        self._zeros: Optional[np.ndarray] = None  # facet i vanishes at generator j
         self._sat_points: Optional[np.ndarray] = None  # box indicator array
         self._hilbert_basis: Optional[tuple[Vector, ...]] = None
         self._member_cache: dict[Vector, bool] = {}
@@ -424,18 +428,22 @@ def cone_geometry(A: AffineSemigroup) -> tuple[list[Vector], list[Vector]]:
     C_j = eps_(j a b ..) * row_0[a] * row_1[b] * .. of r - 1 generators
     and those n - r equations, eps the Levi-Civita tensor, made primitive:
     it lies in the span of A, vanishes on the r - 1 generators, and is
-    nonzero exactly when they have rank r - 1.  One einsum gives it for
-    every (r - 1)-subset at once.  A subset gives a facet when its normal
-    is single-signed on the generators, signed to be >= 0 there.  The
-    primitive normal is unique up to sign for r = n, so it is the one a
-    kernel basis would give, and unique in the span of A for r < n, so a
-    set of normals tells the facets apart.
+    nonzero exactly when they have rank r - 1.  Contracting eps with one
+    operand at a time, last axis first, gives it for every (r - 1)-subset
+    at once.  A subset gives a facet when its normal is single-signed on
+    the generators, signed to be >= 0 there.  The primitive normal is
+    unique up to sign for r = n, so it is the one a kernel basis would
+    give, and unique in the span of A for r < n, so a set of normals tells
+    the facets apart.  Which facets vanish at which generator is read off
+    the same products and kept on A (A._zeros, facets x generators).
 
-    With M the largest |entry| of the generators and equations, C has
-    entries at most (n-1)! M^(n-1) and dots with the generators at most
-    n (n-1)! M^(n-1) max(g): below 2^63 the pass runs in int64, past it
-    on Python ints (dtype=object), exactly.  The cone of a numerical
-    semigroup is N, with no contraction."""
+    With M >= 1 the largest |entry| of the generators and equations, a
+    partial contraction with k operands is, at each index, a sum of at
+    most k! products of k entries, and so is every partial sum of it: all
+    are at most (n-1)! M^(n-1), the bound on C, whose dots with the
+    generators are at most n (n-1)! M^(n-1) max(g).  Below 2^63 the pass
+    runs in int64, past it on Python ints (dtype=object), exactly.  The
+    cone of a numerical semigroup is N, with no contraction."""
     if A._facets is not None:
         return A._facets, A._equations
     n = A.n
@@ -443,6 +451,7 @@ def cone_geometry(A: AffineSemigroup) -> tuple[list[Vector], list[Vector]]:
         raise CapExceeded(f"ambient dimension {n} exceeds cap {DIMENSION_CAP}")
     if n == 1:
         A._facets, A._equations = [(1,)], []
+        A._zeros = np.zeros((1, len(A.generators)), dtype=bool)
         return A._facets, A._equations
     gens = A.generators
     lattice = A.lattice_nf()
@@ -453,26 +462,56 @@ def cone_geometry(A: AffineSemigroup) -> tuple[list[Vector], list[Vector]]:
     dtype = np.int64 if bound < 2**63 else object
     G = np.array(gens, dtype=dtype)
     idx = np.array(list(itertools.combinations(range(len(gens)), r - 1)), dtype=np.intp)
-    axes = "abc"[: n - 1]
-    spec = ",".join(["j" + axes, *("m" + a for a in axes[: r - 1]), *axes[r - 1:]])
-    C = np.einsum(
-        f"{spec}->{'mj' if r > 1 else 'j'}", _levi_civita(n),
-        *(G[idx[:, i]] for i in range(r - 1)), *(np.array(w, dtype=dtype) for w in equations),
-    ).reshape(-1, n)
+    C = _levi_civita(n)
+    for w in reversed(equations):
+        C = np.einsum("...x,x->...", C, np.array(w, dtype=dtype))
+    for i in reversed(range(r - 1)):
+        C = np.einsum("m...x,mx->m..." if i < r - 2 else "...x,mx->m...", C, G[idx[:, i]])
+    C = C.reshape(-1, n)
     dots = C @ G.T
     keep = (C != 0).any(axis=1) & ((dots >= 0).all(axis=1) | (dots <= 0).all(axis=1))
-    facets = set()
-    for c, d in zip(C[keep].tolist(), dots[keep].tolist()):
+    zeros = {}
+    for c, d, z in zip(C[keep].tolist(), dots[keep].tolist(), (dots[keep] == 0).tolist()):
         g = gcd(*c) if max(d) > 0 else -gcd(*c)
-        facets.add(tuple(x // g for x in c))
-    A._facets = sorted(facets)
+        zeros[tuple(x // g for x in c)] = z
+    A._facets = sorted(zeros)
+    A._zeros = np.array([zeros[w] for w in A._facets], dtype=bool).reshape(len(zeros), len(gens))
     A._equations = equations
     return A._facets, equations
 
 
+def _extremal_generators(A: AffineSemigroup) -> list[Vector]:
+    """E: the componentwise-least generator on each extremal ray of cone(A).
+
+    The minimal face of a cone point is cut out by the facets vanishing at
+    it, and a larger set of them cuts out a smaller face.  A generator lies
+    on an extremal ray exactly when no other generator has a strictly
+    larger set of vanishing facets.  On an extremal ray the minimal face
+    is the ray, and the only smaller face is 0, which holds no generator.
+    Off the extremal rays the minimal face F has dimension >= 2 and is the
+    cone of the generators on it, so some of them lie on an extremal ray
+    of F, which is an extremal ray of the cone, and their sets are
+    strictly larger.
+    Extremal generators with the same set lie on the same ray, as
+    multiples of one primitive vector, so the least of them is the first
+    in sorted order.  The sets are the columns of A._zeros."""
+    cone_geometry(A)
+    zeros = A._zeros.T  # generators x facets
+    # within[j, k]: every facet vanishing at generator j vanishes at k
+    within = ~(zeros[:, None, :] & ~zeros[None, :, :]).any(axis=2)
+    extremal = ~(within & ~within.T).any(axis=1)
+    least: dict[tuple, Vector] = {}
+    for g, z, ext in zip(A.generators, zeros.tolist(), extremal.tolist()):
+        if ext:
+            least.setdefault(tuple(z), g)
+    return sorted(least.values())
+
+
 def _saturation_points(A: AffineSemigroup) -> np.ndarray:
     """Indicator array, over the box that provably holds the Hilbert basis
-    (module docstring), of the nonzero points of group(A) ∩ cone(A).
+    (module docstring), of the nonzero points of group(A) ∩ cone(A).  The
+    box's i-th side is the sum of the r largest i-th coordinates over the
+    extremal generators E (_extremal_generators).
 
     A box point v is kept when every facet product is >= 0, every span
     equation vanishes, and (U_i mod d_i) . v = 0 mod d_i for each i < r
@@ -480,7 +519,8 @@ def _saturation_points(A: AffineSemigroup) -> np.ndarray:
     product could pass int64, is refused before allocation."""
     nf = A.lattice_nf()
     r = nf.rank
-    bounds = [sum(sorted((g[i] for g in A.generators), reverse=True)[:r]) for i in range(A.n)]
+    extremal = _extremal_generators(A)
+    bounds = [sum(sorted((e[i] for e in extremal), reverse=True)[:r]) for i in range(A.n)]
     volume = prod(b + 1 for b in bounds)
     if volume > BOX_VOLUME_CAP:
         raise CapExceeded(
@@ -573,18 +613,19 @@ def _face_lattice(A: AffineSemigroup, a: Vector):
     containing a, and the SNF of the matrix whose columns are those
     generators (None when there are none); one SNF per vanishing-facet set,
     kept on A."""
-    facets, eqs = cone_geometry(A)
-    vanishing = tuple(w for w in facets if _dot(w, a) == 0)
+    facets, _ = cone_geometry(A)
+    hits = [i for i, w in enumerate(facets) if _dot(w, a) == 0]
+    vanishing = tuple(facets[i] for i in hits)
     face = A._faces.get(vanishing)
     if face is None:
-        face_gens = [
-            g for g in A.generators if all(_dot(w, g) == 0 for w in vanishing)
-        ]
         if not vanishing:  # the face is the whole cone, whose SNF A already holds
-            nf = A.lattice_nf()
+            face = (list(A.generators), A.lattice_nf())
         else:
+            on_face = A._zeros[hits].all(axis=0)
+            face_gens = [g for g, on in zip(A.generators, on_face.tolist()) if on]
             nf = smith_normal_form([[g[i] for g in face_gens] for i in range(A.n)]) if face_gens else None
-        face = A._faces[vanishing] = (face_gens, nf)
+            face = (face_gens, nf)
+        A._faces[vanishing] = face
     return (vanishing, *face)
 
 
@@ -593,19 +634,27 @@ def eventual_p_membership(
 ) -> PMembership:
     """Decide whether p^e * a lands in A for some e.
 
+    For n >= 2 membership of a itself comes first, and gives e = 0 with no
+    face SNF.  That cannot hide a "no": a representation of a in A uses
+    only generators on the minimal face containing a, since a facet
+    vanishes on a sum of cone points only where it vanishes on every
+    term, so a lies in the face lattice and its order there is 1.  The
+    zero point is in A, with e = 0, for every n.
+
     Phase 1 is a lattice obstruction: any N-combination representing
     p^e * a can only use generators on the minimal face containing a, so
     the order of a modulo the face lattice must be a power of p; a finite
     order that is not is checked exactly before the "no" is returned.
-    Phase 2 searches exponents up to e_max; for n = 1 it runs until the
-    least exponent, which exists: past the p-power order of a modulo the
-    gcd of the generators, p^e * a is a multiple of it and eventually
-    passes the conductor."""
+    Phase 2 searches exponents up to e_max, from e = 1 for n >= 2; for
+    n = 1 it starts at e = 0, so a "no" there needs no Apery list, and
+    runs until the least exponent, which exists: past the p-power order of
+    a modulo the gcd of the generators, p^e * a is a multiple of it and
+    eventually passes the conductor."""
     check_characteristic(p)
     v = tuple(int(x) for x in a)
     if len(v) != A.n or any(x < 0 for x in v):
         raise ValueError(f"{list(v)} is not a point of N^{A.n}")
-    if v == (0,) * A.n:
+    if not any(v) or A.n > 1 and membership(A, v):
         return PMembership("yes", 0)
     vanishing, face_gens, nf = _face_lattice(A, v)
     order = _torsion_order(nf, v) if nf is not None else None
@@ -624,7 +673,7 @@ def eventual_p_membership(
         while not contains(p**e * v[0]):
             e += 1
         return PMembership("yes", e)
-    for e in range(e_max + 1):
+    for e in range(1, e_max + 1):
         q = p**e
         if membership(A, tuple(q * x for x in v)):
             return PMembership("yes", e)
@@ -771,11 +820,13 @@ def weak_normalization(
     """Minimal generators of *A = {a in saturation : p^e * a in A for some e}.
 
     They lie in the saturation box of the module docstring: write a point
-    a of *A as sum lambda_j * g_j as there; if some lambda_j > 1, then
-    a - g_j has the same minimal face as a and the same class modulo that
-    face's lattice, which is all that membership in *A depends on, so a
-    splits as g_j + (a - g_j).  The generators are exact when
-    `undetermined` is empty.  A numerical semigroup contains every large
+    a of *A as sum lambda_j * e_j over linearly independent extremal
+    generators e_j as there; if some lambda_j > 1, then a - e_j has the
+    same positive coefficients, so the same minimal face as a, and since
+    e_j lies in A on that face, the same class modulo that face's lattice,
+    which is all that membership in *A depends on, so a splits as
+    e_j + (a - e_j).  So a minimal generator has every lambda_j <= 1.
+    The generators are exact when `undetermined` is empty.  A numerical semigroup contains every large
     enough multiple of its gcd, so for n = 1, *A is the whole saturation."""
     if A.n == 1:
         check_characteristic(p)

@@ -2,7 +2,8 @@ import itertools
 import random
 import time
 from dataclasses import replace
-from math import gcd, prod
+from fractions import Fraction
+from math import gcd, inf, prod
 
 import numpy as np
 import pytest
@@ -390,6 +391,8 @@ def test_cofactor_facets_match_the_kernel_sweep():
         else:
             full += 1
             assert facets == expected, A
+        zeros = [[semigroup._dot(w, g) == 0 for g in A.generators] for w in facets]
+        assert A._zeros.tolist() == zeros, A
     assert full >= 150 and deficient >= 50
 
 
@@ -560,17 +563,26 @@ def test_box_mask_and_minimal_points_match_the_point_loop():
 
 
 def test_long_thin_cone_hilbert_basis():
-    # a 442 x 442 box holding 194921 saturation points, of which only the
-    # 441 points (1, j) are minimal
+    # the cone between the rays of (1,0) and (1,440) holds the 441 minimal
+    # points (1, j); the generator (440,1) inside it does not widen the box
     A = AffineSemigroup([(440, 1), (1, 440), (1, 0)])
     assert saturation_hilbert_basis(A) == tuple((1, j) for j in range(441))
-    assert int(A._sat_points.sum()) == 194921
+    assert A._sat_points.shape == (3, 441)
+    # long extremal generators: a 442 x 442 box holding 194479 saturation
+    # points, of which only the 879 points (1, j) and (j, 1) are minimal
+    B = AffineSemigroup([(1, 1), (2, 1), (1, 440), (440, 1)])
+    assert semigroup._extremal_generators(B) == [(1, 440), (440, 1)]
+    basis = {(1, j) for j in range(1, 441)} | {(j, 1) for j in range(1, 441)}
+    assert saturation_hilbert_basis(B) == tuple(sorted(basis))
+    assert B._sat_points.shape == (442, 442) and int(B._sat_points.sum()) == 194479
 
 
 def test_saturation_box_refuses_products_past_int64(monkeypatch):
-    # the box of <(1,0), (1,2)> is [0,2]^2 and its lattice is y even; forged
-    # facets put the largest product at 2^63 - 2, then at 2^63
-    A = AffineSemigroup([(1, 0), (1, 2)])
+    # the extremal generators of <(1,0), (1,2), (5,2)> are (1,0) and (1,2),
+    # so the box is [0,2]^2 while (5,2) alone would pass it; the lattice is
+    # y even.  Forged facets put the largest product at 2^63 - 2, then at 2^63
+    A = AffineSemigroup([(1, 0), (1, 2), (5, 2)])
+    cone_geometry(A)  # the zero patterns the extremal generators are read from
     monkeypatch.setattr(semigroup, "cone_geometry", lambda A: ([(2**62 - 2, -1)], []))
     mask = semigroup._saturation_points(A)
     assert {tuple(v) for v in np.argwhere(mask).tolist()} == {(1, 0), (2, 0), (1, 2), (2, 2)}
@@ -578,6 +590,53 @@ def test_saturation_box_refuses_products_past_int64(monkeypatch):
     monkeypatch.setattr(semigroup.np, "indices", lambda shape: pytest.fail("box allocated"))
     with pytest.raises(CapExceeded, match="int64"):
         semigroup._saturation_points(A)
+
+
+def _angle_extremes(gens):
+    """For n = 2: the least generator on each of the rays of least and
+    largest slope y / x."""
+    def slope(g):
+        return Fraction(g[1], g[0]) if g[0] else inf
+    slopes = [slope(g) for g in gens]
+    return sorted({min(g for g in gens if slope(g) == s) for s in (min(slopes), max(slopes))})
+
+
+def test_extremal_box_matches_the_all_generator_box():
+    # the Hilbert basis from the box over the extremal generators E against
+    # the minimal saturation points of the box over every generator; some
+    # cases put several generators on one extremal ray, some a generator
+    # inside the cone that passes the E-bound in a coordinate
+    rng = random.Random(29)
+    cases = shared_ray = sticks_out = 0
+    while cases < 210:
+        n = (2, 3, 4)[cases % 3]
+        top = {2: 4, 3: 2, 4: 1}[n]
+        gens = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(n, n + 1))]
+        gens = [g for g in gens if any(g)]
+        if not gens:
+            continue
+        if rng.random() < 0.4:
+            g = rng.choice(gens)
+            gens.append(tuple(rng.randint(2, 3) * x for x in g))
+        if rng.random() < 0.6:
+            terms = [rng.choice(gens) for _ in range(rng.randint(2, 4))]
+            gens.append(tuple(map(sum, zip(*terms))))
+        if prod(b + 1 for b in _proven_bounds(gens)) > 6000:
+            continue
+        A = AffineSemigroup(gens)
+        cases += 1
+        extremal = semigroup._extremal_generators(A)
+        if n == 2:
+            assert extremal == _angle_extremes(A.generators), A
+        expected = _box_minimal(_box_saturation(A, _proven_bounds(A.generators)))
+        assert set(saturation_hilbert_basis(A)) == expected, A
+        rays = {tuple(x // gcd(*e) for x in e) for e in extremal}
+        on_rays = [g for g in A.generators if tuple(x // gcd(*g) for x in g) in rays]
+        shared_ray += len(on_rays) > len(extremal)
+        bounds = A._sat_points.shape
+        inside = [g for g in A.generators if g not in on_rays]
+        sticks_out += any(g[i] >= bounds[i] for g in inside for i in range(n))
+    assert shared_ray >= 50 and sticks_out >= 50, (shared_ray, sticks_out)
 
 
 def test_weak_normalization_matches_a_box_twice_the_bound():
@@ -663,6 +722,58 @@ def test_one_snf_per_vanishing_facet_set(monkeypatch):
     calls.clear()
     assert pure_insep_index(A, 3).verdict == "f-nilpotent"
     assert calls == []
+
+
+def test_elements_of_a_make_no_face_snf(monkeypatch):
+    # Hilbert basis elements that are generators of A, on faces of every
+    # dimension, answer e = 0 by membership before any face lattice
+    A = AffineSemigroup([(4, 0, 0), (6, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)])
+    basis = saturation_hilbert_basis(A)
+    calls = []
+    snf = semigroup.smith_normal_form
+    monkeypatch.setattr(semigroup, "smith_normal_form", lambda M: calls.append(M) or snf(M))
+    in_a = [h for h in basis if h in A.generators]
+    assert len(in_a) == 5
+    for h in in_a:
+        for p in (2, 3):
+            assert eventual_p_membership(A, h, p) == semigroup.PMembership("yes", 0)
+    assert calls == [] and A._faces == {}
+
+
+def _face_lattice_first(A, v, p, e_max):
+    """(status, e) of eventual p-power membership with the face lattice
+    asked first: the order of v modulo the lattice of the generators on
+    its minimal face from maximal minors, then exponents from e = 0."""
+    if not any(v):
+        return "yes", 0
+    facets = cone_geometry(A)[0]
+    vanishing = [w for w in facets if semigroup._dot(w, v) == 0]
+    face = [g for g in A.generators if all(semigroup._dot(w, g) == 0 for w in vanishing)]
+    order = _lattice_oracle(face, *_minor_rank(face), v) if face else None
+    while order is not None and order % p == 0:
+        order //= p
+    if order != 1:
+        return "no", None
+    for e in range(e_max + 1):
+        if membership(A, tuple(p**e * x for x in v)):
+            return "yes", e
+    return "undetermined", e_max
+
+
+def test_per_element_matches_the_face_lattice_first_order():
+    vertex_pinched = AffineSemigroup([(12, 0), (16, 0), (3, 1), (2, 2), (1, 3), (0, 4)])
+    cases = _random_semigroups(13, 30, 3000, {2: 4, 3: 2, 4: 1}) + [PINCHED_VERONESE, vertex_pinched]
+    statuses, verdicts = set(), set()
+    for A in cases:
+        for p in (2, 3):
+            for e_max in (0, 2):
+                rep = pure_insep_index(A, p, e_max)
+                got = {h: (res.status, res.e) for h, res in rep.per_element.items()}
+                assert got == {h: _face_lattice_first(A, h, p, e_max) for h in rep.hilbert_basis}, (A, p, e_max)
+                statuses |= {status for status, _ in got.values()}
+                verdicts.add(rep.verdict)
+    assert statuses == {"yes", "no", "undetermined"}
+    assert verdicts == {"f-nilpotent", "not-f-nilpotent", "undetermined"}
 
 
 def test_forged_torsion_order_not_in_the_lattice(monkeypatch):
