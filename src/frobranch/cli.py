@@ -1,29 +1,42 @@
 """Command line front end.
 
-Subcommands: branches, hypersurface, fnilpotent, fte, tight-member.
-Reports come out as readable text or canonical JSON (sorted keys, schema
-version "1"); identical requests produce byte-identical reports.
+    frobranch MODE (--flag VALUE | --flag=VALUE)...
+    frobranch --config FILE
 
-`--config FILE` reads the request as CLI tokens from a file; it must be
-the only argument, and the file may not name another `--config`.
-Numeric options must satisfy --ext-s >= 1, --s-max >= 1 and --e-max >= 0,
+MODE is one of branches, hypersurface, fnilpotent, fte, tight-member;
+`frobranch --help` lists them and `frobranch MODE --help` the flags of
+one.  One table (_MODES) gives each mode's flags with their types,
+defaults, least values and help, and drives parsing, validation and
+--help alike.  Flags are spelled in full; each is given at most once,
+except --rel, which repeats.  A separate VALUE that begins with "-" must
+be "-", a negative number or hold a space; write any other as
+--flag=VALUE.
+Numeric flags must satisfy --ext-s >= 1, --s-max >= 1 and --e-max >= 0,
 and the --vars names must be distinct identifiers.
 
-Exit codes: 0 success, 1 input error, 2 mathematical inconsistency (the
-closure formula disagreeing with an oracle, or a certificate failing its
-own check) or a ring proven not reduced, whose counts are multiplicities;
-a report that exits 2 names its reason on stderr.
+`--config FILE` reads the request as CLI tokens from a file of at most
+CONFIG_CAP characters; it must be the only argument, and the file may not
+name another `--config`.
+
+Reports come out as readable text or canonical JSON (sorted keys, schema
+version "1", the bytes of json.dumps(payload, sort_keys=True, indent=2));
+identical requests produce byte-identical reports.
+
+Exit codes: 0 success (and --help), 1 input error, 2 mathematical
+inconsistency (the closure formula disagreeing with an oracle, or a
+certificate failing its own check) or a ring proven not reduced, whose
+counts are multiplicities; a report that exits 2 names its reason on
+stderr.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
+import re
 import shlex
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
-from functools import cache
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CertificateFailed, FrobranchError
 from .ffield import PrimeField, check_characteristic, extend_field
@@ -46,11 +59,6 @@ EXIT_INCONSISTENT = 2
 
 class _CliInputError(FrobranchError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _CliInputError(message)
 
 
 @dataclass(frozen=True)
@@ -107,95 +115,180 @@ class AnalysisReport:
         }
 
 
-@cache
-def _parser() -> _Parser:
-    """The argument parser, built on first use and reused by every request."""
-    parser = _Parser(prog="frobranch", description=__doc__)
-    parser.add_argument("--config", help="read the request as CLI tokens from a file")
-    sub = parser.add_subparsers(dest="mode")
+class _Option(NamedTuple):
+    field: str  # the AnalysisRequest field the flag sets
+    kind: object  # int, str, a tuple of the allowed values, or list: a repeatable str
+    help: str
+    required: bool = False
+    least: Optional[int] = None  # the least valid value of an int flag
+    default: Optional[str] = None  # None keeps AnalysisRequest's default
 
-    def common(sp, semigroup=False):
-        sp.add_argument("--p", type=int, required=True, help="prime characteristic")
-        sp.add_argument("--ext-s", type=int, default=1, help="scalar extension degree of the base field")
-        sp.add_argument("--e-max", type=int, default=DEFAULT_E_MAX)
-        sp.add_argument("--s-max", type=int, default=DEFAULT_S_MAX)
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--seed", type=int, default=None, help="echoed into the report for sampling harnesses")
-        if semigroup:
-            sp.add_argument("--gens", required=True, help="semigroup generators, e.g. '3: 2,0,0; 1,1,0' or '2,3'")
 
-    sp = sub.add_parser("branches", help="branch count of a graded quotient ring")
-    common(sp)
-    sp.add_argument("--vars", required=True, help="comma-separated variable names")
-    sp.add_argument("--rel", action="append", default=[], help="homogeneous relation (repeatable)")
+_COMMON = {
+    "--p": _Option("p", int, "prime characteristic", required=True),
+    "--ext-s": _Option("ext_s", int, "scalar extension degree of the base field (default 1)", least=1),
+    "--e-max": _Option("e_max", int, f"exponent cap for semigroups of dimension >= 2 (default {DEFAULT_E_MAX})", least=0),
+    "--s-max": _Option("s_max", int, f"scalar extension cap of the reduction search (default {DEFAULT_S_MAX})", least=1),
+    "--format": _Option("output_format", ("text", "json"), "report format (default text)"),
+    "--seed": _Option("seed", int, "echoed into the report for sampling harnesses"),
+}
+_GENS = {"--gens": _Option("gens", str, "semigroup generators, e.g. '3: 2,0,0; 1,1,0' or '2,3'", required=True)}
 
-    sp = sub.add_parser("hypersurface", help="oracle branch count of a plane curve")
-    common(sp)
-    sp.add_argument("--vars", default="x,y", help="the two variable names")
-    sp.add_argument("--rel", action="append", default=[], help="the squarefree form")
+# mode -> (what it answers, the flags it takes); parsing, validation and
+# --help all read this table
+_MODES = {
+    "branches": ("branch count of a graded quotient ring", {
+        **_COMMON,
+        "--vars": _Option("var_names", str, "comma-separated variable names", required=True),
+        "--rel": _Option("relations", list, "homogeneous relation"),
+    }),
+    "hypersurface": ("oracle branch count of a plane curve", {
+        **_COMMON,
+        "--vars": _Option("var_names", str, "the two variable names (default x,y)", default="x,y"),
+        "--rel": _Option("relations", list, "the squarefree form"),
+    }),
+    "fnilpotent": ("F-nilpotence of an affine semigroup ring", {**_COMMON, **_GENS}),
+    "fte": ("Frobenius test exponent of a monomial ideal (numerical semigroup)", {
+        **_COMMON, **_GENS,
+        "--ideal": _Option("ideal", str, "ideal generators, comma-separated integers", required=True),
+    }),
+    "tight-member": ("tight closure membership of a monomial", {
+        **_COMMON, **_GENS,
+        "--ideal": _Option("ideal", str, "ideal generator vectors, ';' separated", required=True),
+        "--element": _Option("element", str, "the candidate exponent vector", required=True),
+    }),
+}
 
-    sp = sub.add_parser("fnilpotent", help="F-nilpotence of an affine semigroup ring")
-    common(sp, semigroup=True)
+_HELP_FLAGS = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+CONFIG_CAP = 1 << 16  # characters of a --config file
 
-    sp = sub.add_parser("fte", help="Frobenius test exponent of a monomial ideal (numerical semigroup)")
-    common(sp, semigroup=True)
-    sp.add_argument("--ideal", required=True, help="ideal generators, comma-separated integers")
 
-    sp = sub.add_parser("tight-member", help="tight closure membership of a monomial")
-    common(sp, semigroup=True)
-    sp.add_argument("--ideal", required=True, help="ideal generator vectors, ';' separated")
-    sp.add_argument("--element", required=True, help="the candidate exponent vector")
-    return parser
+def _help(mode: Optional[str] = None) -> str:
+    if mode is None:
+        lines = [
+            "usage: frobranch MODE (--flag VALUE | --flag=VALUE)...",
+            "       frobranch --config FILE",
+            "",
+            "modes:",
+            *(f"  {name:<14}{about}" for name, (about, _) in _MODES.items()),
+            "",
+            "`frobranch MODE --help` lists the flags of a mode.",
+        ]
+    else:
+        about, options = _MODES[mode]
+        lines = [f"usage: frobranch {mode} (--flag VALUE | --flag=VALUE)...", "", about, "", "flags:"]
+        for flag, option in options.items():
+            value = "|".join(option.kind) if isinstance(option.kind, tuple) else "INT" if option.kind is int else "TEXT"
+            notes = (("required", option.required), (f">= {option.least}", option.least is not None),
+                     ("repeatable", option.kind is list))
+            notes = ", ".join(note for note, applies in notes if applies)
+            usage = f"{flag} {value}"
+            lines.append(f"  {usage:<20}{option.help}" + (f" [{notes}]" if notes else ""))
+    return "\n".join(lines) + "\n"
+
+
+class _HelpRequested(Exception):
+    """-h or --help: main prints the help text and exits 0."""
+
+
+def _value_at(tokens: list[str], i: int, flag: str) -> str:
+    """The value of `flag` given as the separate token tokens[i].
+
+    A token that looks like a flag is not a value, so a missing value is
+    refused rather than the next flag taken for it; "-", a negative number
+    and a token with a space are values.  Any other value that begins with
+    "-" is written --flag=VALUE.
+    """
+    if i < len(tokens):
+        token = tokens[i]
+        if token[:1] != "-" or len(token) == 1 or " " in token or _NEGATIVE_NUMBER.fullmatch(token):
+            return token
+    raise _CliInputError(f"{flag} needs a value")
 
 
 def _read_config(path: str) -> list[str]:
     try:
         with open(path) as fh:
-            return shlex.split(fh.read(), comments=True)
+            text = fh.read(CONFIG_CAP + 1)  # a longer file is refused unread
+        if len(text) <= CONFIG_CAP:
+            return shlex.split(text, comments=True)
     except (OSError, ValueError) as exc:
         raise _CliInputError(f"cannot read --config file: {exc}") from None
+    raise _CliInputError(f"--config file is longer than the cap of {CONFIG_CAP} characters")
 
 
-# (flag, namespace attribute, least valid value)
-_LEAST = (("--ext-s", "ext_s", 1), ("--e-max", "e_max", 0), ("--s-max", "s_max", 1))
+def _parse_mode(mode: str, tokens: list[str]) -> AnalysisRequest:
+    options = _MODES[mode][1]
+    values: dict = {}
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        if token in _HELP_FLAGS:
+            raise _HelpRequested(_help(mode))
+        flag, eq, value = token.partition("=")
+        option = options.get(flag)
+        if option is None:
+            raise _CliInputError(f"{mode} does not take {token!r}")
+        if not eq:
+            i += 1
+            value = _value_at(tokens, i, flag)
+        i += 1
+        if option.kind is list:
+            values.setdefault(option.field, []).append(value)
+            continue
+        if option.field in values:
+            raise _CliInputError(f"{flag} is given twice")
+        if option.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _CliInputError(f"{flag} needs an integer, got {value!r}") from None
+            if option.least is not None and value < option.least:
+                raise _CliInputError(f"{flag} must be >= {option.least}, got {value}")
+        elif option.kind is not str and value not in option.kind:
+            raise _CliInputError(f"{flag} must be one of {', '.join(option.kind)}, got {value!r}")
+        values[option.field] = value
+    missing = [flag for flag, option in options.items() if option.required and option.field not in values]
+    if missing:
+        raise _CliInputError(f"{mode} needs {', '.join(missing)}")
+    check_characteristic(values["p"])
+    for option in options.values():
+        if option.default is not None:
+            values.setdefault(option.field, option.default)
+    if "relations" in values:
+        values["relations"] = tuple(values["relations"])
+    vars_text = values.pop("var_names", None)
+    if vars_text:
+        var_names = tuple(v.strip() for v in vars_text.split(","))
+        if any(not v.isidentifier() for v in var_names):
+            raise _CliInputError(f"invalid variable list {vars_text!r}")
+        repeated = next((v for i, v in enumerate(var_names) if v in var_names[:i]), None)
+        if repeated is not None:
+            raise _CliInputError(f"variable {repeated!r} is repeated in --vars {vars_text!r}")
+        values["var_names"] = var_names
+    return AnalysisRequest(mode=mode, **values)
 
 
 def parse_request(argv: Sequence[str]) -> AnalysisRequest:
-    ns = _parser().parse_args(list(argv))
-    if ns.config is not None:
-        if ns.mode is not None:
+    tokens = list(argv)
+    flag, eq, path = tokens[0].partition("=") if tokens else ("", "", "")
+    if flag == "--config":
+        if not eq:
+            path = _value_at(tokens, 1, flag)
+        if len(tokens) > (1 if eq else 2):
             raise _CliInputError("--config must be the only argument")
-        ns = _parser().parse_args(_read_config(ns.config))
-        if ns.config is not None:
+        tokens = _read_config(path)
+        if tokens and tokens[0].partition("=")[0] == "--config":
             raise _CliInputError("a --config file cannot name another --config")
-    if ns.mode is None:
-        raise _CliInputError("a subcommand is required (branches, hypersurface, fnilpotent, fte, tight-member)")
-    check_characteristic(ns.p)
-    for flag, attr, least in _LEAST:
-        if getattr(ns, attr) < least:
-            raise _CliInputError(f"{flag} must be >= {least}, got {getattr(ns, attr)}")
-    var_names: tuple[str, ...] = ()
-    if getattr(ns, "vars", None):
-        var_names = tuple(v.strip() for v in ns.vars.split(","))
-        if any(not v.isidentifier() for v in var_names):
-            raise _CliInputError(f"invalid variable list {ns.vars!r}")
-        repeated = next((v for i, v in enumerate(var_names) if v in var_names[:i]), None)
-        if repeated is not None:
-            raise _CliInputError(f"variable {repeated!r} is repeated in --vars {ns.vars!r}")
-    return AnalysisRequest(
-        mode=ns.mode,
-        p=ns.p,
-        ext_s=ns.ext_s,
-        var_names=var_names,
-        relations=tuple(getattr(ns, "rel", ()) or ()),
-        gens=getattr(ns, "gens", None),
-        ideal=getattr(ns, "ideal", None),
-        element=getattr(ns, "element", None),
-        e_max=ns.e_max,
-        s_max=ns.s_max,
-        output_format=ns.format,
-        seed=ns.seed,
-    )
+    modes = ", ".join(_MODES)
+    if not tokens:
+        raise _CliInputError(f"a subcommand is required ({modes})")
+    if tokens[0] in _HELP_FLAGS:
+        raise _HelpRequested(_help())
+    if tokens[0] not in _MODES:
+        raise _CliInputError(f"a subcommand must come first ({modes}), got {tokens[0]!r}")
+    return _parse_mode(tokens[0], tokens[1:])
 
 
 def _make_field(req: AnalysisRequest):
@@ -294,9 +387,55 @@ def run(req: AnalysisRequest) -> AnalysisReport:
     return _DISPATCH[req.mode](req)
 
 
+_int_repr = int.__repr__  # what json.dumps prints for an int, even a subclass
+
+
+def _json(value, pad: str) -> str:
+    """The bytes of json.dumps(value, sort_keys=True, indent=2), nested
+    after `pad`.
+
+    json.dumps takes its pure-Python encoder whenever indent is set; this
+    emitter knows the only types a report holds (str keys, no floats) and
+    raises TypeError on any other rather than print different bytes.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            v = value[key]
+            items.append(
+                encode_basestring_ascii(key) + ": "
+                + (encode_basestring_ascii(v) if type(v) is str else _int_repr(v) if type(v) is int else _json(v, inner))
+            )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            encode_basestring_ascii(v) if type(v) is str else _int_repr(v) if type(v) is int else _json(v, inner)
+            for v in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_repr(value)
+    raise TypeError(f"a report cannot hold {type(value).__name__} {value!r}")
+
+
 def render(report: AnalysisReport, output_format: str) -> str:
     if output_format == "json":
-        return json.dumps(report.payload(), sort_keys=True, indent=2) + "\n"
+        return _json(report.payload(), "\n") + "\n"
     lines = []
 
     def emit(prefix, value):
@@ -329,6 +468,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         req = parse_request(sys.argv[1:] if argv is None else argv)
         report = run(req)
+    except _HelpRequested as exc:
+        sys.stdout.write(str(exc))
+        return EXIT_OK
     except (FrobranchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT if isinstance(exc, CertificateFailed) else EXIT_INPUT_ERROR

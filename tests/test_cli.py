@@ -1,9 +1,20 @@
+import argparse
 import json
+import os
+import shlex
+import subprocess
+import sys
 import time
+from functools import cache
+from pathlib import Path
 
 import pytest
 
 from frobranch import cli, ffield, graded, oracle, semigroup
+from frobranch.errors import CertificateFailed, FrobranchError
+from frobranch.ffield import check_characteristic
+from frobranch.graded import DEFAULT_S_MAX
+from frobranch.semigroup import DEFAULT_E_MAX
 
 PINCHED = "3: 2,0,0; 1,1,0; 1,0,1; 0,2,0; 0,0,2"
 
@@ -488,20 +499,13 @@ def test_out_of_range_numeric_option_is_input_error(mode, flag, value, least, ca
     assert f"{flag} must be >= {least}, got {value}" in err
 
 
-def test_parser_is_built_once_per_process(monkeypatch):
-    # every subcommand parser is a _Parser too; only the top-level one
-    # (prog "frobranch") stands for a whole argument tree
-    built = []
-    init = cli._Parser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    for _ in range(200):
-        cli.parse_request(["branches", "--p", "3", "--vars", "x,y", "--rel", "x^2+y^2"])
-    assert built.count("frobranch") <= 1
+def test_cli_does_not_import_argparse():
+    # requests are parsed from the _MODES table, so no CLI process pays
+    # for importing argparse or building its parser
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys, frobranch.cli; sys.exit('argparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0
 
 
 def test_reused_parser_keeps_no_state_between_requests():
@@ -599,3 +603,300 @@ def test_malformed_requests_are_refused(args, message, capsys):
     code, out, err = run_cli([args[0], "--p", "3"] + args[1:], capsys)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+# The argparse parser the CLI used before the _MODES table, kept verbatim
+# as the reference the table parser is compared against.
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise cli._CliInputError(message)
+
+
+@cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and reused by every request."""
+    parser = _Parser(prog="frobranch", description=cli.__doc__)
+    parser.add_argument("--config", help="read the request as CLI tokens from a file")
+    sub = parser.add_subparsers(dest="mode")
+
+    def common(sp, semigroup=False):
+        sp.add_argument("--p", type=int, required=True, help="prime characteristic")
+        sp.add_argument("--ext-s", type=int, default=1, help="scalar extension degree of the base field")
+        sp.add_argument("--e-max", type=int, default=DEFAULT_E_MAX)
+        sp.add_argument("--s-max", type=int, default=DEFAULT_S_MAX)
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+        sp.add_argument("--seed", type=int, default=None, help="echoed into the report for sampling harnesses")
+        if semigroup:
+            sp.add_argument("--gens", required=True, help="semigroup generators, e.g. '3: 2,0,0; 1,1,0' or '2,3'")
+
+    sp = sub.add_parser("branches", help="branch count of a graded quotient ring")
+    common(sp)
+    sp.add_argument("--vars", required=True, help="comma-separated variable names")
+    sp.add_argument("--rel", action="append", default=[], help="homogeneous relation (repeatable)")
+
+    sp = sub.add_parser("hypersurface", help="oracle branch count of a plane curve")
+    common(sp)
+    sp.add_argument("--vars", default="x,y", help="the two variable names")
+    sp.add_argument("--rel", action="append", default=[], help="the squarefree form")
+
+    sp = sub.add_parser("fnilpotent", help="F-nilpotence of an affine semigroup ring")
+    common(sp, semigroup=True)
+
+    sp = sub.add_parser("fte", help="Frobenius test exponent of a monomial ideal (numerical semigroup)")
+    common(sp, semigroup=True)
+    sp.add_argument("--ideal", required=True, help="ideal generators, comma-separated integers")
+
+    sp = sub.add_parser("tight-member", help="tight closure membership of a monomial")
+    common(sp, semigroup=True)
+    sp.add_argument("--ideal", required=True, help="ideal generator vectors, ';' separated")
+    sp.add_argument("--element", required=True, help="the candidate exponent vector")
+    return parser
+
+
+# (flag, namespace attribute, least valid value)
+_LEAST = (("--ext-s", "ext_s", 1), ("--e-max", "e_max", 0), ("--s-max", "s_max", 1))
+
+
+def reference_parse_request(argv):
+    ns = _parser().parse_args(list(argv))
+    if ns.config is not None:
+        if ns.mode is not None:
+            raise cli._CliInputError("--config must be the only argument")
+        ns = _parser().parse_args(cli._read_config(ns.config))
+        if ns.config is not None:
+            raise cli._CliInputError("a --config file cannot name another --config")
+    if ns.mode is None:
+        raise cli._CliInputError("a subcommand is required (branches, hypersurface, fnilpotent, fte, tight-member)")
+    check_characteristic(ns.p)
+    for flag, attr, least in _LEAST:
+        if getattr(ns, attr) < least:
+            raise cli._CliInputError(f"{flag} must be >= {least}, got {getattr(ns, attr)}")
+    var_names = ()
+    if getattr(ns, "vars", None):
+        var_names = tuple(v.strip() for v in ns.vars.split(","))
+        if any(not v.isidentifier() for v in var_names):
+            raise cli._CliInputError(f"invalid variable list {ns.vars!r}")
+        repeated = next((v for i, v in enumerate(var_names) if v in var_names[:i]), None)
+        if repeated is not None:
+            raise cli._CliInputError(f"variable {repeated!r} is repeated in --vars {ns.vars!r}")
+    return cli.AnalysisRequest(
+        mode=ns.mode,
+        p=ns.p,
+        ext_s=ns.ext_s,
+        var_names=var_names,
+        relations=tuple(getattr(ns, "rel", ()) or ()),
+        gens=getattr(ns, "gens", None),
+        ideal=getattr(ns, "ideal", None),
+        element=getattr(ns, "element", None),
+        e_max=ns.e_max,
+        s_max=ns.s_max,
+        output_format=ns.format,
+        seed=ns.seed,
+    )
+
+
+def _reference_refuses(argv):
+    # exit 1 from main: an input error, never a failed certificate
+    with pytest.raises((FrobranchError, ValueError)) as refused:
+        reference_parse_request(argv)
+    assert not isinstance(refused.value, CertificateFailed)
+
+
+README_EXAMPLES = [
+    shlex.split(line)[1:]
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("frobranch ")
+]
+
+# every flag of every mode, each pair written "--flag value"
+_FULL_REQUESTS = {
+    "branches": ["--p", "3", "--ext-s", "2", "--e-max", "5", "--s-max", "2", "--format", "json",
+                 "--seed", "7", "--vars", "x, y,z", "--rel", "x*y", "--rel", "y*z", "--rel", "x*z"],
+    "hypersurface": ["--p", "7", "--ext-s", "1", "--e-max", "0", "--s-max", "1", "--format", "text",
+                     "--seed", "0", "--vars", "u,v", "--rel", "u^4+v^4"],
+    "fnilpotent": ["--p", "2", "--ext-s", "3", "--e-max", "12", "--s-max", "3", "--format", "json",
+                   "--seed", "12", "--gens", PINCHED],
+    "fte": ["--p", "5", "--ext-s", "1", "--e-max", "2", "--s-max", "4", "--format", "text",
+            "--seed", "99", "--gens", "2,3", "--ideal", "3,4"],
+    "tight-member": ["--p", "2", "--ext-s", "1", "--e-max", "1", "--s-max", "1", "--format", "json",
+                     "--seed", "-5", "--gens", "2,3", "--ideal", "3", "--element", "4"],
+}
+
+
+def _joined(args):
+    """The same request with every pair written "--flag=value"."""
+    return [f"{flag}={value}" for flag, value in zip(args[::2], args[1::2])]
+
+
+ACCEPTED = (
+    README_EXAMPLES
+    + [[mode] + args for mode, args in _FULL_REQUESTS.items()]
+    + [[mode] + _joined(args) for mode, args in _FULL_REQUESTS.items()]
+    + [[mode, "--p", "3"] + args for mode, args in _MODE_ARGS.items()]
+    + [
+        ["fnilpotent", "--gens", "2,3", "--seed", "-3", "--p", "2"],
+        ["branches", "--p", "3", "--vars", "x,y", "--rel", "x^2", "--rel", "x*y", "--rel=y^2"],
+        ["branches", "--p", "3", "--vars", "x,y"],
+        ["branches", "--p", "3", "--vars", ""],
+        ["hypersurface", "--p", "3", "--rel", "-x^2 + y^2"],
+        ["hypersurface", "--p", "3", "--rel=-x^2+y^2"],
+        ["fte", "--ideal", "3", "--p=2", "--gens=2,3", "--format", "json"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", ACCEPTED)
+def test_table_parser_matches_argparse(argv):
+    assert cli.parse_request(argv) == reference_parse_request(argv)
+
+
+def test_readme_has_the_seven_examples():
+    assert len(README_EXAMPLES) == 7
+
+
+def test_config_file_requests_match_argparse(tmp_path):
+    cfg = tmp_path / "request.cfg"
+    cfg.write_text("# a request\nbranches --p 3 --vars x,y\n  --rel 'x^2 + y^2' --rel=x*y --format json  # two relations\n")
+    for argv in (["--config", str(cfg)], [f"--config={cfg}"]):
+        assert cli.parse_request(argv) == reference_parse_request(argv)
+
+
+def test_negative_value_is_read_as_a_number():
+    argv = ["fnilpotent", "--p", "2", "--gens", "2,3", "--e-max", "-3"]
+    with pytest.raises(FrobranchError) as table:
+        cli.parse_request(argv)
+    with pytest.raises(FrobranchError) as reference:
+        reference_parse_request(argv)
+    assert str(table.value) == str(reference.value) == "--e-max must be >= 0, got -3"
+
+
+MALFORMED = [
+    [],
+    ["frobenius-split", "--p", "2"],
+    ["--p", "2", "fnilpotent", "--gens", "2,3"],
+    ["fte", "--p", "2", "--gens", "2,3", "--ideal", "3", "--bogus", "1"],
+    ["fnilpotent", "--p", "2", "--gens", "2,3", "--box-factor=3"],
+    ["fnilpotent", "--p", "2", "--gens", "2,3", "--degree-cap=64"],
+    ["fnilpotent", "--p", "2", "--gens", "2,3", "--ideal", "3"],
+    ["branches", "--p", "3", "--vars", "x,y", "--gens", "2,3"],
+    ["fnilpotent", "--p", "2", "--gens", "2,3", "--config", "request.cfg"],
+    ["fnilpotent", "--p", "2", "extra", "--gens", "2,3"],
+    ["fnilpotent", "--p", "2", "--gens", "2,3", "-p", "2"],
+    ["fnilpotent", "--gens", "2,3", "--p"],
+    ["fnilpotent", "--p", "--gens", "2,3"],
+    ["branches", "--p", "3", "--vars", "x,y", "--rel", "-x"],
+    ["branches", "--p", "3", "--vars", "--rel", "x"],
+    ["fnilpotent", "--p", "two", "--gens", "2,3"],
+    ["fnilpotent", "--p", "2", "--gens", "2,3", "--seed", "1.5"],
+    ["fnilpotent", "--p=", "--gens", "2,3"],
+    ["fnilpotent", "--p", "2", "--gens", "2,3", "--format", "yaml"],
+    ["fnilpotent", "--p", "2", "--gens", "2,3", "--format=JSON"],
+    ["fnilpotent", "--p", "2"],
+    ["fnilpotent", "--gens", "2,3"],
+    ["branches", "--p", "3", "--rel", "x"],
+    ["fte", "--p", "2", "--gens", "2,3"],
+    ["tight-member", "--p", "2", "--gens", "2,3", "--ideal", "3"],
+    ["--config"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED)
+def test_malformed_argv_is_refused_by_both_parsers(argv, capsys):
+    _reference_refuses(argv)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("after", [["fnilpotent", "--p", "2", "--gens", "2,3"], ["--config", "other.cfg"]])
+def test_tokens_after_config_are_refused_by_both_parsers(after, tmp_path, capsys):
+    cfg = tmp_path / "request.cfg"
+    cfg.write_text("fnilpotent --p 2 --gens 2,3\n")
+    for argv in (["--config", str(cfg)] + after, [f"--config={cfg}"] + after):
+        _reference_refuses(argv)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == "" and "--config must be the only argument" in err
+
+
+@pytest.mark.parametrize("text", ["--config other.cfg\n", "--config=other.cfg\n"])
+def test_nested_config_is_refused_by_both_parsers(text, tmp_path, capsys):
+    cfg = tmp_path / "request.cfg"
+    cfg.write_text(text)
+    _reference_refuses(["--config", str(cfg)])
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    assert code == 1 and out == "" and "cannot name another --config" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # argparse took --form for --format
+    (["fnilpotent", "--p", "2", "--gens", "2,3", "--form", "json"], "fnilpotent does not take '--form'"),
+    # argparse kept the last --p silently
+    (["fnilpotent", "--p", "3", "--gens", "2,3", "--p", "5"], "--p is given twice"),
+])
+def test_abbreviated_and_repeated_flags_are_refused(argv, message, capsys):
+    assert reference_parse_request(argv).mode == "fnilpotent"
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_help_names_every_mode_and_flag(capsys):
+    code, out, err = run_cli(["--help"], capsys)
+    assert code == 0 and err == ""
+    for mode in ("branches", "hypersurface", "fnilpotent", "fte", "tight-member"):
+        assert f"\n  {mode} " in out
+        code, mode_help, _ = run_cli([mode, "-h"], capsys)
+        assert code == 0
+        subparser = _parser()._subparsers._group_actions[0].choices[mode]
+        flags = [a.option_strings[0] for a in subparser._actions if a.option_strings[0] != "-h"]
+        assert [line.split()[0] for line in mode_help.splitlines() if line.startswith("  --")] == flags
+
+
+@pytest.mark.parametrize("extra, refused", [(0, False), (1, True)])
+def test_config_file_is_read_up_to_the_cap(extra, refused, tmp_path, capsys):
+    request = "fnilpotent --p 2 --gens 2,3\n"
+    cfg = tmp_path / "request.cfg"
+    cfg.write_text(request + "#" * (cli.CONFIG_CAP - len(request) + extra))
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    if refused:
+        assert code == 1 and out == "" and str(cli.CONFIG_CAP) in err
+    else:
+        assert code == 0 and "result.verdict: f-nilpotent" in out
+
+
+def test_huge_config_file_is_refused_unread(tmp_path, capsys):
+    # fh.read() without a limit let --config /dev/zero grow until MemoryError
+    cfg = tmp_path / "huge.cfg"
+    with open(cfg, "wb") as fh:
+        fh.truncate(10 * 2**20)
+    start = time.perf_counter()
+    code, out, err = run_cli(["--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: --config file is longer than the cap of {cli.CONFIG_CAP} characters\n"
+    assert time.perf_counter() - start < 2
+
+
+EMITTER_PAYLOADS = [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}},
+    {"name": "café ∂ \U0001d11e \"quoted\" \\ back\nslash\t", "ascii": "x^2+y^2"},
+    {"small": -7, "zero": 0, "large": 2**200, "negative large": -(2**100)},
+    {"yes": True, "no": False, "none": None, "list": [True, False, None, 1, "s"]},
+    {"hilbert_basis": [[0, 0, 2], [0, 1, 1], [2, 0, 0]], "empty rows": [[], [[]]]},
+    {"z": 1, "a": 2, "M": 3, "_": 4, "é": 5, "10": 6, "9": 7},
+    {"tuple": (1, (2, 3), ())},
+    "top-level string",
+    -1,
+    None,
+]
+
+
+@pytest.mark.parametrize("payload", EMITTER_PAYLOADS)
+def test_emitter_writes_the_bytes_of_json_dumps(payload):
+    assert cli._json(payload, "\n") == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("payload", [{1: "a"}, {"a": {None: 1}}, {"x": 1.5}, [1, [2.0]], {"s": {1, 2}}, 0.0])
+def test_emitter_refuses_what_a_report_never_holds(payload):
+    with pytest.raises(TypeError):
+        cli._json(payload, "\n")
