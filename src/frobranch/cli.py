@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 import shlex
 import sys
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Sequence
 
@@ -301,7 +301,7 @@ def _run_branches(req: AnalysisRequest) -> AnalysisReport:
     rels = [parse_homog(text, field, req.var_names) for text in req.relations]
     ring = GradedQuotient(field, len(req.var_names), rels, req.var_names)
     rep = crosscheck(ring, s_max=req.s_max)
-    results = asdict(rep)
+    results = dict(vars(rep))
     reducedness = reducedness_status(ring)
     reason = None
     if reducedness == "not-reduced":

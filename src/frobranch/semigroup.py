@@ -14,11 +14,15 @@ size.  Each face of the cone met by eventual p-power membership at a
 point outside A gets one SNF, kept on the semigroup.
 
 A numerical semigroup (n = 1) is held as its gcd times the Apery list of
-the gcd-reduced generators with respect to the least one: O(1) membership,
-an exact Frobenius number, and memory linear in the least generator, which
-is capped at APERY_CAP.  Its saturation is gcd * N, so it needs no box
-enumeration, and its pure inseparability index e0 is found exactly, with
-no exponent cap.
+the gcd-reduced generators with respect to the least one, one array built
+by a prefix-min scan per generator: O(1) membership, an exact Frobenius
+number, and memory linear in the least generator, which is capped at
+APERY_CAP.  Its saturation is gcd * N, so it needs no box enumeration, and
+its pure inseparability index e0 is found exactly, with no exponent cap
+and no SNF: a multiple of the gcd has order 1 modulo gcd * Z.  Its Fte
+is a max over a window of integers, taken in fixed-size chunks of array
+passes, one exponent per pass (fte_bruteforce).  Entries that could pass
+int64 are held as Python ints (dtype=object), as in cone_geometry.
 
 For n >= 2 the Hilbert basis of the saturation group(A) ∩ cone(A) is the
 set of minimal saturation points in a box that provably holds it
@@ -56,7 +60,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial, gcd, inf, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,7 +74,8 @@ DIMENSION_CAP = 4
 DEFAULT_E_MAX = 12
 APERY_CAP = 100_000  # least gcd-reduced numerical generator = Apery list length
 BOX_VOLUME_CAP = 200_000  # saturation box points, at most about 1.1 us each
-FTE_WINDOW_CAP = 1_000_000  # integers of the Fte window, about 4 us each
+FTE_WINDOW_CAP = 50_000_000  # Fte window integers, 10-20 ns each for 1-3 ideal generators; 10^8 took 2.1-2.3 s
+FTE_CHUNK = 1 << 14  # window integers per array pass: 128 KB int64 arrays
 
 
 # -- integer matrices --------------------------------------------------------
@@ -303,35 +308,51 @@ class _NumericalData:
     integer outside S."""
 
     step: int            # gcd of the generators
-    apery: list[int]
+    apery: np.ndarray    # int64, or Python ints when an entry passes int64
 
     def contains(self, a: int) -> bool:
         if a < 0 or a % self.step:
             return False
         a //= self.step
-        return a >= self.apery[a % len(self.apery)]
+        return a >= int(self.apery[a % len(self.apery)])
 
 
-def _apery_list(gens: Sequence[int]) -> list[int]:
+def _apery_list(gens: Sequence[int]) -> np.ndarray:
     """Apery list of the semigroup generated by the ascending, gcd-1 gens
-    with respect to gens[0], by the round-robin algorithm of Boecker and
-    Liptak (Algorithmica 48, 2007): O(m * k) time and O(m) memory for
-    m = gens[0] and k generators."""
-    m = gens[0]
-    apery = [0] + [inf] * (m - 1)
+    with respect to m = gens[0], by the round-robin algorithm of Boecker
+    and Liptak (Algorithmica 48, 2007) with each round one array pass:
+    O(m * k) time and O(m) memory for k generators.
+
+    Adding a generator g splits the residues mod m into d = gcd(m, g)
+    classes, each one cycle q_i = q_0 + i * g (mod m), i < m / d, from the
+    residue q_0 of its least known element.  The round sets
+    new[q_0] = old[q_0] and new[q_i] = min(old[q_i], new[q_(i-1)] + g), so
+    by induction new[q_i] = min over j <= i of old[q_j] + (i - j) * g,
+    which is i * g + min over j <= i of (old[q_j] - j * g): one
+    np.minimum.accumulate along the rows of the d x (m / d) array of the
+    cycles.
+
+    Unknown entries hold m * max(gens), above every entry: an Apery
+    element is a sum of at most m - 1 generators, since among m partial
+    sums of a longer sum two agree mod m, and dropping the terms between
+    them leaves a smaller element of the same class.  A class with no
+    known element stays at that value, as min over j <= i of
+    (m * max(gens) - j * g) + i * g is m * max(gens).  Every value of the
+    pass lies within m * max(gens) of 0, so below 2^63 the list is int64
+    and past it Python ints; a list whose entries all fit is returned as
+    int64."""
+    m, top = gens[0], max(gens)
+    dtype = np.int64 if m * top < 2**63 else object
+    apery = np.full(m, m * top, dtype=dtype)
+    apery[0] = 0
     for g in gens[1:]:
         d = gcd(m, g)
-        for r in range(d):
-            # one round through the residue class r mod d, starting at its
-            # least known element; adding g cycles through the whole class
-            n = min(apery[r::d])
-            if n == inf:
-                continue
-            for _ in range(m // d - 1):
-                n += g
-                q = n % m
-                n = min(n, apery[q])
-                apery[q] = n
+        start = np.arange(d) + d * apery.reshape(m // d, d).argmin(axis=0)
+        cycles = (start[:, None] + np.arange(m // d) * (g % m)) % m
+        shift = np.arange(m // d, dtype=dtype) * g
+        apery[cycles] = np.minimum.accumulate(apery[cycles] - shift, axis=1) + shift
+    if dtype is object and apery.max() < 2**63:
+        apery = apery.astype(np.int64)
     return apery
 
 
@@ -355,7 +376,7 @@ def frobenius_number(A: AffineSemigroup) -> int:
     data = _numerical_data(A)
     if data.step != 1:
         raise ValueError("generators must have gcd 1")
-    return max(data.apery) - len(data.apery)
+    return int(data.apery.max()) - len(data.apery)
 
 
 def membership(A: AffineSemigroup, a: Sequence[int]) -> bool:
@@ -644,7 +665,10 @@ def eventual_p_membership(
     Phase 1 is a lattice obstruction: any N-combination representing
     p^e * a can only use generators on the minimal face containing a, so
     the order of a modulo the face lattice must be a power of p; a finite
-    order that is not is checked exactly before the "no" is returned.
+    order that is not is checked exactly before the "no" is returned.  A
+    point of a numerical semigroup that is a multiple of the gcd of the
+    generators has order 1 modulo their lattice gcd * Z, so it skips
+    phase 1 and takes no SNF; any other point takes it.
     Phase 2 searches exponents up to e_max, from e = 1 for n >= 2; for
     n = 1 it starts at e = 0, so a "no" there needs no Apery list, and
     runs until the least exponent, which exists: past the p-power order of
@@ -656,17 +680,18 @@ def eventual_p_membership(
         raise ValueError(f"{list(v)} is not a point of N^{A.n}")
     if not any(v) or A.n > 1 and membership(A, v):
         return PMembership("yes", 0)
-    vanishing, face_gens, nf = _face_lattice(A, v)
-    order = _torsion_order(nf, v) if nf is not None else None
-    if order is None or _has_prime_factor_besides(order, p):
-        if order is not None:
-            _check_order(nf, v, order)
-        cert = {
-            "vanishing_facets": [list(w) for w in vanishing],
-            "face_generators": [list(g) for g in face_gens],
-            "torsion_order": order,
-        }
-        return PMembership("no", certificate=cert)
+    if A.n > 1 or v[0] % gcd(*(g[0] for g in A.generators)):
+        vanishing, face_gens, nf = _face_lattice(A, v)
+        order = _torsion_order(nf, v) if nf is not None else None
+        if order is None or _has_prime_factor_besides(order, p):
+            if order is not None:
+                _check_order(nf, v, order)
+            cert = {
+                "vanishing_facets": [list(w) for w in vanishing],
+                "face_generators": [list(g) for g in face_gens],
+                "torsion_order": order,
+            }
+            return PMembership("no", certificate=cert)
     if A.n == 1:
         contains = _numerical_data(A).contains
         e = 0
@@ -906,18 +931,34 @@ def fte_bruteforce(
     semigroup ring, by exhaustive search, checked against Fte(I) <= e0.
 
     A semigroup element a lies in I^F when p^e * (a - v) lies in S for a
-    generator v of I and some e; its exponent is the least such e.  The
-    walk covers a in [min(I), max(I) + F + 1] for F the Frobenius number:
-    below min(I) every a - v is negative, so nothing there lies in I^F, and
-    above max(I) + F every a - max(I) lies in S, so a lies in I itself.
-    A window of more than FTE_WINDOW_CAP integers is refused before the
-    walk.
+    generator v of I and some e; its exponent is the least such e, and
+    Fte(I) is the largest exponent.  The search covers a in
+    [min(I), max(I) + F + 1] for F the Frobenius number: below min(I)
+    every a - v is negative, so nothing there lies in I^F, and above
+    max(I) + F every a - max(I) lies in S, so a lies in I itself.  A window
+    of more than FTE_WINDOW_CAP integers is refused before any work.
 
-    Each exponent is searched up to E, the least e with p^E > F, and the
-    search always succeeds there, so the exponents are exact and the
-    check fte > e0 covers every element of the window: for a >= v, the
+    Every exponent is at most E, the least e with p^E > F: for a >= v the
     difference d = a - v is 0, which lies in S at e = 0, or d >= 1, so
-    p^E * d >= p^E > F and p^E * d lies in S."""
+    p^E * d > F and p^E * d lies in S.  So the exponents are exact, and the
+    check fte > e0 covers every element of the window.  Since p * S lies in
+    S, p^e * d in S gives p^(e+1) * d in S: the exponent of a exceeds e
+    exactly when p^e * (a - v) lies outside S for every v, and those a
+    shrink as e grows.  Fte(I) is the least e < E at which no member of
+    the window has that property, or E if there is none.  The window goes in
+    chunks of FTE_CHUNK integers: a chunk's members are tested at e = fte,
+    the largest exponent found so far, one array pass per ideal generator,
+    and the survivors at fte + 1 and so on, so a chunk costs one pass
+    unless it raises fte, and once fte = E the rest of the window cannot
+    raise it.  The attained maximum is checked again by the scalar search
+    at one element that attains it.
+
+    The arrays hold offsets t = a - min(I), not a: a lies in S when
+    floor + t >= apery[a mod m], floor = min(min(I), max(apery)), which
+    holds for every t once min(I) >= max(apery), so ideal elements past
+    int64 keep exact answers.  The Apery list is int64, as its entries are
+    at most F + m, and p^e * (t - (v - min(I))) has size below
+    F * FTE_WINDOW_CAP, as p^e <= F for e < E."""
     if A.n != 1:
         raise ValueError("brute-force Fte is implemented for numerical semigroups only")
     _check_report_p(report, p)
@@ -926,24 +967,42 @@ def fte_bruteforce(
     gens = sorted(int(v[0] if isinstance(v, (tuple, list)) else v) for v in ideal)
     if not gens:
         raise ValueError("ideal must have at least one generator")
-    contains = _numerical_data(A).contains
+    data = _numerical_data(A)
     for v in gens:
-        if not contains(v):
+        if not data.contains(v):
             raise ValueError(f"ideal generator {(v,)} is not in the semigroup")
     frob = frobenius_number(A)
-    top = max(gens) + frob + 1
-    if top - gens[0] + 1 > FTE_WINDOW_CAP:
+    base, top = gens[0], gens[-1] + frob + 1
+    width = top - base + 1
+    if width > FTE_WINDOW_CAP:
         raise CapExceeded(
-            f"Fte window [{gens[0]}, {top}] holds {top - gens[0] + 1} integers, "
+            f"Fte window [{base}, {top}] holds {width} integers, "
             f"above the window cap {FTE_WINDOW_CAP}"
         )
     E = 0
     while p**E <= frob:
         E += 1
-    fte = 0
-    for a in range(gens[0], top + 1):
-        if contains(a):
-            fte = max(fte, frobenius_closure_exponent(A, p, gens, a, E))
+    apery = data.apery
+    m = len(apery)
+    floor = min(base, int(apery.max()))
+    offsets = [v - base for v in gens]
+    fte, where = 0, base
+    for lo in range(0, width, FTE_CHUNK):
+        if fte == E:
+            break
+        t = np.arange(lo, min(lo + FTE_CHUNK, width), dtype=np.int64)
+        t = t[floor + t >= apery[(t + base % m) % m]]
+        while fte < E and len(t):
+            q = p**fte
+            outside = np.ones(len(t), dtype=bool)
+            for o in offsets:
+                d = q * (t - o)
+                outside &= d < apery[d % m]  # a negative d is never in S
+            t = t[outside]
+            if len(t):
+                fte, where = fte + 1, base + int(t[0])
+    if frobenius_closure_exponent(A, p, gens, where, E) != fte:
+        raise CertificateFailed(f"the exponent of {where} is not the computed Fte {fte}")
     if fte > report.e0:
         raise CertificateFailed(
             f"computed Fte {fte} exceeds the pure inseparability bound {report.e0}"

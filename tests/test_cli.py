@@ -134,12 +134,39 @@ def test_saturation_box_below_the_cap_is_answered(capsys):
 
 
 def test_oversized_fte_window_is_refused(capsys):
-    # Frobenius number 3000*3001 - 3000 - 3001: a window of 9000001 integers
+    # Frobenius number 1: the window [2, cap + 2] holds cap + 1 integers
     start = time.perf_counter()
-    code, out, err = run_cli(["fte", "--p", "2", "--gens", "3000,3001", "--ideal", "3000"], capsys)
+    ideal = f"2;{semigroup.FTE_WINDOW_CAP}"
+    code, out, err = run_cli(["fte", "--p", "2", "--gens", "2,3", "--ideal", ideal], capsys)
     assert code == 1 and out == ""
+    assert f"holds {semigroup.FTE_WINDOW_CAP + 1} integers" in err
     assert str(semigroup.FTE_WINDOW_CAP) in err
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fnilpotent", "--p", "2", "--gens", "4,6,9"],
+        ["fnilpotent", "--p", "3", "--gens", "4,6"],
+        ["fte", "--p", "3", "--gens", "5,7", "--ideal", "10;12"],
+        ["tight-member", "--p", "2", "--gens", "2,3", "--ideal", "3", "--element", "4"],
+    ],
+)
+def test_numerical_requests_take_no_snf(args, monkeypatch, capsys):
+    # the gcd of a numerical semigroup stands in for its lattice
+    calls = []
+    snf = semigroup.smith_normal_form
+    monkeypatch.setattr(semigroup, "smith_normal_form", lambda M: calls.append(M) or snf(M))
+    code, _, _ = run_cli(args, capsys)
+    assert code == 0 and calls == []
+
+
+def test_wrong_fte_maximum_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(semigroup, "frobenius_closure_exponent", lambda *args: None)
+    code, out, err = run_cli(["fte", "--p", "2", "--gens", "2,3", "--ideal", "3"], capsys)
+    assert code == 2 and out == ""
+    assert "is not the computed Fte 1" in err
 
 
 def test_two_dimensional_ring_is_refused(capsys):
@@ -750,8 +777,8 @@ def test_table_parser_matches_argparse(argv):
     assert cli.parse_request(argv) == reference_parse_request(argv)
 
 
-def test_readme_has_the_seven_examples():
-    assert len(README_EXAMPLES) == 7
+def test_readme_has_the_eight_examples():
+    assert len(README_EXAMPLES) == 8
 
 
 def test_config_file_requests_match_argparse(tmp_path):

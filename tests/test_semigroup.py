@@ -282,6 +282,45 @@ def test_apery_list_matches_reachability_table():
                 frobenius_number(A)
 
 
+def _apery_round_robin(gens):
+    """The round-robin loop of Boecker and Liptak, one residue at a time:
+    the reference for the prefix-min scan of semigroup._apery_list."""
+    m = gens[0]
+    apery = [0] + [inf] * (m - 1)
+    for g in gens[1:]:
+        d = gcd(m, g)
+        for r in range(d):
+            # one round through the residue class r mod d, starting at its
+            # least known element; adding g cycles through the whole class
+            n = min(apery[r::d])
+            if n == inf:
+                continue
+            for _ in range(m // d - 1):
+                n += g
+                q = n % m
+                n = min(n, apery[q])
+                apery[q] = n
+    return apery
+
+
+def test_apery_scan_matches_the_round_robin_loop():
+    rng = random.Random(2007)
+    cases = [[5, 7, 2**64 + 3], [3, 2**64 + 1], [4, 6, 2**63 - 1, 2**63 + 1], [12, 18, 20, 27]]
+    while len(cases) < 200:
+        m = rng.choice((6, 12, 24, 30, 36, rng.randint(2, 60)))
+        gens = sorted({m, *(rng.randint(m + 1, 4 * m) for _ in range(rng.randint(1, 4)))})
+        if gcd(*gens) != 1:  # the Apery list needs gcd 1
+            gens.append(gens[-1] + 1)
+        cases.append(gens)
+    shared = 0
+    for gens in cases:
+        got = semigroup._apery_list(gens)
+        assert got.tolist() == _apery_round_robin(gens), gens
+        assert (got.dtype == np.int64) == (max(got.tolist()) < 2**63), gens
+        shared += any(gcd(gens[0], g) > 1 for g in gens[1:])
+    assert shared >= 50  # cycles shorter than the least generator
+
+
 def _two_generator_member(a, b, n):
     return any((n - y * b) % a == 0 for y in range(n // b + 1))
 
@@ -740,6 +779,24 @@ def test_elements_of_a_make_no_face_snf(monkeypatch):
     assert calls == [] and A._faces == {}
 
 
+def test_numerical_multiples_of_the_gcd_take_no_snf(monkeypatch):
+    calls = []
+    snf = semigroup.smith_normal_form
+    monkeypatch.setattr(semigroup, "smith_normal_form", lambda M: calls.append(M) or snf(M))
+    A = AffineSemigroup([(4,), (6,)])
+    assert eventual_p_membership(A, (2,), 2) == semigroup.PMembership("yes", 1)
+    assert eventual_p_membership(A, (14,), 7) == semigroup.PMembership("yes", 0)
+    assert eventual_p_membership(A, (2,), 3) == semigroup.PMembership("yes", 1)
+    assert pure_insep_index(A, 5).e0 == 1
+    assert calls == [] and A._lattice_nf is None
+    # 3 has order 2 modulo 2 * Z: its certificate still rests on the SNF
+    no = eventual_p_membership(A, (3,), 3)
+    assert no.status == "no" and no.certificate["torsion_order"] == 2
+    assert verify_no_certificate(A, (3,), 3, no.certificate)
+    assert eventual_p_membership(A, (3,), 2) == semigroup.PMembership("yes", 1)
+    assert len(calls) >= 1
+
+
 def _face_lattice_first(A, v, p, e_max):
     """(status, e) of eventual p-power membership with the face lattice
     asked first: the order of v modulo the lattice of the generators on
@@ -977,6 +1034,48 @@ def test_fte_matches_an_uncapped_search():
         )
         assert fte_bruteforce(A, p, ideal, is_f_nilpotent(A, p)) == expected, (gens, p, ideal)
         checked += 1
+
+
+def _fte_walk(A, p, gens):
+    """Fte by the per-point window walk, with a scalar exponent search at
+    each member of the window: the reference for fte_bruteforce."""
+    contains = semigroup._numerical_data(A).contains
+    frob = frobenius_number(A)
+    top = max(gens) + frob + 1
+    E = 0
+    while p**E <= frob:
+        E += 1
+    fte = 0
+    for a in range(gens[0], top + 1):
+        if contains(a):
+            fte = max(fte, frobenius_closure_exponent(A, p, gens, a, E))
+    return fte
+
+
+@pytest.mark.parametrize("chunk", [7, semigroup.FTE_CHUNK])
+def test_fte_array_passes_match_the_point_walk(chunk, monkeypatch):
+    # chunks of 7 integers split every window; ideals past 2^63 and a
+    # generator past it (the Apery scan on Python ints) keep exact answers
+    monkeypatch.setattr(semigroup, "FTE_CHUNK", chunk)
+    rng = random.Random(4211)
+    checked, big = 0, 0
+    while checked < 200:
+        gens = sorted({rng.randint(2, 30) for _ in range(rng.randint(2, 4))})
+        if len(gens) < 2 or gcd(*gens) != 1:
+            continue
+        if checked % 10 == 3:
+            gens.append(2**64 + 1)
+        A = AffineSemigroup([(g,) for g in gens])
+        p = rng.choice((2, 3, 5, 7))
+        members = [a for a in range(1, 80) if membership(A, (a,))]
+        ideal = sorted(rng.sample(members, rng.randint(1, 3)))
+        if checked % 10 == 7:
+            ideal = [2**64 + v for v in ideal]
+            big += 1
+        rep = is_f_nilpotent(A, p)
+        assert fte_bruteforce(A, p, ideal, rep) == _fte_walk(A, p, ideal), (gens, p, ideal)
+        checked += 1
+    assert big == 20
 
 
 def test_numerical_semigroups_always_f_nilpotent():
