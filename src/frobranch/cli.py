@@ -22,6 +22,14 @@ Reports come out as readable text or canonical JSON (sorted keys, schema
 version "1", the bytes of json.dumps(payload, sort_keys=True, indent=2));
 identical requests produce byte-identical reports.
 
+One process shares one semigroup table across its requests (_SEMIGROUPS):
+a --gens with the canonical generators of a semigroup answered before, at
+any prime, in any mode or spelling, reuses its prime-independent geometry
+(SNFs, facets, Hilbert basis, Apery list, membership memo).  Its report is
+byte-identical to a fresh process's, as the semigroup module docstring
+proves, and the table holds at most semigroup.TABLE_BYTES (8 MiB) as
+charged by semigroup.table_bytes, evicting least recently used first.
+
 Exit codes: 0 success (and --help), 1 input error, 2 mathematical
 inconsistency (the closure formula disagreeing with an oracle, or a
 certificate failing its own check) or a ring proven not reduced, whose
@@ -45,6 +53,7 @@ from .oracle import HypersurfaceCurve, crosscheck, hypersurface_branches
 from .parse import parse_homog, parse_semigroup, parse_vector_list
 from .semigroup import (
     DEFAULT_E_MAX,
+    SemigroupTable,
     fte_bruteforce,
     is_f_nilpotent,
     tight_closure_membership_monomial,
@@ -335,19 +344,22 @@ def _fnilpotency_results(report) -> dict:
     return out
 
 
+_SEMIGROUPS = SemigroupTable()
+
+
 def _run_fnilpotent(req: AnalysisRequest) -> AnalysisReport:
-    A = parse_semigroup(req.gens)
-    report = is_f_nilpotent(A, req.p, req.e_max)
+    with _SEMIGROUPS.shared(parse_semigroup(req.gens)) as A:
+        report = is_f_nilpotent(A, req.p, req.e_max)
     return AnalysisReport(req.echo(), _fnilpotency_results(report))
 
 
 def _run_fte(req: AnalysisRequest) -> AnalysisReport:
-    A = parse_semigroup(req.gens)
-    if A.n != 1:
-        raise _CliInputError("fte requires a numerical semigroup (dimension 1)")
-    ideal = [v[0] for v in parse_vector_list(req.ideal, 1)]
-    report = is_f_nilpotent(A, req.p, req.e_max)
-    fte = fte_bruteforce(A, req.p, ideal, report)
+    with _SEMIGROUPS.shared(parse_semigroup(req.gens)) as A:
+        if A.n != 1:
+            raise _CliInputError("fte requires a numerical semigroup (dimension 1)")
+        ideal = [v[0] for v in parse_vector_list(req.ideal, 1)]
+        report = is_f_nilpotent(A, req.p, req.e_max)
+        fte = fte_bruteforce(A, req.p, ideal, report)
     return AnalysisReport(
         req.echo(),
         {"fte": fte, "e0": report.e0, "verdict": report.verdict, "ideal": ideal},
@@ -355,13 +367,13 @@ def _run_fte(req: AnalysisRequest) -> AnalysisReport:
 
 
 def _run_tight_member(req: AnalysisRequest) -> AnalysisReport:
-    A = parse_semigroup(req.gens)
-    ideal = parse_vector_list(req.ideal, A.n)
-    element = parse_vector_list(req.element, A.n)
-    if len(element) != 1:
-        raise _CliInputError("--element must be a single vector")
-    report = is_f_nilpotent(A, req.p, req.e_max)
-    member = tight_closure_membership_monomial(A, req.p, ideal, element[0], report)
+    with _SEMIGROUPS.shared(parse_semigroup(req.gens)) as A:
+        ideal = parse_vector_list(req.ideal, A.n)
+        element = parse_vector_list(req.element, A.n)
+        if len(element) != 1:
+            raise _CliInputError("--element must be a single vector")
+        report = is_f_nilpotent(A, req.p, req.e_max)
+        member = tight_closure_membership_monomial(A, req.p, ideal, element[0], report)
     return AnalysisReport(
         req.echo(),
         {

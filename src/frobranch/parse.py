@@ -18,43 +18,6 @@ from .graded import HomogPoly
 from .semigroup import AffineSemigroup
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise ParseError(self.pos, f"'{ch}'")
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():  # the digits int() reads
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(start, "a decimal integer")
-        return int(self.text[start : self.pos])
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
 _SPACE = re.compile(r"\s*")
 _STAR = re.compile(r"\s*\*")
 
@@ -156,42 +119,68 @@ def parse_homog(text: str, field: Field, var_names: Sequence[str]) -> HomogPoly:
     return HomogPoly(field, len(var_names), degree, {m: c % field.p for m, c in coeffs.items()})
 
 
+# The generator grammars are decimal integers split by ',' and ';', with
+# whitespace anywhere between tokens.  One fullmatch accepts a well-formed
+# text, whose integers are then read by one findall; any other text is
+# walked token by token (_TOKEN) to the first error, so every error names
+# the position and the expected token the grammar names there.
+_INTEGER_LIST = re.compile(r"\s*\d+(?:\s*[,;]\s*\d+)*\s*")
+_DIGITS = re.compile(r"\d+")
+_TOKEN = re.compile(r"\s*(\d+|.|\Z)", re.S)  # an integer, any other character, or the end ''
+
+
+def _read_integers(tokens, separators: tuple) -> tuple[list[int], re.Match]:
+    """Integers split by one of the separators, read from a _TOKEN
+    iterator: the integers, and the token after the last one."""
+    values = []
+    while True:
+        tok = next(tokens)
+        if not tok[1].isdecimal():
+            raise ParseError(tok.start(1), "a decimal integer")
+        values.append(int(tok[1]))
+        tok = next(tokens)
+        if tok[1] not in separators:
+            return values, tok
+
+
 def parse_vector_list(text: str, n: int, offset: int = 0) -> list[tuple[int, ...]]:
-    """Semicolon-separated vectors, each a comma-list of n integers."""
-    cur = _Cursor(text)
+    """Semicolon-separated vectors, each a comma-list of n integers.  A
+    missing integer is reported at its position in text, any other error
+    at offset plus it."""
+    if _INTEGER_LIST.fullmatch(text) and all(part.count(",") == n - 1 for part in text.split(";")):
+        return list(zip(*[map(int, _DIGITS.findall(text))] * n))
+    tokens = _TOKEN.finditer(text)
     vectors = []
     while True:
-        vec = [cur.integer()]
-        while cur.take(","):
-            vec.append(cur.integer())
+        vec, tok = _read_integers(tokens, (",",))
         if len(vec) != n:
-            raise ParseError(offset + cur.pos, f"a vector of {n} coordinates, got {len(vec)}")
+            raise ParseError(offset + tok.start(1), f"a vector of {n} coordinates, got {len(vec)}")
         vectors.append(tuple(vec))
-        if not cur.take(";"):
+        if tok[1] != ";":
             break
-    if not cur.done():
-        raise ParseError(offset + cur.pos, "';' or end of input")
+    if tok[1]:
+        raise ParseError(offset + tok.start(1), "';' or end of input")
     return vectors
 
 
 def parse_semigroup(text: str) -> AffineSemigroup:
     """Semigroup generators: `n: v1; v2; ...` with comma-separated
     coordinates, or the numerical shorthand `a,b,c` (dimension 1)."""
-    cur = _Cursor(text)
     if ":" in text:
-        n = cur.integer()
+        (n,), colon = _read_integers(_TOKEN.finditer(text), ())
         if n < 1:
             raise ParseError(0, "an ambient dimension >= 1")
-        cur.expect(":")
-        vectors = parse_vector_list(text[cur.pos :], n, offset=cur.pos)
+        if colon[1] != ":":
+            raise ParseError(colon.start(1), "':'")
+        vectors = parse_vector_list(text[colon.end(1) :], n, offset=colon.end(1))
+    elif _INTEGER_LIST.fullmatch(text):
+        vectors = [(v,) for v in map(int, _DIGITS.findall(text))]
     else:
         # numerical shorthand: commas (or semicolons) between single integers
-        vals = [cur.integer()]
-        while cur.take(",") or cur.take(";"):
-            vals.append(cur.integer())
-        if not cur.done():
-            raise ParseError(cur.pos, "',' or end of input")
-        vectors = [(v,) for v in vals]
+        values, tok = _read_integers(_TOKEN.finditer(text), (",", ";"))
+        if tok[1]:
+            raise ParseError(tok.start(1), "',' or end of input")
+        vectors = [(v,) for v in values]
     try:
         return AffineSemigroup(vectors)
     except ValueError as exc:

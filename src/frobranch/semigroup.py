@@ -21,7 +21,8 @@ APERY_CAP.  Its saturation is gcd * N, so it needs no box enumeration, and
 its pure inseparability index e0 is found exactly, with no exponent cap
 and no SNF: a multiple of the gcd has order 1 modulo gcd * Z.  Its Fte
 is a max over a window of integers, taken in fixed-size chunks of array
-passes, one exponent per pass (fte_bruteforce).  Entries that could pass
+passes, one exponent and one minimal ideal generator per pass
+(fte_bruteforce).  Entries that could pass
 int64 are held as Python ints (dtype=object), as in cone_geometry.
 
 For n >= 2 the Hilbert basis of the saturation group(A) ∩ cone(A) is the
@@ -53,11 +54,36 @@ gcd of the r x r minors of the generators, so at most a nonzero r x r
 minor of elements of E, at most r^(r/2) * BOX_VOLUME_CAP by Hadamard on
 its rows.  Only the equations from U, and the normals made with them
 when r < n, have no such bound.
+
+One process may answer many requests on the same semigroup, at different
+primes or with its generators spelled differently; SemigroupTable hands
+each the one AffineSemigroup for its canonical generators (sorted,
+deduplicated, zero dropped), so the geometry is built once.  That is
+sound because every lazily filled field is a function of those generators
+alone, with no p, exponent cap, ideal or element in it: the lattice SNF
+(_lattice_nf) and each face SNF (_faces) are the deterministic
+smith_normal_form of a matrix read off the generators, checked before it
+is stored; the facets, equations and zero patterns (cone_geometry), the
+box indicator and Hilbert basis (saturation_hilbert_basis) and the Apery
+list (_numerical_data) are computed from the generators and those SNFs;
+and a membership memo entry (_member_cache) records whether a point is in
+A, written by _member_dfs only once that is decided.  Each field is
+published only once complete: it is built in locals and assigned in one
+step, the field its readers test assigned last (_facets after _zeros and
+_equations, _hilbert_basis after _sat_points), and a refusal (CapExceeded)
+or a failed check (CertificateFailed) is raised before that step.  So a
+refused or failed request leaves no half-built field, and a request reads
+the values a fresh semigroup would compute: its report is byte-identical
+to one made with an empty table.  The table keeps entries least recently
+used first within TABLE_BYTES, as charged by table_bytes.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
@@ -76,6 +102,9 @@ APERY_CAP = 100_000  # least gcd-reduced numerical generator = Apery list length
 BOX_VOLUME_CAP = 200_000  # saturation box points, at most about 1.1 us each
 FTE_WINDOW_CAP = 50_000_000  # Fte window integers, 10-20 ns each for 1-3 ideal generators; 10^8 took 2.1-2.3 s
 FTE_CHUNK = 1 << 14  # window integers per array pass: 128 KB int64 arrays
+TABLE_BYTES = 8 << 20  # SemigroupTable budget: what one process keeps between requests, by table_bytes
+ENTRY_BYTES = 2048  # charged per kept semigroup: the object, its dicts and its array headers
+SLOT_BYTES = 64  # charged per int a kept semigroup holds outside arrays, with its share of their containers
 
 
 # -- integer matrices --------------------------------------------------------
@@ -369,6 +398,67 @@ def _numerical_data(A: AffineSemigroup) -> _NumericalData:
     return A._numerical
 
 
+def table_bytes(A: AffineSemigroup) -> int:
+    """What SemigroupTable charges for A: ENTRY_BYTES, the bytes of its
+    arrays, and SLOT_BYTES per int held in Python objects.  The ints are
+    the generators, facets, equations and Hilbert basis (n per vector),
+    each SNF U * M * V = D of an n x k matrix M ((n + k)^2 for M, U, V and
+    D), and n + 3 per membership memo entry (its key and dict slot).  An
+    int below 2^180 takes at most 48 bytes and its pointer 8, and the rest
+    of the 64 covers the tuples, lists and dicts around them: for every
+    semigroup of the `semigroups` benchmark workload (seeds 1 and 3) the
+    charge was above the memory tracemalloc saw freed when it was dropped.
+    A Python-int Apery entry is charged at the size of its bound
+    m * max(gens)."""
+    n = A.n
+    slots = (n + 3) * len(A._member_cache) + n * (
+        len(A.generators) + len(A._facets or ()) + len(A._equations or ()) + len(A._hilbert_basis or ())
+    )
+    for nf in (A._lattice_nf, *(nf for _, nf in A._faces.values())):
+        if nf is not None:
+            slots += (len(nf.U) + len(nf.V)) ** 2
+    size = ENTRY_BYTES + SLOT_BYTES * slots
+    for array in (A._zeros, A._sat_points):
+        if array is not None:
+            size += array.nbytes
+    if A._numerical is not None:
+        apery = A._numerical.apery
+        size += apery.nbytes
+        if apery.dtype == object:  # each entry below m * max(gens), in 16-byte blocks
+            size += len(apery) * (sys.getsizeof(len(apery) * A.generators[-1][0]) + 16)
+    return size
+
+
+class SemigroupTable:
+    """One AffineSemigroup per canonical generator tuple, shared by the
+    requests of one process (module docstring), least recently used first
+    and charged by table_bytes within TABLE_BYTES; an entry that alone
+    exceeds TABLE_BYTES is not kept."""
+
+    def __init__(self):
+        self._entries: OrderedDict[tuple[Vector, ...], tuple[AffineSemigroup, int]] = OrderedDict()
+        self.charged = 0
+
+    @contextmanager
+    def shared(self, A: AffineSemigroup):
+        """The kept semigroup with A's generators, or A itself, for the
+        block; charged again and kept after it, whether it returns or
+        raises, since the block only ever fills fields completely."""
+        key = A.generators
+        A, charged = self._entries.pop(key, (A, 0))
+        self.charged -= charged
+        try:
+            yield A
+        finally:
+            size = table_bytes(A)
+            if size <= TABLE_BYTES:
+                self._entries[key] = (A, size)
+                self.charged += size
+            while self.charged > TABLE_BYTES:  # never the entry just kept
+                _, (_, size) = self._entries.popitem(last=False)
+                self.charged -= size
+
+
 def frobenius_number(A: AffineSemigroup) -> int:
     """Largest integer not in a gcd-1 numerical semigroup (-1 for N)."""
     if A.n != 1:
@@ -381,7 +471,8 @@ def frobenius_number(A: AffineSemigroup) -> int:
 
 def membership(A: AffineSemigroup, a: Sequence[int]) -> bool:
     """Is a an N-combination of the generators?  Memoized descent with a
-    lattice/cone pre-filter; n = 1 goes through the Apery list."""
+    lattice/cone pre-filter, which a memo entry, decided by an earlier
+    descent, skips; n = 1 goes through the Apery list."""
     v = tuple(int(x) for x in a)
     if len(v) != A.n:
         raise ValueError("dimension mismatch")
@@ -391,6 +482,9 @@ def membership(A: AffineSemigroup, a: Sequence[int]) -> bool:
         return _numerical_data(A).contains(v[0])
     if v == (0,) * A.n:
         return True
+    known = A._member_cache.get(v)
+    if known is not None:
+        return known
     if not A.in_cone(v) or not A.in_lattice(v):
         return False
     return _member_dfs(A, v)
@@ -471,8 +565,8 @@ def cone_geometry(A: AffineSemigroup) -> tuple[list[Vector], list[Vector]]:
     if n > DIMENSION_CAP:
         raise CapExceeded(f"ambient dimension {n} exceeds cap {DIMENSION_CAP}")
     if n == 1:
-        A._facets, A._equations = [(1,)], []
-        A._zeros = np.zeros((1, len(A.generators)), dtype=bool)
+        A._zeros, A._equations = np.zeros((1, len(A.generators)), dtype=bool), []
+        A._facets = [(1,)]
         return A._facets, A._equations
     gens = A.generators
     lattice = A.lattice_nf()
@@ -495,10 +589,11 @@ def cone_geometry(A: AffineSemigroup) -> tuple[list[Vector], list[Vector]]:
     for c, d, z in zip(C[keep].tolist(), dots[keep].tolist(), (dots[keep] == 0).tolist()):
         g = gcd(*c) if max(d) > 0 else -gcd(*c)
         zeros[tuple(x // g for x in c)] = z
-    A._facets = sorted(zeros)
-    A._zeros = np.array([zeros[w] for w in A._facets], dtype=bool).reshape(len(zeros), len(gens))
+    facets = sorted(zeros)
+    A._zeros = np.array([zeros[w] for w in facets], dtype=bool).reshape(len(zeros), len(gens))
     A._equations = equations
-    return A._facets, equations
+    A._facets = facets
+    return facets, equations
 
 
 def _extremal_generators(A: AffineSemigroup) -> list[Vector]:
@@ -611,9 +706,10 @@ def saturation_hilbert_basis(A: AffineSemigroup) -> tuple[Vector, ...]:
         A._hilbert_basis = ((gcd(*(g[0] for g in A.generators)),),)
         return A._hilbert_basis
     points = _saturation_points(A)
-    A._hilbert_basis = tuple(sorted(_minimal_elements(points)))
+    basis = tuple(sorted(_minimal_elements(points)))
     A._sat_points = points
-    return A._hilbert_basis
+    A._hilbert_basis = basis
+    return basis
 
 
 # -- eventual p-power membership and pure inseparability ----------------------
@@ -629,25 +725,46 @@ class PMembership:
     certificate: Optional[dict] = None
 
 
-def _face_lattice(A: AffineSemigroup, a: Vector):
-    """Facets of cone(A) vanishing at a, the generators on the minimal face
-    containing a, and the SNF of the matrix whose columns are those
-    generators (None when there are none); one SNF per vanishing-facet set,
-    kept on A."""
+def _vanishing_facets(A: AffineSemigroup, a: Vector) -> tuple[Vector, ...]:
+    """Facets of cone(A) vanishing at a: they cut out the minimal face
+    containing a, and key its lattice in A._faces."""
     facets, _ = cone_geometry(A)
-    hits = [i for i, w in enumerate(facets) if _dot(w, a) == 0]
-    vanishing = tuple(facets[i] for i in hits)
+    return tuple(w for w in facets if _dot(w, a) == 0)
+
+
+def _face_lattice(A: AffineSemigroup, vanishing: tuple[Vector, ...]):
+    """The generators on the face cut out by the vanishing facets, and the
+    SNF of the matrix whose columns are those generators (None when there
+    are none); one SNF per vanishing-facet set, kept on A."""
     face = A._faces.get(vanishing)
     if face is None:
         if not vanishing:  # the face is the whole cone, whose SNF A already holds
             face = (list(A.generators), A.lattice_nf())
         else:
-            on_face = A._zeros[hits].all(axis=0)
+            on_face = A._zeros[[A._facets.index(w) for w in vanishing]].all(axis=0)
             face_gens = [g for g, on in zip(A.generators, on_face.tolist()) if on]
             nf = smith_normal_form([[g[i] for g in face_gens] for i in range(A.n)]) if face_gens else None
             face = (face_gens, nf)
         A._faces[vanishing] = face
-    return (vanishing, *face)
+    return face
+
+
+def _lattice_no(A: AffineSemigroup, v: Vector, p: int, vanishing: tuple[Vector, ...]) -> Optional[PMembership]:
+    """Phase 1 of eventual_p_membership: "no" with its certificate when the
+    order of v modulo its face lattice is infinite or has a prime factor
+    besides p, else None."""
+    face_gens, nf = _face_lattice(A, vanishing)
+    order = _torsion_order(nf, v) if nf is not None else None
+    if order is not None and not _has_prime_factor_besides(order, p):
+        return None
+    if order is not None:
+        _check_order(nf, v, order)
+    cert = {
+        "vanishing_facets": [list(w) for w in vanishing],
+        "face_generators": [list(g) for g in face_gens],
+        "torsion_order": order,
+    }
+    return PMembership("no", certificate=cert)
 
 
 def eventual_p_membership(
@@ -655,17 +772,18 @@ def eventual_p_membership(
 ) -> PMembership:
     """Decide whether p^e * a lands in A for some e.
 
-    For n >= 2 membership of a itself comes first, and gives e = 0 with no
-    face SNF.  That cannot hide a "no": a representation of a in A uses
-    only generators on the minimal face containing a, since a facet
-    vanishes on a sum of cone points only where it vanishes on every
-    term, so a lies in the face lattice and its order there is 1.  The
-    zero point is in A, with e = 0, for every n.
-
     Phase 1 is a lattice obstruction: any N-combination representing
     p^e * a can only use generators on the minimal face containing a, so
     the order of a modulo the face lattice must be a power of p; a finite
-    order that is not is checked exactly before the "no" is returned.  A
+    order that is not is checked exactly before the "no" is returned.
+    A point in A has order 1 there, since a facet vanishes on a sum of
+    cone points only where it vanishes on every term, so a representation
+    of a uses only generators on that face.  So phase 1 and membership of
+    a itself (e = 0) can go in either order with the same answer and the
+    same certificate.  For n >= 2 membership comes first, with no face SNF,
+    unless A already holds the face lattice (A._faces) and the membership
+    memo does not hold a: the lattice then answers a "no" with no
+    membership walk.  The zero point is in A, with e = 0, for every n.  A
     point of a numerical semigroup that is a multiple of the gcd of the
     generators has order 1 modulo their lattice gcd * Z, so it skips
     phase 1 and takes no SNF; any other point takes it.
@@ -678,26 +796,26 @@ def eventual_p_membership(
     v = tuple(int(x) for x in a)
     if len(v) != A.n or any(x < 0 for x in v):
         raise ValueError(f"{list(v)} is not a point of N^{A.n}")
-    if not any(v) or A.n > 1 and membership(A, v):
+    if not any(v):
         return PMembership("yes", 0)
-    if A.n > 1 or v[0] % gcd(*(g[0] for g in A.generators)):
-        vanishing, face_gens, nf = _face_lattice(A, v)
-        order = _torsion_order(nf, v) if nf is not None else None
-        if order is None or _has_prime_factor_besides(order, p):
-            if order is not None:
-                _check_order(nf, v, order)
-            cert = {
-                "vanishing_facets": [list(w) for w in vanishing],
-                "face_generators": [list(g) for g in face_gens],
-                "torsion_order": order,
-            }
-            return PMembership("no", certificate=cert)
     if A.n == 1:
+        if v[0] % gcd(*(g[0] for g in A.generators)):
+            no = _lattice_no(A, v, p, _vanishing_facets(A, v))
+            if no is not None:
+                return no
         contains = _numerical_data(A).contains
         e = 0
         while not contains(p**e * v[0]):
             e += 1
         return PMembership("yes", e)
+    lattice_first = bool(A._faces) and v not in A._member_cache and _vanishing_facets(A, v) in A._faces
+    if not lattice_first and membership(A, v):
+        return PMembership("yes", 0)
+    no = _lattice_no(A, v, p, _vanishing_facets(A, v))
+    if no is not None:
+        return no
+    if lattice_first and membership(A, v):
+        return PMembership("yes", 0)
     for e in range(1, e_max + 1):
         q = p**e
         if membership(A, tuple(q * x for x in v)):
@@ -950,8 +1068,15 @@ def fte_bruteforce(
     the largest exponent found so far, one array pass per ideal generator,
     and the survivors at fte + 1 and so on, so a chunk costs one pass
     unless it raises fte, and once fte = E the rest of the window cannot
-    raise it.  The attained maximum is checked again by the scalar search
-    at one element that attains it.
+    raise it.  The passes run over the minimal generators only: a listed v
+    with v - w in S for a smaller listed w never lowers the min, as
+    p^e * (a - w) = p^e * (a - v) + p^e * (v - w) lies in S whenever
+    p^e * (a - v) does.  Taking the least generator left and dropping
+    every v it covers so leaves at most m of them, as it drops repeats and
+    every v congruent to a smaller one modulo m (their difference is a
+    multiple of m).  The window, its cap and the scalar recheck of the
+    attained maximum, at one element that attains it, read the listed
+    generators.
 
     The arrays hold offsets t = a - min(I), not a: a lies in S when
     floor + t >= apery[a mod m], floor = min(min(I), max(apery)), which
@@ -985,7 +1110,10 @@ def fte_bruteforce(
     apery = data.apery
     m = len(apery)
     floor = min(base, int(apery.max()))
-    offsets = [v - base for v in gens]
+    minimal = []
+    for o in (v - base for v in gens):  # ascending
+        if all(o - w < apery[(o - w) % m] for w in minimal):  # no o - w in S
+            minimal.append(o)
     fte, where = 0, base
     for lo in range(0, width, FTE_CHUNK):
         if fte == E:
@@ -995,7 +1123,7 @@ def fte_bruteforce(
         while fte < E and len(t):
             q = p**fte
             outside = np.ones(len(t), dtype=bool)
-            for o in offsets:
+            for o in minimal:
                 d = q * (t - o)
                 outside &= d < apery[d % m]  # a negative d is never in S
             t = t[outside]

@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -17,6 +19,14 @@ from frobranch.graded import DEFAULT_S_MAX
 from frobranch.semigroup import DEFAULT_E_MAX
 
 PINCHED = "3: 2,0,0; 1,1,0; 1,0,1; 0,2,0; 0,0,2"
+
+
+@pytest.fixture(autouse=True)
+def fresh_semigroup_table(monkeypatch):
+    """Each test starts with an empty semigroup table, so a test that counts
+    the work of a request (SNFs, walks) or forges a failing check sees the
+    semigroup built afresh, not as an earlier test left it."""
+    monkeypatch.setattr(cli, "_SEMIGROUPS", semigroup.SemigroupTable())
 
 
 def run_cli(args, capsys):
@@ -927,3 +937,135 @@ def test_emitter_writes_the_bytes_of_json_dumps(payload):
 def test_emitter_refuses_what_a_report_never_holds(payload):
     with pytest.raises(TypeError):
         cli._json(payload, "\n")
+
+
+# -- the semigroup table -----------------------------------------------------------
+
+
+def _spellings(rng, gens):
+    """`--gens` texts of one semigroup: shuffled, with a repeated generator
+    or a zero one, and numerical ones also in the `1:` form."""
+    n = len(gens[0])
+    out = []
+    for _ in range(3):
+        vectors = list(gens)
+        rng.shuffle(vectors)
+        extra = rng.random()
+        if extra < 0.3:
+            vectors.insert(rng.randrange(len(vectors) + 1), rng.choice(gens))
+        elif extra < 0.5:
+            vectors.insert(rng.randrange(len(vectors) + 1), (0,) * n)
+        if n == 1 and rng.random() < 0.5:
+            out.append(",".join(str(v[0]) for v in vectors))
+        else:
+            out.append(f"{n}: " + "; ".join(",".join(map(str, v)) for v in vectors))
+    return out
+
+
+def _table_requests(seed, count):
+    """Seeded fnilpotent, fte and tight-member requests on a pool of small
+    semigroups of dimension 1 to 4, each asked several times."""
+    rng = random.Random(seed)
+    pool = []
+    while len(pool) < 8:
+        gens = sorted(rng.sample(range(3, 30), rng.randint(2, 4)))
+        if math.gcd(*gens) == 1:
+            pool.append([(g,) for g in gens])
+    for n, top in ((2, 5), (2, 7), (3, 2), (3, 3), (4, 2)):
+        for _ in range(3):
+            gens = {tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(n, n + 3))}
+            gens = sorted(g for g in gens if any(g))
+            if len(gens) >= n:
+                pool.append(gens)
+    pool += [[(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2)], [(3, 0, 3), (0, 3, 3), (1, 2, 3)]]
+    requests = []
+    while len(requests) < count:
+        gens = rng.choice(pool)
+        text = rng.choice(_spellings(rng, gens))
+        p = str(rng.choice((2, 3, 5, 7)))
+        mode = rng.choice(("fnilpotent", "fte", "tight-member") if len(gens[0]) == 1 else ("fnilpotent", "tight-member"))
+        args = [mode, "--p", p, "--gens", text, "--format", "json"]
+        if mode == "fnilpotent" and rng.random() < 0.2:
+            args += ["--e-max", str(rng.randint(0, 2))]
+        if len(gens[0]) == 1:
+            ideal = sorted({rng.choice(gens)[0] * rng.randint(1, 2) for _ in range(2)})
+            ideal_text = ";".join(map(str, ideal))
+            element = str(ideal[0] + rng.choice((0, 1, gens[0][0])))
+        else:
+            ideal_text = "; ".join(",".join(map(str, g)) for g in rng.sample(gens, 2))
+            element = ",".join(str(a + b) for a, b in zip(rng.choice(gens), rng.choice(gens)))
+        if mode == "fte":
+            args += ["--ideal", ideal_text]
+        elif mode == "tight-member":
+            args += ["--ideal", ideal_text, "--element", element]
+        requests.append(args)
+    return requests
+
+
+def _answers(requests, capsys, fresh):
+    """(exit code, stdout, stderr) of each request, all through one table,
+    or each through a new one when fresh."""
+    out = []
+    for args in requests:
+        if fresh:
+            cli._SEMIGROUPS = semigroup.SemigroupTable()  # restored by the autouse fixture
+        out.append(run_cli(args, capsys))
+    return out
+
+
+def test_shared_table_reports_equal_fresh_table_reports(capsys):
+    requests = _table_requests(2510, 200)
+    shared = _answers(requests, capsys, fresh=False)
+    keys = len(cli._SEMIGROUPS._entries)
+    assert shared == _answers(requests, capsys, fresh=True)
+    # most requests found their semigroup kept, under another spelling too
+    assert keys <= 30 and len({args[4] for args in requests}) > keys
+    assert {code for code, _, _ in shared} == {0, 1}
+
+
+def test_refused_request_leaves_the_table_sound(capsys):
+    # a refused Fte window, then answers on the same semigroup
+    window = ["fte", "--p", "2", "--gens", "5,7,9", "--ideal", f"5;{semigroup.FTE_WINDOW_CAP}"]
+    valid = [["fte", "--p", "3", "--gens", "9,7,5", "--ideal", "7;10", "--format", "json"],
+             ["fnilpotent", "--p", "2", "--gens", "5,7,9", "--format", "json"]]
+    fresh = _answers(valid, capsys, fresh=True)
+    cli._SEMIGROUPS = semigroup.SemigroupTable()
+    code, _, err = run_cli(window, capsys)
+    assert code == 1 and "window cap" in err
+    assert _answers(valid, capsys, fresh=False) == fresh
+
+
+@pytest.mark.parametrize("forge", [
+    ("_det", lambda m: 2),  # the lattice SNF fails its check
+    ("_torsion_order", lambda *args: 3),  # after the face SNFs were kept
+    ("frobenius_closure_exponent", lambda *args: None),  # the Fte recheck
+])
+def test_failed_certificate_leaves_the_table_sound(forge, monkeypatch, capsys):
+    valid = [["fnilpotent", "--p", "2", "--gens", PINCHED, "--format", "json"],
+             ["fnilpotent", "--p", "5", "--gens", PINCHED, "--format", "json"],
+             ["fte", "--p", "2", "--gens", "3,5", "--ideal", "5;6", "--format", "json"]]
+    fresh = _answers(valid, capsys, fresh=True)
+    cli._SEMIGROUPS = semigroup.SemigroupTable()
+    with monkeypatch.context() as patch:
+        patch.setattr(semigroup, *forge)
+        failed = _answers(valid, capsys, fresh=False)
+    assert 2 in {code for code, _, _ in failed}
+    assert _answers(valid, capsys, fresh=False) == fresh
+
+
+def test_table_evicts_to_its_byte_budget(monkeypatch, capsys):
+    gens = ["2,3", "3,5", "4,5", "2998,2999"]
+    sizes = {}
+    for text in gens:
+        run_cli(["fnilpotent", "--p", "2", "--gens", text], capsys)
+        key = tuple((int(g),) for g in text.split(","))
+        sizes[text] = cli._SEMIGROUPS._entries[key][1]
+    small = sorted(sizes[text] for text in gens[:3])
+    assert sizes["2998,2999"] > 8 * 2998 > small[-1]  # the Apery list alone takes 8 bytes per entry
+    cli._SEMIGROUPS = table = semigroup.SemigroupTable()
+    monkeypatch.setattr(semigroup, "TABLE_BYTES", small[-1] + small[-2])
+    for text in gens[:3] + ["2,3", "3,5", "2998,2999"]:
+        run_cli(["fnilpotent", "--p", "3", "--gens", text], capsys)
+        assert table.charged == sum(size for _, size in table._entries.values()) <= semigroup.TABLE_BYTES
+    # 4,5 was least recently used; 2998,2999 alone exceeds the budget
+    assert list(table._entries) == [((2,), (3,)), ((3,), (5,))]

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from frobranch.errors import ParseError
 from frobranch.ffield import PrimeField
 from frobranch.parse import parse_homog, parse_semigroup, parse_unipoly, parse_vector_list
+from frobranch.semigroup import AffineSemigroup
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -104,3 +107,127 @@ def test_superscript_digits_are_parse_errors():
     assert info.value.position == 0
     with pytest.raises(ParseError):
         parse_vector_list("1,²", 2)
+
+
+# The per-character reader the generator grammars used before the regex
+# scan, kept verbatim as the reference its errors are compared against.
+class _Cursor:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch: str):
+        if not self.take(ch):
+            raise ParseError(self.pos, f"'{ch}'")
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():  # the digits int() reads
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError(start, "a decimal integer")
+        return int(self.text[start : self.pos])
+
+    def done(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+
+def reference_parse_vector_list(text, n, offset=0):
+    cur = _Cursor(text)
+    vectors = []
+    while True:
+        vec = [cur.integer()]
+        while cur.take(","):
+            vec.append(cur.integer())
+        if len(vec) != n:
+            raise ParseError(offset + cur.pos, f"a vector of {n} coordinates, got {len(vec)}")
+        vectors.append(tuple(vec))
+        if not cur.take(";"):
+            break
+    if not cur.done():
+        raise ParseError(offset + cur.pos, "';' or end of input")
+    return vectors
+
+
+def reference_parse_semigroup(text):
+    cur = _Cursor(text)
+    if ":" in text:
+        n = cur.integer()
+        if n < 1:
+            raise ParseError(0, "an ambient dimension >= 1")
+        cur.expect(":")
+        vectors = reference_parse_vector_list(text[cur.pos :], n, offset=cur.pos)
+    else:
+        vals = [cur.integer()]
+        while cur.take(",") or cur.take(";"):
+            vals.append(cur.integer())
+        if not cur.done():
+            raise ParseError(cur.pos, "',' or end of input")
+        vectors = [(v,) for v in vals]
+    try:
+        return AffineSemigroup(vectors)
+    except ValueError as exc:
+        raise ParseError(0, f"valid generators ({exc})") from exc
+
+
+def _outcome(parse, *args):
+    """What a parse returns, or the type, message and position it raises."""
+    try:
+        out = parse(*args)
+    except (ParseError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return out.generators if isinstance(out, AffineSemigroup) else out
+
+
+# decimal digits (an Arabic-Indic one included, which int() reads), the
+# separators, other whitespace, and characters the grammar refuses ('²'
+# is a digit to str.isdigit, not to int())
+_ALPHABET = ["0", "1", "2", "7", "10", "٣", ",", ";", ":", " ", " ", "\t", "\n", " ", "²", "x", "-", "+"]
+
+
+def test_scan_matches_the_character_reader_on_seeded_texts():
+    rng = random.Random(2503)
+    accepted = refused = 0
+    for _ in range(3000):
+        if rng.random() < 0.5:  # near-valid: vectors of 1-3 integers, then one edit
+            n = rng.randint(1, 3)
+            vectors = [",".join(str(rng.randint(0, 12)) for _ in range(rng.choice((n, n, n, n - 1, n + 1))))
+                       for _ in range(rng.randint(1, 4))]
+            text = rng.choice((f"{n}:", f" {n} :", "")) + rng.choice((";", " ; ", "; ")).join(vectors)
+            if rng.random() < 0.5:
+                i = rng.randint(0, len(text))
+                text = text[:i] + rng.choice(_ALPHABET) + text[i + rng.randint(0, 1):]
+        else:
+            text = "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 14)))
+        ours = _outcome(parse_semigroup, text)
+        assert ours == _outcome(reference_parse_semigroup, text), repr(text)
+        refused += isinstance(ours[0], type)
+        accepted += not isinstance(ours[0], type)
+        for n in (1, 2, 3):
+            assert _outcome(parse_vector_list, text, n, 5) == _outcome(reference_parse_vector_list, text, n, 5), (text, n)
+    assert accepted > 300 and refused > 1000
+
+
+@pytest.mark.parametrize("text", [
+    "9" * 5000 + ",3", "9" * 5000 + ",x", "1,2," + "9" * 5000, "2: 1," + "9" * 5000 + "; 1", "2: 1,1; x" + "9" * 5000,
+])
+def test_scan_raises_where_the_reader_did_on_oversized_integers(text):
+    # int() refuses more than 4300 digits with ValueError; the scan meets
+    # the digits in the same order as the reader did, so it raises the same
+    assert _outcome(parse_semigroup, text) == _outcome(reference_parse_semigroup, text)

@@ -797,6 +797,34 @@ def test_numerical_multiples_of_the_gcd_take_no_snf(monkeypatch):
     assert len(calls) >= 1
 
 
+def test_cached_face_lattice_answers_no_before_any_walk(monkeypatch):
+    # (0,1,1) and (0,1,3) have order 2 modulo the lattice of their face
+    # x = 0 and lie in the lattice of A, so without that face lattice each
+    # "no" needs a walk; once (0,1,1) has kept it, (0,1,3) needs none
+    walks = []
+    dfs = semigroup._member_dfs
+
+    def counting(B, v):
+        walks.append(v)
+        return dfs(B, v)
+
+    monkeypatch.setattr(semigroup, "_member_dfs", counting)
+    for p in (3, 5, 2):
+        A = AffineSemigroup(PINCHED_VERONESE.generators)
+        first = eventual_p_membership(A, (0, 1, 1), p)
+        assert first == eventual_p_membership(AffineSemigroup(A.generators), (0, 1, 1), p)
+        fresh = eventual_p_membership(AffineSemigroup(A.generators), (0, 1, 3), p)
+        walks.clear()
+        assert eventual_p_membership(A, (0, 1, 3), p) == fresh
+        assert fresh.status == ("yes" if p == 2 else "no")
+        # at p = 2 the order 2 is a power of p, so membership decides
+        assert bool(walks) == (p == 2)
+    # whole reports through kept faces equal those of fresh semigroups
+    A = AffineSemigroup(PINCHED_VERONESE.generators)
+    for p in (3, 5, 7, 2, 3):
+        assert pure_insep_index(A, p) == pure_insep_index(AffineSemigroup(A.generators), p)
+
+
 def _face_lattice_first(A, v, p, e_max):
     """(status, e) of eventual p-power membership with the face lattice
     asked first: the order of v modulo the lattice of the generators on
@@ -1076,6 +1104,28 @@ def test_fte_array_passes_match_the_point_walk(chunk, monkeypatch):
         assert fte_bruteforce(A, p, ideal, rep) == _fte_walk(A, p, ideal), (gens, p, ideal)
         checked += 1
     assert big == 20
+
+
+def test_fte_padded_listings_match_the_point_walk():
+    # repeats, v + s for s in S, and v + k * m add no minimal generator:
+    # the passes over the minimal ones give the walk's answer on the listing
+    rng = random.Random(2514)
+    checked = 0
+    while checked < 150:
+        gens = sorted({rng.randint(2, 30) for _ in range(rng.randint(2, 4))})
+        if len(gens) < 2 or gcd(*gens) != 1:
+            continue
+        A = AffineSemigroup([(g,) for g in gens])
+        p = rng.choice((2, 3, 5, 7))
+        members = [a for a in range(1, 80) if membership(A, (a,))]
+        ideal = sorted(rng.sample(members, rng.randint(1, 3)))
+        padded = ideal + [rng.choice(ideal) for _ in range(2)]
+        padded += [rng.choice(ideal) + rng.choice(members) for _ in range(3)]
+        padded += [rng.choice(ideal) + gens[0] * rng.randint(1, 3)]
+        rng.shuffle(padded)
+        rep = is_f_nilpotent(A, p)
+        assert fte_bruteforce(A, p, padded, rep) == _fte_walk(A, p, sorted(padded)) == fte_bruteforce(A, p, ideal, rep)
+        checked += 1
 
 
 def test_numerical_semigroups_always_f_nilpotent():
