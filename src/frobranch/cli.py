@@ -29,6 +29,8 @@ any prime, in any mode or spelling, reuses its prime-independent geometry
 byte-identical to a fresh process's, as the semigroup module docstring
 proves, and the table holds at most semigroup.TABLE_BYTES (8 MiB) as
 charged by semigroup.table_bytes, evicting least recently used first.
+A request holds its semigroup alone while it runs, so threads calling run
+at once never share one.
 
 Exit codes: 0 success (and --help), 1 input error, 2 mathematical
 inconsistency (the closure formula disagreeing with an oracle, or a

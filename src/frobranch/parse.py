@@ -120,12 +120,9 @@ def parse_homog(text: str, field: Field, var_names: Sequence[str]) -> HomogPoly:
 
 
 # The generator grammars are decimal integers split by ',' and ';', with
-# whitespace anywhere between tokens.  One fullmatch accepts a well-formed
-# text, whose integers are then read by one findall; any other text is
-# walked token by token (_TOKEN) to the first error, so every error names
-# the position and the expected token the grammar names there.
-_INTEGER_LIST = re.compile(r"\s*\d+(?:\s*[,;]\s*\d+)*\s*")
-_DIGITS = re.compile(r"\d+")
+# whitespace anywhere between tokens.  A text is read token by token
+# (_TOKEN), so an error names its position and the token the grammar
+# expects there.
 _TOKEN = re.compile(r"\s*(\d+|.|\Z)", re.S)  # an integer, any other character, or the end ''
 
 
@@ -147,8 +144,6 @@ def parse_vector_list(text: str, n: int, offset: int = 0) -> list[tuple[int, ...
     """Semicolon-separated vectors, each a comma-list of n integers.  A
     missing integer is reported at its position in text, any other error
     at offset plus it."""
-    if _INTEGER_LIST.fullmatch(text) and all(part.count(",") == n - 1 for part in text.split(";")):
-        return list(zip(*[map(int, _DIGITS.findall(text))] * n))
     tokens = _TOKEN.finditer(text)
     vectors = []
     while True:
@@ -173,8 +168,6 @@ def parse_semigroup(text: str) -> AffineSemigroup:
         if colon[1] != ":":
             raise ParseError(colon.start(1), "':'")
         vectors = parse_vector_list(text[colon.end(1) :], n, offset=colon.end(1))
-    elif _INTEGER_LIST.fullmatch(text):
-        vectors = [(v,) for v in map(int, _DIGITS.findall(text))]
     else:
         # numerical shorthand: commas (or semicolons) between single integers
         values, tok = _read_integers(_TOKEN.finditer(text), (",", ";"))

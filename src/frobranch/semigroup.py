@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -438,25 +439,33 @@ class SemigroupTable:
     def __init__(self):
         self._entries: OrderedDict[tuple[Vector, ...], tuple[AffineSemigroup, int]] = OrderedDict()
         self.charged = 0
+        self._lock = threading.Lock()
 
     @contextmanager
     def shared(self, A: AffineSemigroup):
         """The kept semigroup with A's generators, or A itself, for the
         block; charged again and kept after it, whether it returns or
-        raises, since the block only ever fills fields completely."""
+        raises, since the block only ever fills fields completely.  The
+        entry leaves the table for the block, so no two blocks share one
+        semigroup; of two concurrent blocks on one key the later to end
+        is kept, its rival's charge released."""
         key = A.generators
-        A, charged = self._entries.pop(key, (A, 0))
-        self.charged -= charged
+        with self._lock:
+            A, charged = self._entries.pop(key, (A, 0))
+            self.charged -= charged
         try:
             yield A
         finally:
             size = table_bytes(A)
-            if size <= TABLE_BYTES:
-                self._entries[key] = (A, size)
-                self.charged += size
-            while self.charged > TABLE_BYTES:  # never the entry just kept
-                _, (_, size) = self._entries.popitem(last=False)
-                self.charged -= size
+            with self._lock:
+                _, charged = self._entries.pop(key, (None, 0))
+                self.charged -= charged
+                if size <= TABLE_BYTES:
+                    self._entries[key] = (A, size)
+                    self.charged += size
+                while self.charged > TABLE_BYTES:  # never the entry just kept
+                    _, (_, size) = self._entries.popitem(last=False)
+                    self.charged -= size
 
 
 def frobenius_number(A: AffineSemigroup) -> int:
@@ -725,46 +734,25 @@ class PMembership:
     certificate: Optional[dict] = None
 
 
-def _vanishing_facets(A: AffineSemigroup, a: Vector) -> tuple[Vector, ...]:
-    """Facets of cone(A) vanishing at a: they cut out the minimal face
-    containing a, and key its lattice in A._faces."""
+def _face_lattice(A: AffineSemigroup, a: Vector):
+    """Facets of cone(A) vanishing at a, the generators on the minimal face
+    containing a, and the SNF of the matrix whose columns are those
+    generators (None when there are none); one SNF per vanishing-facet set,
+    kept on A."""
     facets, _ = cone_geometry(A)
-    return tuple(w for w in facets if _dot(w, a) == 0)
-
-
-def _face_lattice(A: AffineSemigroup, vanishing: tuple[Vector, ...]):
-    """The generators on the face cut out by the vanishing facets, and the
-    SNF of the matrix whose columns are those generators (None when there
-    are none); one SNF per vanishing-facet set, kept on A."""
+    hits = [i for i, w in enumerate(facets) if _dot(w, a) == 0]
+    vanishing = tuple(facets[i] for i in hits)
     face = A._faces.get(vanishing)
     if face is None:
         if not vanishing:  # the face is the whole cone, whose SNF A already holds
             face = (list(A.generators), A.lattice_nf())
         else:
-            on_face = A._zeros[[A._facets.index(w) for w in vanishing]].all(axis=0)
+            on_face = A._zeros[hits].all(axis=0)
             face_gens = [g for g, on in zip(A.generators, on_face.tolist()) if on]
             nf = smith_normal_form([[g[i] for g in face_gens] for i in range(A.n)]) if face_gens else None
             face = (face_gens, nf)
         A._faces[vanishing] = face
-    return face
-
-
-def _lattice_no(A: AffineSemigroup, v: Vector, p: int, vanishing: tuple[Vector, ...]) -> Optional[PMembership]:
-    """Phase 1 of eventual_p_membership: "no" with its certificate when the
-    order of v modulo its face lattice is infinite or has a prime factor
-    besides p, else None."""
-    face_gens, nf = _face_lattice(A, vanishing)
-    order = _torsion_order(nf, v) if nf is not None else None
-    if order is not None and not _has_prime_factor_besides(order, p):
-        return None
-    if order is not None:
-        _check_order(nf, v, order)
-    cert = {
-        "vanishing_facets": [list(w) for w in vanishing],
-        "face_generators": [list(g) for g in face_gens],
-        "torsion_order": order,
-    }
-    return PMembership("no", certificate=cert)
+    return (vanishing, *face)
 
 
 def eventual_p_membership(
@@ -772,18 +760,17 @@ def eventual_p_membership(
 ) -> PMembership:
     """Decide whether p^e * a lands in A for some e.
 
+    For n >= 2 membership of a itself comes first, and gives e = 0 with no
+    face SNF.  That cannot hide a "no": a representation of a in A uses
+    only generators on the minimal face containing a, since a facet
+    vanishes on a sum of cone points only where it vanishes on every
+    term, so a lies in the face lattice and its order there is 1.  The
+    zero point is in A, with e = 0, for every n.
+
     Phase 1 is a lattice obstruction: any N-combination representing
     p^e * a can only use generators on the minimal face containing a, so
     the order of a modulo the face lattice must be a power of p; a finite
-    order that is not is checked exactly before the "no" is returned.
-    A point in A has order 1 there, since a facet vanishes on a sum of
-    cone points only where it vanishes on every term, so a representation
-    of a uses only generators on that face.  So phase 1 and membership of
-    a itself (e = 0) can go in either order with the same answer and the
-    same certificate.  For n >= 2 membership comes first, with no face SNF,
-    unless A already holds the face lattice (A._faces) and the membership
-    memo does not hold a: the lattice then answers a "no" with no
-    membership walk.  The zero point is in A, with e = 0, for every n.  A
+    order that is not is checked exactly before the "no" is returned.  A
     point of a numerical semigroup that is a multiple of the gcd of the
     generators has order 1 modulo their lattice gcd * Z, so it skips
     phase 1 and takes no SNF; any other point takes it.
@@ -796,26 +783,26 @@ def eventual_p_membership(
     v = tuple(int(x) for x in a)
     if len(v) != A.n or any(x < 0 for x in v):
         raise ValueError(f"{list(v)} is not a point of N^{A.n}")
-    if not any(v):
+    if not any(v) or A.n > 1 and membership(A, v):
         return PMembership("yes", 0)
+    if A.n > 1 or v[0] % gcd(*(g[0] for g in A.generators)):
+        vanishing, face_gens, nf = _face_lattice(A, v)
+        order = _torsion_order(nf, v) if nf is not None else None
+        if order is None or _has_prime_factor_besides(order, p):
+            if order is not None:
+                _check_order(nf, v, order)
+            cert = {
+                "vanishing_facets": [list(w) for w in vanishing],
+                "face_generators": [list(g) for g in face_gens],
+                "torsion_order": order,
+            }
+            return PMembership("no", certificate=cert)
     if A.n == 1:
-        if v[0] % gcd(*(g[0] for g in A.generators)):
-            no = _lattice_no(A, v, p, _vanishing_facets(A, v))
-            if no is not None:
-                return no
         contains = _numerical_data(A).contains
         e = 0
         while not contains(p**e * v[0]):
             e += 1
         return PMembership("yes", e)
-    lattice_first = bool(A._faces) and v not in A._member_cache and _vanishing_facets(A, v) in A._faces
-    if not lattice_first and membership(A, v):
-        return PMembership("yes", 0)
-    no = _lattice_no(A, v, p, _vanishing_facets(A, v))
-    if no is not None:
-        return no
-    if lattice_first and membership(A, v):
-        return PMembership("yes", 0)
     for e in range(1, e_max + 1):
         q = p**e
         if membership(A, tuple(q * x for x in v)):

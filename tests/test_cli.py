@@ -1069,3 +1069,20 @@ def test_table_evicts_to_its_byte_budget(monkeypatch, capsys):
         assert table.charged == sum(size for _, size in table._entries.values()) <= semigroup.TABLE_BYTES
     # 4,5 was least recently used; 2998,2999 alone exceeds the budget
     assert list(table._entries) == [((2,), (3,)), ((3,), (5,))]
+
+
+def test_concurrent_blocks_on_one_key_keep_one_charge(monkeypatch):
+    # two blocks on one semigroup at once, as two threads of a library caller
+    # may run: each owns its own object, and the later to end is kept alone
+    table = semigroup.SemigroupTable()
+    key = ((2,), (3,))
+    for _ in range(3):
+        with table.shared(semigroup.AffineSemigroup([(2,), (3,)])) as first:
+            with table.shared(semigroup.AffineSemigroup([(3,), (2,), (0,)])) as second:
+                assert first is not second
+                semigroup.frobenius_number(second)
+            semigroup.frobenius_number(first)
+        assert list(table._entries) == [key] and table._entries[key][0] is first
+        assert table.charged == table._entries[key][1] == semigroup.table_bytes(first)
+        # a budget that one entry fits but two charges would not
+        monkeypatch.setattr(semigroup, "TABLE_BYTES", 3 * table.charged // 2)

@@ -797,34 +797,6 @@ def test_numerical_multiples_of_the_gcd_take_no_snf(monkeypatch):
     assert len(calls) >= 1
 
 
-def test_cached_face_lattice_answers_no_before_any_walk(monkeypatch):
-    # (0,1,1) and (0,1,3) have order 2 modulo the lattice of their face
-    # x = 0 and lie in the lattice of A, so without that face lattice each
-    # "no" needs a walk; once (0,1,1) has kept it, (0,1,3) needs none
-    walks = []
-    dfs = semigroup._member_dfs
-
-    def counting(B, v):
-        walks.append(v)
-        return dfs(B, v)
-
-    monkeypatch.setattr(semigroup, "_member_dfs", counting)
-    for p in (3, 5, 2):
-        A = AffineSemigroup(PINCHED_VERONESE.generators)
-        first = eventual_p_membership(A, (0, 1, 1), p)
-        assert first == eventual_p_membership(AffineSemigroup(A.generators), (0, 1, 1), p)
-        fresh = eventual_p_membership(AffineSemigroup(A.generators), (0, 1, 3), p)
-        walks.clear()
-        assert eventual_p_membership(A, (0, 1, 3), p) == fresh
-        assert fresh.status == ("yes" if p == 2 else "no")
-        # at p = 2 the order 2 is a power of p, so membership decides
-        assert bool(walks) == (p == 2)
-    # whole reports through kept faces equal those of fresh semigroups
-    A = AffineSemigroup(PINCHED_VERONESE.generators)
-    for p in (3, 5, 7, 2, 3):
-        assert pure_insep_index(A, p) == pure_insep_index(AffineSemigroup(A.generators), p)
-
-
 def _face_lattice_first(A, v, p, e_max):
     """(status, e) of eventual p-power membership with the face lattice
     asked first: the order of v modulo the lattice of the generators on
