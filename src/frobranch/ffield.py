@@ -10,13 +10,22 @@ constant in any extension built on top of it, so scalar extension leaves
 coefficients unchanged.  Fields never coerce across each other; polynomial
 and ring operations check that their operands share a field.
 
-A prime field computes modulo p.  An extension field builds the regular
-representation of base[u]/(modulus) over GF(p) once: the matrices of its
-GF(p)-basis decide irreducibility by Berlekamp's criterion (f squarefree
-and b -> b^p fixing only GF(p)), then combine into the scalar matrices
-(mats[c] multiplies by c), from which the exp/log lists come by doubling
-the powers of a primitive element; its products, inverses and powers are
-then list lookups, and its sums go through Zech logarithms log(1 + a^k).
+A prime field computes modulo p.  An extension field is opened by
+extend_field in three steps.  One sieve marks the code of every product of
+two monic polynomials of positive degree over the base, so the least
+unmarked code is the first irreducible modulus in the coefficient order.
+The constructor then builds the regular representation of
+base[u]/(modulus) over GF(p), whose basis matrices certify irreducibility
+once by Berlekamp's criterion (f squarefree and b -> b^p fixing only
+GF(p)); a sieve that picked a reducible code is refused there.  The
+element tables come only on the first arithmetic: the basis matrices
+combine into the scalar matrices (mats[c] multiplies by c), from which the
+exp/log lists come by doubling the powers of a primitive element; products,
+inverses and powers are then list lookups, and sums go through Zech
+logarithms log(1 + a^k).  Work whose codes all lie in a subfield runs
+there (least_subfield): graded's slices, plane-curve counts and power
+vectors, so an extension none of whose own elements is computed with never
+builds its tables.
 
 The polynomial layer provides the Euclidean gcd, characteristic-p
 squarefree decomposition (with p-th root extraction when the derivative
@@ -44,9 +53,17 @@ MAX_PRIME = 2**31
 MAX_EXTENSION_DEGREE = 8
 
 # Extension fields build a q x s x s stack of scalar matrices from the
-# modulus once and derive O(q) exp/log lists from it, so they are limited
-# to this order (prime fields of any size below MAX_PRIME need neither).
+# modulus and derive O(q) exp/log lists from it, so they are limited to
+# this order (prime fields of any size below MAX_PRIME need neither).
 MAX_TABLE_ORDER = 4096
+
+
+def _check_caps(p: int, degree: int) -> None:
+    """Refuse a GF(p^degree) above the degree or the table-order cap."""
+    if degree > MAX_EXTENSION_DEGREE:
+        raise CapExceeded(f"extension degree cap exceeded: {degree} > {MAX_EXTENSION_DEGREE}")
+    if p**degree > MAX_TABLE_ORDER:
+        raise CapExceeded(f"extension field of order {p**degree} not supported")
 
 
 @lru_cache(maxsize=64)  # semigroup code re-checks p once per element
@@ -116,14 +133,27 @@ class PrimeField:
         return str(a)
 
 
+# the element tables of an ExtensionField, built together on first read
+_TABLES = frozenset(("mats", "exp", "log", "zech", "_half"))
+
+
 class ExtensionField:
     """Degree-s extension base[u]/(modulus) of an existing field.
 
-    `mats[c]` is the D x D GF(p)-matrix of multiplication by c, D the
-    degree over GF(p): `mats[c, i, j]` is digit i of c * p^j.  `exp[k]` is
-    the code of a^k for the primitive element a, stored twice over so that
-    a sum of two logarithms needs no reduction; `log` inverts it on nonzero
-    codes; `zech[k]` is log(1 + a^k), None where that sum is zero.
+    The constructor checks the caps, makes the modulus monic, builds its
+    regular basis over GF(p) and certifies the modulus irreducible with it
+    (_is_field), so equality, hashing and ReducibleModulus need no tables.
+
+    The tables come on the first read of any of them (__getattr__), all
+    together: `mats[c]` is the D x D GF(p)-matrix of multiplication by c, D
+    the degree over GF(p): `mats[c, i, j]` is digit i of c * p^j.  `exp[k]`
+    is the code of a^k for the primitive element a, stored twice over so
+    that a sum of two logarithms needs no reduction; `log` inverts it on
+    nonzero codes; `zech[k]` is log(1 + a^k), None where that sum is zero.
+    They are built in locals and published by one update of the instance
+    dict, as the semigroup table publishes its fields, so a read after
+    that finds every table; two threads that race on the first read may
+    both build them, and publish equal values.
     """
 
     def __init__(self, base: "Field", modulus: "UniPoly"):
@@ -137,45 +167,50 @@ class ExtensionField:
         self.p = base.p
         self.s = modulus.degree
         self.degree = base.degree * self.s
-        if self.degree > MAX_EXTENSION_DEGREE:
-            raise CapExceeded(
-                f"extension degree cap exceeded: {self.degree} > {MAX_EXTENSION_DEGREE}"
-            )
+        _check_caps(self.p, self.degree)
         self.order = self.p**self.degree
-        if self.order > MAX_TABLE_ORDER:
-            raise CapExceeded(f"extension field of order {self.order} not supported")
-        basis = _regular_basis(base, modulus)
-        if not _is_field(modulus, basis):
+        self._basis = _regular_basis(base, modulus)
+        if not _is_field(modulus, self._basis):
             raise ReducibleModulus(f"modulus {modulus} is reducible")
-        # mats[c] is the combination of the basis matrices by c's digits
-        p, D = self.p, self.degree
-        self._powers = p ** np.arange(D, dtype=np.int64)
-        digits = np.arange(self.order)[:, None] // self._powers % p
-        self.mats = digits.dot(basis.reshape(D, D * D)).reshape(-1, D, D) % p
-        self._build_logs()
 
-    def _build_logs(self) -> None:
-        """exp by doubling: the digit plane of a^0 .. a^(2^j - 1), times the
-        matrix of a^(2^j), gives the next 2^j powers.  a is the first code
-        whose powers reach 1 only at q - 1; codes below the base order are
-        base elements, of smaller order."""
-        n, p = self.order - 1, self.p
+    def __getattr__(self, name):
+        # only called when normal lookup fails, so never once published
+        if name not in _TABLES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tables = self._tables()
+        self.__dict__.update(tables)
+        return tables[name]
+
+    def _tables(self) -> dict:
+        """mats as the combination of the basis matrices by each code's
+        digits; exp by doubling: the digit plane of a^0 .. a^(2^j - 1), times
+        the matrix of a^(2^j), gives the next 2^j powers.  a is the first
+        code whose powers reach 1 only at q - 1; codes below the base order
+        are base elements, of smaller order."""
+        p, D, n = self.p, self.degree, self.order - 1
+        powers = p ** np.arange(D, dtype=np.int64)
+        digits = np.arange(self.order)[:, None] // powers % p
+        mats = digits.dot(self._basis.reshape(D, D * D)).reshape(-1, D, D) % p
         for alpha in range(self.base.order, self.order):
-            plane, step = self.mats[1][:, :1], self.mats[alpha]  # the digits of 1
+            plane, step = mats[1][:, :1], mats[alpha]  # the digits of 1
             while plane.shape[1] < n:
                 plane = np.hstack([plane, step.dot(plane) % p])
                 step = step.dot(step) % p
-            exp = self._powers.dot(plane[:, :n]).tolist()
+            exp = powers.dot(plane[:, :n]).tolist()
             if 1 not in exp[1:]:
                 break
         log = np.zeros(self.order, dtype=np.int64)
         log[exp] = np.arange(n)
-        self.exp = exp + exp
-        self.log = log = log.tolist()
+        log = log.tolist()
         # 1 + x only changes the lowest GF(p) digit of x
         plus_one = [e - e % p + (e + 1) % p for e in exp]
-        self.zech = [log[c] if c else None for c in plus_one]
-        self._half = n // 2 if p != 2 else 0  # a^(n/2) = -1 in odd characteristic
+        return {
+            "mats": mats,
+            "exp": exp + exp,
+            "log": log,
+            "zech": [log[c] if c else None for c in plus_one],
+            "_half": n // 2 if p != 2 else 0,  # a^(n/2) = -1 in odd characteristic
+        }
 
     def __eq__(self, other):
         return (
@@ -516,19 +551,45 @@ def is_irreducible(f: UniPoly) -> bool:
     return f.degree > 0 and _is_field(f, _regular_basis(f.field, f))
 
 
+def _first_irreducible_code(field: Field, s: int) -> int:
+    """The least code c whose monic polynomial of degree s over field (its
+    lower coefficients the base-q digits of c, q = field.order) is
+    irreducible.  A reducible monic f of degree s is g*h with g, h monic
+    and 1 <= deg g = a <= s/2, so one pass per a marks the lower
+    coefficients of every such product, q^a * q^(s-a) = q^s of them, by
+    the base's code tables; the least unmarked code is the answer.  The
+    caller certifies it (ExtensionField's Berlekamp test)."""
+    p, D, q = field.p, field.degree, field.order
+    # sums digit by digit, products by the scalar matrices
+    powers = p ** np.arange(D, dtype=np.int64)
+    digits = np.arange(q)[:, None] // powers % p
+    mats = field.mats if D > 1 else np.arange(q).reshape(q, 1, 1)
+    add = (digits[:, None] + digits) % p @ powers
+    mul = (mats @ digits.T % p).transpose(0, 2, 1) @ powers
+
+    def monic(k):  # coefficient rows, lowest first: c + q^k has top digit 1
+        return (np.arange(q**k) + q**k)[:, None] // q ** np.arange(k + 1) % q
+
+    marked = np.zeros(q**s, dtype=bool)
+    for a in range(1, s // 2 + 1):
+        g, h = monic(a)[:, None], monic(s - a)[None]
+        lower = np.zeros((q**a, q ** (s - a), s), dtype=np.int64)
+        for i in range(a + 1):
+            for j in range(min(s - a, s - 1 - i) + 1):
+                lower[..., i + j] = add[lower[..., i + j], mul[g[..., i], h[..., j]]]
+        marked[lower.reshape(-1, s) @ q ** np.arange(s)] = True
+    return int(np.argmin(marked))  # the first False; irreducibles always exist
+
+
 @lru_cache(maxsize=None)
 def extend_field(field: Field, s: int) -> ExtensionField:
     """Degree-s scalar extension of field, cached so repeated requests share
     element tables downstream.  The modulus is the first monic irreducible
-    in the coefficient-enumeration order; ExtensionField refuses an
-    oversized field before it tests any candidate."""
+    in the coefficient-enumeration order, picked by one sieve
+    (_first_irreducible_code) and certified once by ExtensionField.  An
+    oversized field is refused before the sieve allocates anything."""
     if s < 2:
         raise ValueError("extension degree must be >= 2")
-    q = field.order
-    for code in range(q**s):
-        lower = [code // q**i % q for i in range(s)]
-        try:
-            return ExtensionField(field, UniPoly(field, lower + [1]))
-        except ReducibleModulus:
-            pass
-    raise AssertionError("unreachable: irreducible polynomials always exist")
+    _check_caps(field.p, field.degree * s)
+    q, code = field.order, _first_irreducible_code(field, s)
+    return ExtensionField(field, UniPoly(field, [code // q**i % q for i in range(s)] + [1]))

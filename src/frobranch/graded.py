@@ -754,8 +754,10 @@ def linear_power_vector(x: HomogPoly, n: int, columns: Sequence[Monomial]) -> np
     form x = sum c_i x_i, by the multinomial theorem: the coefficient of
     x^a is n! / (a_1! .. a_k!) * prod c_i^(a_i).  The multinomial is an
     integer, whose residue mod p is its code in every field of
-    characteristic p."""
-    field = x.field
+    characteristic p.  The products are taken in the least field of x's
+    tower holding its coefficients, where they have the same codes, so a
+    form over GF(p) in an extension ring reads no extension tables."""
+    field = least_subfield(x.field, max(x.terms.values(), default=0))
     c = [0] * x.nvars
     for mono, code in x.terms.items():
         c[mono.index(1)] = code
@@ -826,9 +828,13 @@ def plane_zero_count(f: HomogPoly) -> Optional[int]:
     f(1, t) has the root -b/c for each, so f is squarefree exactly when
     a <= 1 and f(1, t) has deg f(1, t) distinct roots.  Its zeros are then
     those roots and [0:1] when a = 1: one squarefree decomposition decides
-    and counts.  The result is kept on f, so the verdict, the oracle count
-    and the reducedness diagnostic of one request share it; threads racing
-    on the same f at worst compute it twice and store the same value."""
+    and counts.  The decomposition runs over the least field of f's tower
+    holding its coefficients: the number of distinct roots in the
+    algebraic closure does not depend on the field f is read over, and a
+    base-field code is the same constant in every field of the tower.
+    The result is kept on f, so the verdict, the oracle count and the
+    reducedness diagnostic of one request share it; threads racing on the
+    same f at worst compute it twice and store the same value."""
     try:
         return f._zero_count
     except AttributeError:
@@ -838,6 +844,7 @@ def plane_zero_count(f: HomogPoly) -> Optional[int]:
         a = min(m[0] for m in f.terms)
         if a <= 1:
             g = dehomogenize(f, at=0)
+            g = UniPoly(least_subfield(g.field, max(g.coefficients)), g.coefficients)
             roots = distinct_root_count(g) if g.degree >= 1 else 0
             if roots == g.degree:
                 count = roots + a

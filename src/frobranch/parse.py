@@ -126,14 +126,15 @@ def parse_homog(text: str, field: Field, var_names: Sequence[str]) -> HomogPoly:
 _TOKEN = re.compile(r"\s*(\d+|.|\Z)", re.S)  # an integer, any other character, or the end ''
 
 
-def _read_integers(tokens, separators: tuple) -> tuple[list[int], re.Match]:
+def _read_integers(tokens, separators: tuple, offset: int = 0) -> tuple[list[int], re.Match]:
     """Integers split by one of the separators, read from a _TOKEN
-    iterator: the integers, and the token after the last one."""
+    iterator over a text that starts at position offset of the input: the
+    integers, and the token after the last one."""
     values = []
     while True:
         tok = next(tokens)
         if not tok[1].isdecimal():
-            raise ParseError(tok.start(1), "a decimal integer")
+            raise ParseError(offset + tok.start(1), "a decimal integer")
         values.append(int(tok[1]))
         tok = next(tokens)
         if tok[1] not in separators:
@@ -141,13 +142,13 @@ def _read_integers(tokens, separators: tuple) -> tuple[list[int], re.Match]:
 
 
 def parse_vector_list(text: str, n: int, offset: int = 0) -> list[tuple[int, ...]]:
-    """Semicolon-separated vectors, each a comma-list of n integers.  A
-    missing integer is reported at its position in text, any other error
-    at offset plus it."""
+    """Semicolon-separated vectors, each a comma-list of n integers, in a
+    text that starts at position offset of the input: every error is
+    reported at offset plus its position in text."""
     tokens = _TOKEN.finditer(text)
     vectors = []
     while True:
-        vec, tok = _read_integers(tokens, (",",))
+        vec, tok = _read_integers(tokens, (",",), offset)
         if len(vec) != n:
             raise ParseError(offset + tok.start(1), f"a vector of {n} coordinates, got {len(vec)}")
         vectors.append(tuple(vec))

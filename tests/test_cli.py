@@ -337,6 +337,30 @@ def test_ext_s_field(capsys):
     assert json.loads(out)["results"]["branches_formula"] == 2
 
 
+def test_gf_p_coded_extension_request_builds_no_field_tables(monkeypatch):
+    # a GF(p)-coded request over GF(5^3) stays in GF(5): slices, reduction
+    # form, plane-curve count and power vector; the field's tables come
+    # only with its first arithmetic, built once
+    opened, builds = [], []
+    tables = ffield.ExtensionField._tables
+    monkeypatch.setattr(ffield.ExtensionField, "_tables", lambda self: builds.append(self) or tables(self))
+
+    def extend_fresh(field, s):  # past extend_field's cache, so the field is new
+        opened.append(ffield.extend_field.__wrapped__(field, s))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "extend_field", extend_fresh)
+    argv = ["branches", "--p", "5", "--ext-s", "3", "--vars", "x,y", "--rel", "x^2*y+x*y^2"]
+    report = cli.run(cli.parse_request(argv))
+    assert report.exit_code == 0 and report.results["branches_formula"] == 3
+    (field,) = opened
+    # equality and hashing read the modulus only
+    assert field == ffield.extend_field(field.base, 3) and hash(field) == hash(ffield.extend_field(field.base, 3))
+    assert field.order == 125 and builds == [] and not ffield._TABLES & field.__dict__.keys()
+    assert field.mul(5, field.inv(5)) == 1 and field.add(5, 20) == 0  # u + 4u
+    assert builds == [field] and ffield._TABLES <= field.__dict__.keys()
+
+
 # reduction forms off the prime field, recorded before codes replaced
 # FieldElement; the last one is over the tower GF(2^2) -> GF((2^2)^2)
 GOLDEN_EXTENSION_REPORTS = [

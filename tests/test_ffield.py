@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -365,14 +368,17 @@ def test_frobenius_matrix_of_gf4():
 
 
 def test_oversized_extension_refused_before_any_irreducibility_test(monkeypatch):
-    calls = []
-    test = ffield._is_field
+    calls, sieved = [], []
+    test, sieve = ffield._is_field, ffield._first_irreducible_code
     monkeypatch.setattr(ffield, "_is_field", lambda f, basis: calls.append(f) or test(f, basis))
+    monkeypatch.setattr(ffield, "_first_irreducible_code", lambda field, s: sieved.append(s) or sieve(field, s))
     with pytest.raises(CapExceeded):
         extend_field(PrimeField(3), 8)  # 3^8 = 6561 > MAX_TABLE_ORDER
     with pytest.raises(CapExceeded):
         extend_field(F2, MAX_EXTENSION_DEGREE + 1)
-    assert calls == []
+    with pytest.raises(CapExceeded):
+        extend_field(extend_field(F3, 2), 4)  # a tower base: (3^2)^4 > MAX_TABLE_ORDER
+    assert calls == [] and sieved == []
     with pytest.raises(ReducibleModulus):
         ExtensionField(F3, UniPoly.from_ints(F3, [2, 0, 1]))  # t^2 + 2 = (t-1)(t+1)
     assert len(calls) == 1
@@ -483,3 +489,80 @@ def test_tower_embedding_is_homomorphism():
             for b in range(small.order):
                 assert big.add(a, b) == small.add(a, b)
                 assert big.mul(a, b) == small.mul(a, b)
+
+
+def _candidate_loop(field, s):
+    """The modulus search the sieve replaced, kept as its reference: one
+    ExtensionField per monic candidate of degree s in code order, up to the
+    first that Berlekamp's test accepts, with its tables read at once."""
+    for code in range(field.order**s):
+        try:
+            ext = ExtensionField(field, _monic(field, s, code))
+        except ReducibleModulus:
+            continue
+        ext.mats  # builds every table
+        return ext
+
+
+def test_sieve_picks_the_candidate_loops_field():
+    F4, F9 = extend_field(F2, 2), extend_field(F3, 2)
+    specs = [(PrimeField(p), s) for p, s in _prime_extensions()]
+    specs += [(F4, 2), (F4, 3), (F9, 2), (F9, 3)]
+    for base, s in specs:
+        ext, ref = extend_field(base, s), _candidate_loop(base, s)
+        assert ext.modulus == ref.modulus, (base, s)
+        assert np.array_equal(ext.mats, ref.mats), (base, s)
+        for name in ("exp", "log", "zech", "_half"):
+            assert getattr(ext, name) == getattr(ref, name), (base, s, name)
+
+
+def test_a_sieve_that_picks_a_reducible_code_is_refused(monkeypatch):
+    # Berlekamp's test in ExtensionField stays the certificate: a sieve
+    # bug cannot give a wrong field
+    monkeypatch.setattr(ffield, "_first_irreducible_code", lambda field, s: 0)  # t^s
+    extend_field.cache_clear()
+    with pytest.raises(ReducibleModulus):
+        extend_field(F3, 2)
+
+
+def test_racing_first_reads_see_complete_tables():
+    # more threads than cores race on the first arithmetic of fresh fields,
+    # with thread switches forced far more often than by default
+    threads = min(os.cpu_count() or 1, 32) + 2
+    F4 = extend_field(F2, 2)
+    specs = [(F2, 8), (F3, 5), (F5, 3), (F4, 2)]
+    rng = random.Random(26)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for base, s in specs * 3:
+            ref = extend_field(base, s)
+            pairs = [(rng.randrange(1, ref.order), rng.randrange(ref.order)) for _ in range(50)]
+            expected = [(ref.mul(a, b), ref.add(a, b), ref.inv(a)) for a, b in pairs]
+            field = ExtensionField(base, ref.modulus)
+            barrier = threading.Barrier(threads)
+            seen = [None] * threads
+
+            def work(i):
+                try:
+                    barrier.wait(timeout=10)
+                    got = [(field.mul(a, b), field.add(a, b), field.inv(a)) for a, b in pairs]
+                    seen[i] = got, {name: field.__dict__.get(name) for name in ffield._TABLES}
+                except Exception as exc:
+                    seen[i] = exc
+
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in workers), (base, s)
+            for result in seen:
+                assert isinstance(result, tuple), (base, s, result)
+                got, published = result
+                assert got == expected, (base, s)
+                assert np.array_equal(published["mats"], ref.mats), (base, s)
+                for name in ("exp", "log", "zech", "_half"):
+                    assert published[name] == getattr(ref, name), (base, s, name)
+    finally:
+        sys.setswitchinterval(old)

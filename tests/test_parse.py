@@ -97,6 +97,15 @@ def test_parse_vector_list():
         parse_vector_list("1,2; 3", 2)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("3: 1,x", 5), ("2:", 2), ("2: 1,2;", 7), ("2: 1,2; 3", 9), ("2: 1;", 4), ("x: 1", 0),
+])
+def test_semigroup_errors_are_at_their_position_in_the_whole_text(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_semigroup(text)
+    assert info.value.position == position
+
+
 def test_superscript_digits_are_parse_errors():
     # str.isdigit accepts '²', which int() rejects with a bare ValueError
     with pytest.raises(ParseError) as info:
@@ -110,7 +119,9 @@ def test_superscript_digits_are_parse_errors():
 
 
 # The per-character reader the generator grammars used before the regex
-# scan, kept verbatim as the reference its errors are compared against.
+# scan, kept as the reference its errors are compared against; only
+# reference_parse_vector_list changed since, to report a missing integer at
+# its absolute position like every other error.
 class _Cursor:
     def __init__(self, text: str):
         self.text = text
@@ -149,19 +160,23 @@ class _Cursor:
 
 
 def reference_parse_vector_list(text, n, offset=0):
+    # every error at its absolute position, offset plus its place in text
     cur = _Cursor(text)
     vectors = []
-    while True:
-        vec = [cur.integer()]
-        while cur.take(","):
-            vec.append(cur.integer())
-        if len(vec) != n:
-            raise ParseError(offset + cur.pos, f"a vector of {n} coordinates, got {len(vec)}")
-        vectors.append(tuple(vec))
-        if not cur.take(";"):
-            break
-    if not cur.done():
-        raise ParseError(offset + cur.pos, "';' or end of input")
+    try:
+        while True:
+            vec = [cur.integer()]
+            while cur.take(","):
+                vec.append(cur.integer())
+            if len(vec) != n:
+                raise ParseError(cur.pos, f"a vector of {n} coordinates, got {len(vec)}")
+            vectors.append(tuple(vec))
+            if not cur.take(";"):
+                break
+        if not cur.done():
+            raise ParseError(cur.pos, "';' or end of input")
+    except ParseError as exc:
+        raise ParseError(offset + exc.position, exc.expected) from None
     return vectors
 
 
