@@ -17,15 +17,15 @@ unmarked code is the first irreducible modulus in the coefficient order.
 The constructor then builds the regular representation of
 base[u]/(modulus) over GF(p), whose basis matrices certify irreducibility
 once by Berlekamp's criterion (f squarefree and b -> b^p fixing only
-GF(p)); a sieve that picked a reducible code is refused there.  The
-element tables come only on the first arithmetic: the basis matrices
-combine into the scalar matrices (mats[c] multiplies by c), from which the
-exp/log lists come by doubling the powers of a primitive element; products,
-inverses and powers are then list lookups, and sums go through Zech
-logarithms log(1 + a^k).  Work whose codes all lie in a subfield runs
-there (least_subfield): graded's slices, plane-curve counts and power
-vectors, so an extension none of whose own elements is computed with never
-builds its tables.
+GF(p)); a sieve that picked a reducible code is refused there.  Sums work
+digit by digit and need no table.  The one element table, the scalar
+matrices (mats[c] multiplies by c), combines the basis matrices on its
+first read, by a product or by linalg's kernel for the field: a product is
+one matrix applied to digits, and inverses and powers are
+square-and-multiply over products.  Work whose codes all lie in a subfield
+runs there (least_subfield): graded's slices, plane-curve counts and power
+vectors, so an extension none of whose own elements is multiplied never
+builds its table.
 
 The polynomial layer provides the Euclidean gcd, characteristic-p
 squarefree decomposition (with p-th root extraction when the derivative
@@ -35,7 +35,7 @@ counting, which is what the branch oracle consumes.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -52,9 +52,9 @@ from .linalg import Echelon, kernel_for
 MAX_PRIME = 2**31
 MAX_EXTENSION_DEGREE = 8
 
-# Extension fields build a q x s x s stack of scalar matrices from the
-# modulus and derive O(q) exp/log lists from it, so they are limited to
-# this order (prime fields of any size below MAX_PRIME need neither).
+# Extension fields build a q x D x D stack of scalar matrices from the
+# modulus (D the degree over GF(p)), so they are limited to this order
+# (prime fields of any size below MAX_PRIME need none).
 MAX_TABLE_ORDER = 4096
 
 
@@ -133,27 +133,20 @@ class PrimeField:
         return str(a)
 
 
-# the element tables of an ExtensionField, built together on first read
-_TABLES = frozenset(("mats", "exp", "log", "zech", "_half"))
-
-
 class ExtensionField:
     """Degree-s extension base[u]/(modulus) of an existing field.
 
     The constructor checks the caps, makes the modulus monic, builds its
     regular basis over GF(p) and certifies the modulus irreducible with it
-    (_is_field), so equality, hashing and ReducibleModulus need no tables.
+    (_is_field), so equality, hashing and ReducibleModulus need no table.
 
-    The tables come on the first read of any of them (__getattr__), all
-    together: `mats[c]` is the D x D GF(p)-matrix of multiplication by c, D
-    the degree over GF(p): `mats[c, i, j]` is digit i of c * p^j.  `exp[k]`
-    is the code of a^k for the primitive element a, stored twice over so
-    that a sum of two logarithms needs no reduction; `log` inverts it on
-    nonzero codes; `zech[k]` is log(1 + a^k), None where that sum is zero.
-    They are built in locals and published by one update of the instance
-    dict, as the semigroup table publishes its fields, so a read after
-    that finds every table; two threads that race on the first read may
-    both build them, and publish equal values.
+    The one table, `mats`, comes on its first read: `mats[c]` is the D x D
+    GF(p)-matrix of multiplication by c, D the degree over GF(p):
+    `mats[c, i, j]` is digit i of c * p^j.  Sums and negatives work digit
+    by digit on the codes and need no table; a product is mats[a] applied
+    to the digits of b, and inverses and powers are square-and-multiply
+    over products.  Two threads that race on the first read may both build
+    mats; they build equal arrays.
     """
 
     def __init__(self, base: "Field", modulus: "UniPoly"):
@@ -173,44 +166,12 @@ class ExtensionField:
         if not _is_field(modulus, self._basis):
             raise ReducibleModulus(f"modulus {modulus} is reducible")
 
-    def __getattr__(self, name):
-        # only called when normal lookup fails, so never once published
-        if name not in _TABLES:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        tables = self._tables()
-        self.__dict__.update(tables)
-        return tables[name]
-
-    def _tables(self) -> dict:
-        """mats as the combination of the basis matrices by each code's
-        digits; exp by doubling: the digit plane of a^0 .. a^(2^j - 1), times
-        the matrix of a^(2^j), gives the next 2^j powers.  a is the first
-        code whose powers reach 1 only at q - 1; codes below the base order
-        are base elements, of smaller order."""
-        p, D, n = self.p, self.degree, self.order - 1
-        powers = p ** np.arange(D, dtype=np.int64)
-        digits = np.arange(self.order)[:, None] // powers % p
-        mats = digits.dot(self._basis.reshape(D, D * D)).reshape(-1, D, D) % p
-        for alpha in range(self.base.order, self.order):
-            plane, step = mats[1][:, :1], mats[alpha]  # the digits of 1
-            while plane.shape[1] < n:
-                plane = np.hstack([plane, step.dot(plane) % p])
-                step = step.dot(step) % p
-            exp = powers.dot(plane[:, :n]).tolist()
-            if 1 not in exp[1:]:
-                break
-        log = np.zeros(self.order, dtype=np.int64)
-        log[exp] = np.arange(n)
-        log = log.tolist()
-        # 1 + x only changes the lowest GF(p) digit of x
-        plus_one = [e - e % p + (e + 1) % p for e in exp]
-        return {
-            "mats": mats,
-            "exp": exp + exp,
-            "log": log,
-            "zech": [log[c] if c else None for c in plus_one],
-            "_half": n // 2 if p != 2 else 0,  # a^(n/2) = -1 in odd characteristic
-        }
+    @cached_property
+    def mats(self) -> np.ndarray:
+        """The basis matrices combined by each code's digits."""
+        p, D = self.p, self.degree
+        digits = np.arange(self.order)[:, None] // p ** np.arange(D, dtype=np.int64) % p
+        return digits.dot(self._basis.reshape(D, D * D)).reshape(-1, D, D) % p
 
     def __eq__(self, other):
         return (
@@ -225,39 +186,46 @@ class ExtensionField:
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"
 
+    def _digits(self, a: int) -> list:
+        p = self.p
+        return [a // p**i % p for i in range(self.degree)]
+
+    def _code(self, digits) -> int:
+        """The code of integer digits, lowest first, each read mod p."""
+        code = 0
+        for d in reversed(digits):
+            code = code * self.p + d % self.p
+        return code
+
     def add(self, a: int, b: int) -> int:
-        if not a:
-            return b
-        if not b:
-            return a
-        log = self.log
-        la = log[a]
-        # negative differences index zech from the end, i.e. modulo q - 1
-        z = self.zech[log[b] - la]
-        return 0 if z is None else self.exp[la + z]
+        return self._code([x + y for x, y in zip(self._digits(a), self._digits(b))])
 
     def neg(self, a: int) -> int:
-        return self.exp[self.log[a] + self._half] if a else 0
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._code([x - y for x, y in zip(self._digits(a), self._digits(b))])
 
     def mul(self, a: int, b: int) -> int:
-        if not a or not b:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
+        return self._code(self.mats[a].dot(self._digits(b)).tolist())
 
     def inv(self, a: int) -> int:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
-        return self.exp[self.order - 1 - self.log[a]]
+        return self.pow(a, -1)
 
     def pow(self, a: int, n: int) -> int:
         if not a:
             if n < 0:
                 raise ZeroDivisionError("negative power of zero field element")
             return 0 if n else 1
-        return self.exp[self.log[a] * n % (self.order - 1)]
+        # a^(q-1) = 1, so n counts modulo q - 1, a negative n included
+        n, power = n % (self.order - 1), 1
+        while n:
+            if n & 1:
+                power = self.mul(power, a)
+            a, n = self.mul(a, a), n >> 1
+        return power
 
     def format(self, a: int) -> str:
         """Nested coefficient tuple over the tower, lowest power first."""

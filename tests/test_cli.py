@@ -7,7 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 
 import pytest
@@ -339,11 +339,13 @@ def test_ext_s_field(capsys):
 
 def test_gf_p_coded_extension_request_builds_no_field_tables(monkeypatch):
     # a GF(p)-coded request over GF(5^3) stays in GF(5): slices, reduction
-    # form, plane-curve count and power vector; the field's tables come
-    # only with its first arithmetic, built once
+    # form, plane-curve count and power vector; sums need no table, and the
+    # field's one table, mats, comes with its first product, built once
     opened, builds = [], []
-    tables = ffield.ExtensionField._tables
-    monkeypatch.setattr(ffield.ExtensionField, "_tables", lambda self: builds.append(self) or tables(self))
+    build = ffield.ExtensionField.mats.func
+    counted = cached_property(lambda self: builds.append(self) or build(self))
+    counted.__set_name__(ffield.ExtensionField, "mats")
+    monkeypatch.setattr(ffield.ExtensionField, "mats", counted)
 
     def extend_fresh(field, s):  # past extend_field's cache, so the field is new
         opened.append(ffield.extend_field.__wrapped__(field, s))
@@ -356,9 +358,14 @@ def test_gf_p_coded_extension_request_builds_no_field_tables(monkeypatch):
     (field,) = opened
     # equality and hashing read the modulus only
     assert field == ffield.extend_field(field.base, 3) and hash(field) == hash(ffield.extend_field(field.base, 3))
-    assert field.order == 125 and builds == [] and not ffield._TABLES & field.__dict__.keys()
-    assert field.mul(5, field.inv(5)) == 1 and field.add(5, 20) == 0  # u + 4u
-    assert builds == [field] and ffield._TABLES <= field.__dict__.keys()
+    assert field.order == 125 and builds == [] and "mats" not in field.__dict__
+    # u + 4u, -u = 4u, 4u - u = 3u
+    assert field.add(5, 20) == 0 and field.neg(5) == 20 and field.sub(20, 5) == 15
+    assert builds == [] and "mats" not in field.__dict__
+    assert field.mul(5, 5) == 25  # u * u
+    assert builds == [field] and "mats" in field.__dict__
+    assert field.mul(5, field.inv(5)) == 1 and field.pow(5, 124) == 1
+    assert builds == [field]
 
 
 # reduction forms off the prime field, recorded before codes replaced
