@@ -5,14 +5,14 @@
 
 MODE is one of branches, hypersurface, fnilpotent, fte, tight-member;
 `frobranch --help` lists them and `frobranch MODE --help` the flags of
-one.  One table (_MODES) gives each mode's flags with their types,
-defaults, least values and help, and drives parsing, validation and
---help alike.  Flags are spelled in full; each is given at most once,
-except --rel, which repeats.  A separate VALUE that begins with "-" must
-be "-", a negative number or hold a space; write any other as
---flag=VALUE.
-Numeric flags must satisfy --ext-s >= 1, --s-max >= 1 and --e-max >= 0,
-and the --vars names must be distinct identifiers.
+one.  One table (_MODES) gives each mode the flags its answer reads, and
+no others, with their types, defaults, least values and help, and drives
+parsing, validation and --help alike: --ext-s >= 1 and --s-max >= 1 only
+for branches, --e-max >= 0 only for fnilpotent and tight-member.  Flags
+are spelled in full; each is given at most once, except --rel, which
+repeats.  A separate VALUE that begins with "-" must be "-", a negative
+number or hold a space; write any other as --flag=VALUE.  The --vars
+names must be distinct identifiers.
 
 `--config FILE` reads the request as CLI tokens from a file of at most
 CONFIG_CAP characters; it must be the only argument, and the file may not
@@ -85,24 +85,22 @@ class AnalysisRequest:
     e_max: int = DEFAULT_E_MAX
     s_max: int = DEFAULT_S_MAX
     output_format: str = "text"
-    seed: Optional[int] = None
 
     def echo(self) -> dict:
-        out = {"mode": self.mode, "p": self.p, "ext_s": self.ext_s}
+        out = {"mode": self.mode, "p": self.p}
         if self.var_names:
             out["vars"] = list(self.var_names)
         if self.relations:
             out["relations"] = list(self.relations)
-        for key in ("gens", "ideal", "element", "seed"):
+        for key in ("gens", "ideal", "element"):
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
-        out["e_max"] = self.e_max
-        out["s_max"] = self.s_max
-        # schema-1 keys of two retired options, echoed at their old defaults
-        # so reports stay byte-identical; drop them at the next schema_version
-        out["degree_cap"] = 64
-        out["box_factor"] = 3
+        # schema-1 keys echoed in every mode, so reports stay byte-identical,
+        # and dropped at schema 2 (ROADMAP.md, item 5): ext_s, e_max and
+        # s_max, at their defaults in the modes that do not take them, and
+        # degree_cap and box_factor, at the defaults of two retired options
+        out.update(ext_s=self.ext_s, e_max=self.e_max, s_max=self.s_max, degree_cap=64, box_factor=3)
         return out
 
 
@@ -135,36 +133,41 @@ class _Option(NamedTuple):
     default: Optional[str] = None  # None keeps AnalysisRequest's default
 
 
-_COMMON = {
+# the flags that read the same in every mode that takes them
+_FLAGS = {
     "--p": _Option("p", int, "prime characteristic", required=True),
     "--ext-s": _Option("ext_s", int, "scalar extension degree of the base field (default 1)", least=1),
     "--e-max": _Option("e_max", int, f"exponent cap for semigroups of dimension >= 2 (default {DEFAULT_E_MAX})", least=0),
     "--s-max": _Option("s_max", int, f"scalar extension cap of the reduction search (default {DEFAULT_S_MAX})", least=1),
     "--format": _Option("output_format", ("text", "json"), "report format (default text)"),
-    "--seed": _Option("seed", int, "echoed into the report for sampling harnesses"),
+    "--gens": _Option("gens", str, "semigroup generators, e.g. '3: 2,0,0; 1,1,0' or '2,3'", required=True),
 }
-_GENS = {"--gens": _Option("gens", str, "semigroup generators, e.g. '3: 2,0,0; 1,1,0' or '2,3'", required=True)}
 
-# mode -> (what it answers, the flags it takes); parsing, validation and
-# --help all read this table
+
+def _take(*flags: str) -> dict:
+    return {flag: _FLAGS[flag] for flag in flags}
+
+
+# mode -> (what it answers, the flags it takes: exactly those its answer
+# reads); parsing, validation and --help all read this table
 _MODES = {
     "branches": ("branch count of a graded quotient ring", {
-        **_COMMON,
+        **_take("--p", "--ext-s", "--s-max", "--format"),
         "--vars": _Option("var_names", str, "comma-separated variable names", required=True),
         "--rel": _Option("relations", list, "homogeneous relation"),
     }),
     "hypersurface": ("oracle branch count of a plane curve", {
-        **_COMMON,
+        **_take("--p", "--format"),
         "--vars": _Option("var_names", str, "the two variable names (default x,y)", default="x,y"),
         "--rel": _Option("relations", list, "the squarefree form"),
     }),
-    "fnilpotent": ("F-nilpotence of an affine semigroup ring", {**_COMMON, **_GENS}),
+    "fnilpotent": ("F-nilpotence of an affine semigroup ring", _take("--p", "--e-max", "--format", "--gens")),
     "fte": ("Frobenius test exponent of a monomial ideal (numerical semigroup)", {
-        **_COMMON, **_GENS,
+        **_take("--p", "--format", "--gens"),
         "--ideal": _Option("ideal", str, "ideal generators, comma-separated integers", required=True),
     }),
     "tight-member": ("tight closure membership of a monomial", {
-        **_COMMON, **_GENS,
+        **_take("--p", "--e-max", "--format", "--gens"),
         "--ideal": _Option("ideal", str, "ideal generator vectors, ';' separated", required=True),
         "--element": _Option("element", str, "the candidate exponent vector", required=True),
     }),
@@ -302,13 +305,8 @@ def parse_request(argv: Sequence[str]) -> AnalysisRequest:
     return _parse_mode(tokens[0], tokens[1:])
 
 
-def _make_field(req: AnalysisRequest):
-    base = PrimeField(req.p)
-    return base if req.ext_s == 1 else extend_field(base, req.ext_s)
-
-
 def _run_branches(req: AnalysisRequest) -> AnalysisReport:
-    field = _make_field(req)
+    field = PrimeField(req.p) if req.ext_s == 1 else extend_field(PrimeField(req.p), req.ext_s)
     rels = [parse_homog(text, field, req.var_names) for text in req.relations]
     ring = GradedQuotient(field, len(req.var_names), rels, req.var_names)
     rep = crosscheck(ring, s_max=req.s_max)
@@ -325,7 +323,7 @@ def _run_branches(req: AnalysisRequest) -> AnalysisReport:
 def _run_hypersurface(req: AnalysisRequest) -> AnalysisReport:
     if len(req.relations) != 1:
         raise _CliInputError("hypersurface needs exactly one --rel")
-    field = _make_field(req)
+    field = PrimeField(req.p)
     f = parse_homog(req.relations[0], field, req.var_names)
     curve = HypersurfaceCurve(field, f, req.var_names)
     return AnalysisReport(req.echo(), {"branches": hypersurface_branches(curve)})
@@ -360,7 +358,7 @@ def _run_fte(req: AnalysisRequest) -> AnalysisReport:
         if A.n != 1:
             raise _CliInputError("fte requires a numerical semigroup (dimension 1)")
         ideal = [v[0] for v in parse_vector_list(req.ideal, 1)]
-        report = is_f_nilpotent(A, req.p, req.e_max)
+        report = is_f_nilpotent(A, req.p)
         fte = fte_bruteforce(A, req.p, ideal, report)
     return AnalysisReport(
         req.echo(),

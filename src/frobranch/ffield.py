@@ -88,8 +88,20 @@ def check_characteristic(p: int) -> None:
         raise CompositeCharacteristic(f"{p} is not prime")
 
 
+def _element(field: "Field", a: int) -> int:
+    """a, refused with ValueError unless it is a code of field: in [0, q)."""
+    if not 0 <= a < field.order:
+        raise ValueError(f"code {a} is not an element of {field}")
+    return a
+
+
 class PrimeField:
-    """GF(p); the code of an element is its representative in [0, p)."""
+    """GF(p); the code of an element is its representative in [0, p).
+
+    add, sub, neg and mul return the code of the residue of any integers
+    and are the hot path of UniPoly.divmod, so they check nothing; inv and
+    pow refuse a code outside [0, p), so a multiple of p gets no inverse.
+    """
 
     degree = 1
 
@@ -120,14 +132,14 @@ class PrimeField:
         return a * b % self.p
 
     def inv(self, a: int) -> int:
-        if not a:
+        if not _element(self, a):
             raise ZeroDivisionError("inverse of zero field element")
         return pow(a, self.p - 2, self.p)
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return pow(self.inv(a), -n, self.p)
-        return pow(a, n, self.p)
+        return pow(_element(self, a), n, self.p)
 
     def format(self, a: int) -> str:
         return str(a)
@@ -145,7 +157,8 @@ class ExtensionField:
     `mats[c, i, j]` is digit i of c * p^j.  Sums and negatives work digit
     by digit on the codes and need no table; a product is mats[a] applied
     to the digits of b, and inverses and powers are square-and-multiply
-    over products.  Two threads that race on the first read may both build
+    over products.  Every operation refuses a code outside [0, q) with
+    ValueError.  Two threads that race on the first read may both build
     mats; they build equal arrays.
     """
 
@@ -187,6 +200,7 @@ class ExtensionField:
         return f"GF({self.p}^{self.degree})"
 
     def _digits(self, a: int) -> list:
+        _element(self, a)
         p = self.p
         return [a // p**i % p for i in range(self.degree)]
 
@@ -207,7 +221,7 @@ class ExtensionField:
         return self._code([x - y for x, y in zip(self._digits(a), self._digits(b))])
 
     def mul(self, a: int, b: int) -> int:
-        return self._code(self.mats[a].dot(self._digits(b)).tolist())
+        return self._code(self.mats[_element(self, a)].dot(self._digits(b)).tolist())
 
     def inv(self, a: int) -> int:
         if not a:
@@ -215,7 +229,7 @@ class ExtensionField:
         return self.pow(a, -1)
 
     def pow(self, a: int, n: int) -> int:
-        if not a:
+        if not _element(self, a):
             if n < 0:
                 raise ZeroDivisionError("negative power of zero field element")
             return 0 if n else 1

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -673,8 +674,9 @@ def test_malformed_requests_are_refused(args, message, capsys):
     assert err == f"error: {message}\n"
 
 
-# The argparse parser the CLI used before the _MODES table, kept verbatim
-# as the reference the table parser is compared against.
+# The argparse parser the CLI used before the _MODES table, kept as the
+# reference the table parser is compared against; each mode takes the same
+# flags as in the table, those its answer reads.
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise cli._CliInputError(message)
@@ -687,42 +689,46 @@ def _parser() -> _Parser:
     parser.add_argument("--config", help="read the request as CLI tokens from a file")
     sub = parser.add_subparsers(dest="mode")
 
-    def common(sp, semigroup=False):
+    shared = {
+        "--ext-s": dict(type=int, default=1, help="scalar extension degree of the base field"),
+        "--e-max": dict(type=int, default=DEFAULT_E_MAX),
+        "--s-max": dict(type=int, default=DEFAULT_S_MAX),
+        "--format": dict(choices=("text", "json"), default="text"),
+        "--gens": dict(required=True, help="semigroup generators, e.g. '3: 2,0,0; 1,1,0' or '2,3'"),
+    }
+
+    def common(sp, *flags):
         sp.add_argument("--p", type=int, required=True, help="prime characteristic")
-        sp.add_argument("--ext-s", type=int, default=1, help="scalar extension degree of the base field")
-        sp.add_argument("--e-max", type=int, default=DEFAULT_E_MAX)
-        sp.add_argument("--s-max", type=int, default=DEFAULT_S_MAX)
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--seed", type=int, default=None, help="echoed into the report for sampling harnesses")
-        if semigroup:
-            sp.add_argument("--gens", required=True, help="semigroup generators, e.g. '3: 2,0,0; 1,1,0' or '2,3'")
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     sp = sub.add_parser("branches", help="branch count of a graded quotient ring")
-    common(sp)
+    common(sp, "--ext-s", "--s-max", "--format")
     sp.add_argument("--vars", required=True, help="comma-separated variable names")
     sp.add_argument("--rel", action="append", default=[], help="homogeneous relation (repeatable)")
 
     sp = sub.add_parser("hypersurface", help="oracle branch count of a plane curve")
-    common(sp)
+    common(sp, "--format")
     sp.add_argument("--vars", default="x,y", help="the two variable names")
     sp.add_argument("--rel", action="append", default=[], help="the squarefree form")
 
     sp = sub.add_parser("fnilpotent", help="F-nilpotence of an affine semigroup ring")
-    common(sp, semigroup=True)
+    common(sp, "--e-max", "--format", "--gens")
 
     sp = sub.add_parser("fte", help="Frobenius test exponent of a monomial ideal (numerical semigroup)")
-    common(sp, semigroup=True)
+    common(sp, "--format", "--gens")
     sp.add_argument("--ideal", required=True, help="ideal generators, comma-separated integers")
 
     sp = sub.add_parser("tight-member", help="tight closure membership of a monomial")
-    common(sp, semigroup=True)
+    common(sp, "--e-max", "--format", "--gens")
     sp.add_argument("--ideal", required=True, help="ideal generator vectors, ';' separated")
     sp.add_argument("--element", required=True, help="the candidate exponent vector")
     return parser
 
 
-# (flag, namespace attribute, least valid value)
-_LEAST = (("--ext-s", "ext_s", 1), ("--e-max", "e_max", 0), ("--s-max", "s_max", 1))
+# (flag, namespace attribute, least valid value, default where a mode
+# does not take the flag)
+_LEAST = (("--ext-s", "ext_s", 1, 1), ("--e-max", "e_max", 0, DEFAULT_E_MAX), ("--s-max", "s_max", 1, DEFAULT_S_MAX))
 
 
 def reference_parse_request(argv):
@@ -736,9 +742,10 @@ def reference_parse_request(argv):
     if ns.mode is None:
         raise cli._CliInputError("a subcommand is required (branches, hypersurface, fnilpotent, fte, tight-member)")
     check_characteristic(ns.p)
-    for flag, attr, least in _LEAST:
-        if getattr(ns, attr) < least:
-            raise cli._CliInputError(f"{flag} must be >= {least}, got {getattr(ns, attr)}")
+    numbers = {attr: getattr(ns, attr, default) for _, attr, _, default in _LEAST}
+    for flag, attr, least, _ in _LEAST:
+        if numbers[attr] < least:
+            raise cli._CliInputError(f"{flag} must be >= {least}, got {numbers[attr]}")
     var_names = ()
     if getattr(ns, "vars", None):
         var_names = tuple(v.strip() for v in ns.vars.split(","))
@@ -750,16 +757,13 @@ def reference_parse_request(argv):
     return cli.AnalysisRequest(
         mode=ns.mode,
         p=ns.p,
-        ext_s=ns.ext_s,
         var_names=var_names,
         relations=tuple(getattr(ns, "rel", ()) or ()),
         gens=getattr(ns, "gens", None),
         ideal=getattr(ns, "ideal", None),
         element=getattr(ns, "element", None),
-        e_max=ns.e_max,
-        s_max=ns.s_max,
         output_format=ns.format,
-        seed=ns.seed,
+        **numbers,
     )
 
 
@@ -778,16 +782,12 @@ README_EXAMPLES = [
 
 # every flag of every mode, each pair written "--flag value"
 _FULL_REQUESTS = {
-    "branches": ["--p", "3", "--ext-s", "2", "--e-max", "5", "--s-max", "2", "--format", "json",
-                 "--seed", "7", "--vars", "x, y,z", "--rel", "x*y", "--rel", "y*z", "--rel", "x*z"],
-    "hypersurface": ["--p", "7", "--ext-s", "1", "--e-max", "0", "--s-max", "1", "--format", "text",
-                     "--seed", "0", "--vars", "u,v", "--rel", "u^4+v^4"],
-    "fnilpotent": ["--p", "2", "--ext-s", "3", "--e-max", "12", "--s-max", "3", "--format", "json",
-                   "--seed", "12", "--gens", PINCHED],
-    "fte": ["--p", "5", "--ext-s", "1", "--e-max", "2", "--s-max", "4", "--format", "text",
-            "--seed", "99", "--gens", "2,3", "--ideal", "3,4"],
-    "tight-member": ["--p", "2", "--ext-s", "1", "--e-max", "1", "--s-max", "1", "--format", "json",
-                     "--seed", "-5", "--gens", "2,3", "--ideal", "3", "--element", "4"],
+    "branches": ["--p", "3", "--ext-s", "2", "--s-max", "2", "--format", "json",
+                 "--vars", "x, y,z", "--rel", "x*y", "--rel", "y*z", "--rel", "x*z"],
+    "hypersurface": ["--p", "7", "--format", "text", "--vars", "u,v", "--rel", "u^4+v^4"],
+    "fnilpotent": ["--p", "2", "--e-max", "12", "--format", "json", "--gens", PINCHED],
+    "fte": ["--p", "5", "--format", "text", "--gens", "2,3", "--ideal", "3,4"],
+    "tight-member": ["--p", "2", "--e-max", "1", "--format", "json", "--gens", "2,3", "--ideal", "3", "--element", "4"],
 }
 
 
@@ -802,7 +802,7 @@ ACCEPTED = (
     + [[mode] + _joined(args) for mode, args in _FULL_REQUESTS.items()]
     + [[mode, "--p", "3"] + args for mode, args in _MODE_ARGS.items()]
     + [
-        ["fnilpotent", "--gens", "2,3", "--seed", "-3", "--p", "2"],
+        ["fnilpotent", "--gens", "2,3", "--e-max", "3", "--p", "2"],
         ["branches", "--p", "3", "--vars", "x,y", "--rel", "x^2", "--rel", "x*y", "--rel=y^2"],
         ["branches", "--p", "3", "--vars", "x,y"],
         ["branches", "--p", "3", "--vars", ""],
@@ -855,7 +855,7 @@ MALFORMED = [
     ["branches", "--p", "3", "--vars", "x,y", "--rel", "-x"],
     ["branches", "--p", "3", "--vars", "--rel", "x"],
     ["fnilpotent", "--p", "two", "--gens", "2,3"],
-    ["fnilpotent", "--p", "2", "--gens", "2,3", "--seed", "1.5"],
+    ["fnilpotent", "--p", "2", "--gens", "2,3", "--e-max", "1.5"],
     ["fnilpotent", "--p=", "--gens", "2,3"],
     ["fnilpotent", "--p", "2", "--gens", "2,3", "--format", "yaml"],
     ["fnilpotent", "--p", "2", "--gens", "2,3", "--format=JSON"],
@@ -905,6 +905,41 @@ def test_abbreviated_and_repeated_flags_are_refused(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+# each mode's flags, in --help order: those its answer reads
+_MODE_FLAGS = {
+    "branches": ["--p", "--ext-s", "--s-max", "--format", "--vars", "--rel"],
+    "hypersurface": ["--p", "--format", "--vars", "--rel"],
+    "fnilpotent": ["--p", "--e-max", "--format", "--gens"],
+    "fte": ["--p", "--format", "--gens", "--ideal"],
+    "tight-member": ["--p", "--e-max", "--format", "--gens", "--ideal", "--element"],
+}
+# (mode, flag) for each flag the mode took before though its answer does
+# not read it
+_UNREAD = [
+    (mode, flag)
+    for mode in _MODE_FLAGS
+    for flag in ("--ext-s", "--e-max", "--s-max", "--seed")
+    if flag not in _MODE_FLAGS[mode]
+]
+
+
+def test_each_mode_takes_the_flags_its_answer_reads():
+    assert {mode: list(options) for mode, (_, options) in cli._MODES.items()} == _MODE_FLAGS
+    assert sum(map(len, _MODE_FLAGS.values())) == 24 and len(_UNREAD) == 16
+    assert "seed" not in {f.name for f in dataclasses.fields(cli.AnalysisRequest)}
+
+
+@pytest.mark.parametrize("mode, flag", _UNREAD)
+def test_flags_a_mode_does_not_read_are_refused(mode, flag, capsys):
+    # hypersurface --ext-s 2, fte --e-max 2, the semigroup modes' --ext-s
+    # and --s-max, and every --seed changed no answer, yet were echoed
+    argv = [mode, "--p", "2", flag, "2"] + _MODE_ARGS[mode]
+    _reference_refuses(argv)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {mode} does not take '{flag}'\n"
 
 
 def test_help_names_every_mode_and_flag(capsys):

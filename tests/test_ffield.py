@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import sys
 import threading
 
@@ -139,6 +140,44 @@ def test_powers_at_negative_and_large_exponents(F):
         # a^(q-1) = 1, so n and n + k(q - 1) give the same power
         n = rng.randrange(F.order, 3 * F.order)
         assert F.pow(a, n) == F.pow(a, n - F.order + 1) == F.pow(a, n + 5 * (F.order - 1)), (F, a, n)
+
+
+# the operations that refuse a code outside [0, q), each on one bad code a
+_CHECKED_OPS = {
+    "inv": lambda F, a: F.inv(a),
+    "pow(a, 0)": lambda F, a: F.pow(a, 0),
+    "pow(a, 2)": lambda F, a: F.pow(a, 2),
+    "pow(a, -1)": lambda F, a: F.pow(a, -1),
+    "pow(a, -2)": lambda F, a: F.pow(a, -2),
+}
+_EXTENSION_OPS = {
+    "add(a, 0)": lambda F, a: F.add(a, 0),
+    "add(0, a)": lambda F, a: F.add(0, a),
+    "sub(a, 1)": lambda F, a: F.sub(a, 1),
+    "sub(0, a)": lambda F, a: F.sub(0, a),
+    "neg": lambda F, a: F.neg(a),
+    "mul(a, 1)": lambda F, a: F.mul(a, 1),
+    "mul(1, a)": lambda F, a: F.mul(1, a),
+}
+
+
+# GF(5), GF(5^3) and the tower GF(2^2) -> GF((2^2)^2)
+@pytest.mark.parametrize("F", [F5, extend_field(F5, 3), extend_field(extend_field(F2, 2), 2)], ids=repr)
+def test_codes_outside_the_field_are_refused(F):
+    # over GF(5^3) add(130, 0) returned 5 and pow(-1, 2) 74, while
+    # mul(130, 1) and inv(130) raised IndexError; over GF(5) inv(5),
+    # pow(10, -1) and pow(5, -2) returned 0, an "inverse" of zero
+    ops = {**_CHECKED_OPS, **(_EXTENSION_OPS if isinstance(F, ExtensionField) else {})}
+    q = F.order
+    for a in (-1, -q, q, q + 5, 2 * q, 130):
+        for name, op in ops.items():
+            with pytest.raises(ValueError, match=re.escape(f"code {a} is not an element of {F!r}")):
+                op(F, a)
+                pytest.fail(f"{F!r}.{name} took code {a}")
+    if isinstance(F, PrimeField):
+        # add, sub, neg and mul take any integers and return the residue's code
+        for a, b in itertools.product((-q - 2, -1, q, q + 3, 130), repeat=2):
+            assert (F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b)) == ((a + b) % q, (a - b) % q, -a % q, a * b % q)
 
 
 def _schoolbook_mul(F, a, b):
