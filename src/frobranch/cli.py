@@ -7,12 +7,13 @@ MODE is one of branches, hypersurface, fnilpotent, fte, tight-member;
 `frobranch --help` lists them and `frobranch MODE --help` the flags of
 one.  One table (_MODES) gives each mode the flags its answer reads, and
 no others, with their types, defaults, least values and help, and drives
-parsing, validation and --help alike: --ext-s >= 1 and --s-max >= 1 only
-for branches, --e-max >= 0 only for fnilpotent and tight-member.  Flags
-are spelled in full; each is given at most once, except --rel, which
-repeats.  A separate VALUE that begins with "-" must be "-", a negative
-number or hold a space; write any other as --flag=VALUE.  The --vars
-names must be distinct identifiers.
+parsing, validation and --help alike: --ext-s >= 1 and --s-max >= 1,
+both only for branches.  No flag caps a semigroup answer: every verdict
+is exact, or refused with exit 1 at a stated cap such as the walk budget
+semigroup.WALK_BYTES.  Flags are spelled in full; each is given at most
+once, except --rel, which repeats.  A separate VALUE that begins with "-"
+must be "-", a negative number or hold a space; write any other as
+--flag=VALUE.  The --vars names must be distinct identifiers.
 
 `--config FILE` reads the request as CLI tokens from a file of at most
 CONFIG_CAP characters; it must be the only argument, and the file may not
@@ -54,7 +55,6 @@ from .graded import DEFAULT_S_MAX, GradedQuotient, reducedness_status
 from .oracle import HypersurfaceCurve, crosscheck, hypersurface_branches
 from .parse import parse_homog, parse_semigroup, parse_vector_list
 from .semigroup import (
-    DEFAULT_E_MAX,
     SemigroupTable,
     fte_bruteforce,
     is_f_nilpotent,
@@ -82,7 +82,6 @@ class AnalysisRequest:
     gens: Optional[str] = None
     ideal: Optional[str] = None
     element: Optional[str] = None
-    e_max: int = DEFAULT_E_MAX
     s_max: int = DEFAULT_S_MAX
     output_format: str = "text"
 
@@ -97,10 +96,10 @@ class AnalysisRequest:
             if val is not None:
                 out[key] = val
         # schema-1 keys echoed in every mode, so reports stay byte-identical,
-        # and dropped at schema 2 (ROADMAP.md, item 5): ext_s, e_max and
-        # s_max, at their defaults in the modes that do not take them, and
-        # degree_cap and box_factor, at the defaults of two retired options
-        out.update(ext_s=self.ext_s, e_max=self.e_max, s_max=self.s_max, degree_cap=64, box_factor=3)
+        # and dropped at schema 2 (ROADMAP.md, item 5): ext_s and s_max, at
+        # their defaults in the modes that do not take them, and e_max,
+        # degree_cap and box_factor, at the defaults of three retired options
+        out.update(ext_s=self.ext_s, e_max=12, s_max=self.s_max, degree_cap=64, box_factor=3)
         return out
 
 
@@ -137,7 +136,6 @@ class _Option(NamedTuple):
 _FLAGS = {
     "--p": _Option("p", int, "prime characteristic", required=True),
     "--ext-s": _Option("ext_s", int, "scalar extension degree of the base field (default 1)", least=1),
-    "--e-max": _Option("e_max", int, f"exponent cap for semigroups of dimension >= 2 (default {DEFAULT_E_MAX})", least=0),
     "--s-max": _Option("s_max", int, f"scalar extension cap of the reduction search (default {DEFAULT_S_MAX})", least=1),
     "--format": _Option("output_format", ("text", "json"), "report format (default text)"),
     "--gens": _Option("gens", str, "semigroup generators, e.g. '3: 2,0,0; 1,1,0' or '2,3'", required=True),
@@ -161,13 +159,13 @@ _MODES = {
         "--vars": _Option("var_names", str, "the two variable names (default x,y)", default="x,y"),
         "--rel": _Option("relations", list, "the squarefree form"),
     }),
-    "fnilpotent": ("F-nilpotence of an affine semigroup ring", _take("--p", "--e-max", "--format", "--gens")),
+    "fnilpotent": ("F-nilpotence of an affine semigroup ring", _take("--p", "--format", "--gens")),
     "fte": ("Frobenius test exponent of a monomial ideal (numerical semigroup)", {
         **_take("--p", "--format", "--gens"),
         "--ideal": _Option("ideal", str, "ideal generators, comma-separated integers", required=True),
     }),
     "tight-member": ("tight closure membership of a monomial", {
-        **_take("--p", "--e-max", "--format", "--gens"),
+        **_take("--p", "--format", "--gens"),
         "--ideal": _Option("ideal", str, "ideal generator vectors, ';' separated", required=True),
         "--element": _Option("element", str, "the candidate exponent vector", required=True),
     }),
@@ -349,7 +347,7 @@ _SEMIGROUPS = SemigroupTable()
 
 def _run_fnilpotent(req: AnalysisRequest) -> AnalysisReport:
     with _SEMIGROUPS.shared(parse_semigroup(req.gens)) as A:
-        report = is_f_nilpotent(A, req.p, req.e_max)
+        report = is_f_nilpotent(A, req.p)
     return AnalysisReport(req.echo(), _fnilpotency_results(report))
 
 
@@ -372,7 +370,7 @@ def _run_tight_member(req: AnalysisRequest) -> AnalysisReport:
         element = parse_vector_list(req.element, A.n)
         if len(element) != 1:
             raise _CliInputError("--element must be a single vector")
-        report = is_f_nilpotent(A, req.p, req.e_max)
+        report = is_f_nilpotent(A, req.p)
         member = tight_closure_membership_monomial(A, req.p, ideal, element[0], report)
     return AnalysisReport(
         req.echo(),

@@ -35,6 +35,7 @@ counting, which is what the branch oracle consumes.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
@@ -89,10 +90,15 @@ def check_characteristic(p: int) -> None:
 
 
 def _element(field: "Field", a: int) -> int:
-    """a, refused with ValueError unless it is a code of field: in [0, q)."""
-    if not 0 <= a < field.order:
+    """a as an int, refused with ValueError unless it is a code of field:
+    an integer (operator.index, so no float) in [0, q)."""
+    try:
+        code = operator.index(a)
+    except TypeError:
+        code = None
+    if code is None or not 0 <= code < field.order:
         raise ValueError(f"code {a} is not an element of {field}")
-    return a
+    return code
 
 
 class PrimeField:
@@ -132,7 +138,8 @@ class PrimeField:
         return a * b % self.p
 
     def inv(self, a: int) -> int:
-        if not _element(self, a):
+        a = _element(self, a)
+        if not a:
             raise ZeroDivisionError("inverse of zero field element")
         return pow(a, self.p - 2, self.p)
 
@@ -200,7 +207,7 @@ class ExtensionField:
         return f"GF({self.p}^{self.degree})"
 
     def _digits(self, a: int) -> list:
-        _element(self, a)
+        a = _element(self, a)
         p = self.p
         return [a // p**i % p for i in range(self.degree)]
 
@@ -224,12 +231,13 @@ class ExtensionField:
         return self._code(self.mats[_element(self, a)].dot(self._digits(b)).tolist())
 
     def inv(self, a: int) -> int:
-        if not a:
+        if not _element(self, a):
             raise ZeroDivisionError("inverse of zero field element")
         return self.pow(a, -1)
 
     def pow(self, a: int, n: int) -> int:
-        if not _element(self, a):
+        a = _element(self, a)
+        if not a:
             if n < 0:
                 raise ZeroDivisionError("negative power of zero field element")
             return 0 if n else 1

@@ -55,12 +55,34 @@ minor of elements of E, at most r^(r/2) * BOX_VOLUME_CAP by Hadamard on
 its rows.  Only the equations from U, and the normals made with them
 when r < n, have no such bound.
 
+Eventual p-power membership is exact, with no exponent cap.  Let F be the
+minimal face of cone(A) at a cone point a, A_F the semigroup of the
+generators on F, G_F its group and S_F = G_F ∩ F its saturation.  A
+representation of p^e * a in A uses only generators on F
+(eventual_p_membership), and phase 1 answers "no" unless the order of a
+modulo G_F is a power p^k.  When F is a ray with primitive vector r, its
+generators are k_i * r and a = t * r, so p^e * a lies in A exactly when
+p^e * t lies in the numerical semigroup <k_i>, whose least e its Apery
+list gives as for n = 1.  On any other face the search tries e = 1, 2, ..
+until p^e * a lies in A, and it stops: k[S_F] is a finite k[A_F]-module
+(Bruns-Gubeladze, ch. 2), so A_F has a conductor element c_F with
+c_F + S_F ⊆ A_F.  For e >= k, p^e * a - c_F lies in G_F, so in lin F; a
+facet w of cone(A) vanishing at a vanishes on F, c_F included, and every
+other facet has <w, a> > 0, so once p^e * <w, a> >= <w, c_F> for all of
+them, p^e * a - c_F lies in cone(A) ∩ lin F = F, so in S_F, and
+p^e * a lies in c_F + S_F ⊆ A.  The conductor only bounds the search and
+is never computed.  Memory bounds it instead: each membership walk
+(_member_dfs) is charged (n + 3) * SLOT_BYTES per memo entry it adds, the
+rate of table_bytes, and refused with CapExceeded once its charge passes
+WALK_BYTES.  A walk writes only decided entries, so a refused walk leaves
+a sound memo.
+
 One process may answer many requests on the same semigroup, at different
 primes or with its generators spelled differently; SemigroupTable hands
 each the one AffineSemigroup for its canonical generators (sorted,
 deduplicated, zero dropped), so the geometry is built once.  That is
 sound because every lazily filled field is a function of those generators
-alone, with no p, exponent cap, ideal or element in it: the lattice SNF
+alone, with no p, ideal or element in it: the lattice SNF
 (_lattice_nf) and each face SNF (_faces) are the deterministic
 smith_normal_form of a matrix read off the generators, checked before it
 is stored; the facets, equations and zero patterns (cone_geometry), the
@@ -73,9 +95,13 @@ step, the field its readers test assigned last (_facets after _zeros and
 _equations, _hilbert_basis after _sat_points), and a refusal (CapExceeded)
 or a failed check (CertificateFailed) is raised before that step.  So a
 refused or failed request leaves no half-built field, and a request reads
-the values a fresh semigroup would compute: its report is byte-identical
-to one made with an empty table.  The table keeps entries least recently
-used first within TABLE_BYTES, as charged by table_bytes.
+the values a fresh semigroup would compute, except for memo entries.
+Those are decided facts that a walk reads only to prune: a warm walk adds
+a subset of the entries a cold one would, so answers never depend on the
+table, and only a refusal close to WALK_BYTES can, where the cold walk
+passes the budget and the warm one does not.  Short of that, a report is
+byte-identical to one made with an empty table.  The table keeps entries
+least recently used first within TABLE_BYTES, as charged by table_bytes.
 """
 
 from __future__ import annotations
@@ -98,7 +124,6 @@ from .ffield import check_characteristic
 Vector = tuple[int, ...]
 
 DIMENSION_CAP = 4
-DEFAULT_E_MAX = 12
 APERY_CAP = 100_000  # least gcd-reduced numerical generator = Apery list length
 BOX_VOLUME_CAP = 200_000  # saturation box points, at most about 1.1 us each
 FTE_WINDOW_CAP = 50_000_000  # Fte window integers, 10-20 ns each for 1-3 ideal generators; 10^8 took 2.1-2.3 s
@@ -106,6 +131,7 @@ FTE_CHUNK = 1 << 14  # window integers per array pass: 128 KB int64 arrays
 TABLE_BYTES = 8 << 20  # SemigroupTable budget: what one process keeps between requests, by table_bytes
 ENTRY_BYTES = 2048  # charged per kept semigroup: the object, its dicts and its array headers
 SLOT_BYTES = 64  # charged per int a kept semigroup holds outside arrays, with its share of their containers
+WALK_BYTES = 128 << 20  # one _member_dfs walk's memo entries, by table_bytes; the largest seen charged 119.5 MiB
 
 
 # -- integer matrices --------------------------------------------------------
@@ -500,10 +526,16 @@ def membership(A: AffineSemigroup, a: Sequence[int]) -> bool:
 
 
 def _member_dfs(A: AffineSemigroup, v: Vector) -> bool:
+    """Descent from v by the generators, writing each node to the memo once
+    decided; refused with CapExceeded when a node decided "no" takes the
+    entries it adds past WALK_BYTES, at the table_bytes rate of
+    (n + 3) * SLOT_BYTES each."""
     cache = A._member_cache
     hit = cache.get(v)
     if hit is not None:
         return hit
+    entry = (A.n + 3) * SLOT_BYTES
+    limit = len(cache) + WALK_BYTES // entry
     stack = [(v, iter(A.generators))]
     path = {v}
     while stack:
@@ -528,6 +560,11 @@ def _member_dfs(A: AffineSemigroup, v: Vector) -> bool:
             return True
         if found is None:
             cache[cur] = False
+            if len(cache) > limit:
+                raise CapExceeded(
+                    f"the membership walk at {list(v)} passed the walk budget of {WALK_BYTES} bytes "
+                    f"({WALK_BYTES // entry} memo entries at {entry} bytes each)"
+                )
             stack.pop()
             path.discard(cur)
     return cache.get(v, False)
@@ -726,10 +763,10 @@ def saturation_hilbert_basis(A: AffineSemigroup) -> tuple[Vector, ...]:
 
 @dataclass(frozen=True)
 class PMembership:
-    """Yes(e_min) / No(lattice certificate) / Undetermined(e_max); a
-    numerical semigroup (n = 1) is never undetermined."""
+    """Yes(the least e) / No(lattice certificate); both are exact, for
+    every n (module docstring)."""
 
-    status: str  # "yes" | "no" | "undetermined"
+    status: str  # "yes" | "no"
     e: Optional[int] = None
     certificate: Optional[dict] = None
 
@@ -755,10 +792,8 @@ def _face_lattice(A: AffineSemigroup, a: Vector):
     return (vanishing, *face)
 
 
-def eventual_p_membership(
-    A: AffineSemigroup, a: Sequence[int], p: int, e_max: int = DEFAULT_E_MAX
-) -> PMembership:
-    """Decide whether p^e * a lands in A for some e.
+def eventual_p_membership(A: AffineSemigroup, a: Sequence[int], p: int) -> PMembership:
+    """Decide whether p^e * a lands in A for some e, and give the least e.
 
     For n >= 2 membership of a itself comes first, and gives e = 0 with no
     face SNF.  That cannot hide a "no": a representation of a in A uses
@@ -774,11 +809,14 @@ def eventual_p_membership(
     point of a numerical semigroup that is a multiple of the gcd of the
     generators has order 1 modulo their lattice gcd * Z, so it skips
     phase 1 and takes no SNF; any other point takes it.
-    Phase 2 searches exponents up to e_max, from e = 1 for n >= 2; for
-    n = 1 it starts at e = 0, so a "no" there needs no Apery list, and
-    runs until the least exponent, which exists: past the p-power order of
-    a modulo the gcd of the generators, p^e * a is a multiple of it and
-    eventually passes the conductor."""
+    Phase 2 finds the least exponent, which exists (module docstring).  A
+    point t of a numerical semigroup, and a point t * r whose minimal face
+    is a ray with generators k_i * r, read it off the Apery list of <k_i>
+    (A itself for n = 1), from e = 0: past the p-power order of t modulo
+    gcd(k_i), p^e * t is a multiple of it and eventually passes the
+    conductor.  A "no" from phase 1 builds no Apery list.  Any other face
+    walks e = 1, 2, .. through membership; a point there outside cone(A)
+    is refused with ValueError, as no multiple of it reaches the cone."""
     check_characteristic(p)
     v = tuple(int(x) for x in a)
     if len(v) != A.n or any(x < 0 for x in v):
@@ -798,16 +836,25 @@ def eventual_p_membership(
             }
             return PMembership("no", certificate=cert)
     if A.n == 1:
-        contains = _numerical_data(A).contains
-        e = 0
-        while not contains(p**e * v[0]):
+        numerical, t = A, v[0]
+    elif nf.rank == 1:  # a ray: the face generators are k_i * r, and v = t * r
+        r = face_gens[0]
+        step = gcd(*r)
+        j = next(i for i, x in enumerate(r) if x)
+        numerical = AffineSemigroup([(g[j] * step // r[j],) for g in face_gens])
+        t = v[j] * step // r[j]
+    else:
+        if not A.in_cone(v):
+            raise ValueError(f"{list(v)} is not in the cone of the semigroup")
+        e = 1
+        while not membership(A, tuple(p**e * x for x in v)):
             e += 1
         return PMembership("yes", e)
-    for e in range(1, e_max + 1):
-        q = p**e
-        if membership(A, tuple(q * x for x in v)):
-            return PMembership("yes", e)
-    return PMembership("undetermined", e=e_max)
+    contains = _numerical_data(numerical).contains
+    e = 0
+    while not contains(p**e * t):
+        e += 1
+    return PMembership("yes", e)
 
 
 def _has_prime_factor_besides(order: int, p: int) -> bool:
@@ -877,13 +924,14 @@ def verify_no_certificate(A: AffineSemigroup, a: Sequence[int], p: int, cert: di
 
 @dataclass(frozen=True)
 class FNilpotencyReport:
-    """Verdict on F-nilpotence of k[A] at characteristic p.
+    """Verdict on F-nilpotence of k[A] at characteristic p, exact for every
+    A within the caps.
 
     FNilpotent carries the pure inseparability index e0; NotFNilpotent
     carries the witness Hilbert-basis element and its lattice certificate."""
 
     p: int
-    verdict: str  # "f-nilpotent" | "not-f-nilpotent" | "undetermined"
+    verdict: str  # "f-nilpotent" | "not-f-nilpotent"
     e0: Optional[int] = None
     witness: Optional[Vector] = None
     certificate: Optional[dict] = None
@@ -891,7 +939,7 @@ class FNilpotencyReport:
     per_element: dict = field(default_factory=dict)
 
 
-def pure_insep_index(A: AffineSemigroup, p: int, e_max: int = DEFAULT_E_MAX) -> FNilpotencyReport:
+def pure_insep_index(A: AffineSemigroup, p: int) -> FNilpotencyReport:
     """Pure inseparability index of k[A] -> k[saturation(A)].
 
     Semigroups are closed under addition, so p^e * h in A for every Hilbert
@@ -902,29 +950,18 @@ def pure_insep_index(A: AffineSemigroup, p: int, e_max: int = DEFAULT_E_MAX) -> 
     e0 = 0
     witness = None
     certificate = None
-    undetermined = False
     for h in basis:
-        res = eventual_p_membership(A, h, p, e_max)
+        res = eventual_p_membership(A, h, p)
         per_element[h] = res
         if res.status == "no" and witness is None:
             witness = h
             certificate = res.certificate
-        elif res.status == "undetermined":
-            undetermined = True
         elif res.status == "yes":
             e0 = max(e0, res.e)
-    if witness is not None:
-        verdict = "not-f-nilpotent"
-        e0 = None
-    elif undetermined:
-        verdict = "undetermined"
-        e0 = None
-    else:
-        verdict = "f-nilpotent"
     return FNilpotencyReport(
         p=p,
-        verdict=verdict,
-        e0=e0,
+        verdict="f-nilpotent" if witness is None else "not-f-nilpotent",
+        e0=e0 if witness is None else None,
         witness=witness,
         certificate=certificate,
         hilbert_basis=basis,
@@ -932,22 +969,15 @@ def pure_insep_index(A: AffineSemigroup, p: int, e_max: int = DEFAULT_E_MAX) -> 
     )
 
 
-def is_f_nilpotent(A: AffineSemigroup, p: int, e_max: int = DEFAULT_E_MAX) -> FNilpotencyReport:
+def is_f_nilpotent(A: AffineSemigroup, p: int) -> FNilpotencyReport:
     """F-nilpotence of the semigroup ring k[A]: holds exactly when the
     normalization map is purely inseparable."""
-    return pure_insep_index(A, p, e_max)
+    return pure_insep_index(A, p)
 
 
-@dataclass(frozen=True)
-class WeakNormalizationResult:
-    generators: tuple[Vector, ...]
-    undetermined: tuple[Vector, ...]
-
-
-def weak_normalization(
-    A: AffineSemigroup, p: int, e_max: int = DEFAULT_E_MAX
-) -> WeakNormalizationResult:
-    """Minimal generators of *A = {a in saturation : p^e * a in A for some e}.
+def weak_normalization(A: AffineSemigroup, p: int) -> tuple[Vector, ...]:
+    """Minimal generators of *A = {a in saturation : p^e * a in A for some e},
+    exact, sorted.
 
     They lie in the saturation box of the module docstring: write a point
     a of *A as sum lambda_j * e_j over linearly independent extremal
@@ -955,23 +985,18 @@ def weak_normalization(
     same positive coefficients, so the same minimal face as a, and since
     e_j lies in A on that face, the same class modulo that face's lattice,
     which is all that membership in *A depends on, so a splits as
-    e_j + (a - e_j).  So a minimal generator has every lambda_j <= 1.
-    The generators are exact when `undetermined` is empty.  A numerical semigroup contains every large
-    enough multiple of its gcd, so for n = 1, *A is the whole saturation."""
+    e_j + (a - e_j).  So a minimal generator has every lambda_j <= 1.  A
+    numerical semigroup contains every large enough multiple of its gcd,
+    so for n = 1, *A is the whole saturation."""
     if A.n == 1:
         check_characteristic(p)
-        return WeakNormalizationResult(saturation_hilbert_basis(A), ())
+        return saturation_hilbert_basis(A)
     saturation_hilbert_basis(A)
     star = A._sat_points.copy()
-    undetermined = []
     for v in map(tuple, np.argwhere(star).tolist()):  # ascending points
-        status = eventual_p_membership(A, v, p, e_max).status
-        if status != "yes":
+        if eventual_p_membership(A, v, p).status != "yes":
             star[v] = False
-        if status == "undetermined":
-            undetermined.append(v)
-    gens = _minimal_elements(star)
-    return WeakNormalizationResult(tuple(sorted(gens)), tuple(undetermined))
+    return tuple(sorted(_minimal_elements(star)))
 
 
 # -- tight closure and Frobenius test exponents --------------------------------
@@ -990,10 +1015,13 @@ def tight_closure_membership_monomial(
     report: FNilpotencyReport,
 ) -> bool:
     """Membership of the monomial of exponent u in the tight closure of the
-    monomial ideal, via the single Frobenius check at exponent e0.
+    monomial ideal of an F-nilpotent semigroup ring, by one cone test.
 
-    In an F-nilpotent semigroup ring I* = I^F and Fte I <= e0, so one
-    bracket-power test decides membership."""
+    There I* = I^F and Fte I <= e0, so x^u lies in I* exactly when
+    p^e0 * (u - v) lies in A for a generator v of I.  u and v lie in A, so
+    u - v lies in group(A), and p^e0 maps the saturation group(A) ∩ cone(A)
+    into A, while A lies in the cone: p^e0 * (u - v) lies in A exactly
+    when u - v lies in cone(A)."""
     _check_report_p(report, p)
     if report.verdict != "f-nilpotent":
         raise NotFNilpotentRing(
@@ -1006,12 +1034,7 @@ def tight_closure_membership_monomial(
     for v in gens:
         if not membership(A, v):
             raise ValueError(f"ideal generator {v} is not in the semigroup")
-    q = p**report.e0
-    for v in gens:
-        diff = tuple(q * (a - b) for a, b in zip(uu, v))
-        if membership(A, diff):
-            return True
-    return False
+    return any(A.in_cone(tuple(a - b for a, b in zip(uu, v))) for v in gens)
 
 
 def frobenius_closure_exponent(

@@ -17,7 +17,6 @@ from frobranch import cli, ffield, graded, oracle, semigroup
 from frobranch.errors import CertificateFailed, FrobranchError
 from frobranch.ffield import check_characteristic
 from frobranch.graded import DEFAULT_S_MAX
-from frobranch.semigroup import DEFAULT_E_MAX
 
 PINCHED = "3: 2,0,0; 1,1,0; 1,0,1; 0,2,0; 0,0,2"
 
@@ -79,12 +78,15 @@ def test_fnilpotent_negative(capsys):
     assert results["certificate"]["torsion_order"] == 2
 
 
-def test_fnilpotent_exponent_cap_below_e0_is_undetermined(capsys):
-    # the pinched Veronese has e0 = 1 at p = 2, which --e-max 0 cannot reach
-    code, out, _ = run_cli(["fnilpotent", "--p", "2", "--e-max", "0", "--gens", PINCHED], capsys)
+def test_fnilpotent_takes_no_exponent_cap(capsys):
+    # --e-max 0 made the pinched Veronese undetermined at p = 2; its e0 = 1
+    # is exact, and the cap is refused as a flag fnilpotent does not take
+    code, out, _ = run_cli(["fnilpotent", "--p", "2", "--gens", PINCHED], capsys)
     assert code == 0
-    assert "result.verdict: undetermined" in out
-    assert "result.e0: -" in out
+    assert "result.verdict: f-nilpotent" in out and "result.e0: 1" in out
+    code, out, err = run_cli(["fnilpotent", "--p", "2", "--e-max", "0", "--gens", PINCHED], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: fnilpotent does not take '--e-max'\n"
 
 
 def test_fte_command(capsys):
@@ -102,9 +104,20 @@ def test_tight_member_command(capsys):
     assert code == 0 and json.loads(out)["results"]["member"] is False
 
 
+def test_tight_member_needs_no_walk_at_e0(capsys):
+    # e0 = 24, and (2,2) - (0,1) = (2,1) lies in the saturation, not in A:
+    # the bracket test at e0 walked at 2^24 * (2,1)
+    base = ["tight-member", "--p", "2", "--gens", "2: 5000,0; 5001,0; 0,1; 1,1", "--format", "json"]
+    start = time.perf_counter()
+    for ideal, element, member in (("0,1", "2,2", True), ("1,1", "0,1", False), ("1,1", "5001,1", True)):
+        code, out, _ = run_cli(base + ["--ideal", ideal, "--element", element], capsys)
+        results = json.loads(out)["results"]
+        assert code == 0 and results["member"] is member and results["e0"] == 24, (ideal, element)
+    assert time.perf_counter() - start < 1
+
+
 def test_large_numerical_semigroup_is_exact(capsys):
-    # e0 = 30 lies far past the default --e-max of 12; a gap table of
-    # max(gens)^2 entries would not fit in memory
+    # e0 = 30; a gap table of max(gens)^2 entries would not fit in memory
     start = time.perf_counter()
     code, out, _ = run_cli(["fnilpotent", "--p", "2", "--gens", "30000,30001", "--format", "json"], capsys)
     assert code == 0
@@ -129,6 +142,46 @@ def test_oversized_saturation_box_is_refused(capsys):
     assert code == 1 and out == ""
     assert str(semigroup.BOX_VOLUME_CAP) in err
     assert time.perf_counter() - start < 2
+
+
+# walks up to 94 memo entries at p = 2, e0 = 6
+_WALKED = "2: 10,0; 11,0; 10,20; 11,22; 21,21"
+
+
+def test_walk_past_its_budget_is_refused(monkeypatch, capsys):
+    budget, entry = semigroup.WALK_BYTES, 5 * semigroup.SLOT_BYTES
+    monkeypatch.setattr(semigroup, "WALK_BYTES", 50 * entry)
+    argv = ["fnilpotent", "--p", "2", "--gens", _WALKED, "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the membership walk at ") and f"walk budget of {50 * entry} bytes" in err
+    # the refused walk left only decided memo entries in the kept semigroup
+    assert ((10, 0), (10, 20), (11, 0), (11, 22), (21, 21)) in cli._SEMIGROUPS._entries
+    monkeypatch.setattr(semigroup, "WALK_BYTES", budget)
+    code, warm, _ = run_cli(argv, capsys)
+    cli._SEMIGROUPS = semigroup.SemigroupTable()  # restored by the autouse fixture
+    assert (code, warm) == run_cli(argv, capsys)[:2]
+    assert json.loads(warm)["results"]["e0"] == 6
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the address space size from /proc")
+def test_walk_budget_holds_under_an_address_space_ceiling():
+    # about 4 s: the walk at 2^13 * (1,1) would add 2.64 M memo entries;
+    # the child's ceiling is its size after import plus WALK_BYTES
+    probe = (
+        "import resource, sys\n"
+        "from frobranch import cli, semigroup\n"
+        "size = next(int(line.split()[1]) * 1024 for line in open('/proc/self/status') if line.startswith('VmSize:'))\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + semigroup.WALK_BYTES, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["fnilpotent", "--p", "2", "--gens", "2: 100,0; 101,0; 100,200; 101,202; 201,201"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and done.stdout == "", done.stderr
+    assert done.stderr.startswith("error: the membership walk at ") and "Traceback" not in done.stderr
+    assert f"walk budget of {semigroup.WALK_BYTES} bytes" in done.stderr
 
 
 def test_saturation_box_below_the_cap_is_answered(capsys):
@@ -558,11 +611,11 @@ def test_repeated_variable_is_input_error(capsys):
 
 @pytest.mark.parametrize(
     "mode, flag, value, least",
-    [("fnilpotent", "--e-max", -3, 0), ("branches", "--s-max", 0, 1), ("branches", "--ext-s", 0, 1)],
+    [("branches", "--ext-s", -3, 1), ("branches", "--s-max", 0, 1), ("branches", "--ext-s", 0, 1)],
 )
 def test_out_of_range_numeric_option_is_input_error(mode, flag, value, least, capsys):
-    # --e-max -3 was echoed as e: -3 for every basis element, --s-max 0 and
-    # --ext-s 0 failed later with messages about the search or the field
+    # --s-max 0 and --ext-s 0 failed later with messages about the search
+    # or the field
     code, out, err = run_cli([mode, "--p", "2", flag, str(value)] + _MODE_ARGS[mode], capsys)
     assert code == 1 and out == ""
     assert f"{flag} must be >= {least}, got {value}" in err
@@ -691,7 +744,6 @@ def _parser() -> _Parser:
 
     shared = {
         "--ext-s": dict(type=int, default=1, help="scalar extension degree of the base field"),
-        "--e-max": dict(type=int, default=DEFAULT_E_MAX),
         "--s-max": dict(type=int, default=DEFAULT_S_MAX),
         "--format": dict(choices=("text", "json"), default="text"),
         "--gens": dict(required=True, help="semigroup generators, e.g. '3: 2,0,0; 1,1,0' or '2,3'"),
@@ -713,14 +765,14 @@ def _parser() -> _Parser:
     sp.add_argument("--rel", action="append", default=[], help="the squarefree form")
 
     sp = sub.add_parser("fnilpotent", help="F-nilpotence of an affine semigroup ring")
-    common(sp, "--e-max", "--format", "--gens")
+    common(sp, "--format", "--gens")
 
     sp = sub.add_parser("fte", help="Frobenius test exponent of a monomial ideal (numerical semigroup)")
     common(sp, "--format", "--gens")
     sp.add_argument("--ideal", required=True, help="ideal generators, comma-separated integers")
 
     sp = sub.add_parser("tight-member", help="tight closure membership of a monomial")
-    common(sp, "--e-max", "--format", "--gens")
+    common(sp, "--format", "--gens")
     sp.add_argument("--ideal", required=True, help="ideal generator vectors, ';' separated")
     sp.add_argument("--element", required=True, help="the candidate exponent vector")
     return parser
@@ -728,7 +780,7 @@ def _parser() -> _Parser:
 
 # (flag, namespace attribute, least valid value, default where a mode
 # does not take the flag)
-_LEAST = (("--ext-s", "ext_s", 1, 1), ("--e-max", "e_max", 0, DEFAULT_E_MAX), ("--s-max", "s_max", 1, DEFAULT_S_MAX))
+_LEAST = (("--ext-s", "ext_s", 1, 1), ("--s-max", "s_max", 1, DEFAULT_S_MAX))
 
 
 def reference_parse_request(argv):
@@ -785,9 +837,9 @@ _FULL_REQUESTS = {
     "branches": ["--p", "3", "--ext-s", "2", "--s-max", "2", "--format", "json",
                  "--vars", "x, y,z", "--rel", "x*y", "--rel", "y*z", "--rel", "x*z"],
     "hypersurface": ["--p", "7", "--format", "text", "--vars", "u,v", "--rel", "u^4+v^4"],
-    "fnilpotent": ["--p", "2", "--e-max", "12", "--format", "json", "--gens", PINCHED],
+    "fnilpotent": ["--p", "2", "--format", "json", "--gens", PINCHED],
     "fte": ["--p", "5", "--format", "text", "--gens", "2,3", "--ideal", "3,4"],
-    "tight-member": ["--p", "2", "--e-max", "1", "--format", "json", "--gens", "2,3", "--ideal", "3", "--element", "4"],
+    "tight-member": ["--p", "2", "--format", "json", "--gens", "2,3", "--ideal", "3", "--element", "4"],
 }
 
 
@@ -802,7 +854,7 @@ ACCEPTED = (
     + [[mode] + _joined(args) for mode, args in _FULL_REQUESTS.items()]
     + [[mode, "--p", "3"] + args for mode, args in _MODE_ARGS.items()]
     + [
-        ["fnilpotent", "--gens", "2,3", "--e-max", "3", "--p", "2"],
+        ["fnilpotent", "--gens", "2,3", "--format", "text", "--p", "2"],
         ["branches", "--p", "3", "--vars", "x,y", "--rel", "x^2", "--rel", "x*y", "--rel=y^2"],
         ["branches", "--p", "3", "--vars", "x,y"],
         ["branches", "--p", "3", "--vars", ""],
@@ -818,8 +870,8 @@ def test_table_parser_matches_argparse(argv):
     assert cli.parse_request(argv) == reference_parse_request(argv)
 
 
-def test_readme_has_the_eight_examples():
-    assert len(README_EXAMPLES) == 8
+def test_readme_has_the_nine_examples():
+    assert len(README_EXAMPLES) == 9
 
 
 def test_config_file_requests_match_argparse(tmp_path):
@@ -830,12 +882,12 @@ def test_config_file_requests_match_argparse(tmp_path):
 
 
 def test_negative_value_is_read_as_a_number():
-    argv = ["fnilpotent", "--p", "2", "--gens", "2,3", "--e-max", "-3"]
+    argv = ["branches", "--p", "3", "--vars", "x,y", "--s-max", "-3"]
     with pytest.raises(FrobranchError) as table:
         cli.parse_request(argv)
     with pytest.raises(FrobranchError) as reference:
         reference_parse_request(argv)
-    assert str(table.value) == str(reference.value) == "--e-max must be >= 0, got -3"
+    assert str(table.value) == str(reference.value) == "--s-max must be >= 1, got -3"
 
 
 MALFORMED = [
@@ -855,7 +907,7 @@ MALFORMED = [
     ["branches", "--p", "3", "--vars", "x,y", "--rel", "-x"],
     ["branches", "--p", "3", "--vars", "--rel", "x"],
     ["fnilpotent", "--p", "two", "--gens", "2,3"],
-    ["fnilpotent", "--p", "2", "--gens", "2,3", "--e-max", "1.5"],
+    ["branches", "--p", "3", "--vars", "x,y", "--s-max", "1.5"],
     ["fnilpotent", "--p=", "--gens", "2,3"],
     ["fnilpotent", "--p", "2", "--gens", "2,3", "--format", "yaml"],
     ["fnilpotent", "--p", "2", "--gens", "2,3", "--format=JSON"],
@@ -911,9 +963,9 @@ def test_abbreviated_and_repeated_flags_are_refused(argv, message, capsys):
 _MODE_FLAGS = {
     "branches": ["--p", "--ext-s", "--s-max", "--format", "--vars", "--rel"],
     "hypersurface": ["--p", "--format", "--vars", "--rel"],
-    "fnilpotent": ["--p", "--e-max", "--format", "--gens"],
+    "fnilpotent": ["--p", "--format", "--gens"],
     "fte": ["--p", "--format", "--gens", "--ideal"],
-    "tight-member": ["--p", "--e-max", "--format", "--gens", "--ideal", "--element"],
+    "tight-member": ["--p", "--format", "--gens", "--ideal", "--element"],
 }
 # (mode, flag) for each flag the mode took before though its answer does
 # not read it
@@ -927,14 +979,15 @@ _UNREAD = [
 
 def test_each_mode_takes_the_flags_its_answer_reads():
     assert {mode: list(options) for mode, (_, options) in cli._MODES.items()} == _MODE_FLAGS
-    assert sum(map(len, _MODE_FLAGS.values())) == 24 and len(_UNREAD) == 16
+    assert sum(map(len, _MODE_FLAGS.values())) == 22 and len(_UNREAD) == 18
     assert "seed" not in {f.name for f in dataclasses.fields(cli.AnalysisRequest)}
 
 
 @pytest.mark.parametrize("mode, flag", _UNREAD)
 def test_flags_a_mode_does_not_read_are_refused(mode, flag, capsys):
     # hypersurface --ext-s 2, fte --e-max 2, the semigroup modes' --ext-s
-    # and --s-max, and every --seed changed no answer, yet were echoed
+    # and --s-max, and every --seed changed no answer, yet were echoed;
+    # --e-max is gone from every mode, as no semigroup answer needs a cap
     argv = [mode, "--p", "2", flag, "2"] + _MODE_ARGS[mode]
     _reference_refuses(argv)
     code, out, err = run_cli(argv, capsys)
@@ -1051,8 +1104,6 @@ def _table_requests(seed, count):
         p = str(rng.choice((2, 3, 5, 7)))
         mode = rng.choice(("fnilpotent", "fte", "tight-member") if len(gens[0]) == 1 else ("fnilpotent", "tight-member"))
         args = [mode, "--p", p, "--gens", text, "--format", "json"]
-        if mode == "fnilpotent" and rng.random() < 0.2:
-            args += ["--e-max", str(rng.randint(0, 2))]
         if len(gens[0]) == 1:
             ideal = sorted({rng.choice(gens)[0] * rng.randint(1, 2) for _ in range(2)})
             ideal_text = ";".join(map(str, ideal))

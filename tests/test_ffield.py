@@ -166,10 +166,11 @@ _EXTENSION_OPS = {
 def test_codes_outside_the_field_are_refused(F):
     # over GF(5^3) add(130, 0) returned 5 and pow(-1, 2) 74, while
     # mul(130, 1) and inv(130) raised IndexError; over GF(5) inv(5),
-    # pow(10, -1) and pow(5, -2) returned 0, an "inverse" of zero
+    # pow(10, -1) and pow(5, -2) returned 0, an "inverse" of zero; over
+    # GF(5^3) add(1.5, 0) returned 1.0, and GF(5).inv(2.0) raised TypeError
     ops = {**_CHECKED_OPS, **(_EXTENSION_OPS if isinstance(F, ExtensionField) else {})}
     q = F.order
-    for a in (-1, -q, q, q + 5, 2 * q, 130):
+    for a in (-1, -q, q, q + 5, 2 * q, 130, 1.5, 1.0):
         for name, op in ops.items():
             with pytest.raises(ValueError, match=re.escape(f"code {a} is not an element of {F!r}")):
                 op(F, a)
@@ -178,6 +179,11 @@ def test_codes_outside_the_field_are_refused(F):
         # add, sub, neg and mul take any integers and return the residue's code
         for a, b in itertools.product((-q - 2, -1, q, q + 3, 130), repeat=2):
             assert (F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b)) == ((a + b) % q, (a - b) % q, -a % q, a * b % q)
+    # numpy integer codes are codes, and every operation answers an int
+    for a in (1, q - 1):
+        for name, op in ops.items():
+            got = op(F, np.int64(a))
+            assert type(got) is int and got == op(F, a), (F, name, a)
 
 
 def _schoolbook_mul(F, a, b):

@@ -15,7 +15,6 @@ from frobranch.errors import (
     NotFNilpotentRing,
 )
 from frobranch.semigroup import (
-    DEFAULT_E_MAX,
     AffineSemigroup,
     IntMatrixNF,
     cone_geometry,
@@ -329,18 +328,19 @@ def _two_generator_member(a, b, n):
     "gens, p, e0", [((2971, 3000), 2, 15), ((2381, 2400), 3, 14), ((3000, 3001), 2, 21)]
 )
 def test_exact_e0_past_the_exponent_cap(gens, p, e0):
-    # p^e in A implies p^(e+1) in A, so e0 is pinned by its two neighbours
+    # p^e in A implies p^(e+1) in A, so e0 is pinned by its two neighbours;
+    # each lies past 12, the exponent cap the CLI once had
     assert _two_generator_member(*gens, p**e0)
     assert not _two_generator_member(*gens, p ** (e0 - 1))
     rep = is_f_nilpotent(AffineSemigroup([(g,) for g in gens]), p)
-    assert rep.verdict == "f-nilpotent" and rep.e0 == e0 > DEFAULT_E_MAX
+    assert rep.verdict == "f-nilpotent" and rep.e0 == e0 > 12
 
 
 def test_numerical_saturation_needs_no_generator_sized_table():
     start = time.perf_counter()
     A = AffineSemigroup([(6 * 10**12,), (10 * 10**12,), (15 * 10**12,)])
     assert saturation_hilbert_basis(A) == ((10**12,),)
-    assert weak_normalization(A, 2).generators == ((10**12,),)
+    assert weak_normalization(A, 2) == ((10**12,),)
     B = AffineSemigroup([(10**12,), (10**12 + 1,)])
     assert saturation_hilbert_basis(B) == ((1,),)
     assert weak_normalization(B, 3) == weak_normalization(AffineSemigroup([(1,)]), 3)
@@ -685,13 +685,11 @@ def test_weak_normalization_matches_a_box_twice_the_bound():
     for A in cases:
         for p in (2, 3):
             wn = weak_normalization(A, p)
-            if wn.undetermined:
-                continue
             points = _box_saturation(A, [2 * b for b in _proven_bounds(A.generators)])
             for v in np.argwhere(points):
                 if eventual_p_membership(A, tuple(int(x) for x in v), p).status != "yes":
                     points[tuple(v)] = False
-            assert set(wn.generators) == _box_minimal(points), (A, p)
+            assert set(wn) == _box_minimal(points), (A, p)
 
 
 # -- eventual p-power membership ----------------------------------------------
@@ -797,10 +795,11 @@ def test_numerical_multiples_of_the_gcd_take_no_snf(monkeypatch):
     assert len(calls) >= 1
 
 
-def _face_lattice_first(A, v, p, e_max):
+def _face_lattice_first(A, v, p):
     """(status, e) of eventual p-power membership with the face lattice
     asked first: the order of v modulo the lattice of the generators on
-    its minimal face from maximal minors, then exponents from e = 0."""
+    its minimal face from maximal minors, then walks in A from e = 0 up to
+    e = 40."""
     if not any(v):
         return "yes", 0
     facets = cone_geometry(A)[0]
@@ -811,26 +810,41 @@ def _face_lattice_first(A, v, p, e_max):
         order //= p
     if order != 1:
         return "no", None
-    for e in range(e_max + 1):
+    for e in range(41):
         if membership(A, tuple(p**e * x for x in v)):
             return "yes", e
-    return "undetermined", e_max
+    return "undetermined", None
 
 
 def test_per_element_matches_the_face_lattice_first_order():
+    # the rays' exponents come from Apery lists, the oracle's from walks
     vertex_pinched = AffineSemigroup([(12, 0), (16, 0), (3, 1), (2, 2), (1, 3), (0, 4)])
     cases = _random_semigroups(13, 30, 3000, {2: 4, 3: 2, 4: 1}) + [PINCHED_VERONESE, vertex_pinched]
     statuses, verdicts = set(), set()
     for A in cases:
         for p in (2, 3):
-            for e_max in (0, 2):
-                rep = pure_insep_index(A, p, e_max)
-                got = {h: (res.status, res.e) for h, res in rep.per_element.items()}
-                assert got == {h: _face_lattice_first(A, h, p, e_max) for h in rep.hilbert_basis}, (A, p, e_max)
-                statuses |= {status for status, _ in got.values()}
-                verdicts.add(rep.verdict)
-    assert statuses == {"yes", "no", "undetermined"}
-    assert verdicts == {"f-nilpotent", "not-f-nilpotent", "undetermined"}
+            rep = pure_insep_index(A, p)
+            got = {h: (res.status, res.e) for h, res in rep.per_element.items()}
+            assert got == {h: _face_lattice_first(A, h, p) for h in rep.hilbert_basis}, (A, p)
+            statuses |= {status for status, _ in got.values()}
+            verdicts.add(rep.verdict)
+    assert statuses == {"yes", "no"}
+    assert verdicts == {"f-nilpotent", "not-f-nilpotent"}
+
+
+@pytest.mark.parametrize("m, e0", [(500, 16), (5000, 24)])
+def test_ray_exponent_has_a_closed_form(m, e0):
+    # the saturation is N^2 with basis (0,1) in A and (1,0) on the ray of
+    # <m, m+1>, so e0 is the least e with 2^e in <m, m+1>
+    least = 0
+    while not _two_generator_member(m, m + 1, 2**least):
+        least += 1
+    assert least == e0
+    start = time.perf_counter()
+    rep = is_f_nilpotent(AffineSemigroup([(m, 0), (m + 1, 0), (0, 1), (1, 1)]), 2)
+    assert time.perf_counter() - start < 1
+    assert rep.verdict == "f-nilpotent" and rep.e0 == e0
+    assert rep.per_element == {(0, 1): semigroup.PMembership("yes", 0), (1, 0): semigroup.PMembership("yes", e0)}
 
 
 def test_forged_torsion_order_not_in_the_lattice(monkeypatch):
@@ -846,6 +860,10 @@ def test_eventual_p_membership_outside_n_terminates():
     for bad in ((-1,), (-6,), (1, 1)):
         with pytest.raises(ValueError):
             eventual_p_membership(A, bad, 2)
+    # (1, 0) lies in the lattice Z^2 of <(0,1), (1,1)> but outside its
+    # cone {0 <= x <= y}, so no exponent walk could ever stop there
+    with pytest.raises(ValueError, match="not in the cone"):
+        eventual_p_membership(AffineSemigroup([(0, 1), (1, 1)]), (1, 0), 2)
     assert time.perf_counter() - start < 2
 
 
@@ -917,32 +935,27 @@ def test_pure_insep_index_attained():
 
 def test_weak_normalization():
     A = AffineSemigroup([(2,), (3,)])
-    wn = weak_normalization(A, 2)
-    assert wn.generators == ((1,),) and not wn.undetermined
-
-    wn2 = weak_normalization(PINCHED_VERONESE, 2)
-    assert set(wn2.generators) == set(saturation_hilbert_basis(PINCHED_VERONESE))
-
-    wn3 = weak_normalization(PINCHED_VERONESE, 3)
-    assert set(wn3.generators) == set(PINCHED_VERONESE.generators)
+    assert weak_normalization(A, 2) == ((1,),)
+    assert set(weak_normalization(PINCHED_VERONESE, 2)) == set(saturation_hilbert_basis(PINCHED_VERONESE))
+    assert set(weak_normalization(PINCHED_VERONESE, 3)) == set(PINCHED_VERONESE.generators)
 
 
 def test_weak_normalization_sandwich():
     # A <= *A <= saturation, at the level of generator sets
     for p in (2, 3, 5):
         wn = weak_normalization(PINCHED_VERONESE, p)
-        star = AffineSemigroup(wn.generators)
+        star = AffineSemigroup(wn)
         for g in PINCHED_VERONESE.generators:
             assert membership(star, g)
         sat = PINCHED_VERONESE
-        for g in wn.generators:
+        for g in wn:
             assert sat.in_cone(g) and sat.in_lattice(g)
 
 
 def test_star_generators_pairwise_sums():
     wn = weak_normalization(PINCHED_VERONESE, 2)
-    for a in wn.generators:
-        for b in wn.generators:
+    for a in wn:
+        for b in wn:
             s = tuple(x + y for x, y in zip(a, b))
             assert eventual_p_membership(PINCHED_VERONESE, s, 2).status == "yes"
 
@@ -966,6 +979,41 @@ def test_report_for_another_p_is_rejected():
     A = AffineSemigroup([(2,), (3,)])
     with pytest.raises(ValueError):
         fte_bruteforce(A, 3, [3], is_f_nilpotent(A, 2))
+
+
+def _bracket_power_at_e0(A, p, ideal, u, e0):
+    """x^u in I^F by one bracket-power test: p^e0 * (u - v) in A for some
+    generator v of I, as I* = I^F and Fte I <= e0 when k[A] is
+    F-nilpotent; walks in A at p^e0 times the difference."""
+    q = p**e0
+    return any(membership(A, tuple(q * (a - b) for a, b in zip(u, v))) for v in ideal)
+
+
+def test_tight_closure_cone_test_matches_the_bracket_power_at_e0():
+    # beyond[n]: requests in I* but not in I, in dimension n
+    rng = random.Random(3517)
+    checked, beyond = 0, {1: 0, 2: 0, 3: 0}
+    while checked < 400:
+        n = rng.choice((1, 2, 3))
+        top = (12, 4, 2)[n - 1]
+        gens = {tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 3))}
+        gens = sorted(gens - {(0,) * n})
+        if len(gens) < n:
+            continue
+        A = AffineSemigroup(gens)
+        p = rng.choice((2, 3))
+        rep = is_f_nilpotent(A, p)
+        if rep.verdict != "f-nilpotent":
+            continue
+        members = sorted({tuple(map(sum, zip(*c))) for k in (1, 2, 3) for c in itertools.combinations_with_replacement(gens, k)})
+        for _ in range(5):
+            ideal = rng.sample(members, min(len(members), rng.randint(1, 2)))
+            u = rng.choice(members)
+            got = tight_closure_membership_monomial(A, p, ideal, u, rep)
+            assert got == _bracket_power_at_e0(A, p, ideal, u, rep.e0), (gens, p, ideal, u)
+            beyond[n] += got and not any(membership(A, tuple(a - b for a, b in zip(u, v))) for v in ideal)
+            checked += 1
+    assert min(beyond.values()) >= 3, beyond
 
 
 def test_tight_closure_requires_f_nilpotent():
