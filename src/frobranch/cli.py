@@ -357,7 +357,7 @@ def _run_fte(req: AnalysisRequest) -> AnalysisReport:
             raise _CliInputError("fte requires a numerical semigroup (dimension 1)")
         ideal = [v[0] for v in parse_vector_list(req.ideal, 1)]
         report = is_f_nilpotent(A, req.p)
-        fte = fte_bruteforce(A, req.p, ideal, report)
+        fte = fte_bruteforce(A, req.p, ideal)
     return AnalysisReport(
         req.echo(),
         {"fte": fte, "e0": report.e0, "verdict": report.verdict, "ideal": ideal},
@@ -371,7 +371,7 @@ def _run_tight_member(req: AnalysisRequest) -> AnalysisReport:
         if len(element) != 1:
             raise _CliInputError("--element must be a single vector")
         report = is_f_nilpotent(A, req.p)
-        member = tight_closure_membership_monomial(A, req.p, ideal, element[0], report)
+        member = tight_closure_membership_monomial(A, ideal, element[0])
     return AnalysisReport(
         req.echo(),
         {

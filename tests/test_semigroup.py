@@ -1,19 +1,13 @@
 import itertools
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, inf, prod
 
 import numpy as np
 import pytest
 
-from frobranch.errors import (
-    CapExceeded,
-    CertificateFailed,
-    CompositeCharacteristic,
-    NotFNilpotentRing,
-)
+from frobranch.errors import CapExceeded, CertificateFailed, CompositeCharacteristic
 from frobranch.semigroup import (
     AffineSemigroup,
     IntMatrixNF,
@@ -29,10 +23,10 @@ from frobranch.semigroup import (
     smith_normal_form,
     solve_integer,
     tight_closure_membership_monomial,
-    verify_no_certificate,
     weak_normalization,
 )
 from frobranch import semigroup
+from reference import verify_no_certificate
 
 PINCHED_VERONESE = AffineSemigroup([(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 0, 2)])
 
@@ -909,6 +903,8 @@ def test_library_rejects_invalid_characteristic(p):
             call(A, p)
     with pytest.raises(CompositeCharacteristic):
         eventual_p_membership(A, (0,), p)
+    with pytest.raises(CompositeCharacteristic):
+        fte_bruteforce(A, p, [3])
     assert time.perf_counter() - start < 2
 
 
@@ -965,20 +961,9 @@ def test_star_generators_pairwise_sums():
 
 def test_tight_closure_cusp():
     A = AffineSemigroup([(2,), (3,)])
-    rep = is_f_nilpotent(A, 2)
-    assert tight_closure_membership_monomial(A, 2, [(3,)], (4,), rep)
-    assert not tight_closure_membership_monomial(A, 2, [(3,)], (2,), rep)
-    assert tight_closure_membership_monomial(A, 2, [(3,)], (3,), rep)
-
-
-def test_report_for_another_p_is_rejected():
-    # the p = 2 report says F-nilpotent, which is false at p = 3
-    rep2 = is_f_nilpotent(PINCHED_VERONESE, 2)
-    with pytest.raises(ValueError):
-        tight_closure_membership_monomial(PINCHED_VERONESE, 3, [(0, 2, 0)], (0, 2, 2), rep2)
-    A = AffineSemigroup([(2,), (3,)])
-    with pytest.raises(ValueError):
-        fte_bruteforce(A, 3, [3], is_f_nilpotent(A, 2))
+    assert tight_closure_membership_monomial(A, [(3,)], (4,))
+    assert not tight_closure_membership_monomial(A, [(3,)], (2,))
+    assert tight_closure_membership_monomial(A, [(3,)], (3,))
 
 
 def _bracket_power_at_e0(A, p, ideal, u, e0):
@@ -1009,47 +994,92 @@ def test_tight_closure_cone_test_matches_the_bracket_power_at_e0():
         for _ in range(5):
             ideal = rng.sample(members, min(len(members), rng.randint(1, 2)))
             u = rng.choice(members)
-            got = tight_closure_membership_monomial(A, p, ideal, u, rep)
+            got = tight_closure_membership_monomial(A, ideal, u)
             assert got == _bracket_power_at_e0(A, p, ideal, u, rep.e0), (gens, p, ideal, u)
             beyond[n] += got and not any(membership(A, tuple(a - b for a, b in zip(u, v))) for v in ideal)
             checked += 1
     assert min(beyond.values()) >= 3, beyond
 
 
-def test_tight_closure_requires_f_nilpotent():
-    rep = is_f_nilpotent(PINCHED_VERONESE, 3)
-    with pytest.raises(NotFNilpotentRing):
-        tight_closure_membership_monomial(PINCHED_VERONESE, 3, [(2, 0, 0)], (2, 0, 0), rep)
+def test_tight_closure_beyond_the_frobenius_closure():
+    # A misses (1,1,0), whose order modulo the lattice of its face z = 0 is
+    # 2, so k[A] is not F-nilpotent at p = 3.  For I = (x^(0,0,2)) and
+    # u = (1,1,2), u - v = (1,1,0) lies in the cone: x^u lies in I*, while
+    # no 3^e * (1,1,0) lies in A, so x^u is not in I^F
+    A = AffineSemigroup([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 0, 1), (0, 1, 1)])
+    assert is_f_nilpotent(A, 3).verdict == "not-f-nilpotent"
+    assert tight_closure_membership_monomial(A, [(0, 0, 2)], (1, 1, 2))
+    assert eventual_p_membership(A, (1, 1, 0), 3).status == "no"
+    assert not tight_closure_membership_monomial(A, [(1, 0, 1)], (0, 1, 1))
 
 
-def test_fte_cusp():
+def test_tight_closure_on_rings_that_are_not_f_nilpotent():
+    # the (⊇) step of the proof, checked directly: for every x^u in I*,
+    # some c = k * (sum of the generators), k <= 4, has c + p^e * (u - v)
+    # in A at e = 1 and 2.  I^F lies in I*, and beyond counts the x^u in
+    # I* but not in I^F
+    rng = random.Random(6029)
+    rings, members, beyond = 0, 0, 0
+    while rings < 40:
+        n = rng.choice((2, 3))
+        top = (4, 2)[n - 2]
+        gens = {tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(n + 1, n + 3))}
+        gens = sorted(gens - {(0,) * n})
+        if len(gens) < n:
+            continue
+        A = AffineSemigroup(gens)
+        p = rng.choice((2, 3))
+        if is_f_nilpotent(A, p).verdict == "f-nilpotent":
+            continue
+        rings += 1
+        total = tuple(map(sum, zip(*gens)))
+        sums = sorted({tuple(map(sum, zip(*c))) for k in (1, 2, 3) for c in itertools.combinations_with_replacement(gens, k)})
+        for _ in range(10):
+            ideal = rng.sample(sums, rng.randint(1, 2))
+            u = rng.choice(sums)
+            diffs = [tuple(a - b for a, b in zip(u, v)) for v in ideal]
+            frobenius = any(A.in_cone(d) and eventual_p_membership(A, d, p).status == "yes" for d in diffs)
+            if not tight_closure_membership_monomial(A, ideal, u):
+                assert not frobenius, (gens, p, ideal, u)
+                continue
+            d = next(d for d in diffs if A.in_cone(d))
+            assert any(
+                all(membership(A, tuple(k * t + p**e * x for t, x in zip(total, d))) for e in (1, 2))
+                for k in range(1, 5)
+            ), (gens, p, ideal, u)
+            members += 1
+            beyond += not frobenius
+    assert members >= 80 and beyond >= 5, (members, beyond)
+
+
+def test_fte_cusp(monkeypatch):
     A = AffineSemigroup([(2,), (3,)])
-    rep = is_f_nilpotent(A, 2)
-    assert fte_bruteforce(A, 2, [3], rep) == 1
-    # a report claiming e0 = 0 is contradicted by the computed Fte = 1
-    with pytest.raises(CertificateFailed):
-        fte_bruteforce(A, 2, [3], replace(rep, e0=0))
+    assert fte_bruteforce(A, 2, [3]) == 1
+    # an e0 of 0, where the true one is 1, is contradicted by the computed Fte = 1
+    monkeypatch.setattr(semigroup, "eventual_p_membership", lambda *args: semigroup.PMembership("yes", 0))
+    with pytest.raises(CertificateFailed, match="computed Fte 1 exceeds"):
+        fte_bruteforce(A, 2, [3])
 
 
 def test_fte_frobenius_closed_ideal():
     A = AffineSemigroup([(1,)])
-    rep = is_f_nilpotent(A, 3)
-    assert rep.e0 == 0
-    assert fte_bruteforce(A, 3, [2], rep) == 0
+    assert is_f_nilpotent(A, 3).e0 == 0
+    assert fte_bruteforce(A, 3, [2]) == 0
 
 
 @pytest.mark.parametrize(
     "gens, p, ideal, false_e0",
     [((8, 13), 2, [24, 26], 0), ((17, 19), 2, [93], 4), ((12, 14, 22, 23), 2, [24, 28], 1)],
 )
-def test_fte_refutes_a_report_with_a_false_e0(gens, p, ideal, false_e0):
-    # each true Fte lies more than two exponents above the false e0
+def test_fte_refutes_a_report_with_a_false_e0(gens, p, ideal, false_e0, monkeypatch):
+    # each true Fte lies more than two exponents above the false e0 that
+    # eventual p-power membership is made to report
     A = AffineSemigroup([(g,) for g in gens])
-    rep = is_f_nilpotent(A, p)
-    fte = fte_bruteforce(A, p, ideal, rep)
-    assert false_e0 + 2 < fte <= rep.e0
+    fte = fte_bruteforce(A, p, ideal)
+    assert false_e0 + 2 < fte <= is_f_nilpotent(A, p).e0
+    monkeypatch.setattr(semigroup, "eventual_p_membership", lambda *args: semigroup.PMembership("yes", false_e0))
     with pytest.raises(CertificateFailed, match=f"computed Fte {fte} exceeds"):
-        fte_bruteforce(A, p, ideal, replace(rep, e0=false_e0))
+        fte_bruteforce(A, p, ideal)
 
 
 def _least_exponent(A, p, d):
@@ -1080,7 +1110,7 @@ def test_fte_matches_an_uncapped_search():
             for a in range(ideal[0], top + 1)
             if membership(A, (a,))
         )
-        assert fte_bruteforce(A, p, ideal, is_f_nilpotent(A, p)) == expected, (gens, p, ideal)
+        assert fte_bruteforce(A, p, ideal) == expected, (gens, p, ideal)
         checked += 1
 
 
@@ -1120,8 +1150,7 @@ def test_fte_array_passes_match_the_point_walk(chunk, monkeypatch):
         if checked % 10 == 7:
             ideal = [2**64 + v for v in ideal]
             big += 1
-        rep = is_f_nilpotent(A, p)
-        assert fte_bruteforce(A, p, ideal, rep) == _fte_walk(A, p, ideal), (gens, p, ideal)
+        assert fte_bruteforce(A, p, ideal) == _fte_walk(A, p, ideal), (gens, p, ideal)
         checked += 1
     assert big == 20
 
@@ -1143,8 +1172,7 @@ def test_fte_padded_listings_match_the_point_walk():
         padded += [rng.choice(ideal) + rng.choice(members) for _ in range(3)]
         padded += [rng.choice(ideal) + gens[0] * rng.randint(1, 3)]
         rng.shuffle(padded)
-        rep = is_f_nilpotent(A, p)
-        assert fte_bruteforce(A, p, padded, rep) == _fte_walk(A, p, sorted(padded)) == fte_bruteforce(A, p, ideal, rep)
+        assert fte_bruteforce(A, p, padded) == _fte_walk(A, p, sorted(padded)) == fte_bruteforce(A, p, ideal)
         checked += 1
 
 
@@ -1167,7 +1195,7 @@ def test_frobenius_closure_exponent_agrees_with_tight_shortcut():
     for u in range(0, 30):
         if not membership(A, (u,)):
             continue
-        shortcut = tight_closure_membership_monomial(A, 2, [(5,)], (u,), rep)
+        shortcut = tight_closure_membership_monomial(A, [(5,)], (u,))
         chased = frobenius_closure_exponent(A, 2, [5], u, rep.e0 + 2) is not None
         assert shortcut == chased, u
     with pytest.raises(ValueError):
