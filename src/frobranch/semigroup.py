@@ -67,7 +67,8 @@ representation of p^e * a in A uses only generators on F
 modulo G_F is a power p^k.  When F is a ray with primitive vector r, its
 generators are k_i * r and a = t * r, so p^e * a lies in A exactly when
 p^e * t lies in the numerical semigroup <k_i>, whose least e its Apery
-list gives as for n = 1.  On any other face the search tries e = 1, 2, ..
+list gives as for n = 1; that numerical semigroup is kept on A, one per
+ray (_rays).  On any other face the search tries e = 1, 2, ..
 until p^e * a lies in A, and it stops: k[S_F] is a finite k[A_F]-module
 (Bruns-Gubeladze, ch. 2), so A_F has a conductor element c_F with
 c_F + S_F ⊆ A_F.  For e >= k, p^e * a - c_F lies in G_F, so in lin F; a
@@ -75,11 +76,17 @@ facet w of cone(A) vanishing at a vanishes on F, c_F included, and every
 other facet has <w, a> > 0, so once p^e * <w, a> >= <w, c_F> for all of
 them, p^e * a - c_F lies in cone(A) ∩ lin F = F, so in S_F, and
 p^e * a lies in c_F + S_F ⊆ A.  The conductor only bounds the search and
-is never computed.  Memory bounds it instead: each membership walk
-(_member_dfs) is charged (n + 3) * SLOT_BYTES per memo entry it adds, the
-rate of table_bytes, and refused with CapExceeded once its charge passes
-WALK_BYTES.  A walk writes only decided entries, so a refused walk leaves
-a sound memo.
+is never computed.  Memory bounds it instead.  For n >= 2 membership
+walks depth-first down from the point by the generators, and writes each
+node to a memo (_member_cache) once decided: a node with a child that is
+0 or known to lie in A is "yes", with every node on the stack above it,
+and a node is "no" once every child is decided "no".  Generators are
+nonzero and lie in N^n, so every child has a smaller coordinate sum than
+every node on the stack: no node recurs, and the walk needs no cycle
+guard.  Each walk is charged (n + 3) * SLOT_BYTES per memo entry it adds,
+the rate of table_bytes, and refused with CapExceeded once its charge
+passes WALK_BYTES.  A walk writes only decided entries, so a refused walk
+leaves a sound memo.
 
 One process may answer many requests on the same semigroup, at different
 primes or with its generators spelled differently; SemigroupTable hands
@@ -90,13 +97,13 @@ alone, with no p, ideal or element in it: the lattice SNF
 (_lattice_nf) and each face SNF (_faces) are the deterministic
 smith_normal_form of a matrix read off the generators, checked before it
 is stored; the facets, equations and zero patterns (cone_geometry), the
-box indicator and Hilbert basis (saturation_hilbert_basis) and the Apery
-list (_numerical_data) are computed from the generators and those SNFs;
-and a membership memo entry (_member_cache) records whether a point is in
-A, written by _member_dfs only once that is decided.  Each field is
-published only once complete: it is built in locals and assigned in one
-step, the field its readers test assigned last (_facets after _zeros and
-_equations, _hilbert_basis after _sat_points), and a refusal (CapExceeded)
+Hilbert basis (saturation_hilbert_basis) and the Apery lists of A and of
+its ray faces (_numerical_data, _rays) are computed from the generators
+and those SNFs; and a membership memo entry (_member_cache) records
+whether a point is in A, written by a membership walk only once that is
+decided.  Each field is published only once complete: it is built in
+locals and assigned in one step, the field its readers test assigned last
+(_facets after _zeros and _equations), and a refusal (CapExceeded)
 or a failed check (CertificateFailed) is raised before that step.  So a
 refused or failed request leaves no half-built field, and a request reads
 the values a fresh semigroup would compute, except for memo entries.
@@ -135,7 +142,7 @@ FTE_CHUNK = 1 << 14  # window integers per array pass: 128 KB int64 arrays
 TABLE_BYTES = 8 << 20  # SemigroupTable budget: what one process keeps between requests, by table_bytes
 ENTRY_BYTES = 2048  # charged per kept semigroup: the object, its dicts and its array headers
 SLOT_BYTES = 64  # charged per int a kept semigroup holds outside arrays, with its share of their containers
-WALK_BYTES = 128 << 20  # one _member_dfs walk's memo entries, by table_bytes; the largest seen charged 119.5 MiB
+WALK_BYTES = 128 << 20  # one membership walk's memo entries, by table_bytes; the largest seen charged 119.5 MiB
 
 
 # -- integer matrices --------------------------------------------------------
@@ -332,11 +339,11 @@ class AffineSemigroup:
         self._facets: Optional[list[Vector]] = None
         self._equations: Optional[list[Vector]] = None
         self._zeros: Optional[np.ndarray] = None  # facet i vanishes at generator j
-        self._sat_points: Optional[np.ndarray] = None  # box indicator array
         self._hilbert_basis: Optional[tuple[Vector, ...]] = None
         self._member_cache: dict[Vector, bool] = {}
         self._faces: dict[tuple[Vector, ...], tuple] = {}  # vanishing facets -> (face gens, SNF)
         self._numerical: Optional[_NumericalData] = None
+        self._rays: dict[tuple[Vector, ...], _NumericalData] = {}  # vanishing facets -> ray's semigroup
 
     def __repr__(self):
         return f"AffineSemigroup(n={self.n}, generators={list(self.generators)})"
@@ -350,9 +357,7 @@ class AffineSemigroup:
         return self._lattice_nf
 
     def in_lattice(self, v: Vector) -> bool:
-        nf = self.lattice_nf()
-        ub = _ub(nf, v)
-        return ub is not None and not any(ub[i] % nf.D[i][i] for i in range(nf.rank))
+        return _torsion_order(self.lattice_nf(), v) == 1
 
     def in_cone(self, v: Vector) -> bool:
         facets, eqs = cone_geometry(self)
@@ -439,8 +444,10 @@ def table_bytes(A: AffineSemigroup) -> int:
     of the 64 covers the tuples, lists and dicts around them: for every
     semigroup of the `semigroups` benchmark workload (seeds 1 and 3) the
     charge was above the memory tracemalloc saw freed when it was dropped.
-    A Python-int Apery entry is charged at the size of its bound
-    m * max(gens)."""
+    The arrays are the facet zero pattern and the Apery lists of A and of
+    its ray faces.  A Python-int Apery entry is charged at the size of its
+    bound m * max(gens), and the largest coordinate of A's generators
+    bounds the generators of every ray's numerical semigroup."""
     n = A.n
     slots = (n + 3) * len(A._member_cache) + n * (
         len(A.generators) + len(A._facets or ()) + len(A._equations or ()) + len(A._hilbert_basis or ())
@@ -449,14 +456,15 @@ def table_bytes(A: AffineSemigroup) -> int:
         if nf is not None:
             slots += (len(nf.U) + len(nf.V)) ** 2
     size = ENTRY_BYTES + SLOT_BYTES * slots
-    for array in (A._zeros, A._sat_points):
-        if array is not None:
-            size += array.nbytes
-    if A._numerical is not None:
-        apery = A._numerical.apery
-        size += apery.nbytes
-        if apery.dtype == object:  # each entry below m * max(gens), in 16-byte blocks
-            size += len(apery) * (sys.getsizeof(len(apery) * A.generators[-1][0]) + 16)
+    if A._zeros is not None:
+        size += A._zeros.nbytes
+    top = max(map(max, A.generators))
+    for data in (A._numerical, *A._rays.values()):
+        if data is not None:
+            apery = data.apery
+            size += apery.nbytes
+            if apery.dtype == object:  # each entry below m * max(gens), in 16-byte blocks
+                size += len(apery) * (sys.getsizeof(len(apery) * top) + 16)
     return size
 
 
@@ -509,9 +517,15 @@ def frobenius_number(A: AffineSemigroup) -> int:
 
 
 def membership(A: AffineSemigroup, a: Sequence[int]) -> bool:
-    """Is a an N-combination of the generators?  Memoized descent with a
-    lattice/cone pre-filter, which a memo entry, decided by an earlier
-    descent, skips; n = 1 goes through the Apery list."""
+    """Is a an N-combination of the generators?  n = 1 goes through the
+    Apery list.  For n >= 2 a memo entry, decided by an earlier walk,
+    answers first, a point outside the cone or the lattice is "no", and any
+    other point is walked (module docstring).  A child of a node has a
+    smaller coordinate sum than every node on the stack, so it is never on
+    the stack, and the stack empties only after a itself was written "no".
+    The walk is refused with CapExceeded when a node decided "no" takes the
+    entries it adds past WALK_BYTES, at the table_bytes rate of
+    (n + 3) * SLOT_BYTES each."""
     v = tuple(int(x) for x in a)
     if len(v) != A.n:
         raise ValueError("dimension mismatch")
@@ -519,50 +533,33 @@ def membership(A: AffineSemigroup, a: Sequence[int]) -> bool:
         return False
     if A.n == 1:
         return _numerical_data(A).contains(v[0])
-    if v == (0,) * A.n:
+    zero = (0,) * A.n
+    if v == zero:
         return True
-    known = A._member_cache.get(v)
+    cache = A._member_cache
+    known = cache.get(v)
     if known is not None:
         return known
     if not A.in_cone(v) or not A.in_lattice(v):
         return False
-    return _member_dfs(A, v)
-
-
-def _member_dfs(A: AffineSemigroup, v: Vector) -> bool:
-    """Descent from v by the generators, writing each node to the memo once
-    decided; refused with CapExceeded when a node decided "no" takes the
-    entries it adds past WALK_BYTES, at the table_bytes rate of
-    (n + 3) * SLOT_BYTES each."""
-    cache = A._member_cache
-    hit = cache.get(v)
-    if hit is not None:
-        return hit
     entry = (A.n + 3) * SLOT_BYTES
     limit = len(cache) + WALK_BYTES // entry
     stack = [(v, iter(A.generators))]
-    path = {v}
     while stack:
         cur, gens = stack[-1]
-        found = None
         for g in gens:
             nxt = tuple(a - b for a, b in zip(cur, g))
-            if any(x < 0 for x in nxt):
+            if min(nxt) < 0:
                 continue
-            if nxt == (0,) * A.n or cache.get(nxt):
-                found = True
+            known = cache.get(nxt)
+            if known or nxt == zero:
+                for node, _ in stack:
+                    cache[node] = True
+                return True
+            if known is None:
+                stack.append((nxt, iter(A.generators)))
                 break
-            if cache.get(nxt) is False or nxt in path:
-                continue
-            stack.append((nxt, iter(A.generators)))
-            path.add(nxt)
-            found = "descend"
-            break
-        if found is True:
-            for node, _ in stack:
-                cache[node] = True
-            return True
-        if found is None:
+        else:
             cache[cur] = False
             if len(cache) > limit:
                 raise CapExceeded(
@@ -570,8 +567,7 @@ def _member_dfs(A: AffineSemigroup, v: Vector) -> bool:
                     f"({WALK_BYTES // entry} memo entries at {entry} bytes each)"
                 )
             stack.pop()
-            path.discard(cur)
-    return cache.get(v, False)
+    return False
 
 
 @lru_cache(maxsize=DIMENSION_CAP)
@@ -755,11 +751,8 @@ def saturation_hilbert_basis(A: AffineSemigroup) -> tuple[Vector, ...]:
     if A.n == 1:
         A._hilbert_basis = ((gcd(*(g[0] for g in A.generators)),),)
         return A._hilbert_basis
-    points = _saturation_points(A)
-    basis = tuple(sorted(_minimal_elements(points)))
-    A._sat_points = points
-    A._hilbert_basis = basis
-    return basis
+    A._hilbert_basis = tuple(sorted(_minimal_elements(_saturation_points(A))))
+    return A._hilbert_basis
 
 
 # -- eventual p-power membership and pure inseparability ----------------------
@@ -840,13 +833,16 @@ def eventual_p_membership(A: AffineSemigroup, a: Sequence[int], p: int) -> PMemb
             }
             return PMembership("no", certificate=cert)
     if A.n == 1:
-        numerical, t = A, v[0]
+        numerical, t = _numerical_data(A), v[0]
     elif nf.rank == 1:  # a ray: the face generators are k_i * r, and v = t * r
         r = face_gens[0]
         step = gcd(*r)
         j = next(i for i, x in enumerate(r) if x)
-        numerical = AffineSemigroup([(g[j] * step // r[j],) for g in face_gens])
         t = v[j] * step // r[j]
+        numerical = A._rays.get(vanishing)
+        if numerical is None:
+            ray = AffineSemigroup([(g[j] * step // r[j],) for g in face_gens])
+            numerical = A._rays[vanishing] = _numerical_data(ray)
     else:
         if not A.in_cone(v):
             raise ValueError(f"{list(v)} is not in the cone of the semigroup")
@@ -854,9 +850,8 @@ def eventual_p_membership(A: AffineSemigroup, a: Sequence[int], p: int) -> PMemb
         while not membership(A, tuple(p**e * x for x in v)):
             e += 1
         return PMembership("yes", e)
-    contains = _numerical_data(numerical).contains
     e = 0
-    while not contains(p**e * t):
+    while not numerical.contains(p**e * t):
         e += 1
     return PMembership("yes", e)
 
@@ -977,8 +972,7 @@ def weak_normalization(A: AffineSemigroup, p: int) -> tuple[Vector, ...]:
     if A.n == 1:
         check_characteristic(p)
         return saturation_hilbert_basis(A)
-    saturation_hilbert_basis(A)
-    star = A._sat_points.copy()
+    star = _saturation_points(A)
     for v in map(tuple, np.argwhere(star).tolist()):  # ascending points
         if eventual_p_membership(A, v, p).status != "yes":
             star[v] = False

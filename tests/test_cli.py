@@ -179,11 +179,13 @@ def test_walk_past_its_budget_is_refused(monkeypatch, capsys):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the address space size from /proc")
 def test_walk_budget_holds_under_an_address_space_ceiling():
-    # about 4 s: the walk at 2^13 * (1,1) would add 2.64 M memo entries;
-    # the child's ceiling is its size after import plus WALK_BYTES
+    # the walk at 2^13 * (1,1) would add 2.64 M memo entries; a 16 MiB walk
+    # budget refuses it within about 1 s, and the child's ceiling is its
+    # size after import plus that budget
     probe = (
         "import resource, sys\n"
         "from frobranch import cli, semigroup\n"
+        "semigroup.WALK_BYTES = 16 << 20\n"
         "size = next(int(line.split()[1]) * 1024 for line in open('/proc/self/status') if line.startswith('VmSize:'))\n"
         "resource.setrlimit(resource.RLIMIT_AS, (size + semigroup.WALK_BYTES, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
@@ -194,7 +196,7 @@ def test_walk_budget_holds_under_an_address_space_ceiling():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 1 and done.stdout == "", done.stderr
     assert done.stderr.startswith("error: the membership walk at ") and "Traceback" not in done.stderr
-    assert f"walk budget of {semigroup.WALK_BYTES} bytes" in done.stderr
+    assert f"walk budget of {16 << 20} bytes" in done.stderr
 
 
 def test_saturation_box_below_the_cap_is_answered(capsys):

@@ -236,6 +236,34 @@ def test_membership_closed_under_addition():
         assert membership(A, tuple(x + y for x, y in zip(a, b)))
 
 
+def test_membership_matches_a_reachability_closure():
+    # an independent oracle for n >= 2: the box points reachable from 0 by
+    # the generators, by dynamic programming in lexicographic order (v - g
+    # comes before v for every nonzero g in N^n); every memo entry the
+    # walks leave in the box agrees with it, and warm answers do not change
+    rng = random.Random(32)
+    side, members, points = 12, 0, 0
+    for case in range(30):
+        n = 2 + case % 2
+        gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(3, 6))]
+        gens = [g for g in gens if any(g)] or [(1,) * n]
+        A = AffineSemigroup(gens)
+        box = list(itertools.product(range(side), repeat=n))
+        reach = {}
+        for v in box:
+            reach[v] = not any(v) or any(
+                reach.get(tuple(a - b for a, b in zip(v, g)), False) for g in A.generators
+            )
+        order = box[:]
+        rng.shuffle(order)
+        for warm in (False, True):
+            assert {v: membership(A, v) for v in order} == reach, (A, warm)
+            assert all(reach[v] == known for v, known in A._member_cache.items() if max(v) < side), A
+        members, points = members + sum(reach.values()), points + len(box)
+        assert A._member_cache
+    assert 0 < members < points
+
+
 def test_frobenius_number():
     assert frobenius_number(AffineSemigroup([(2,), (3,)])) == 1
     assert frobenius_number(AffineSemigroup([(1,)])) == -1
@@ -600,14 +628,15 @@ def test_long_thin_cone_hilbert_basis():
     # points (1, j); the generator (440,1) inside it does not widen the box
     A = AffineSemigroup([(440, 1), (1, 440), (1, 0)])
     assert saturation_hilbert_basis(A) == tuple((1, j) for j in range(441))
-    assert A._sat_points.shape == (3, 441)
+    assert semigroup._saturation_points(A).shape == (3, 441)
     # long extremal generators: a 442 x 442 box holding 194479 saturation
     # points, of which only the 879 points (1, j) and (j, 1) are minimal
     B = AffineSemigroup([(1, 1), (2, 1), (1, 440), (440, 1)])
     assert semigroup._extremal_generators(B) == [(1, 440), (440, 1)]
     basis = {(1, j) for j in range(1, 441)} | {(j, 1) for j in range(1, 441)}
     assert saturation_hilbert_basis(B) == tuple(sorted(basis))
-    assert B._sat_points.shape == (442, 442) and int(B._sat_points.sum()) == 194479
+    points = semigroup._saturation_points(B)
+    assert points.shape == (442, 442) and int(points.sum()) == 194479
 
 
 def test_saturation_box_refuses_products_past_int64(monkeypatch):
@@ -666,7 +695,7 @@ def test_extremal_box_matches_the_all_generator_box():
         rays = {tuple(x // gcd(*e) for x in e) for e in extremal}
         on_rays = [g for g in A.generators if tuple(x // gcd(*g) for x in g) in rays]
         shared_ray += len(on_rays) > len(extremal)
-        bounds = A._sat_points.shape
+        bounds = semigroup._saturation_points(A).shape
         inside = [g for g in A.generators if g not in on_rays]
         sticks_out += any(g[i] >= bounds[i] for g in inside for i in range(n))
     assert shared_ray >= 50 and sticks_out >= 50, (shared_ray, sticks_out)
@@ -839,6 +868,28 @@ def test_ray_exponent_has_a_closed_form(m, e0):
     assert time.perf_counter() - start < 1
     assert rep.verdict == "f-nilpotent" and rep.e0 == e0
     assert rep.per_element == {(0, 1): semigroup.PMembership("yes", 0), (1, 0): semigroup.PMembership("yes", e0)}
+
+
+def test_ray_semigroup_is_kept(monkeypatch):
+    # (2,0) lies on the ray of <(4,0), (6,0)>: the second call reads the
+    # numerical semigroup <4, 6> kept on A and builds no Apery list; a
+    # refused Apery list keeps nothing
+    A = AffineSemigroup([(4, 0), (6, 0), (3, 1), (2, 2), (1, 3), (0, 4)])
+    apery_list = semigroup._apery_list
+    calls = []
+    monkeypatch.setattr(semigroup, "_apery_list", lambda gens: calls.append(gens) or apery_list(gens))
+    before = semigroup.table_bytes(A)
+    assert eventual_p_membership(A, (2, 0), 2) == semigroup.PMembership("yes", 1)
+    assert len(calls) == 1 and len(A._rays) == 1
+    (ray,) = A._rays.values()
+    assert semigroup.table_bytes(A) - before >= ray.apery.nbytes
+    assert eventual_p_membership(A, (2, 0), 3) == semigroup.PMembership("yes", 1)
+    assert len(calls) == 1
+    B = AffineSemigroup(A.generators)
+    monkeypatch.setattr(semigroup, "APERY_CAP", 1)
+    with pytest.raises(CapExceeded, match="Apery-list cap"):
+        eventual_p_membership(B, (2, 0), 2)
+    assert B._rays == {}
 
 
 def test_forged_torsion_order_not_in_the_lattice(monkeypatch):
