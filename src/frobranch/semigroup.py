@@ -67,8 +67,7 @@ representation of p^e * a in A uses only generators on F
 modulo G_F is a power p^k.  When F is a ray with primitive vector r, its
 generators are k_i * r and a = t * r, so p^e * a lies in A exactly when
 p^e * t lies in the numerical semigroup <k_i>, whose least e its Apery
-list gives as for n = 1; that numerical semigroup is kept on A, one per
-ray (_rays).  On any other face the search tries e = 1, 2, ..
+list gives as for n = 1.  On any other face the search tries e = 1, 2, ..
 until p^e * a lies in A, and it stops: k[S_F] is a finite k[A_F]-module
 (Bruns-Gubeladze, ch. 2), so A_F has a conductor element c_F with
 c_F + S_F ⊆ A_F.  For e >= k, p^e * a - c_F lies in G_F, so in lin F; a
@@ -82,8 +81,9 @@ node to a memo (_member_cache) once decided: a node with a child that is
 0 or known to lie in A is "yes", with every node on the stack above it,
 and a node is "no" once every child is decided "no".  Generators are
 nonzero and lie in N^n, so every child has a smaller coordinate sum than
-every node on the stack: no node recurs, and the walk needs no cycle
-guard.  Each walk is charged (n + 3) * SLOT_BYTES per memo entry it adds,
+every node on the stack: no node recurs, the walk needs no cycle guard,
+and its stack empties only after the point itself was written "no".
+Each walk is charged (n + 3) * SLOT_BYTES per memo entry it adds,
 the rate of table_bytes, and refused with CapExceeded once its charge
 passes WALK_BYTES.  A walk writes only decided entries, so a refused walk
 leaves a sound memo.
@@ -97,11 +97,10 @@ alone, with no p, ideal or element in it: the lattice SNF
 (_lattice_nf) and each face SNF (_faces) are the deterministic
 smith_normal_form of a matrix read off the generators, checked before it
 is stored; the facets, equations and zero patterns (cone_geometry), the
-Hilbert basis (saturation_hilbert_basis) and the Apery lists of A and of
-its ray faces (_numerical_data, _rays) are computed from the generators
-and those SNFs; and a membership memo entry (_member_cache) records
-whether a point is in A, written by a membership walk only once that is
-decided.  Each field is published only once complete: it is built in
+Hilbert basis (saturation_hilbert_basis) and the Apery list
+(_numerical_data) are computed from the generators and those SNFs; and a
+membership memo entry (_member_cache) records whether a point is in A,
+written by a membership walk only once that is decided.  Each field is published only once complete: it is built in
 locals and assigned in one step, the field its readers test assigned last
 (_facets after _zeros and _equations), and a refusal (CapExceeded)
 or a failed check (CertificateFailed) is raised before that step.  So a
@@ -343,7 +342,6 @@ class AffineSemigroup:
         self._member_cache: dict[Vector, bool] = {}
         self._faces: dict[tuple[Vector, ...], tuple] = {}  # vanishing facets -> (face gens, SNF)
         self._numerical: Optional[_NumericalData] = None
-        self._rays: dict[tuple[Vector, ...], _NumericalData] = {}  # vanishing facets -> ray's semigroup
 
     def __repr__(self):
         return f"AffineSemigroup(n={self.n}, generators={list(self.generators)})"
@@ -357,7 +355,9 @@ class AffineSemigroup:
         return self._lattice_nf
 
     def in_lattice(self, v: Vector) -> bool:
-        return _torsion_order(self.lattice_nf(), v) == 1
+        nf = self.lattice_nf()
+        ub = _ub(nf, v)
+        return ub is not None and not any(ub[i] % nf.D[i][i] for i in range(nf.rank))
 
     def in_cone(self, v: Vector) -> bool:
         facets, eqs = cone_geometry(self)
@@ -444,10 +444,9 @@ def table_bytes(A: AffineSemigroup) -> int:
     of the 64 covers the tuples, lists and dicts around them: for every
     semigroup of the `semigroups` benchmark workload (seeds 1 and 3) the
     charge was above the memory tracemalloc saw freed when it was dropped.
-    The arrays are the facet zero pattern and the Apery lists of A and of
-    its ray faces.  A Python-int Apery entry is charged at the size of its
-    bound m * max(gens), and the largest coordinate of A's generators
-    bounds the generators of every ray's numerical semigroup."""
+    The arrays are the facet zero pattern and the Apery list.  A
+    Python-int Apery entry is charged at the size of its bound
+    m * max(gens)."""
     n = A.n
     slots = (n + 3) * len(A._member_cache) + n * (
         len(A.generators) + len(A._facets or ()) + len(A._equations or ()) + len(A._hilbert_basis or ())
@@ -458,13 +457,11 @@ def table_bytes(A: AffineSemigroup) -> int:
     size = ENTRY_BYTES + SLOT_BYTES * slots
     if A._zeros is not None:
         size += A._zeros.nbytes
-    top = max(map(max, A.generators))
-    for data in (A._numerical, *A._rays.values()):
-        if data is not None:
-            apery = data.apery
-            size += apery.nbytes
-            if apery.dtype == object:  # each entry below m * max(gens), in 16-byte blocks
-                size += len(apery) * (sys.getsizeof(len(apery) * top) + 16)
+    if A._numerical is not None:
+        apery = A._numerical.apery
+        size += apery.nbytes
+        if apery.dtype == object:  # each entry below m * max(gens), in 16-byte blocks
+            size += len(apery) * (sys.getsizeof(len(apery) * A.generators[-1][0]) + 16)
     return size
 
 
@@ -520,12 +517,9 @@ def membership(A: AffineSemigroup, a: Sequence[int]) -> bool:
     """Is a an N-combination of the generators?  n = 1 goes through the
     Apery list.  For n >= 2 a memo entry, decided by an earlier walk,
     answers first, a point outside the cone or the lattice is "no", and any
-    other point is walked (module docstring).  A child of a node has a
-    smaller coordinate sum than every node on the stack, so it is never on
-    the stack, and the stack empties only after a itself was written "no".
-    The walk is refused with CapExceeded when a node decided "no" takes the
-    entries it adds past WALK_BYTES, at the table_bytes rate of
-    (n + 3) * SLOT_BYTES each."""
+    other point is walked (module docstring).  The walk is refused with
+    CapExceeded when a node decided "no" takes the entries it adds past
+    WALK_BYTES, at the table_bytes rate of (n + 3) * SLOT_BYTES each."""
     v = tuple(int(x) for x in a)
     if len(v) != A.n:
         raise ValueError("dimension mismatch")
@@ -833,16 +827,13 @@ def eventual_p_membership(A: AffineSemigroup, a: Sequence[int], p: int) -> PMemb
             }
             return PMembership("no", certificate=cert)
     if A.n == 1:
-        numerical, t = _numerical_data(A), v[0]
+        numerical, t = A, v[0]
     elif nf.rank == 1:  # a ray: the face generators are k_i * r, and v = t * r
         r = face_gens[0]
         step = gcd(*r)
         j = next(i for i, x in enumerate(r) if x)
+        numerical = AffineSemigroup([(g[j] * step // r[j],) for g in face_gens])
         t = v[j] * step // r[j]
-        numerical = A._rays.get(vanishing)
-        if numerical is None:
-            ray = AffineSemigroup([(g[j] * step // r[j],) for g in face_gens])
-            numerical = A._rays[vanishing] = _numerical_data(ray)
     else:
         if not A.in_cone(v):
             raise ValueError(f"{list(v)} is not in the cone of the semigroup")
@@ -850,8 +841,9 @@ def eventual_p_membership(A: AffineSemigroup, a: Sequence[int], p: int) -> PMemb
         while not membership(A, tuple(p**e * x for x in v)):
             e += 1
         return PMembership("yes", e)
+    contains = _numerical_data(numerical).contains
     e = 0
-    while not numerical.contains(p**e * t):
+    while not contains(p**e * t):
         e += 1
     return PMembership("yes", e)
 

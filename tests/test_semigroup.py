@@ -870,28 +870,6 @@ def test_ray_exponent_has_a_closed_form(m, e0):
     assert rep.per_element == {(0, 1): semigroup.PMembership("yes", 0), (1, 0): semigroup.PMembership("yes", e0)}
 
 
-def test_ray_semigroup_is_kept(monkeypatch):
-    # (2,0) lies on the ray of <(4,0), (6,0)>: the second call reads the
-    # numerical semigroup <4, 6> kept on A and builds no Apery list; a
-    # refused Apery list keeps nothing
-    A = AffineSemigroup([(4, 0), (6, 0), (3, 1), (2, 2), (1, 3), (0, 4)])
-    apery_list = semigroup._apery_list
-    calls = []
-    monkeypatch.setattr(semigroup, "_apery_list", lambda gens: calls.append(gens) or apery_list(gens))
-    before = semigroup.table_bytes(A)
-    assert eventual_p_membership(A, (2, 0), 2) == semigroup.PMembership("yes", 1)
-    assert len(calls) == 1 and len(A._rays) == 1
-    (ray,) = A._rays.values()
-    assert semigroup.table_bytes(A) - before >= ray.apery.nbytes
-    assert eventual_p_membership(A, (2, 0), 3) == semigroup.PMembership("yes", 1)
-    assert len(calls) == 1
-    B = AffineSemigroup(A.generators)
-    monkeypatch.setattr(semigroup, "APERY_CAP", 1)
-    with pytest.raises(CapExceeded, match="Apery-list cap"):
-        eventual_p_membership(B, (2, 0), 2)
-    assert B._rays == {}
-
-
 def test_forged_torsion_order_not_in_the_lattice(monkeypatch):
     # (0,1,1) has order 2 modulo its face lattice, so 3 * (0,1,1) is not in it
     monkeypatch.setattr(semigroup, "_torsion_order", lambda *args: 3)
