@@ -23,15 +23,20 @@ Reports come out as readable text or canonical JSON (sorted keys, schema
 version "1", the bytes of json.dumps(payload, sort_keys=True, indent=2));
 identical requests produce byte-identical reports.
 
-One process shares one semigroup table across its requests (_SEMIGROUPS):
-a --gens with the canonical generators of a semigroup answered before, at
-any prime, in any mode or spelling, reuses its prime-independent geometry
-(SNFs, facets, Hilbert basis, Apery list, membership memo).  Its report is
-byte-identical to a fresh process's, as the semigroup module docstring
-proves, and the table holds at most semigroup.TABLE_BYTES (8 MiB) as
-charged by semigroup.table_bytes, evicting least recently used first.
-A request holds its semigroup alone while it runs, so threads calling run
-at once never share one.
+One process shares one table across its requests (_TABLE, a
+SharedTable).  A --gens with the canonical generators of a semigroup
+answered before, at any prime, in any mode or spelling, reuses its
+prime-independent geometry (SNFs, facets, Hilbert basis, Apery list,
+membership memo), and a hit builds no AffineSemigroup.  A branches ring
+with the slice_key of one answered before (the slices' field, the number
+of variables and the relations' degrees and terms, whatever the request's
+field, variable names or --s-max) reuses its degree slices and the
+rank-test verdicts stored on them.  Each report is byte-identical to a
+fresh process's, as the semigroup and graded module docstrings prove.
+Semigroups and slice stores share one budget, TABLE_BYTES (8 MiB), as
+charged by semigroup.table_bytes and graded.store_bytes, evicting least
+recently used first.  A request holds its entry alone while it runs, so
+threads calling run at once never share one.
 
 Exit codes: 0 success (and --help), 1 input error, 2 mathematical
 inconsistency (the closure formula disagreeing with an oracle, or a
@@ -45,19 +50,23 @@ from __future__ import annotations
 import re
 import shlex
 import sys
+import threading
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import CertificateFailed, FrobranchError
 from .ffield import PrimeField, check_characteristic, extend_field
-from .graded import DEFAULT_S_MAX, GradedQuotient, reducedness_status
+from .graded import DEFAULT_S_MAX, GradedQuotient, reducedness_status, slice_key, store_bytes
 from .oracle import HypersurfaceCurve, crosscheck, hypersurface_branches
 from .parse import parse_homog, parse_semigroup, parse_vector_list
 from .semigroup import (
-    SemigroupTable,
+    AffineSemigroup,
     fte_bruteforce,
     is_f_nilpotent,
+    table_bytes,
     tight_closure_membership_monomial,
 )
 
@@ -303,11 +312,60 @@ def parse_request(argv: Sequence[str]) -> AnalysisRequest:
     return _parse_mode(tokens[0], tokens[1:])
 
 
+TABLE_BYTES = 8 << 20  # what one process keeps between requests, as charged by each entry's charge
+
+V = TypeVar("V")
+
+
+class SharedTable:
+    """Values shared by the requests of one process (module docstring),
+    each kept under its key and charged by its charge function, least
+    recently used first within TABLE_BYTES; an entry that alone exceeds
+    TABLE_BYTES is not kept."""
+
+    def __init__(self):
+        self._entries: OrderedDict[Hashable, tuple[object, int]] = OrderedDict()
+        self.charged = 0
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def shared(self, key: Hashable, build: Callable[[], V], charge: Callable[[V], int]) -> Iterator[V]:
+        """The value kept under key, or build()'s, for the block; charged
+        again and kept after it, whether it returns or raises, since the
+        block only ever fills the value's parts completely.  The entry
+        leaves the table for the block, so no two blocks share one value;
+        of two concurrent blocks on one key the later to end is kept, its
+        rival's charge released."""
+        with self._lock:
+            entry = self._entries.pop(key, None)
+            if entry is not None:
+                self.charged -= entry[1]
+        value = build() if entry is None else entry[0]
+        try:
+            yield value
+        finally:
+            size = charge(value)
+            with self._lock:
+                _, charged = self._entries.pop(key, (None, 0))
+                self.charged -= charged
+                if size <= TABLE_BYTES:
+                    self._entries[key] = (value, size)
+                    self.charged += size
+                while self.charged > TABLE_BYTES:  # never the entry just kept
+                    _, (_, size) = self._entries.popitem(last=False)
+                    self.charged -= size
+
+
+_TABLE = SharedTable()
+
+
 def _run_branches(req: AnalysisRequest) -> AnalysisReport:
     field = PrimeField(req.p) if req.ext_s == 1 else extend_field(PrimeField(req.p), req.ext_s)
     rels = [parse_homog(text, field, req.var_names) for text in req.relations]
     ring = GradedQuotient(field, len(req.var_names), rels, req.var_names)
-    rep = crosscheck(ring, s_max=req.s_max)
+    with _TABLE.shared(slice_key(ring), lambda: ring.slice_store, store_bytes) as store:
+        ring.slice_store = store
+        rep = crosscheck(ring, s_max=req.s_max)
     results = dict(vars(rep))
     reducedness = reducedness_status(ring)
     reason = None
@@ -342,17 +400,21 @@ def _fnilpotency_results(report) -> dict:
     return out
 
 
-_SEMIGROUPS = SemigroupTable()
+def _semigroup(text: str):
+    """The kept semigroup of a --gens, or a new one built on a miss, for
+    the request's block."""
+    gens = parse_semigroup(text)  # int tuples: never a slice_key, which starts with a field
+    return _TABLE.shared(gens, lambda: AffineSemigroup(gens), table_bytes)
 
 
 def _run_fnilpotent(req: AnalysisRequest) -> AnalysisReport:
-    with _SEMIGROUPS.shared(parse_semigroup(req.gens)) as A:
+    with _semigroup(req.gens) as A:
         report = is_f_nilpotent(A, req.p)
     return AnalysisReport(req.echo(), _fnilpotency_results(report))
 
 
 def _run_fte(req: AnalysisRequest) -> AnalysisReport:
-    with _SEMIGROUPS.shared(parse_semigroup(req.gens)) as A:
+    with _semigroup(req.gens) as A:
         if A.n != 1:
             raise _CliInputError("fte requires a numerical semigroup (dimension 1)")
         ideal = [v[0] for v in parse_vector_list(req.ideal, 1)]
@@ -365,7 +427,7 @@ def _run_fte(req: AnalysisRequest) -> AnalysisReport:
 
 
 def _run_tight_member(req: AnalysisRequest) -> AnalysisReport:
-    with _SEMIGROUPS.shared(parse_semigroup(req.gens)) as A:
+    with _semigroup(req.gens) as A:
         ideal = parse_vector_list(req.ideal, A.n)
         element = parse_vector_list(req.element, A.n)
         if len(element) != 1:

@@ -18,12 +18,29 @@ order, so the basis element w_i of coordinate i has code Q^i.  Reduction
 modulo a GF(Q)-space is GF(Q)-linear, and the RREF of I_d is also its RREF
 over every extension, so NF(sum v_i*w_i) = sum NF(v_i)*w_i, of code
 sum nf_i*Q^i.
+
+So every ring with the same slice_key (GF(Q), the number of variables and
+the relations' degrees and terms) may share one slice store: base_change
+shares it with the scalar extensions of R, and one process may keep it
+between requests.  That is sound because everything in it is a function
+of the key alone.  A slice's rows are read off the relations' codes, which
+are the same constants at every level of the tower, and the RREF of a
+subspace with unit leading entries is unique, so its pivots, standard
+monomials and normal forms are those every such ring computes.  A rank
+test of is_linear_reduction is stored on the degree-d slice only for a
+form x over GF(Q) itself (kernel_holding(x) is the slices' kernel), keyed
+by x's terms: its verdict is rank N_x = HF(d) over GF(Q), read from the
+slices of degrees d-1 and d alone.  A form over a larger field is tested
+afresh.  A slice is stored only once built and a verdict only once its
+test is done, each in one assignment, so a refused request leaves only
+complete entries, and a shared slice or verdict is the value a fresh ring
+would compute: no answer depends on what was shared.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
@@ -55,6 +72,10 @@ DEFAULT_S_MAX = 3
 # 8 variables (1716 columns, refused here) 1.0-1.1 s, its sparse rows still
 # paying for the dense passes of every panel.
 SLICE_COLUMN_CAP = 1500
+STORE_BYTES = 1024  # charged per kept slice store (store_bytes): the cache dict and the lock
+SLICE_BYTES = 1024  # charged per kept slice besides its arrays: its objects and array headers
+VERDICT_BYTES = 256  # charged per stored verdict besides the ints of its key: tuples and dict slot
+KEY_INT_BYTES = 64  # charged per int of a stored verdict's key, with its share of the tuples around it
 
 
 @lru_cache(maxsize=None)
@@ -62,19 +83,24 @@ def monomials_of_degree(nvars: int, d: int) -> tuple[Monomial, ...]:
     """All degree-d monomials in nvars variables, grevlex-descending.
 
     Within a fixed degree, grevlex-descending equals lexicographic order on
-    the reversed exponent vector, ascending.
+    the reversed exponent vector r, ascending, so they are listed by its
+    successor step from r = (0, .., 0, d), with no recursion: the
+    successor raises the entry before the last nonzero one r_j (j >= 1) by
+    one and moves the rest r_j - 1 of that tail to the last place, the
+    least tail of its sum; r = (d, 0, .., 0) is the last.
     """
-    def gen(n, total):
-        if n == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in gen(n - 1, total - first):
-                yield (first,) + rest
-
-    monos = list(gen(nvars, d))
-    monos.sort(key=lambda m: tuple(reversed(m)))
-    return tuple(monos)
+    r = [0] * (nvars - 1) + [d]
+    monos = []
+    while True:
+        monos.append(tuple(reversed(r)))
+        j = nvars - 1
+        while j and not r[j]:
+            j -= 1
+        if not j:
+            return tuple(monos)
+        rest, r[j] = r[j] - 1, 0
+        r[j - 1] += 1
+        r[-1] = rest
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -323,6 +349,8 @@ class _SliceData:
     echelon: Echelon          # RREF of the degree-d piece of I
     std_monomials: tuple[Monomial, ...]
     std_index: np.ndarray     # their columns, those without a pivot, as int64
+    # is_linear_reduction's verdicts on forms over the slices' field, by terms
+    verdicts: dict = dc_field(default_factory=dict)
 
     def normal_forms(self, rows: np.ndarray, kernel: Kernel) -> np.ndarray:
         """Normal forms modulo I_d of a code vector, or of each row of a
@@ -380,12 +408,16 @@ class RegularityCertificate:
 class GradedQuotient:
     """Standard-graded quotient R = k[x1..xn]/I with per-degree caches.
 
-    The degree cache and the regularity certificate are the only mutable
-    state, and base_change shares the cache.  It is filled bottom-up: a
-    request for degree d builds every missing degree from the first
-    uncached one up to d, each grown from the one below (see _build_slice),
-    so the cached degrees are always 0..k-1.  Slice population is
-    serialized by an internal lock, after which reads are safe to share.
+    R's mutable state is its regularity certificate and its slice store:
+    the degree cache, whose slices also keep the verdicts of
+    is_linear_reduction, and the lock that serializes filling it.  The
+    store may be shared by every ring with R's slice_key (module
+    docstring): base_change shares it, and a caller may hand R a kept one
+    before use.  The cache is filled bottom-up: a request for degree d
+    builds every missing degree from the first uncached one up to d, each
+    grown from the one below (see _build_slice), so the cached degrees
+    are always 0..k-1, and reads of a stored slice are safe to share.
+    A ring starts with an empty store.
     """
 
     def __init__(
@@ -421,6 +453,16 @@ class GradedQuotient:
     def __repr__(self):
         rels = ", ".join(g.format(self.var_names) for g in self.relations)
         return f"{self.field}[{','.join(self.var_names)}]/({rels or '0'})"
+
+    @property
+    def slice_store(self) -> tuple[dict, threading.Lock]:
+        """The degree cache and its lock, as shared by the rings of one
+        slice_key (module docstring)."""
+        return self._cache, self._lock
+
+    @slice_store.setter
+    def slice_store(self, store: tuple[dict, threading.Lock]) -> None:
+        self._cache, self._lock = store
 
     # -- degree slices -----------------------------------------------------
 
@@ -600,12 +642,18 @@ def is_linear_reduction(R: GradedQuotient, x: HomogPoly, d: int) -> bool:
     at d = n0+1, n0 the stabilization index of multiplicity(R), it says
     whether x reduces the irrelevant ideal.  The verdict is
     rank N_x = HF(d) (GradedQuotient.product_map), taken in an echelon
-    over x's field."""
+    over x's field; for a form over the slices' own field it is read from,
+    or stored on, the degree-d slice (module docstring)."""
     if x.degree != 1:
         raise ValueError("reduction candidate must be a linear form")
     kernel = R.kernel_holding(x)
-    image = R._product_map(x, d, kernel)
-    return _std_echelon(kernel, image.shape[1]).add_row(image) == image.shape[1]
+    verdicts = R.slice(d).verdicts if kernel is R.kernel else {}
+    key = tuple(x.terms.items())
+    verdict = verdicts.get(key)
+    if verdict is None:
+        image = R._product_map(x, d, kernel)
+        verdicts[key] = verdict = _std_echelon(kernel, image.shape[1]).add_row(image) == image.shape[1]
+    return verdict
 
 
 def _codes(q: int, k: int, zeros: Optional[bool]):
@@ -693,12 +741,36 @@ def base_change(R: GradedQuotient, s: int) -> GradedQuotient:
     A base-field code is the code of the same constant in the extension, so
     the relations keep their coefficients, their field and so R's slices:
     the RREF of I_d is also its RREF over every extension.  The new ring
-    shares R's slice cache and its lock."""
+    shares R's slice store (module docstring)."""
     ext = extend_field(R.field, s)
     rels = [HomogPoly(ext, g.nvars, g.degree, g.terms) for g in R.relations]
     S = GradedQuotient(ext, R.nvars, rels, R.var_names)
-    S._cache, S._lock = R._cache, R._lock
+    S.slice_store = R.slice_store
     return S
+
+
+def slice_key(R: GradedQuotient) -> tuple:
+    """What R's slice store is a function of (module docstring): the
+    slices' field GF(Q), the number of variables and the relations'
+    degrees and terms."""
+    return R.kernel.field, R.nvars, tuple((g.degree, tuple(g.terms.items())) for g in R.relations)
+
+
+def store_bytes(store: tuple[dict, threading.Lock]) -> int:
+    """What a kept slice store is charged: STORE_BYTES, and per slice
+    SLICE_BYTES, the bytes of its arrays, 8 per standard monomial (a
+    pointer: the monomials are monomials_of_degree's) and, per stored
+    verdict, VERDICT_BYTES and KEY_INT_BYTES per int of its key (n + 1 per
+    term in n variables).  For every store kept by a `curves` or
+    `extension` benchmark pass (seeds 1 and 2) the charge was above the
+    memory tracemalloc saw freed when it was dropped."""
+    size = STORE_BYTES
+    for data in store[0].values():
+        size += SLICE_BYTES + data.echelon.nbytes + data.std_index.nbytes + 8 * len(data.std_monomials)
+        if data.verdicts:
+            ints = sum(map(len, data.verdicts)) * (len(data.columns[0]) + 1)
+            size += VERDICT_BYTES * len(data.verdicts) + KEY_INT_BYTES * ints
+    return size
 
 
 def frobenius_power(J: Sequence[HomogPoly], e: int) -> list[HomogPoly]:

@@ -196,6 +196,11 @@ class Echelon:
         return new
 
     @property
+    def nbytes(self) -> int:
+        """The bytes of its arrays, allocated whole at construction."""
+        return self._rows.nbytes + self._pivots.nbytes
+
+    @property
     def pivots(self) -> list[int]:
         """Pivot columns, ascending.  A pivot column c is the s GF(p)
         pivots c*s .. c*s + s - 1, which _rref finds in a row."""

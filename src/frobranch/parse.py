@@ -2,8 +2,9 @@
 
 Three inputs are parsed: univariate polynomials in t (field moduli),
 multivariate homogeneous polynomials over a declared variable list
-(relations and ideal generators), and semigroup generator lists.  All
-errors carry the offending position.
+(relations and ideal generators), and semigroup generator lists, read to
+their canonical generators (AffineSemigroup.generators) without building
+the semigroup.  All errors carry the offending position.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Sequence
 from .errors import ParseError
 from .ffield import Field, UniPoly
 from .graded import HomogPoly
-from .semigroup import AffineSemigroup
 
 
 _SPACE = re.compile(r"\s*")
@@ -159,9 +159,13 @@ def parse_vector_list(text: str, n: int, offset: int = 0) -> list[tuple[int, ...
     return vectors
 
 
-def parse_semigroup(text: str) -> AffineSemigroup:
+def parse_semigroup(text: str) -> tuple[tuple[int, ...], ...]:
     """Semigroup generators: `n: v1; v2; ...` with comma-separated
-    coordinates, or the numerical shorthand `a,b,c` (dimension 1)."""
+    coordinates, or the numerical shorthand `a,b,c` (dimension 1), as the
+    canonical generators of the semigroup they generate: sorted, repeats
+    and the zero vector dropped.  The grammar reads n coordinates per
+    vector, each a decimal integer, so the only generators that
+    AffineSemigroup refuses are those with no nonzero vector."""
     if ":" in text:
         (n,), colon = _read_integers(_TOKEN.finditer(text), ())
         if n < 1:
@@ -175,7 +179,7 @@ def parse_semigroup(text: str) -> AffineSemigroup:
         if tok[1]:
             raise ParseError(tok.start(1), "',' or end of input")
         vectors = [(v,) for v in values]
-    try:
-        return AffineSemigroup(vectors)
-    except ValueError as exc:
-        raise ParseError(0, f"valid generators ({exc})") from exc
+    gens = tuple(sorted({v for v in vectors if any(v)}))
+    if not gens:
+        raise ParseError(0, "valid generators (need at least one nonzero generator)")
+    return gens

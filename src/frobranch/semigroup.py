@@ -89,11 +89,11 @@ passes WALK_BYTES.  A walk writes only decided entries, so a refused walk
 leaves a sound memo.
 
 One process may answer many requests on the same semigroup, at different
-primes or with its generators spelled differently; SemigroupTable hands
-each the one AffineSemigroup for its canonical generators (sorted,
-deduplicated, zero dropped), so the geometry is built once.  That is
-sound because every lazily filled field is a function of those generators
-alone, with no p, ideal or element in it: the lattice SNF
+primes or with its generators spelled differently; the CLI's shared table
+(cli.SharedTable) hands each the one AffineSemigroup for its canonical
+generators (sorted, deduplicated, zero dropped), so the geometry is built
+once.  That is sound because every lazily filled field is a function of
+those generators alone, with no p, ideal or element in it: the lattice SNF
 (_lattice_nf) and each face SNF (_faces) are the deterministic
 smith_normal_form of a matrix read off the generators, checked before it
 is stored; the facets, equations and zero patterns (cone_geometry), the
@@ -111,16 +111,13 @@ a subset of the entries a cold one would, so answers never depend on the
 table, and only a refusal close to WALK_BYTES can, where the cold walk
 passes the budget and the warm one does not.  Short of that, a report is
 byte-identical to one made with an empty table.  The table keeps entries
-least recently used first within TABLE_BYTES, as charged by table_bytes.
+least recently used first within its budget, as charged by table_bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
-import threading
-from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
@@ -138,7 +135,6 @@ APERY_CAP = 100_000  # least gcd-reduced numerical generator = Apery list length
 BOX_VOLUME_CAP = 200_000  # saturation box points, at most about 1.1 us each
 FTE_WINDOW_CAP = 50_000_000  # Fte window integers, 10-20 ns each for 1-3 ideal generators; 10^8 took 2.1-2.3 s
 FTE_CHUNK = 1 << 14  # window integers per array pass: 128 KB int64 arrays
-TABLE_BYTES = 8 << 20  # SemigroupTable budget: what one process keeps between requests, by table_bytes
 ENTRY_BYTES = 2048  # charged per kept semigroup: the object, its dicts and its array headers
 SLOT_BYTES = 64  # charged per int a kept semigroup holds outside arrays, with its share of their containers
 WALK_BYTES = 128 << 20  # one membership walk's memo entries, by table_bytes; the largest seen charged 119.5 MiB
@@ -435,8 +431,8 @@ def _numerical_data(A: AffineSemigroup) -> _NumericalData:
 
 
 def table_bytes(A: AffineSemigroup) -> int:
-    """What SemigroupTable charges for A: ENTRY_BYTES, the bytes of its
-    arrays, and SLOT_BYTES per int held in Python objects.  The ints are
+    """What a kept A is charged (cli.SharedTable): ENTRY_BYTES, the bytes
+    of its arrays, and SLOT_BYTES per int held in Python objects.  The ints are
     the generators, facets, equations and Hilbert basis (n per vector),
     each SNF U * M * V = D of an n x k matrix M ((n + k)^2 for M, U, V and
     D), and n + 3 per membership memo entry (its key and dict slot).  An
@@ -463,44 +459,6 @@ def table_bytes(A: AffineSemigroup) -> int:
         if apery.dtype == object:  # each entry below m * max(gens), in 16-byte blocks
             size += len(apery) * (sys.getsizeof(len(apery) * A.generators[-1][0]) + 16)
     return size
-
-
-class SemigroupTable:
-    """One AffineSemigroup per canonical generator tuple, shared by the
-    requests of one process (module docstring), least recently used first
-    and charged by table_bytes within TABLE_BYTES; an entry that alone
-    exceeds TABLE_BYTES is not kept."""
-
-    def __init__(self):
-        self._entries: OrderedDict[tuple[Vector, ...], tuple[AffineSemigroup, int]] = OrderedDict()
-        self.charged = 0
-        self._lock = threading.Lock()
-
-    @contextmanager
-    def shared(self, A: AffineSemigroup):
-        """The kept semigroup with A's generators, or A itself, for the
-        block; charged again and kept after it, whether it returns or
-        raises, since the block only ever fills fields completely.  The
-        entry leaves the table for the block, so no two blocks share one
-        semigroup; of two concurrent blocks on one key the later to end
-        is kept, its rival's charge released."""
-        key = A.generators
-        with self._lock:
-            A, charged = self._entries.pop(key, (A, 0))
-            self.charged -= charged
-        try:
-            yield A
-        finally:
-            size = table_bytes(A)
-            with self._lock:
-                _, charged = self._entries.pop(key, (None, 0))
-                self.charged -= charged
-                if size <= TABLE_BYTES:
-                    self._entries[key] = (A, size)
-                    self.charged += size
-                while self.charged > TABLE_BYTES:  # never the entry just kept
-                    _, (_, size) = self._entries.popitem(last=False)
-                    self.charged -= size
 
 
 def frobenius_number(A: AffineSemigroup) -> int:

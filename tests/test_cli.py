@@ -21,14 +21,6 @@ from frobranch.graded import DEFAULT_S_MAX
 PINCHED = "3: 2,0,0; 1,1,0; 1,0,1; 0,2,0; 0,0,2"
 
 
-@pytest.fixture(autouse=True)
-def fresh_semigroup_table(monkeypatch):
-    """Each test starts with an empty semigroup table, so a test that counts
-    the work of a request (SNFs, walks) or forges a failing check sees the
-    semigroup built afresh, not as an earlier test left it."""
-    monkeypatch.setattr(cli, "_SEMIGROUPS", semigroup.SemigroupTable())
-
-
 def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr()
@@ -169,10 +161,10 @@ def test_walk_past_its_budget_is_refused(monkeypatch, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: the membership walk at ") and f"walk budget of {50 * entry} bytes" in err
     # the refused walk left only decided memo entries in the kept semigroup
-    assert ((10, 0), (10, 20), (11, 0), (11, 22), (21, 21)) in cli._SEMIGROUPS._entries
+    assert ((10, 0), (10, 20), (11, 0), (11, 22), (21, 21)) in cli._TABLE._entries
     monkeypatch.setattr(semigroup, "WALK_BYTES", budget)
     code, warm, _ = run_cli(argv, capsys)
-    cli._SEMIGROUPS = semigroup.SemigroupTable()  # restored by the autouse fixture
+    cli._TABLE = cli.SharedTable()  # restored by the autouse fixture
     assert (code, warm) == run_cli(argv, capsys)[:2]
     assert json.loads(warm)["results"]["e0"] == 6
 
@@ -1140,7 +1132,7 @@ def _answers(requests, capsys, fresh):
     out = []
     for args in requests:
         if fresh:
-            cli._SEMIGROUPS = semigroup.SemigroupTable()  # restored by the autouse fixture
+            cli._TABLE = cli.SharedTable()  # restored by the autouse fixture
         out.append(run_cli(args, capsys))
     return out
 
@@ -1148,7 +1140,7 @@ def _answers(requests, capsys, fresh):
 def test_shared_table_reports_equal_fresh_table_reports(capsys):
     requests = _table_requests(2510, 200)
     shared = _answers(requests, capsys, fresh=False)
-    keys = len(cli._SEMIGROUPS._entries)
+    keys = len(cli._TABLE._entries)
     assert shared == _answers(requests, capsys, fresh=True)
     # most requests found their semigroup kept, under another spelling too
     assert keys <= 30 and len({args[4] for args in requests}) > keys
@@ -1161,7 +1153,7 @@ def test_refused_request_leaves_the_table_sound(capsys):
     valid = [["fte", "--p", "3", "--gens", "9,7,5", "--ideal", "7;10", "--format", "json"],
              ["fnilpotent", "--p", "2", "--gens", "5,7,9", "--format", "json"]]
     fresh = _answers(valid, capsys, fresh=True)
-    cli._SEMIGROUPS = semigroup.SemigroupTable()
+    cli._TABLE = cli.SharedTable()
     code, _, err = run_cli(window, capsys)
     assert code == 1 and "window cap" in err
     assert _answers(valid, capsys, fresh=False) == fresh
@@ -1177,7 +1169,7 @@ def test_failed_certificate_leaves_the_table_sound(forge, monkeypatch, capsys):
              ["fnilpotent", "--p", "5", "--gens", PINCHED, "--format", "json"],
              ["fte", "--p", "2", "--gens", "3,5", "--ideal", "5;6", "--format", "json"]]
     fresh = _answers(valid, capsys, fresh=True)
-    cli._SEMIGROUPS = semigroup.SemigroupTable()
+    cli._TABLE = cli.SharedTable()
     with monkeypatch.context() as patch:
         patch.setattr(semigroup, *forge)
         failed = _answers(valid, capsys, fresh=False)
@@ -1191,14 +1183,14 @@ def test_table_evicts_to_its_byte_budget(monkeypatch, capsys):
     for text in gens:
         run_cli(["fnilpotent", "--p", "2", "--gens", text], capsys)
         key = tuple((int(g),) for g in text.split(","))
-        sizes[text] = cli._SEMIGROUPS._entries[key][1]
+        sizes[text] = cli._TABLE._entries[key][1]
     small = sorted(sizes[text] for text in gens[:3])
     assert sizes["2998,2999"] > 8 * 2998 > small[-1]  # the Apery list alone takes 8 bytes per entry
-    cli._SEMIGROUPS = table = semigroup.SemigroupTable()
-    monkeypatch.setattr(semigroup, "TABLE_BYTES", small[-1] + small[-2])
+    cli._TABLE = table = cli.SharedTable()
+    monkeypatch.setattr(cli, "TABLE_BYTES", small[-1] + small[-2])
     for text in gens[:3] + ["2,3", "3,5", "2998,2999"]:
         run_cli(["fnilpotent", "--p", "3", "--gens", text], capsys)
-        assert table.charged == sum(size for _, size in table._entries.values()) <= semigroup.TABLE_BYTES
+        assert table.charged == sum(size for _, size in table._entries.values()) <= cli.TABLE_BYTES
     # 4,5 was least recently used; 2998,2999 alone exceeds the budget
     assert list(table._entries) == [((2,), (3,)), ((3,), (5,))]
 
@@ -1206,15 +1198,177 @@ def test_table_evicts_to_its_byte_budget(monkeypatch, capsys):
 def test_concurrent_blocks_on_one_key_keep_one_charge(monkeypatch):
     # two blocks on one semigroup at once, as two threads of a library caller
     # may run: each owns its own object, and the later to end is kept alone
-    table = semigroup.SemigroupTable()
+    table = cli.SharedTable()
     key = ((2,), (3,))
     for _ in range(3):
-        with table.shared(semigroup.AffineSemigroup([(2,), (3,)])) as first:
-            with table.shared(semigroup.AffineSemigroup([(3,), (2,), (0,)])) as second:
+        with table.shared(key, lambda: semigroup.AffineSemigroup([(2,), (3,)]), semigroup.table_bytes) as first:
+            with table.shared(key, lambda: semigroup.AffineSemigroup([(3,), (2,), (0,)]),
+                              semigroup.table_bytes) as second:
                 assert first is not second
                 semigroup.frobenius_number(second)
             semigroup.frobenius_number(first)
         assert list(table._entries) == [key] and table._entries[key][0] is first
         assert table.charged == table._entries[key][1] == semigroup.table_bytes(first)
         # a budget that one entry fits but two charges would not
-        monkeypatch.setattr(semigroup, "TABLE_BYTES", 3 * table.charged // 2)
+        monkeypatch.setattr(cli, "TABLE_BYTES", 3 * table.charged // 2)
+
+
+def test_a_semigroup_hit_builds_no_semigroup(monkeypatch, capsys):
+    cold = {mode: run_cli(args, capsys) for mode, args in (
+        ("fnilpotent", ["fnilpotent", "--p", "2", "--gens", PINCHED, "--format", "json"]),
+        ("fte", ["fte", "--p", "3", "--gens", "2: 1,0; 0,1", "--ideal", "1"]),
+    )}
+    built = []
+    init = semigroup.AffineSemigroup.__init__
+    monkeypatch.setattr(semigroup.AffineSemigroup, "__init__", lambda self, gens: built.append(gens) or init(self, gens))
+    # the same semigroups spelled otherwise, with repeats and a zero vector
+    spelled = "3: 0,0,2; 0,2,0; 1,0,1; 1,1,0; 2,0,0; 0,0,0; 1,1,0"
+    code, out, err = run_cli(["fnilpotent", "--p", "2", "--gens", spelled, "--format", "json"], capsys)
+    assert (code, json.loads(out)["results"], err) == (cold["fnilpotent"][0], json.loads(cold["fnilpotent"][1])["results"], "")
+    assert run_cli(["fte", "--p", "3", "--gens", "2: 0,1; 1,0; 0,0", "--ideal", "1"], capsys) == cold["fte"]
+    assert cold["fte"][0] == 1 and not built
+    assert len(cli._TABLE._entries) == 2
+
+
+def _bench_requests(workload, seed):
+    """The argv of every request of a benchmark workload, as bench/run.py
+    sends them."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [r.argv for r in workloads.build(workload, seed)]
+
+
+def test_shared_slices_give_the_reports_of_fresh_tables(capsys):
+    # rings of one degree whose verdicts differ, over GF(5) and GF(25): x + y
+    # divides the second and third relations, so it reduces only the first
+    # and the last; no benchmark curve pairs rings like these
+    crafted = [["branches", "--p", "5", *ext, "--vars", "x,y", "--rel", rel, "--format", "json"]
+               for ext in ([], ["--ext-s", "2"]) for rel in ("x^2+y^2", "x*y+y^2", "x^2+x*y", "x^2+y^2")]
+    requests = crafted + [args for workload in ("curves", "extension") for seed in (1, 2)
+                          for args in _bench_requests(workload, seed) if args[0] in ("branches", "hypersurface")]
+    shared = _answers(requests, capsys, fresh=False)
+    stores = len(cli._TABLE._entries)
+    assert shared == _answers(requests, capsys, fresh=True)
+    # the extension requests repeat their relations over several fields
+    assert 0 < stores < sum(args[0] == "branches" for args in requests)
+    assert {code for code, _, _ in shared} == {0}
+
+
+def _entry_of(argv, capsys):
+    """Run argv and return the key and charge of the entry it kept: the
+    table's most recent."""
+    run_cli(argv, capsys)
+    key = next(reversed(cli._TABLE._entries))
+    return key, cli._TABLE._entries[key][1]
+
+
+def test_semigroups_and_slice_stores_evict_each_other(monkeypatch, capsys):
+    requests = [
+        ["fnilpotent", "--p", "2", "--gens", "2,3"],
+        ["branches", "--p", "3", "--vars", "x,y", "--rel", "x^2+y^2"],
+        ["fnilpotent", "--p", "2", "--gens", PINCHED],
+        ["branches", "--p", "5", "--vars", "x,y,z", "--rel", "x*y", "--rel", "x*z", "--rel", "y*z"],
+    ]
+    entries = [_entry_of(args, capsys) for args in requests]
+    sizes = sorted(size for _, size in entries)
+    kind = {key: args[0] for (key, _), args in zip(entries, requests)}
+    cli._TABLE = table = cli.SharedTable()
+    monkeypatch.setattr(cli, "TABLE_BYTES", sizes[-1] + sizes[-2])  # two entries fit, never three
+    model, evicted = {}, set()
+    for i in (0, 1, 2, 3, 0, 1, 3, 2, 1, 0):
+        run_cli(requests[i], capsys)
+        key, size = entries[i]
+        model.pop(key, None)
+        model[key] = size
+        while sum(model.values()) > cli.TABLE_BYTES:
+            evicted.add(kind[next(iter(model))])
+            del model[next(iter(model))]
+        assert list(table._entries) == list(model)
+        assert table.charged == sum(size for _, size in table._entries.values()) <= cli.TABLE_BYTES
+    assert evicted == {"fnilpotent", "branches"}
+
+
+def test_a_ring_whose_slices_exceed_the_budget_is_not_kept(capsys):
+    # its degree-44 slice alone has 1035 columns, an 8.6 MB echelon
+    run_cli(["fnilpotent", "--p", "2", "--gens", "2,3"], capsys)
+    code, out, _ = run_cli(["branches", "--p", "2", "--vars", "x,y,z", "--rel", "z", "--rel", "x^43+y^43"], capsys)
+    assert code == 0 and "result.branches_formula: 43" in out
+    assert list(cli._TABLE._entries) == [((2,), (3,))]
+    assert cli._TABLE.charged == cli._TABLE._entries[((2,), (3,))][1]
+
+
+def test_a_table_hit_runs_no_rank_test_for_a_stored_verdict(add_row_calls, capsys):
+    # x + y divides x^3 + y^3 over GF(5), and x + 2*y is the first reduction
+    # over GF(5) and over GF(25), under other variable names
+    argv = ["branches", "--p", "5", "--vars", "x,y", "--rel", "x^3+y^3", "--format", "json"]
+    wider = argv[:3] + ["--ext-s", "2", "--vars", "u,v", "--rel", "u^3+v^3", "--format", "json"]
+    fresh = run_cli(wider, capsys)
+    cli._TABLE = cli.SharedTable()
+    run_cli(argv, capsys)
+    add_row_calls.clear()
+    assert run_cli(wider, capsys) == fresh
+    assert fresh[0] == 0 and json.loads(fresh[1])["results"]["reduction_form"] == "(1, 0)*u + (2, 0)*v"
+    assert not add_row_calls
+
+
+def test_an_all_points_curve_tests_its_larger_field_forms_afresh(add_row_calls, monkeypatch, capsys):
+    argv = ["branches", "--p", "3", "--vars", "x,y", "--rel", "x^3*y-x*y^3", "--format", "json"]
+    first = run_cli(argv, capsys)
+    assert json.loads(first[1])["results"]["reduction_scalar_extension"] == 2
+    (store, _), = cli._TABLE._entries.values()
+    keys = [key for data in store[0].values() for key in data.verdicts]
+    assert keys and all(code < 3 for key in keys for _, code in key)
+    tested = []
+    test = graded.is_linear_reduction
+    monkeypatch.setattr(graded, "is_linear_reduction", lambda R, x, d: tested.append(x) or test(R, x, d))
+    add_row_calls.clear()
+    assert run_cli(argv, capsys) == first
+    # every GF(9) form runs its rank test again, and no GF(3) form does
+    larger = [x for x in tested if max(x.terms.values()) >= 3]
+    assert larger and len(add_row_calls) == len(larger) < len(tested)
+
+
+def test_threads_on_one_ring_get_identical_reports():
+    # more threads than the two cores of the test host, switching as often as
+    # possible: each request holds the ring's entry alone or builds its own
+    import threading
+
+    argv = ["branches", "--p", "7", "--ext-s", "2", "--vars", "x,y,z,w",
+            "--rel", "x*y", "--rel", "x*z", "--rel", "x*w", "--rel", "y*z", "--rel", "y*w", "--rel", "z*w",
+            "--format", "json"]
+    want = cli.render(cli.run(cli.parse_request(argv)), "json")
+    cli._TABLE = table = cli.SharedTable()
+    for _ in range(3):
+        barrier = threading.Barrier(4, timeout=30)
+        got = []
+
+        def request():
+            barrier.wait()
+            got.append(cli.render(cli.run(cli.parse_request(argv)), "json"))
+
+        threads = [threading.Thread(target=request) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
+        (_, size), = table._entries.values()
+        assert table.charged == size
+
+
+@pytest.mark.parametrize("nvars, slice_", [(990, "degree-2 slice has 490545"), (1000, "degree-2 slice has 500500"),
+                                            (5000, "degree-1 slice has 5000")])
+def test_thousands_of_variables_are_refused_at_the_slice_cap(nvars, slice_, capsys):
+    names = ",".join(f"x{i}" for i in range(1, nvars + 1))
+    code, out, err = run_cli(["branches", "--p", "2", "--vars", names, "--rel", "x1*x2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: the {slice_} columns, above the cap of {graded.SLICE_COLUMN_CAP} columns\n"

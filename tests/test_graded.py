@@ -60,6 +60,34 @@ def test_monomial_order_is_grevlex():
         assert tuple(reversed(m)) < tuple(reversed(m2))
 
 
+def _recursive_monomials(nvars, d):
+    """The recursive listing monomials_of_degree replaced, kept as its
+    reference: every composition, sorted grevlex-descending."""
+    def gen(n, total):
+        if n == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in gen(n - 1, total - first):
+                yield (first,) + rest
+
+    return tuple(sorted(gen(nvars, d), key=lambda m: tuple(reversed(m))))
+
+
+def test_monomial_listing_equals_the_recursive_one():
+    for nvars in range(1, 6):
+        for d in range(7):
+            assert monomials_of_degree(nvars, d) == _recursive_monomials(nvars, d), (nvars, d)
+
+
+def test_monomials_of_many_variables_need_no_recursion():
+    # the recursive listing went one level per variable, even at degree 0;
+    # the uncached listing keeps 1200 tuples of 1200 ints out of the cache
+    assert monomials_of_degree(5000, 0) == ((0,) * 5000,)
+    ones = monomials_of_degree.__wrapped__(1200, 1)
+    assert len(ones) == 1200 and ones[0][0] == 1 and ones[-1][-1] == 1
+
+
 def test_degree_basis_circle():
     R = circle_ring(F3)
     data = R.slice(2)
@@ -1000,3 +1028,55 @@ def test_reduction_form_prints_extension_coefficients():
     f = HomogPoly(extend_field(F4, 2), 2, 1, {(1, 0): 1, (0, 1): 4})
     assert f.format(("x", "y")) == "((1, 0), (0, 0))*x + ((0, 0), (1, 0))*y"
     assert HomogPoly(F5, 2, 1, {(1, 0): 1, (0, 1): 3}).format(("x", "y")) == "x + 3*y"
+
+
+def test_rings_of_one_slice_key_share_slices_and_verdicts(add_row_calls):
+    # the same GF(3) relation over GF(3) and over GF(9): one slice key
+    R = circle_ring(F3)
+    S = circle_ring(extend_field(F3, 2))
+    assert graded.slice_key(R) == graded.slice_key(S) != graded.slice_key(fermat_ring(F3, 4))
+    # one code over two fields of one characteristic: two keys
+    F9, F27 = extend_field(F3, 2), extend_field(F3, 3)
+    assert graded.slice_key(GradedQuotient(F9, 2, [HomogPoly(F9, 2, 1, {(1, 0): 3})])) != \
+        graded.slice_key(GradedQuotient(F27, 2, [HomogPoly(F27, 2, 1, {(1, 0): 3})]))
+    x = linear_form(R, (1, 1))
+    assert is_linear_reduction(R, x, 2)
+    assert R.slice(2).verdicts == {tuple(x.terms.items()): True}
+    S.slice_store = R.slice_store
+    add_row_calls.clear()
+    # a form over GF(3) reads the stored verdict and runs no rank test
+    assert is_linear_reduction(S, linear_form(S, (1, 1)), 2)
+    assert not add_row_calls
+    # forms over GF(9) alone are tested afresh and not stored
+    fresh = circle_ring(S.field)
+    want = [is_linear_reduction(fresh, linear_form(fresh, combo), 2) for combo in ((1, 3), (1, 4))]
+    add_row_calls.clear()
+    assert [is_linear_reduction(S, linear_form(S, combo), 2) for combo in ((1, 3), (1, 4))] == want
+    assert len(add_row_calls) == 2 and len(S.slice(2).verdicts) == 1
+
+
+def test_store_charge_covers_what_dropping_it_frees():
+    import gc
+    rings = [
+        circle_ring(F3), fermat_ring(F7, 5), axes_ring(PrimeField(2147483647), 5),
+        GradedQuotient(F5, 12, [HomogPoly(F5, 12, 2, {(1, 1) + (0,) * 10: 1})]),
+    ]
+    for R in rings:
+        R.slice(min(6, 10 // R.nvars + 1))
+        for combo in itertools.islice(graded._projective_forms(R.field.order, R.nvars), 6):
+            is_linear_reduction(R, linear_form(R, combo), 2)
+        assert R.slice(2).verdicts
+    stores = [R.slice_store for R in rings]
+    charges = [graded.store_bytes(store) for store in stores]
+    del rings, R
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i, charge in enumerate(charges):
+            before = tracemalloc.get_traced_memory()[0]
+            stores[i] = None
+            gc.collect()
+            freed = before - tracemalloc.get_traced_memory()[0]
+            assert 0 <= freed <= charge, (i, freed, charge)
+    finally:
+        tracemalloc.stop()

@@ -70,15 +70,15 @@ def test_parse_homog_cancellation_keeps_degree():
 
 
 def test_parse_semigroup_affine():
-    A = parse_semigroup("3: 2,0,0; 1,1,0; 1,0,1; 0,2,0; 0,0,2")
-    assert A.n == 3 and len(A.generators) == 5
+    gens = parse_semigroup("3: 2,0,0; 1,1,0; 1,0,1; 0,2,0; 0,0,2")
+    assert gens == AffineSemigroup(gens).generators
+    assert {len(g) for g in gens} == {3} and len(gens) == 5
 
 
 def test_parse_semigroup_numerical_shorthand():
-    A = parse_semigroup("2,3")
-    assert A.n == 1 and A.generators == ((2,), (3,))
-    B = parse_semigroup("1: 2; 3")
-    assert B.generators == A.generators
+    gens = parse_semigroup("2,3")
+    assert gens == ((2,), (3,))
+    assert parse_semigroup("1: 3; 2; 0; 3") == gens
 
 
 def test_parse_semigroup_wrong_arity():
