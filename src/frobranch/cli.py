@@ -363,8 +363,8 @@ def _run_branches(req: AnalysisRequest) -> AnalysisReport:
     field = PrimeField(req.p) if req.ext_s == 1 else extend_field(PrimeField(req.p), req.ext_s)
     rels = [parse_homog(text, field, req.var_names) for text in req.relations]
     ring = GradedQuotient(field, len(req.var_names), rels, req.var_names)
-    with _TABLE.shared(slice_key(ring), lambda: ring.slice_store, store_bytes) as store:
-        ring.slice_store = store
+    with _TABLE.shared(slice_key(ring), lambda: ring.store, store_bytes) as store:
+        ring.store = store
         rep = crosscheck(ring, s_max=req.s_max)
     results = dict(vars(rep))
     reducedness = reducedness_status(ring)

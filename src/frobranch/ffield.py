@@ -19,9 +19,9 @@ base[u]/(modulus) over GF(p), whose basis matrices certify irreducibility
 once by Berlekamp's criterion (f squarefree and b -> b^p fixing only
 GF(p)); a sieve that picked a reducible code is refused there.  Sums work
 digit by digit and need no table.  The one element table, the scalar
-matrices (mats[c] multiplies by c), combines the basis matrices on its
-first read, by a product or by linalg's kernel for the field: a product is
-one matrix applied to digits, and inverses and powers are
+matrices (mats[c] multiplies by c), combines the basis matrices by each
+code's digits in one product on its first read; a product of two elements
+is one matrix applied to digits, and inverses and powers are
 square-and-multiply over products.  Work whose codes all lie in a subfield
 runs there (least_subfield): graded's slices, plane-curve counts and power
 vectors, so an extension none of whose own elements is multiplied never
@@ -64,7 +64,7 @@ def _check_caps(p: int, degree: int) -> None:
     if degree > MAX_EXTENSION_DEGREE:
         raise CapExceeded(f"extension degree cap exceeded: {degree} > {MAX_EXTENSION_DEGREE}")
     if p**degree > MAX_TABLE_ORDER:
-        raise CapExceeded(f"extension field of order {p**degree} not supported")
+        raise CapExceeded(f"extension field of order {p**degree} is above the table-order cap {MAX_TABLE_ORDER}")
 
 
 @lru_cache(maxsize=64)  # semigroup code re-checks p once per element

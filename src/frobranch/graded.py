@@ -31,10 +31,11 @@ test of is_linear_reduction is stored on the degree-d slice only for a
 form x over GF(Q) itself (kernel_holding(x) is the slices' kernel), keyed
 by x's terms: its verdict is rank N_x = HF(d) over GF(Q), read from the
 slices of degrees d-1 and d alone.  A form over a larger field is tested
-afresh.  A slice is stored only once built and a verdict only once its
-test is done, each in one assignment, so a refused request leaves only
-complete entries, and a shared slice or verdict is the value a fresh ring
-would compute: no answer depends on what was shared.
+afresh.  A slice is stored only once built, by one append to the list of
+slices, and a verdict only once its test is done, by one assignment, so a
+refused request leaves only complete entries, and a shared slice or
+verdict is the value a fresh ring would compute: no answer depends on
+what was shared.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ DEFAULT_S_MAX = 3
 # 8 variables (1716 columns, refused here) 1.0-1.1 s, its sparse rows still
 # paying for the dense passes of every panel.
 SLICE_COLUMN_CAP = 1500
-STORE_BYTES = 1024  # charged per kept slice store (store_bytes): the cache dict and the lock
+STORE_BYTES = 1024  # charged per kept slice store (store_bytes): the slice list and the lock
 SLICE_BYTES = 1024  # charged per kept slice besides its arrays: its objects and array headers
 VERDICT_BYTES = 256  # charged per stored verdict besides the ints of its key: tuples and dict slot
 KEY_INT_BYTES = 64  # charged per int of a stored verdict's key, with its share of the tuples around it
@@ -406,18 +407,17 @@ class RegularityCertificate:
 
 
 class GradedQuotient:
-    """Standard-graded quotient R = k[x1..xn]/I with per-degree caches.
+    """Standard-graded quotient R = k[x1..xn]/I with per-degree slices.
 
-    R's mutable state is its regularity certificate and its slice store:
-    the degree cache, whose slices also keep the verdicts of
-    is_linear_reduction, and the lock that serializes filling it.  The
-    store may be shared by every ring with R's slice_key (module
-    docstring): base_change shares it, and a caller may hand R a kept one
-    before use.  The cache is filled bottom-up: a request for degree d
-    builds every missing degree from the first uncached one up to d, each
-    grown from the one below (see _build_slice), so the cached degrees
-    are always 0..k-1, and reads of a stored slice are safe to share.
-    A ring starts with an empty store.
+    R's mutable state is its regularity certificate and its slice store,
+    store = (slices, lock): the list of its slices by degree, which also
+    keep the verdicts of is_linear_reduction, and the lock that
+    serializes filling it.  The store may be shared by every ring with
+    R's slice_key (module docstring): base_change shares it, and a caller
+    may hand R a kept one before use.  The list grows at its end: a
+    request for degree d appends every degree from len(slices) up to d,
+    each grown from the one below (see _build_slice), and reads of a
+    stored slice are safe to share.  A ring starts with an empty store.
     """
 
     def __init__(
@@ -447,32 +447,21 @@ class GradedQuotient:
         self.kernel = kernel_for(least_subfield(field, top))
         self.max_rel_degree = max((g.degree for g in rels), default=0)
         self.certificate: Optional[RegularityCertificate] = None
-        self._cache: dict[int, _SliceData] = {}
-        self._lock = threading.Lock()
+        self.store: tuple[list[_SliceData], threading.Lock] = ([], threading.Lock())
 
     def __repr__(self):
         rels = ", ".join(g.format(self.var_names) for g in self.relations)
         return f"{self.field}[{','.join(self.var_names)}]/({rels or '0'})"
-
-    @property
-    def slice_store(self) -> tuple[dict, threading.Lock]:
-        """The degree cache and its lock, as shared by the rings of one
-        slice_key (module docstring)."""
-        return self._cache, self._lock
-
-    @slice_store.setter
-    def slice_store(self, store: tuple[dict, threading.Lock]) -> None:
-        self._cache, self._lock = store
 
     # -- degree slices -----------------------------------------------------
 
     def slice(self, d: int) -> _SliceData:
         if d < 0:
             raise ValueError("degree must be >= 0")
-        with self._lock:
-            data = self._cache.get(d)
-            if data is not None:
-                return data
+        slices, lock = self.store
+        with lock:
+            if d < len(slices):
+                return slices[d]
             # widths grow with d, so no degree below d is refused either
             ncols = comb(d + self.nvars - 1, self.nvars - 1)
             s = self.kernel.s
@@ -482,13 +471,12 @@ class GradedQuotient:
                     f"the degree-{d} slice has {ncols} columns{digits}, above the cap of "
                     f"{SLICE_COLUMN_CAP} columns"
                 )
-            # slices are built bottom-up, so the cached degrees are 0..k-1
-            for e in range(len(self._cache), d + 1):
-                self._cache[e] = data = self._build_slice(e)
-            return data
+            for e in range(len(slices), d + 1):
+                slices.append(self._build_slice(e))
+            return slices[d]
 
     def _build_slice(self, d: int) -> _SliceData:
-        """The degree-d slice, grown from the cached slice below.
+        """The degree-d slice, grown from the stored slice below.
 
         Its echelon starts as x_n*RREF(I_{d-1}), with no elimination.
         Multiplying by x_n maps the degree-(d-1) monomials, in order, onto
@@ -504,7 +492,7 @@ class GradedQuotient:
         standard monomials and normal forms are those of eliminating the
         whole Macaulay matrix."""
         columns = monomials_of_degree(self.nvars, d)
-        ech = self._cache[d - 1].echelon.shifted(len(columns)) if d else Echelon(self.kernel, 1)
+        ech = self.store[0][d - 1].echelon.shifted(len(columns)) if d else Echelon(self.kernel, 1)
         for block in macaulay_matrix(self.nvars, self.relations, d, last_free=True):
             ech.add_row(block)
             del block  # before the next block is built beside it
@@ -745,7 +733,7 @@ def base_change(R: GradedQuotient, s: int) -> GradedQuotient:
     ext = extend_field(R.field, s)
     rels = [HomogPoly(ext, g.nvars, g.degree, g.terms) for g in R.relations]
     S = GradedQuotient(ext, R.nvars, rels, R.var_names)
-    S.slice_store = R.slice_store
+    S.store = R.store
     return S
 
 
@@ -756,7 +744,7 @@ def slice_key(R: GradedQuotient) -> tuple:
     return R.kernel.field, R.nvars, tuple((g.degree, tuple(g.terms.items())) for g in R.relations)
 
 
-def store_bytes(store: tuple[dict, threading.Lock]) -> int:
+def store_bytes(store: tuple[list, threading.Lock]) -> int:
     """What a kept slice store is charged: STORE_BYTES, and per slice
     SLICE_BYTES, the bytes of its arrays, 8 per standard monomial (a
     pointer: the monomials are monomials_of_degree's) and, per stored
@@ -765,7 +753,7 @@ def store_bytes(store: tuple[dict, threading.Lock]) -> int:
     `extension` benchmark pass (seeds 1 and 2) the charge was above the
     memory tracemalloc saw freed when it was dropped."""
     size = STORE_BYTES
-    for data in store[0].values():
+    for data in store[0]:
         size += SLICE_BYTES + data.echelon.nbytes + data.std_index.nbytes + 8 * len(data.std_monomials)
         if data.verdicts:
             ints = sum(map(len, data.verdicts)) * (len(data.columns[0]) + 1)

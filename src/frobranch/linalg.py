@@ -39,8 +39,7 @@ runs Gauss-Jordan in column panels: inside a panel a per-pivot loop
 updates the panel's columns in the rows with a nonzero entry in the pivot
 column, and a tracker beside the panel records the row operations, so
 that the columns to its right follow by one product.  A block with few
-nonzero entries is eliminated on Python lists instead, and so are the
-stored rows with the block when they hold few entries in all.
+nonzero entries is eliminated on Python lists instead.
 """
 
 from __future__ import annotations
@@ -64,17 +63,12 @@ if TYPE_CHECKING:
 PANEL = 64
 
 # Nonzero entries up to which a block is eliminated on Python lists
-# (_rref_small); an Echelon's stored rows and a new block go there
-# together while they hold at most this many entries, zero or not.  A
-# pivot step of the array loop makes about a dozen numpy calls whatever
-# the block, about 12 us on a 2-vCPU Xeon, while the list loop pays about
-# 0.1 us for each entry of the rows a pivot updates.  On that host the list
-# loop was the faster one on dense blocks of up to 60-100 entries and on
-# blocks of monomials of up to 900 entries, so the bound is the dense
-# crossover; past it the array loop wins on dense rows.  Inserting one row
-# into 1-5 stored rows of 5-9 columns (10-54 entries) took 7-20 us on
-# lists there and 13-22 us by the reduction and clearing products; at 70
-# entries the lists took 31-37 us, the products 20-22 us.
+# (_rref_small).  A pivot step of the array loop makes about a dozen numpy
+# calls whatever the block, about 12 us on a 2-vCPU Xeon, while the list
+# loop pays about 0.1 us for each entry of the rows a pivot updates.  On
+# that host the list loop was the faster one on dense blocks of up to
+# 60-100 entries and on blocks of monomials of up to 900 entries, so the
+# bound is the dense crossover; past it the array loop wins on dense rows.
 SMALL_BLOCK = 64
 
 
@@ -164,19 +158,21 @@ class Echelon:
     pivot, so normal forms are a single product.  The rows are the GF(p)
     digit rows of the field span of the inserted vectors (module
     docstring), kept in insertion order in one (ncols*s) x (ncols*s)
-    array, with their GF(p) pivot columns alongside; rank, ncols and
-    pivots count in units of the field.  Every vector it takes lies over
-    that field: a code outside it raises FieldMismatch (Kernel.digits).
+    array, allocated at the first rank gain, with their GF(p) pivot
+    columns alongside; rank, ncols and pivots count in units of the field.
+    Every vector it takes lies over that field: a code outside it raises
+    FieldMismatch (Kernel.digits).
     """
 
     def __init__(self, kernel: Kernel, ncols: int):
         self.kernel = kernel
         self.ncols = ncols
         self.rank = 0
-        # room for every row the rank allows; rows beyond the rank are
-        # never read, and their pages are never written
+        # no rows until the rank grows; then room for every row the rank
+        # allows, where rows beyond the rank are never read, and their
+        # pages are never written
         width = ncols * kernel.s
-        self._rows = np.empty((width, width), dtype=kernel.dtype)
+        self._rows = np.empty((0, width), dtype=kernel.dtype)
         self._pivots = np.empty(width, dtype=np.int64)
 
     def shifted(self, ncols: int) -> "Echelon":
@@ -189,6 +185,7 @@ class Echelon:
         r = self.rank * s
         if r:
             off = (ncols - self.ncols) * s
+            new._rows = np.empty((len(new._pivots),) * 2, dtype=new._rows.dtype)
             new._rows[:r, :off] = 0
             new._rows[:r, off:] = self._rows[:r]
             new._pivots[:r] = self._pivots[:r] + off
@@ -197,7 +194,8 @@ class Echelon:
 
     @property
     def nbytes(self) -> int:
-        """The bytes of its arrays, allocated whole at construction."""
+        """The bytes of its arrays: the pivots' from construction, the
+        rows' from the first rank gain."""
         return self._rows.nbytes + self._pivots.nbytes
 
     @property
@@ -240,15 +238,6 @@ class Echelon:
         k, s = self.kernel, self.kernel.s
         r = self.rank * s
         block = k.digits(rows, span=True)
-        if r and (r + len(block)) * block.shape[1] <= SMALL_BLOCK:
-            # few entries in all: the stored rows and the block together
-            # are re-eliminated on lists, whose RREF is the same
-            stack = np.concatenate((self._rows[:r], block))
-            t, new = _rref_small(k, stack)
-            self._rows[:t] = stack[:t]
-            self._pivots[:t] = new
-            self.rank = t // s
-            return (t - r) // s
         t, new = _rref(k, self._reduced(block))
         if not t:
             return 0
@@ -258,6 +247,8 @@ class Echelon:
             hit = coeffs.any(1).nonzero()[0]
             if hit.size:
                 k.update(self._rows, hit, coeffs, block[:t])
+        else:
+            self._rows = np.empty((len(self._pivots),) * 2, dtype=self._rows.dtype)
         self._rows[r:r + t] = block[:t]
         self._pivots[r:r + t] = new
         self.rank += t // s

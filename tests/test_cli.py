@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -169,26 +170,86 @@ def test_walk_past_its_budget_is_refused(monkeypatch, capsys):
     assert json.loads(warm)["results"]["e0"] == 6
 
 
+def _under_ceiling(argv, budget, setup=""):
+    """Run the statements setup, then argv through cli.main, in a child
+    process whose address space is capped at its size after import plus
+    budget bytes (RLIMIT_AS, which acts on the child alone)."""
+    probe = (
+        "import resource, sys\n"
+        "from frobranch import cli, semigroup\n"
+        f"{setup}"
+        "size = next(int(line.split()[1]) * 1024 for line in open('/proc/self/status') if line.startswith('VmSize:'))\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "sys.exit(cli.main(sys.argv[2:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, "-c", probe, str(budget), *argv], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the address space size from /proc")
 def test_walk_budget_holds_under_an_address_space_ceiling():
     # the walk at 2^13 * (1,1) would add 2.64 M memo entries; a 16 MiB walk
     # budget refuses it within about 1 s, and the child's ceiling is its
     # size after import plus that budget
-    probe = (
-        "import resource, sys\n"
-        "from frobranch import cli, semigroup\n"
-        "semigroup.WALK_BYTES = 16 << 20\n"
-        "size = next(int(line.split()[1]) * 1024 for line in open('/proc/self/status') if line.startswith('VmSize:'))\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (size + semigroup.WALK_BYTES, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
-        "sys.exit(cli.main(sys.argv[1:]))\n"
-    )
     argv = ["fnilpotent", "--p", "2", "--gens", "2: 100,0; 101,0; 100,200; 101,202; 201,201"]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    done = subprocess.run([sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
+    done = _under_ceiling(argv, 16 << 20, "semigroup.WALK_BYTES = 16 << 20\n")
     assert done.returncode == 1 and done.stdout == "", done.stderr
     assert done.stderr.startswith("error: the membership walk at ") and "Traceback" not in done.stderr
     assert f"walk budget of {16 << 20} bytes" in done.stderr
+
+
+# (input just above a cap, the cap, and the bytes the cap states it bounds,
+# which the child gets above its size after import)
+_CAPPED = {
+    # one echelon of CAP x CAP float64 digits, beside one block of at most
+    # CAP Macaulay rows as int64 codes and float64 digits
+    "SLICE_COLUMN_CAP": (
+        ["branches", "--p", "2", "--vars", ",".join(f"x{i}" for i in range(1, 1502)), "--rel", "x1*x2"],
+        graded.SLICE_COLUMN_CAP, 3 * 8 * graded.SLICE_COLUMN_CAP ** 2,
+    ),
+    # the q x D x D int64 scalar matrices, D at most MAX_EXTENSION_DEGREE;
+    # 67^2 = 4489 is the least prime power above 4096 of degree 2 to 8
+    "MAX_TABLE_ORDER": (
+        ["branches", "--p", "67", "--ext-s", "2", "--vars", "x,y", "--rel", "x*y"],
+        ffield.MAX_TABLE_ORDER, 8 * ffield.MAX_TABLE_ORDER * ffield.MAX_EXTENSION_DEGREE ** 2,
+    ),
+    # the int64 Apery list, one entry per residue of the least generator
+    "APERY_CAP": (
+        ["fnilpotent", "--p", "2", "--gens", f"{semigroup.APERY_CAP + 1},{semigroup.APERY_CAP + 2}"],
+        semigroup.APERY_CAP, 8 * semigroup.APERY_CAP,
+    ),
+    # the box's int64 coordinates, at most DIMENSION_CAP per point; sides
+    # 58 give 59^3 = 205379 points, sides 57 give 58^3 = 195112
+    "BOX_VOLUME_CAP": (
+        ["fnilpotent", "--p", "2", "--gens", "3: 58,0,0; 0,58,0; 0,0,58; 1,1,1"],
+        semigroup.BOX_VOLUME_CAP, 8 * semigroup.DIMENSION_CAP * semigroup.BOX_VOLUME_CAP,
+    ),
+    # the window's integers as int64; Frobenius number 1, so the window
+    # [2, cap + 2] holds cap + 1 of them
+    "FTE_WINDOW_CAP": (
+        ["fte", "--p", "2", "--gens", "2,3", "--ideal", f"2;{semigroup.FTE_WINDOW_CAP}"],
+        semigroup.FTE_WINDOW_CAP, 8 * semigroup.FTE_WINDOW_CAP,
+    ),
+    # the file's characters, at most 4 bytes each in a str; the argv names
+    # a file of cap + 1 characters written by the test
+    "CONFIG_CAP": (["--config"], cli.CONFIG_CAP, 4 * (cli.CONFIG_CAP + 1)),
+}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the address space size from /proc")
+@pytest.mark.parametrize("name", list(_CAPPED))
+def test_every_cap_holds_under_an_address_space_ceiling(name, tmp_path):
+    argv, cap, budget = _CAPPED[name]
+    if name == "CONFIG_CAP":
+        cfg = tmp_path / "request.cfg"
+        request = "fnilpotent --p 2 --gens 2,3\n"
+        cfg.write_text(request + "#" * (cli.CONFIG_CAP + 1 - len(request)))
+        argv = argv + [str(cfg)]
+    done = _under_ceiling(argv, budget)
+    assert done.returncode == 1 and done.stdout == "", done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert str(cap) in done.stderr
 
 
 def test_saturation_box_below_the_cap_is_answered(capsys):
@@ -1241,6 +1302,25 @@ def _bench_requests(workload, seed):
     return [r.argv for r in workloads.build(workload, seed)]
 
 
+def test_every_traced_name_is_in_the_program():
+    # the tracer reports a missing name as absent and carries on, so a name
+    # renamed or deleted here would drop out of the benchmark's metrics
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # defines its tables and installs nothing
+    wrapped = set()
+    for module, qualname, _ in tracer.WRAPPED:
+        target = importlib.import_module(module)
+        for attr in qualname.split("."):
+            target = getattr(target, attr, None)
+        assert callable(target), (module, qualname)
+        wrapped.add(qualname)
+    expected = {name for names in tracer.EXPECTED.values() for name in names}
+    counted = {name for names in tracer.CALL_COUNTS.values() for name in names}
+    assert expected | counted <= wrapped, (expected | counted) - wrapped
+
+
 def test_shared_slices_give_the_reports_of_fresh_tables(capsys):
     # rings of one degree whose verdicts differ, over GF(5) and GF(25): x + y
     # divides the second and third relations, so it reduces only the first
@@ -1319,7 +1399,7 @@ def test_an_all_points_curve_tests_its_larger_field_forms_afresh(add_row_calls, 
     first = run_cli(argv, capsys)
     assert json.loads(first[1])["results"]["reduction_scalar_extension"] == 2
     (store, _), = cli._TABLE._entries.values()
-    keys = [key for data in store[0].values() for key in data.verdicts]
+    keys = [key for data in store[0] for key in data.verdicts]
     assert keys and all(code < 3 for key in keys for _, code in key)
     tested = []
     test = graded.is_linear_reduction
@@ -1372,3 +1452,14 @@ def test_thousands_of_variables_are_refused_at_the_slice_cap(nvars, slice_, caps
     code, out, err = run_cli(["branches", "--p", "2", "--vars", names, "--rel", "x1*x2"], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: the {slice_} columns, above the cap of {graded.SLICE_COLUMN_CAP} columns\n"
+
+
+def test_a_refused_wide_ring_keeps_no_unused_row_capacity(capsys):
+    # its degree-1 slice of 1000 columns has rank 0, and an echelon gets its
+    # 1000 x 1000 row square only at its first rank gain
+    names = ",".join(f"x{i}" for i in range(1, 1001))
+    code, _, err = run_cli(["branches", "--p", "2", "--vars", names, "--rel", "x1*x2"], capsys)
+    assert code == 1 and "degree-2 slice" in err
+    (store, size), = cli._TABLE._entries.values()
+    assert len(store[0]) == 2 and store[0][1].echelon.rank == 0
+    assert cli._TABLE.charged == size < 64 << 10

@@ -170,7 +170,8 @@ class _GaussJordan:
 
 # (panel width, SMALL_BLOCK): as shipped; the array loop alone, with two-
 # and three-column panels so that small blocks cross panels, swap rows and
-# use the tracker; and the list loop alone over GF(p)
+# use the tracker; and _rref on lists alone, with products still doing the
+# reduction against the stored rows and the clearing of their new pivots
 ELIMINATIONS = [(linalg.PANEL, linalg.SMALL_BLOCK), (2, 0), (3, 0), (linalg.PANEL, 10**9)]
 
 
